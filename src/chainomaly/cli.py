@@ -103,10 +103,9 @@ def _build_expr(sites: SiteSpec, steps, path: str) -> qca.QcaExpr:
                 for j, t in enumerate(s.get("templates", [])):
                     try:
                         opwin.matrix_from_pairs(t.get("unitary", []))
-                    except ValidationError:
+                    except ValidationError as bad:
                         raise ValidationError(
-                            f"{path}[{i}].templates[{j}].unitary: not unitary "
-                            "within 1e-9"
+                            f"{path}[{i}].templates[{j}].unitary: {bad}"
                         ) from inner
                 raise ValidationError(f"{path}[{i}]: {inner}") from inner
         raise ValidationError(f"{path}: {exc}") from exc

@@ -2,19 +2,25 @@
 
 Phases are exact rationals in [0,1) representing exp(2*pi*i*q), so cocycle
 and coboundary identities are checked with integer arithmetic, never floats.
-Cohomology groups are classified through the integer bar complex: a phase
-n-cocycle is lifted to rationals, its integer coboundary is a degree-(n+1)
-integer cocycle, and that cocycle is projected onto the invariant-factor
-decomposition computed by exact column reduction and Smith normal form.
+Cohomology groups are classified through the integer bar complex. For
+k >= 1, H^k(G, U(1)) = H^(k+1)(G, Z), which is exactly the torsion of the
+cokernel of the integer coboundary d_k. Its exponent divides |G|, so each
+p-primary part is read off a local Smith form of d_k computed in numpy int64
+modulo a power of p. A phase k-cocycle is lifted to rationals; its integer
+coboundary (the Bockstein) is a degree-(k+1) integer cocycle, which the
+recorded row operations project onto the invariant-factor coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+
 from .errors import (
     DegreeCap,
     EvaluatorDomain,
@@ -24,6 +30,7 @@ from .errors import (
     SnapFailure,
     ValidationError,
 )
+from .qca import _factorize
 
 DEFAULT_MAX_DEGREE = 3
 DEFAULT_MATRIX_CAP = 16 ** 5  # bound on |G|^(n+2)
@@ -206,21 +213,26 @@ class PhaseCochain:
         return out
 
 
-def coboundary(f: PhaseCochain, max_degree: int = DEFAULT_MAX_DEGREE) -> PhaseCochain:
-    """Alternating-sum coboundary, one degree up, exact."""
-    if f.degree > max_degree:
-        raise DegreeCap(f"coboundary capped at degree {max_degree}")
+def _face_sums(f: PhaseCochain) -> list[Fraction]:
+    """Alternating face sums of the lift of f to [0, 1), unreduced: the
+    integer Bockstein of f when f is a cocycle."""
     G = f.group
     n = G.order
-    k = f.degree
-    vals = []
-    for t in _all_tuples(n, k + 1):
+    out = []
+    for t in _all_tuples(n, f.degree + 1):
         acc = Fraction(0)
         for i, face in enumerate(_faces(G, t)):
             v = f.values[_tuple_index(face, n)]
             acc += v if i % 2 == 0 else -v
-        vals.append(acc)
-    return PhaseCochain(G, k + 1, tuple(vals))
+        out.append(acc)
+    return out
+
+
+def coboundary(f: PhaseCochain, max_degree: int = DEFAULT_MAX_DEGREE) -> PhaseCochain:
+    """Alternating-sum coboundary, one degree up, exact."""
+    if f.degree > max_degree:
+        raise DegreeCap(f"coboundary capped at degree {max_degree}")
+    return PhaseCochain(f.group, f.degree + 1, tuple(_face_sums(f)))
 
 
 def is_cocycle(f: PhaseCochain, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
@@ -241,228 +253,106 @@ def snap_fraction(turns: float, den_cap: int, tol: float = 1e-6) -> tuple[Fracti
     return qn, err
 
 
-# -- exact integer linear algebra --------------------------------------------
+# -- modular integer linear algebra ------------------------------------------
 
-def _nearest_quotient(b: int, a: int) -> int:
-    """Integer q minimizing |b - q*a| (a != 0)."""
-    q, r = divmod(b, a)
-    if 2 * abs(r) > abs(a):
-        q += 1 if a > 0 else -1
-    return q
-
-
-def _column_echelon_sparse(cols: list[dict[int, int]]):
-    """Column-reduce an integer matrix given as sparse columns.
-
-    Returns (pivots, V, Vinv, kernel) where the original matrix A satisfies
-    A @ V = reduced columns, V is unimodular (stored as list of columns) and
-    Vinv is its inverse (stored as list of rows). Columns that end up empty
-    span the kernel of A. Elimination uses nearest-quotient Euclidean steps
-    only, which keeps the integers small on bar-resolution matrices.
-    """
-    nc = len(cols)
-    V = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
-    Vinv = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
-
-    def axpy(src: int, dst: int, q: int):
-        # col_dst += q * col_src; Vinv row_src -= q * row_dst
-        if q == 0:
-            return
-        cd = cols[dst]
-        for r, v in cols[src].items():
-            w = cd.get(r, 0) + q * v
-            if w:
-                cd[r] = w
-            else:
-                cd.pop(r, None)
-        vs, vd = V[src], V[dst]
-        V[dst] = [b_ + q * a_ for a_, b_ in zip(vs, vd)]
-        rs, rd = Vinv[src], Vinv[dst]
-        Vinv[src] = [a_ - q * b_ for a_, b_ in zip(rs, rd)]
-
-    active = [j for j in range(nc)]
-    pivots = []
-    while True:
-        best = None
-        for j in active:
-            c = cols[j]
-            if c:
-                mr = min(c)
-                if best is None or mr < best[0]:
-                    best = (mr, j)
-        if best is None:
-            break
-        row = best[0]
-        js = [j for j in active if row in cols[j]]
-        while len(js) > 1:
-            js.sort(key=lambda j: abs(cols[j][row]))
-            lead = js[0]
-            a = cols[lead][row]
-            nxt = [lead]
-            for j in js[1:]:
-                axpy(lead, j, -_nearest_quotient(cols[j].get(row, 0), a))
-                if cols[j].get(row, 0):
-                    nxt.append(j)
-            js = nxt
-        lead = js[0]
-        if cols[lead][row] < 0:
-            cols[lead] = {r: -v for r, v in cols[lead].items()}
-            V[lead] = [-v for v in V[lead]]
-            Vinv[lead] = [-v for v in Vinv[lead]]
-        pivots.append((row, lead))
-        active.remove(lead)
-    kernel = [j for j in range(nc) if not cols[j]]
-    return pivots, V, Vinv, kernel
-
-
-def _smith_normal_form(mat: list[list[int]]):
-    """Dense Smith normal form with transforms: P @ mat @ Q = diag(d),
-    divisibility d[0] | d[1] | ... enforced, entries nonnegative. Elimination
-    uses nearest-quotient reduction to keep coefficients small."""
-    A = [row[:] for row in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    P = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_axpy(src, dst, q):
-        if q:
-            A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-            P[dst] = [a + q * b for a, b in zip(P[dst], P[src])]
-
-    def col_axpy(src, dst, q):
-        if q:
-            for r in range(m):
-                A[r][dst] += q * A[r][src]
-            for r in range(n):
-                Q[r][dst] += q * Q[r][src]
-
-    def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            P[i], P[j] = P[j], P[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in range(m):
-                A[r][i], A[r][j] = A[r][j], A[r][i]
-            for r in range(n):
-                Q[r][i], Q[r][j] = Q[r][j], Q[r][i]
-
-    def clear_below(k) -> bool:
-        # returns True once A[i][k] = 0 for all i > k, pivoting at (k, k)
-        while True:
-            imin = None
-            for i in range(k, m):
-                if A[i][k] != 0 and (imin is None or abs(A[i][k]) < abs(A[imin][k])):
-                    imin = i
-            if imin is None:
-                return True
-            swap_rows(k, imin)
-            a = A[k][k]
-            done = True
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    row_axpy(k, i, -_nearest_quotient(A[i][k], a))
-                    if A[i][k]:
-                        done = False
-            if done:
-                return True
-
-    def clear_right(k) -> bool:
-        while True:
-            jmin = None
-            for j in range(k, n):
-                if A[k][j] != 0 and (jmin is None or abs(A[k][j]) < abs(A[k][jmin])):
-                    jmin = j
-            if jmin is None:
-                return True
-            swap_cols(k, jmin)
-            a = A[k][k]
-            done = True
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    col_axpy(k, j, -_nearest_quotient(A[k][j], a))
-                    if A[k][j]:
-                        done = False
-            if done:
-                return True
-
-    t = min(m, n)
-    for k in range(t):
-        if all(A[i][j] == 0 for i in range(k, m) for j in range(k, n)):
-            break
-        while True:
-            clear_below(k)
-            if all(A[k][j] == 0 for j in range(k + 1, n)):
-                break
-            clear_right(k)
-            if all(A[i][k] == 0 for i in range(k + 1, m)):
-                break
-        if A[k][k] < 0:
-            A[k] = [-v for v in A[k]]
-            P[k] = [-v for v in P[k]]
-
-    # enforce successive divisibility
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a = A[i][i]
-            for j in range(i + 1, t):
-                b = A[j][j]
-                if b == 0 or a == 0:
-                    continue
-                if b % a != 0:
-                    changed = True
-                    col_axpy(j, i, 1)  # col i gets b at row j
-                    while True:
-                        clear_below(i)
-                        if all(A[i][jj] == 0 for jj in range(i + 1, n)):
-                            break
-                        clear_right(i)
-                        if all(A[ii][i] == 0 for ii in range(i + 1, m)):
-                            break
-                    if A[i][i] < 0:
-                        A[i] = [-v for v in A[i]]
-                        P[i] = [-v for v in P[i]]
-                    if A[j][j] < 0:
-                        A[j] = [-v for v in A[j]]
-                        P[j] = [-v for v in P[j]]
-    diag = [A[k][k] for k in range(t)]
-    return diag, P, Q
-
-
-def _coboundary_columns(group: FiniteGroup, k: int) -> list[dict[int, int]]:
-    """Integer matrix of d: C^k(Z) -> C^(k+1)(Z), as sparse columns."""
+def _coboundary_matrix(group: FiniteGroup, k: int) -> np.ndarray:
+    """Integer matrix of d: C^k(Z) -> C^(k+1)(Z), rows and columns indexed
+    like _tuple_index."""
     n = group.order
-    cols: list[dict[int, int]] = [dict() for _ in range(n ** k)]
-    for t in _all_tuples(n, k + 1):
-        row = _tuple_index(t, n)
-        for i, face in enumerate(_faces(group, t)):
-            col = _tuple_index(face, n)
-            sign = 1 if i % 2 == 0 else -1
-            c = cols[col]
-            w = c.get(row, 0) + sign
-            if w:
-                c[row] = w
-            else:
-                c.pop(row, None)
-    return cols
+    table = np.array(group.table)
+    t = list(np.indices((n,) * (k + 1)).reshape(k + 1, -1))
+    rows = np.arange(n ** (k + 1))
+    d = np.zeros((n ** (k + 1), n ** k), dtype=np.int64)
+    for i in range(k + 2):
+        if i == 0:
+            face = t[1:]
+        elif i == k + 1:
+            face = t[:-1]
+        else:
+            face = t[: i - 1] + [table[t[i - 1], t[i]]] + t[i + 1:]
+        np.add.at(d, (rows, np.ravel_multi_index(face, (n,) * k)), (-1) ** i)
+    return d
+
+
+def _local_smith(d: np.ndarray, p: int, m: int) -> list[tuple]:
+    """Smith elimination of d over Z/p^m, taking an entry of least p-valuation
+    as each pivot. Returns one record per pivot, in elimination order:
+    (row, col, valuation, unit inverse scaling the row, rows cleared and
+    their multipliers, cols cleared and their multipliers). Entries stay
+    below p^m, so the int64 products are exact for any matrix within the
+    default MatrixCap."""
+    q = p ** m
+    a = d % q
+    steps = []
+    for t in range(m):
+        pt, pt1 = p ** t, p ** (t + 1)
+        # a row without an entry of valuation t never gains one at this level
+        for i in np.flatnonzero((a % pt1).any(axis=1)):
+            hits = np.flatnonzero(a[i] % pt1)
+            if not hits.size:
+                continue
+            col = hits[0]
+            uinv = pow(int(a[i, col]) // pt, -1, q)
+            a[i] = a[i] * uinv % q
+            mult = a[:, col] // pt
+            mult[i] = 0
+            rows = np.flatnonzero(mult)
+            span = np.flatnonzero(a[i])
+            block = np.ix_(rows, span)
+            a[block] = (a[block] - np.outer(mult[rows], a[i, span])) % q
+            # the column operations clearing row i change only row i
+            cmult = a[i] // pt
+            cmult[col] = 0
+            cols = np.flatnonzero(cmult)
+            a[i] = 0
+            steps.append((i, col, t, uinv, rows, mult[rows], cols, cmult[cols]))
+    return steps
+
+
+def _torsion_transforms(d: np.ndarray, p: int, e: int, rank: int) -> list[tuple]:
+    """p-primary part of the torsion of coker d, where p^e annihilates it.
+
+    Returns (p^v, row of the left transform mod p^v, column of the right
+    transform) per factor Z/p^v, with v ascending. The row maps an integer
+    cocycle to its coordinate; the column divided by p^v is a phase cochain
+    whose Bockstein has that coordinate 1 and the others 0. Elimination runs
+    modulo p^(2e): pivots have valuation at most e, and the e extra digits
+    keep the generator coordinates exact.
+    """
+    q = p ** (2 * e)
+    steps = _local_smith(d, p, 2 * e)
+    vals = [s[2] for s in steps]
+    if len(steps) != rank or max(vals, default=0) > e:
+        raise InvariantViolation(
+            f"mod {p}^{2 * e} elimination of a rank-{rank} coboundary found "
+            f"{len(steps)} pivots of valuations {sorted(set(vals))}, "
+            f"not {rank} of valuation <= {e}"
+        )
+    torsion = [s for s in steps if s[2] > 0]  # valuations ascend with the steps
+    left = np.zeros((len(torsion), d.shape[0]), dtype=np.int64)
+    right = np.zeros((d.shape[1], len(torsion)), dtype=np.int64)
+    for j, (i, col, *_) in enumerate(torsion):
+        left[j, i] = 1
+        right[col, j] = 1
+    # replay the operations backwards onto the unit vectors of the torsion pivots
+    for i, col, _, uinv, rows, mult, cols, cmult in reversed(steps):
+        left[:, i] = (left[:, i] - left[:, rows] @ mult % q) * uinv % q
+        right[col] = (right[col] - cmult @ right[cols]) % q
+    return [
+        (p ** s[2], left[j] % p ** s[2], right[:, j]) for j, s in enumerate(torsion)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
 class CohomologyGroup:
-    """Invariant-factor presentation of H^degree(G, U(1)) with the exact
-    transforms needed to project a cocycle onto class coordinates."""
+    """Invariant-factor presentation of H^degree(G, U(1)) with the rows that
+    project an integer Bockstein onto class coordinates."""
 
     group: FiniteGroup
     degree: int
     invariant_factors: tuple[int, ...]
     generators: tuple[PhaseCochain, ...]
-    _vinv_kernel: tuple[tuple[int, ...], ...] = field(repr=False)
-    _proj_rows: tuple[tuple[int, ...], ...] = field(repr=False)
-    _factor_positions: tuple[int, ...] = field(repr=False)
+    _class_rows: np.ndarray = field(repr=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -509,35 +399,32 @@ class ClassCoords:
 def _cohomology_cached(group: FiniteGroup, degree: int) -> CohomologyGroup:
     n = group.order
     k = degree
-    # kernel of the integer coboundary one level up (Bockstein target)
-    a_cols = _coboundary_columns(group, k + 1)
-    _, V, Vinv, kernel = _column_echelon_sparse(a_cols)
-    r = len(kernel)
-    vinv_k = [Vinv[j] for j in kernel]
-    # image of the previous integer coboundary, in kernel coordinates
-    b_cols = _coboundary_columns(group, k)
-    M = []
-    for i in range(r):
-        row_i = vinv_k[i]
-        M.append([sum(row_i[rr] * vv for rr, vv in col.items()) for col in b_cols])
-    diag, P, Q = _smith_normal_form(M)
-    if len([d for d in diag if d != 0]) != r:
-        raise InvariantViolation("cohomology quotient is not finite")
-    positions = [i for i, d in enumerate(diag) if d > 1]
-    factors = tuple(diag[i] for i in positions)
-    gens = []
-    for i in positions:
-        s = diag[i]
-        vals = tuple(Fraction(Q[row][i], s) for row in range(n ** k))
-        gens.append(PhaseCochain(group, k, vals))
+    # H^k(G, U(1)) = H^(k+1)(G, Z) = torsion of coker d_k, one p-part per prime
+    d = _coboundary_matrix(group, k)
+    # the rational complex is exact above degree 0, which fixes rank d_k
+    rank = sum((-1) ** (k - i) * n ** i for i in range(1, k + 1))
+    parts = [_torsion_transforms(d, p, e, rank) for p, e in _factorize(n).items()]
+    # the j-th largest factor collects the j-th largest power of every prime
+    nfac = max(map(len, parts), default=0)
+    factors, rows, gens = [], [], []
+    for j in range(-nfac, 0):
+        picks = [fs[j] for fs in parts if len(fs) >= -j]
+        s = math.prod(pv for pv, _, _ in picks)
+        row = np.zeros(d.shape[0], dtype=np.int64)
+        num = np.zeros(d.shape[1], dtype=np.int64)
+        for pv, left, right in picks:
+            rest = s // pv
+            row += rest * pow(rest, -1, pv) * left  # CRT idempotent
+            num += rest * right
+        factors.append(s)
+        rows.append(row % s)
+        gens.append(PhaseCochain(group, k, tuple(Fraction(int(x), s) for x in num % s)))
     return CohomologyGroup(
         group=group,
         degree=degree,
-        invariant_factors=factors,
+        invariant_factors=tuple(factors),
         generators=tuple(gens),
-        _vinv_kernel=tuple(tuple(row) for row in vinv_k),
-        _proj_rows=tuple(tuple(P[i]) for i in range(r)),
-        _factor_positions=tuple(positions),
+        _class_rows=np.array(rows, dtype=np.int64).reshape(nfac, d.shape[0]),
     )
 
 
@@ -545,7 +432,6 @@ def cohomology(
     group: FiniteGroup,
     degree: int,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    warn_order: int = 8,
 ) -> CohomologyGroup:
     """H^degree(G, U(1)) as invariant factors plus classification data."""
     if degree < 1:
@@ -554,13 +440,6 @@ def cohomology(
         raise MatrixCap(
             f"|G|^(degree+2) = {group.order ** (degree + 2)} exceeds cap {matrix_cap}"
         )
-    if group.order > warn_order:
-        warnings.warn(
-            f"cohomology of a group of order {group.order} at degree {degree} "
-            "may be slow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return _cohomology_cached(group, degree)
 
 
@@ -568,25 +447,12 @@ def class_of(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
     """Exact class coordinates of a phase cocycle."""
     if f.group != H.group or f.degree != H.degree:
         raise ValidationError("cochain does not match the cohomology group")
-    if not is_cocycle(f, max_degree=max(DEFAULT_MAX_DEGREE, f.degree)):
-        raise NotACocycle("input is not a cocycle")
-    G = f.group
-    n = G.order
-    k = f.degree
     # integer Bockstein: coboundary of the rational lift
-    c = []
-    for t in _all_tuples(n, k + 1):
-        acc = Fraction(0)
-        for i, face in enumerate(_faces(G, t)):
-            v = f.values[_tuple_index(face, n)]
-            acc += v if i % 2 == 0 else -v
-        if acc.denominator != 1:
-            raise InvariantViolation("Bockstein lift is not integral")
-        c.append(acc.numerator)
-    y = [sum(row[j] * c[j] for j in range(len(c)) if c[j]) for row in H._vinv_kernel]
-    w = [sum(p * yy for p, yy in zip(prow, y)) for prow in H._proj_rows]
-    residues = tuple(w[pos] for pos in H._factor_positions)
-    return ClassCoords(residues, H.invariant_factors)
+    sums = _face_sums(f)
+    if any(s.denominator != 1 for s in sums):
+        raise NotACocycle("input is not a cocycle")
+    c = np.array([s.numerator for s in sums], dtype=np.int64)
+    return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
 
 
 def slant_z(omega_eval, group0: FiniteGroup) -> PhaseCochain:

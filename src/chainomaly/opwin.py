@@ -12,6 +12,7 @@ All operations are pure functions on immutable values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,7 +284,14 @@ def lift_registers(sites: SiteSpec, mats: dict[int, np.ndarray]) -> np.ndarray:
 
 def matrix_from_pairs(pairs, expect_unitary: bool = True) -> np.ndarray:
     """Row-major list of [re, im] pairs -> square complex matrix."""
-    vals = [complex(float(p[0]), float(p[1])) for p in pairs]
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(p, (list, tuple))
+        and len(p) == 2
+        and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in p)
+        for p in pairs
+    ):
+        raise ValidationError("matrix literal is not a flat list of numeric [re, im] pairs")
+    vals = [complex(p[0], p[1]) for p in pairs]
     n = math.isqrt(len(vals))
     if n * n != len(vals):
         raise ValidationError(f"matrix literal length {len(vals)} is not a square")

@@ -188,6 +188,23 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_row_nested_matrix_literal_is_a_config_error(tmp_path, capsys):
+    # each matrix literal is a flat list of [re, im] pairs, not a list of rows
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(
+        "mode: anomaly\n"
+        "action:\n"
+        "  preset: lsm\n"
+        "  rep:\n"
+        "    group: {kind: cyclic, n: 2}\n"
+        "    matrices:\n"
+        "      - [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]\n"
+        "      - [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]\n"
+    )
+    assert cli.main(["run", str(cfg_path)]) == 1
+    assert "action.rep.matrices[1]" in capsys.readouterr().err
+
+
 def test_selftest_passes():
     ok, lines = cli.selftest()
     assert ok

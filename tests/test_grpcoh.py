@@ -16,6 +16,8 @@ from chainomaly.grpcoh import (
     ClassCoords,
     FiniteGroup,
     PhaseCochain,
+    _coboundary_matrix,
+    _face_sums,
     class_of,
     coboundary,
     cohomology,
@@ -30,6 +32,62 @@ Z4 = FiniteGroup.cyclic(4)
 Z2Z2 = FiniteGroup.direct_product(Z2, Z2)
 
 GROUPS = [Z2, Z3, Z4, Z2Z2]
+
+
+def group_from(elements, mul):
+    index = {x: i for i, x in enumerate(elements)}
+    return FiniteGroup(tuple(tuple(index[mul(a, b)] for b in elements) for a in elements))
+
+
+def compose(a, b):
+    return tuple(a[i] for i in b)
+
+
+def quaternion(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+Z6 = FiniteGroup.cyclic(6)
+Z2Z3 = FiniteGroup.direct_product(Z2, Z3)
+Z2_CUBED = FiniteGroup.direct_product(Z2Z2, Z2)
+S3 = group_from(list(itertools.permutations(range(3))), compose)
+D8 = group_from(  # symmetries of the square, as permutations of its corners
+    [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2),
+     (0, 3, 2, 1), (1, 0, 3, 2), (2, 1, 0, 3), (3, 2, 1, 0)],
+    compose,
+)
+Q8 = group_from(
+    [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)],
+    quaternion,
+)
+
+
+def abelian_group(factors):
+    """Sorted prime-power decomposition of a product of cyclic groups."""
+    out = []
+    for f in factors:
+        p = 2
+        while f > 1:
+            q = 1
+            while f % p == 0:
+                f //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def basis(H):
+    n = len(H.invariant_factors)
+    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
 
 def random_cochain(group, degree, rng, den=8):
@@ -74,6 +132,20 @@ def test_d_squared_zero(group, degree, seed):
     rng = np.random.default_rng(seed)
     f = random_cochain(group, degree, rng)
     assert coboundary(coboundary(f)).is_zero()
+
+
+@pytest.mark.parametrize("group", [Z3, Z2Z2, S3])
+@pytest.mark.parametrize("degree", [1, 2])
+@given(seed=st.integers(0, 10 ** 6))
+def test_coboundary_matrix_matches_face_sums(group, degree, seed):
+    # the vectorised matrix of d_k against the exact face-sum loop
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    f = random_cochain(group, degree, rng)
+    nums = np.array([int(v * 8) for v in f.values])
+    want = [int(s * 8) for s in _face_sums(f)]
+    assert (_coboundary_matrix(group, degree) @ nums).tolist() == want
 
 
 def test_degree_cap():
@@ -134,10 +206,17 @@ def test_coboundaries_are_cocycles(seed):
         (Z4, 2, ()),
         (Z2Z2, 2, (2,)),
         (Z2Z2, 3, (2, 2, 2)),
+        # degree 3 beyond order 4: de Wild Propitius, hep-th/9511195
+        (Z6, 3, (6,)),
+        (Z2Z3, 3, (6,)),
+        (Z2_CUBED, 3, (2,) * 7),
+        (D8, 3, (2, 2, 4)),
+        (Q8, 3, (8,)),
     ],
 )
 def test_cohomology_factors(group, degree, factors):
     H = cohomology(group, degree)
+    assert abelian_group(H.invariant_factors) == abelian_group(factors)
     assert H.invariant_factors == factors
 
 
@@ -152,6 +231,31 @@ def test_generators_hit_the_standard_basis():
         coords = class_of(gen, H)
         want = tuple(1 if j == i else 0 for j in range(len(H.invariant_factors)))
         assert coords.residues == want
+
+
+@pytest.mark.parametrize(
+    "group,degree",
+    [(Z4, 1), (FiniteGroup.cyclic(9), 1), (Z4, 3), (S3, 3), (Z6, 3)],
+)
+def test_generators_hit_the_standard_basis_across_primes(group, degree):
+    # factors above p (an exact mod p^v coordinate) and factors that combine
+    # several primes by CRT
+    H = cohomology(group, degree)
+    assert len(H.generators) == len(H.invariant_factors)
+    for gen, want in zip(H.generators, basis(H)):
+        assert class_of(gen, H).residues == want
+
+
+@pytest.mark.parametrize("group", [Z4, Z2Z2, Z6])
+@given(seed=st.integers(0, 10 ** 6))
+def test_generator_classes_ignore_coboundaries(group, seed):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    H = cohomology(group, 3)
+    psi = random_cochain(group, 2, rng, den=12)
+    for gen, want in zip(H.generators, basis(H)):
+        assert class_of(gen + coboundary(psi), H).residues == want
 
 
 def test_matrix_cap():
