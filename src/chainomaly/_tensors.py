@@ -12,50 +12,33 @@ import math
 import numpy as np
 
 
-def prod(dims) -> int:
-    return math.prod(dims) if dims else 1
-
-
 def embed_factors(mat: np.ndarray, dims_all, positions) -> np.ndarray:
-    """Embed `mat` (acting on the factors listed in `positions`, in that
-    order) into the full factor list `dims_all`, tensoring identity on the
-    rest."""
-    n = len(dims_all)
-    positions = list(positions)
-    if positions == list(range(n)):
-        return mat
-    rest = [i for i in range(n) if i not in positions]
-    d_rest = prod([dims_all[i] for i in rest])
-    big = np.kron(mat, np.eye(d_rest, dtype=complex))
-    # current factor order is positions + rest; permute to 0..n-1
-    order = positions + rest
-    perm = np.argsort(order)
-    dims_cur = [dims_all[i] for i in order]
-    t = big.reshape(dims_cur + dims_cur)
-    t = t.transpose(list(perm) + [n + p for p in perm])
-    D = prod(dims_all)
-    return np.ascontiguousarray(t.reshape(D, D))
+    """embed_factors_batch for a single matrix."""
+    return embed_factors_batch(mat[None], dims_all, positions)[0]
 
 
 def embed_factors_batch(mats: np.ndarray, dims_all, positions) -> np.ndarray:
-    """Batched version of embed_factors; `mats` has shape (B, d, d)."""
+    """Embed each matrix of `mats` (shape (B, d, d), acting on the factors
+    listed in `positions`, in that order) into the full factor list
+    `dims_all`, tensoring identity on the rest."""
     n = len(dims_all)
     positions = list(positions)
     if positions == list(range(n)):
         return mats
     rest = [i for i in range(n) if i not in positions]
-    d_rest = prod([dims_all[i] for i in rest])
+    d_rest = math.prod([dims_all[i] for i in rest])
     eye = np.eye(d_rest, dtype=complex)
     B, d, _ = mats.shape
     big = (mats[:, :, None, :, None] * eye[None, None, :, None, :]).reshape(
         B, d * d_rest, d * d_rest
     )
+    # current factor order is positions + rest; permute to 0..n-1
     order = positions + rest
     perm = np.argsort(order)
     dims_cur = [dims_all[i] for i in order]
     t = big.reshape([B] + dims_cur + dims_cur)
     t = t.transpose([0] + [1 + p for p in perm] + [1 + n + p for p in perm])
-    D = prod(dims_all)
+    D = math.prod(dims_all)
     return np.ascontiguousarray(t.reshape(B, D, D))
 
 
@@ -67,33 +50,14 @@ def permute_factors_batch(mats: np.ndarray, dims, perm) -> np.ndarray:
     dims_cur = list(dims)
     t = mats.reshape([B] + dims_cur + dims_cur)
     t = t.transpose([0] + [1 + p for p in perm] + [1 + n + p for p in perm])
-    D = prod(dims)
+    D = math.prod(dims)
     return np.ascontiguousarray(t.reshape(B, D, D))
 
 
-def partial_trace_keep(mat: np.ndarray, dims, keep, normalized=True) -> np.ndarray:
-    """Trace out all factors not in `keep` (ascending positions kept in
-    order). With normalized=True each traced factor is averaged, which makes
-    the map unital."""
-    n = len(dims)
-    keep = list(keep)
-    traced = [i for i in range(n) if i not in keep]
-    if not traced:
-        return mat.copy()
-    order = keep + traced
-    dims_cur = [dims[i] for i in order]
-    t = mat.reshape(list(dims) + list(dims))
-    t = t.transpose([o for o in order] + [n + o for o in order])
-    dk = prod([dims[i] for i in keep])
-    dt = prod([dims[i] for i in traced])
-    t = t.reshape(dk, dt, dk, dt)
-    out = np.einsum("akbk->ab", t)
-    if normalized:
-        out = out / dt
-    return out
-
-
 def partial_trace_keep_batch(mats: np.ndarray, dims, keep, normalized=True) -> np.ndarray:
+    """Trace out all factors not in `keep` (ascending positions kept in
+    order) from each matrix of the batch. With normalized=True each traced
+    factor is averaged, which makes the map unital."""
     n = len(dims)
     keep = list(keep)
     traced = [i for i in range(n) if i not in keep]
@@ -103,8 +67,8 @@ def partial_trace_keep_batch(mats: np.ndarray, dims, keep, normalized=True) -> n
     order = keep + traced
     t = mats.reshape([B] + list(dims) + list(dims))
     t = t.transpose([0] + [1 + o for o in order] + [1 + n + o for o in order])
-    dk = prod([dims[i] for i in keep])
-    dt = prod([dims[i] for i in traced])
+    dk = math.prod([dims[i] for i in keep])
+    dt = math.prod([dims[i] for i in traced])
     t = t.reshape(B, dk, dt, dk, dt)
     out = np.einsum("nakbk->nab", t)
     if normalized:
@@ -127,7 +91,7 @@ def factor_swap_matrix(dims, i, j) -> np.ndarray:
     """Permutation matrix exchanging factors i and j (equal dimensions)."""
     if dims[i] != dims[j]:
         raise ValueError("factor_swap_matrix needs equal dimensions")
-    D = prod(dims)
+    D = math.prod(dims)
     flat = np.arange(D).reshape(dims)
     src = np.swapaxes(flat, i, j).reshape(-1)
     P = np.zeros((D, D), dtype=complex)
@@ -157,8 +121,8 @@ def operator_schmidt_rank_one(mat: np.ndarray, dims, part, tol=1e-9) -> bool:
     order = part + rest
     t = mat.reshape(list(dims) + list(dims))
     t = t.transpose([o for o in order] + [n + o for o in order])
-    dp = prod([dims[i] for i in part])
-    dr = prod([dims[i] for i in rest])
+    dp = math.prod([dims[i] for i in part])
+    dr = math.prod([dims[i] for i in rest])
     t = t.reshape(dp, dr, dp, dr).transpose(0, 2, 1, 3).reshape(dp * dp, dr * dr)
     s = np.linalg.svd(t, compute_uv=False)
     return bool(s.size <= 1 or s[1] <= tol * s[0])

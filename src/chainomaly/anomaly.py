@@ -16,8 +16,8 @@ reduced to a degree-2 class on the on-site group.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -34,6 +34,7 @@ from .errors import (
     NotProjective,
     NotScalar,
     ShiftsPresent,
+    SnapFailure,
     ValidationError,
     WindowCapExceeded,
 )
@@ -139,6 +140,14 @@ class VTable:
         return self.entries[(g, h)]
 
 
+def _phase_rows(cochain: PhaseCochain):
+    """(tuple, report row) for every argument tuple, in lexicographic order."""
+    G = cochain.group
+    for t in itertools.product(range(G.order), repeat=cochain.degree):
+        v = cochain.at(*t)
+        yield t, {"args": [G.name(g) for g in t], "phase": f"{v.numerator}/{v.denominator}"}
+
+
 @dataclass(eq=False)
 class AnomalyReport:
     group: FiniteGroup
@@ -152,19 +161,11 @@ class AnomalyReport:
 
     def as_json_dict(self) -> dict:
         G = self.group
-        omega_rows = []
-        import itertools
-
-        for t in itertools.product(range(G.order), repeat=3):
-            v = self.omega.at(*t)
-            diag = self.diagnostics.get("omega", {}).get(t, {})
-            omega_rows.append(
-                {
-                    "args": [G.name(g) for g in t],
-                    "phase": f"{v.numerator}/{v.denominator}",
-                    "snap_error": float(diag.get("snap_error", 0.0)),
-                }
-            )
+        omega_diag = self.diagnostics.get("omega", {})
+        omega_rows = [
+            {**row, "snap_error": float(omega_diag.get(t, {}).get("snap_error", 0.0))}
+            for t, row in _phase_rows(self.omega)
+        ]
         return {
             "gnvw": {
                 G.name(g): {str(p): e for p, e in pl.exponents}
@@ -210,25 +211,10 @@ class MixedAnomalyReport:
     diagnostics: dict
 
     def as_json_dict(self) -> dict:
-        G = self.group0
-        import itertools
-
-        def rows(cochain):
-            out = []
-            for t in itertools.product(range(G.order), repeat=2):
-                v = cochain.at(*t)
-                out.append(
-                    {
-                        "args": [G.name(g) for g in t],
-                        "phase": f"{v.numerator}/{v.denominator}",
-                    }
-                )
-            return out
-
         return {
             "stacked": True,
-            "slant": rows(self.slant),
-            "projective": rows(self.projective),
+            "slant": [row for _, row in _phase_rows(self.slant)],
+            "projective": [row for _, row in _phase_rows(self.projective)],
             "invariant_factors": list(self.cohomology.invariant_factors),
             "slant_class": list(self.slant_class.residues),
             "projective_class": list(self.projective_class.residues),
@@ -458,16 +444,38 @@ def _extract_search(
 
 # -- the degree-3 cocycle --------------------------------------------------------
 
-def _scalar_phase(P: LocalOperator, scalar_tol: float) -> tuple[complex, float]:
-    D = P.dim
-    lam = complex(np.trace(P.mat) / D)
-    resid = tz.operator_norm(P.mat - lam * np.eye(D))
+def _scalar_phase(M: np.ndarray, scalar_tol: float) -> tuple[complex, float]:
+    D = M.shape[0]
+    lam = complex(np.trace(M) / D)
+    resid = tz.operator_norm(M - lam * np.eye(D))
     if resid > scalar_tol or abs(abs(lam) - 1.0) > scalar_tol:
         raise NotScalar(
             f"product is not a unimodular multiple of the identity "
             f"(residual {resid:.3g}, |scale| {abs(lam):.6f})"
         )
     return lam / abs(lam), resid
+
+
+def _omega_at(V, beta, mul, a, b, c, den_cap, scalar_tol, dim_cap, name) -> tuple[Fraction, dict]:
+    """The associator V(a,b) V(ab,c) V(a,bc)^+ beta_a(V(b,c))^+ as an exact
+    phase, with its snap and scalar residuals. `V(x, y)` returns the gate,
+    `mul` is the group law and `name` labels elements in error messages."""
+    ab, bc = mul(a, b), mul(b, c)
+    try:
+        P = opwin.product(
+            opwin.product(V(a, b), V(ab, c), dim_cap),
+            opwin.product(
+                opwin.adjoint(V(a, bc)),
+                opwin.adjoint(apply(beta[a], V(b, c), dim_cap)),
+                dim_cap,
+            ),
+            dim_cap,
+        )
+        lam, resid = _scalar_phase(P.mat, scalar_tol)
+        frac, err = snap_fraction(float(np.angle(lam)) / (2 * math.pi), den_cap)
+    except (NotScalar, SnapFailure) as exc:
+        raise type(exc)(f"omega({name(a)}, {name(b)}, {name(c)}): {exc}") from exc
+    return frac, {"snap_error": err, "scalar_residual": resid}
 
 
 def omega_from_vtable(
@@ -479,25 +487,13 @@ def omega_from_vtable(
     dim_cap: int | None = None,
 ) -> PhaseCochain:
     """Evaluate the associator of the V table and snap to exact phases."""
-    import itertools
-
     vals = []
     for t in itertools.product(range(group.order), repeat=3):
-        g1, g2, g3 = t
-        v12 = vtable.gate(g1, g2)
-        v12_3 = vtable.gate(group.mul(g1, g2), g3)
-        v1_23 = vtable.gate(g1, group.mul(g2, g3))
-        v23 = vtable.gate(g2, g3)
-        moved = apply(beta[g1], v23, dim_cap)
-        P = opwin.product(
-            opwin.product(v12, v12_3, dim_cap),
-            opwin.product(opwin.adjoint(v1_23), opwin.adjoint(moved), dim_cap),
-            dim_cap,
+        frac, diag = _omega_at(
+            vtable.gate, beta, group.mul, *t, den_cap, scalar_tol, dim_cap, group.name
         )
-        lam, resid = _scalar_phase(P, scalar_tol)
-        frac, err = snap_fraction(float(np.angle(lam)) / (2 * math.pi), den_cap)
         vals.append(frac)
-        vtable.omega_diagnostics[t] = {"snap_error": err, "scalar_residual": resid}
+        vtable.omega_diagnostics[t] = diag
     om = PhaseCochain(group, 3, tuple(vals))
     if not is_cocycle(om):
         raise CocycleViolation("snapped 3-cochain fails the cocycle identity")
@@ -508,7 +504,6 @@ def omega_cocycle(
     spec: ActionSpec,
     den_cap: int | None = None,
     dim_cap: int | None = None,
-    threads: int = 1,
     max_hint: int = 8,
     scalar_tol: float = TOL_PHASE,
 ) -> tuple[PhaseCochain, VTable]:
@@ -521,23 +516,13 @@ def omega_cocycle(
         for g in G.elements()
     }
     beta = {g: restrict_right(balanced[g]) for g in G.elements()}
-    pairs = [(g, h) for g in G.elements() for h in G.elements()]
-
-    def job(pair):
-        g, h = pair
-        ev = compose(beta[g], compose(beta[h], invert(beta[G.mul(g, h)])))
-        gate, resid = _extract_search(ev, max_hint=max_hint, dim_cap=dim_cap)
-        return pair, gate, resid
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(job, pairs))
-    else:
-        results = [job(p) for p in pairs]
     vtable = VTable(entries={}, residuals={})
-    for pair, gate, resid in results:
-        vtable.entries[pair] = gate
-        vtable.residuals[pair] = resid
+    for g in G.elements():
+        for h in G.elements():
+            ev = compose(beta[g], compose(beta[h], invert(beta[G.mul(g, h)])))
+            gate, resid = _extract_search(ev, max_hint=max_hint, dim_cap=dim_cap)
+            vtable.entries[(g, h)] = gate
+            vtable.residuals[(g, h)] = resid
     om = omega_from_vtable(G, beta, vtable, den, scalar_tol=scalar_tol, dim_cap=dim_cap)
     return om, vtable
 
@@ -546,7 +531,6 @@ def anomaly_class(
     spec: ActionSpec,
     den_cap: int | None = None,
     dim_cap: int | None = None,
-    threads: int = 1,
     max_hint: int = 8,
     scalar_tol: float = TOL_PHASE,
 ) -> AnomalyReport:
@@ -555,7 +539,7 @@ def anomaly_class(
     gnvw = {g: gnvw_symbolic(spec.expr(g)) for g in spec.group.elements()}
     spec2 = stack_neutralize(spec, dim_cap)
     stacked = spec2 is not spec
-    om, vtable = omega_cocycle(spec2, den_cap, dim_cap, threads, max_hint, scalar_tol)
+    om, vtable = omega_cocycle(spec2, den_cap, dim_cap, max_hint, scalar_tol)
     H = cohomology(spec.group, 3)
     coords = class_of(om, H)
     verdict = "NonAnomalous" if coords.is_trivial else "Anomalous"
@@ -594,21 +578,19 @@ def projective_cocycle(
 ) -> PhaseCochain:
     """The multiplier phases: rep(gh) = rho(g,h) rep(g) rep(h)."""
     G = rep.group
-    m = rep.dimension
     den = default_den_cap(G.order) if den_cap is None else den_cap
-    import itertools
-
     vals = []
     for g, h in itertools.product(range(G.order), repeat=2):
         M = rep.matrices[G.mul(g, h)] @ (rep.matrices[g] @ rep.matrices[h]).conj().T
-        lam = complex(np.trace(M) / m)
-        resid = tz.operator_norm(M - lam * np.eye(m))
-        if resid > tol or abs(abs(lam) - 1.0) > tol:
-            raise NotProjective(
-                f"matrices at ({G.name(g)}, {G.name(h)}) are not projective "
-                f"(residual {resid:.3g})"
-            )
-        frac, _ = snap_fraction(float(np.angle(lam)) / (2 * math.pi), den)
+        pair = f"({G.name(g)}, {G.name(h)})"
+        try:
+            lam, _ = _scalar_phase(M, tol)
+        except NotScalar as exc:
+            raise NotProjective(f"matrices at {pair} are not projective: {exc}") from exc
+        try:
+            frac, _ = snap_fraction(float(np.angle(lam)) / (2 * math.pi), den)
+        except SnapFailure as exc:
+            raise SnapFailure(f"multiplier at {pair}: {exc}") from exc
         vals.append(frac)
     rho = PhaseCochain(G, 2, tuple(vals))
     if not is_cocycle(rho):
@@ -616,22 +598,30 @@ def projective_cocycle(
     return rho
 
 
+def _lsm_translation(m: int, n: int, dim_cap: int | None) -> QcaExpr:
+    """Translation by n on the doubled chain of two m-dimensional registers
+    (the copy shifted by -n), realized as a swap circuit."""
+    sites2 = SiteSpec((m, m))
+    if n == 0:
+        return identity_expr(sites2)
+    shift = QcaExpr(sites2, (ShiftPrimitive(0, n), ShiftPrimitive(1, -n)))
+    return balance_shifts(shift, dim_cap)
+
+
+def _lsm_with_onsite(rep: ProjectiveRep, g: int, translation: QcaExpr) -> QcaExpr:
+    """The on-site layer of rep(g) on the first register, then `translation`."""
+    if g == 0:
+        return translation
+    tmpl = GateTemplate(0, 1, rep.matrices[g], registers=((0, 0),))
+    return QcaExpr(translation.sites, (BlockLayer(1, (tmpl,)),) + translation.steps)
+
+
 def lsm_stacked_expr(
     rep: ProjectiveRep, g: int, n: int, dim_cap: int | None = None
 ) -> QcaExpr:
     """Action of (g, n) on the doubled chain: the on-site projective layer on
     the first register, with translation realized as n swap-circuit rounds."""
-    m = rep.dimension
-    sites2 = SiteSpec((m, m))
-    steps: list = []
-    if g != 0:
-        tmpl = GateTemplate(0, 1, rep.matrices[g], registers=((0, 0),))
-        steps.append(BlockLayer(1, (tmpl,)))
-    if n != 0:
-        steps.append(ShiftPrimitive(0, n))
-        steps.append(ShiftPrimitive(1, -n))
-    e = QcaExpr(sites2, tuple(steps))
-    return balance_shifts(e, dim_cap) if n != 0 else e
+    return _lsm_with_onsite(rep, g, _lsm_translation(rep.dimension, n, dim_cap))
 
 
 def lsm_pipeline(
@@ -647,13 +637,18 @@ def lsm_pipeline(
     G0 = rep.group
     den = default_den_cap(G0.order) if den_cap is None else den_cap
     max_n = 2
-    beta: dict[tuple[int, int], QcaExpr] = {}
-    for g in G0.elements():
-        for n in range(max_n + 1):
-            beta[(g, n)] = restrict_right(lsm_stacked_expr(rep, g, n, dim_cap))
+    translations = [_lsm_translation(rep.dimension, n, dim_cap) for n in range(max_n + 1)]
+    beta: dict[tuple[int, int], QcaExpr] = {
+        (g, n): restrict_right(_lsm_with_onsite(rep, g, t))
+        for g in G0.elements()
+        for n, t in enumerate(translations)
+    }
 
     def mulz(a, b):
         return (G0.mul(a[0], b[0]), a[1] + b[1])
+
+    def namez(a):
+        return f"({G0.name(a[0])}, {a[1]})"
 
     vcache: dict[tuple, tuple[LocalOperator, float]] = {}
 
@@ -665,23 +660,11 @@ def lsm_pipeline(
             vcache[key] = _extract_search(ev, max_hint=max_hint, dim_cap=dim_cap)
         return vcache[key][0]
 
-    diagnostics: dict = {"snap_errors": [], "scalar_residuals": []}
+    omega_diags: list[dict] = []
 
     def omega_eval(a, b, c) -> Fraction:
-        ab, bc = mulz(a, b), mulz(b, c)
-        P = opwin.product(
-            opwin.product(V(a, b), V(ab, c), dim_cap),
-            opwin.product(
-                opwin.adjoint(V(a, bc)),
-                opwin.adjoint(apply(beta[a], V(b, c), dim_cap)),
-                dim_cap,
-            ),
-            dim_cap,
-        )
-        lam, resid = _scalar_phase(P, scalar_tol)
-        frac, err = snap_fraction(float(np.angle(lam)) / (2 * math.pi), den)
-        diagnostics["snap_errors"].append(err)
-        diagnostics["scalar_residuals"].append(resid)
+        frac, diag = _omega_at(V, beta, mulz, a, b, c, den, scalar_tol, dim_cap, namez)
+        omega_diags.append(diag)
         return frac
 
     slant = slant_z(omega_eval, G0)
@@ -692,8 +675,10 @@ def lsm_pipeline(
     equal = slant_class.residues == rho_class.residues
     verdict = "NonAnomalous" if slant_class.is_trivial else "Anomalous"
     diag = {
-        "max_snap_error": max(diagnostics["snap_errors"], default=0.0),
-        "max_scalar_residual": max(diagnostics["scalar_residuals"], default=0.0),
+        "max_snap_error": max((d["snap_error"] for d in omega_diags), default=0.0),
+        "max_scalar_residual": max(
+            (d["scalar_residual"] for d in omega_diags), default=0.0
+        ),
         "max_v_residual": max((r for _, r in vcache.values()), default=0.0),
         "v_count": len(vcache),
     }

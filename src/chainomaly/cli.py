@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import anomaly as anm
@@ -38,14 +37,15 @@ class RunConfig:
     den_cap: int | None = None
     window_cap: int | None = None
     max_hint: int = 8
-    threads: int = 1
     phase_tol: float = opwin.TOL_PHASE
     out_json: str | None = None
     out_csv: str | None = None
     out_summary: str | None = None
 
 
-def _need(d: dict, key: str, path: str):
+def _need(d, key: str, path: str):
+    if not isinstance(d, dict):
+        raise ValidationError(f"{path}: expected a mapping, got {d!r}")
     if key not in d:
         raise ValidationError(f"{path}.{key}: missing required field")
     return d[key]
@@ -57,9 +57,23 @@ def _as_int(v, path: str) -> int:
     return v
 
 
-def _build_group(d, path: str) -> FiniteGroup:
+def _as_float(v, path: str) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: expected a number, got {v!r}") from exc
+
+
+def _mapping(d, path: str) -> dict:
+    """An optional mapping block: absent is empty, anything else is an error."""
+    if d is None:
+        return {}
     if not isinstance(d, dict):
-        raise ValidationError(f"{path}: expected a mapping")
+        raise ValidationError(f"{path}: expected a mapping, got {d!r}")
+    return d
+
+
+def _build_group(d, path: str) -> FiniteGroup:
     kind = _need(d, "kind", path)
     if kind == "cyclic":
         return FiniteGroup.cyclic(_as_int(_need(d, "n", path), f"{path}.n"))
@@ -77,7 +91,7 @@ def _build_group(d, path: str) -> FiniteGroup:
         table = _need(d, "table", path)
         try:
             return FiniteGroup(tuple(tuple(row) for row in table))
-        except ValidationError as exc:
+        except (ValidationError, TypeError) as exc:
             raise ValidationError(f"{path}.table: {exc}") from exc
     raise ValidationError(f"{path}.kind: unknown group kind {kind!r}")
 
@@ -87,28 +101,6 @@ def _build_sitespec(d, path: str) -> SiteSpec:
     if not isinstance(regs, list) or not regs:
         raise ValidationError(f"{path}.registers: expected a nonempty list")
     return SiteSpec(tuple(_as_int(r, f"{path}.registers") for r in regs))
-
-
-def _build_expr(sites: SiteSpec, steps, path: str) -> qca.QcaExpr:
-    if not isinstance(steps, list):
-        raise ValidationError(f"{path}: expected a list of steps")
-    try:
-        return qca.expr_from_data(sites, steps)
-    except ValidationError as exc:
-        # locate the offending template for a precise error path
-        for i, s in enumerate(steps):
-            try:
-                qca.step_from_data(s)
-            except ValidationError as inner:
-                for j, t in enumerate(s.get("templates", [])):
-                    try:
-                        opwin.matrix_from_pairs(t.get("unitary", []))
-                    except ValidationError as bad:
-                        raise ValidationError(
-                            f"{path}[{i}].templates[{j}].unitary: {bad}"
-                        ) from inner
-                raise ValidationError(f"{path}[{i}]: {inner}") from inner
-        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _build_rep(d, group: FiniteGroup | None, path: str) -> anm.ProjectiveRep:
@@ -148,30 +140,29 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(f"mode: expected one of {MODES}, got {mode!r}")
     cfg = RunConfig(mode=mode)
 
-    caps = raw.get("caps", {})
-    if caps:
-        if "den_cap" in caps:
-            cfg.den_cap = _as_int(caps["den_cap"], "caps.den_cap")
-        if "window_cap" in caps:
-            cfg.window_cap = _as_int(caps["window_cap"], "caps.window_cap")
-        if "max_hint" in caps:
-            cfg.max_hint = _as_int(caps["max_hint"], "caps.max_hint")
-        if "threads" in caps:
-            cfg.threads = _as_int(caps["threads"], "caps.threads")
-        if "phase_tol" in caps:
-            cfg.phase_tol = float(caps["phase_tol"])
+    caps = _mapping(raw.get("caps"), "caps")
+    if "den_cap" in caps:
+        cfg.den_cap = _as_int(caps["den_cap"], "caps.den_cap")
+    if "window_cap" in caps:
+        cfg.window_cap = _as_int(caps["window_cap"], "caps.window_cap")
+    if "max_hint" in caps:
+        cfg.max_hint = _as_int(caps["max_hint"], "caps.max_hint")
+    if "phase_tol" in caps:
+        cfg.phase_tol = _as_float(caps["phase_tol"], "caps.phase_tol")
 
-    out = raw.get("output", {})
-    if out:
-        cfg.out_json = out.get("json")
-        cfg.out_csv = out.get("csv")
-        cfg.out_summary = out.get("summary")
+    out = _mapping(raw.get("output"), "output")
+    for key in ("json", "csv", "summary"):
+        if out.get(key) is not None and not isinstance(out[key], str):
+            raise ValidationError(f"output.{key}: expected a file name, got {out[key]!r}")
+    cfg.out_json = out.get("json")
+    cfg.out_csv = out.get("csv")
+    cfg.out_summary = out.get("summary")
 
     if mode == "selftest":
         return cfg
 
     if mode == "spectra":
-        block = raw.get("spectra", {})
+        block = _mapping(raw.get("spectra"), "spectra")
         cfg.spectra_k = _as_int(block.get("k", 6), "spectra.k")
         grid = block.get("grid")
         if grid is None:
@@ -180,17 +171,22 @@ def parse_config(text: str) -> RunConfig:
             if not isinstance(grid, list) or not grid:
                 raise ValidationError("spectra.grid: expected a nonempty list")
             for i, row in enumerate(grid):
+                path = f"spectra.grid[{i}]"
+                n = _as_int(_need(row, "N", path), f"{path}.N")
+                terms = row.get("terms", ["h0", "h1"])
+                if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+                    raise ValidationError(f"{path}.terms: expected a list of term names")
                 try:
                     cfg.spectra_grid.append(
                         spectra.HamiltonianSpec(
-                            n_sites=_as_int(_need(row, "N", f"spectra.grid[{i}]"), f"spectra.grid[{i}].N"),
-                            j_coupling=float(row.get("J", 0.0)),
-                            a_coupling=float(row.get("a", 0.0)),
-                            terms=tuple(row.get("terms", ("h0", "h1"))),
+                            n_sites=n,
+                            j_coupling=_as_float(row.get("J", 0.0), f"{path}.J"),
+                            a_coupling=_as_float(row.get("a", 0.0), f"{path}.a"),
+                            terms=tuple(terms),
                         )
                     )
                 except ValidationError as exc:
-                    raise ValidationError(f"spectra.grid[{i}]: {exc}") from exc
+                    raise ValidationError(f"{path}: {exc}") from exc
         return cfg
 
     if mode == "cohomology":
@@ -200,10 +196,10 @@ def parse_config(text: str) -> RunConfig:
 
     action = raw.get("action")
     if mode == "gnvw":
-        if action is None or "site" not in action or "steps" not in action:
+        if not isinstance(action, dict) or "site" not in action or "steps" not in action:
             raise ValidationError("action: gnvw mode needs action.site and action.steps")
         sites = _build_sitespec(action["site"], "action.site")
-        cfg.gnvw_expr = _build_expr(sites, action["steps"], "action.steps")
+        cfg.gnvw_expr = qca.expr_from_data(sites, action["steps"], "action.steps")
         return cfg
 
     # anomaly mode
@@ -226,8 +222,9 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError("action.map: expected a list")
         exprs: dict[int, qca.QcaExpr] = {}
         for i, entry in enumerate(entries):
-            g = _as_int(_need(entry, "element", f"action.map[{i}]"), f"action.map[{i}].element")
-            exprs[g] = _build_expr(sites, _need(entry, "steps", f"action.map[{i}]"), f"action.map[{i}].steps")
+            path = f"action.map[{i}]"
+            g = _as_int(_need(entry, "element", path), f"{path}.element")
+            exprs[g] = qca.expr_from_data(sites, _need(entry, "steps", path), f"{path}.steps")
         missing = [g for g in cfg.group.elements() if g not in exprs]
         if missing:
             raise ValidationError(f"action.map: missing elements {missing}")
@@ -323,21 +320,12 @@ def run(cfg: RunConfig) -> RunResult:
         cfg.action,
         den_cap=cfg.den_cap,
         dim_cap=cfg.window_cap,
-        threads=cfg.threads,
         max_hint=cfg.max_hint,
         scalar_tol=cfg.phase_tol,
     )
-    d = report.as_json_dict()
-    d.pop("diagnostics", None)
-    d["diagnostics"] = {
-        "homomorphism_residual": report.diagnostics["homomorphism_residual"],
-        "max_v_residual": report.diagnostics["max_v_residual"],
-        "max_snap_error": report.diagnostics["max_snap_error"],
-        "max_scalar_residual": report.diagnostics["max_scalar_residual"],
-        "v_windows": report.diagnostics["v_windows"],
-    }
     return RunResult(
-        report={"mode": "anomaly", **d}, summary=report.summary_text()
+        report={"mode": "anomaly", **report.as_json_dict()},
+        summary=report.summary_text(),
     )
 
 
@@ -442,7 +430,6 @@ def main(argv=None) -> int:
     runp.add_argument("--tol", type=float, default=None, help="phase tolerance override")
     runp.add_argument("--den-cap", type=int, default=None)
     runp.add_argument("--window-cap", type=int, default=None)
-    runp.add_argument("--threads", type=int, default=None)
     sub.add_parser("selftest", help="run the built-in invariant battery")
     args = parser.parse_args(argv)
 
@@ -460,8 +447,6 @@ def main(argv=None) -> int:
             cfg.den_cap = args.den_cap
         if args.window_cap is not None:
             cfg.window_cap = args.window_cap
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.tol is not None:
             cfg.phase_tol = args.tol
         result = run(cfg)

@@ -219,13 +219,6 @@ def scale(op: LocalOperator, c: complex) -> LocalOperator:
     return LocalOperator(op.sites, op.window, c * op.mat)
 
 
-def add(a: LocalOperator, b: LocalOperator, dim_cap: int | None = None) -> LocalOperator:
-    if a.sites != b.sites:
-        raise WindowMismatch("operands live on different SiteSpecs")
-    w = a.window.union(b.window)
-    return LocalOperator(a.sites, w, embed(a, w, dim_cap).mat + embed(b, w, dim_cap).mat)
-
-
 def conditional_expectation(op: LocalOperator, keep: Window) -> LocalOperator:
     """Normalized partial trace onto `keep`; unital and contractive."""
     if not op.window.contains(keep):
@@ -236,7 +229,7 @@ def conditional_expectation(op: LocalOperator, keep: Window) -> LocalOperator:
         return op
     dims = op.site_dims()
     keep_pos = [j - op.window.lo for j in keep.sites()]
-    out = tz.partial_trace_keep(op.mat, dims, keep_pos, normalized=True)
+    out = tz.partial_trace_keep_batch(op.mat[None], dims, keep_pos, normalized=True)[0]
     if keep.is_empty:
         return scalar(op.sites, out[0, 0])
     return LocalOperator(op.sites, keep, out)
@@ -266,18 +259,6 @@ def trim(op: LocalOperator, tol: float = TOL_ALGEBRA) -> LocalOperator:
             continue
         break
     return cur
-
-
-def lift_registers(sites: SiteSpec, mats: dict[int, np.ndarray]) -> np.ndarray:
-    """Build a one-site matrix acting as `mats[r]` on register r and identity
-    elsewhere. Keys are register indices."""
-    dims = list(sites.registers)
-    out = np.eye(sites.dim, dtype=complex)
-    for r, m in mats.items():
-        if m.shape != (dims[r], dims[r]):
-            raise ValidationError(f"register {r} matrix has wrong shape {m.shape}")
-        out = out @ tz.embed_factors(np.asarray(m, dtype=complex), dims, [r])
-    return out
 
 
 # -- matrix literal format (shared with the CLI config) ----------------------

@@ -113,7 +113,10 @@ class GateTemplate:
         if self.span < 1:
             raise ValidationError("gate span must be >= 1")
         if self.registers is not None:
-            regs = tuple((int(a), int(b)) for a, b in self.registers)
+            try:
+                regs = tuple((int(a), int(b)) for a, b in self.registers)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError("registers must be [offset, register] pairs") from exc
             object.__setattr__(self, "registers", regs)
 
     def slots_at(self, base: int, nregs: int) -> tuple[int, ...]:
@@ -709,36 +712,60 @@ def step_to_data(step: Step) -> dict:
     return data
 
 
-def step_from_data(data: dict) -> Step:
+def _at(path: str, make, *args):
+    """make(*args), with `path` prefixed to any ValidationError it raises."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _ints(data, path: str, *keys: str) -> list[int]:
+    """The required integer fields of a serialized mapping."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a mapping, got {data!r}")
+    out = []
+    for key in keys:
+        if key not in data:
+            raise ValidationError(f"{path}.{key}: missing required field")
+        try:
+            out.append(int(data[key]))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}.{key}: expected an integer, got {data[key]!r}") from exc
+    return out
+
+
+def step_from_data(data, path: str = "step") -> Step:
+    """Parse one serialized step; every error names its place under `path`."""
+    _ints(data, path)  # a mapping, before any field is read
     kind = data.get("kind")
     if kind == "shift":
-        return ShiftPrimitive(int(data["register"]), int(data["displacement"]))
-    if kind == "layer":
-        templates = tuple(
-            GateTemplate(
-                anchor=int(t["anchor"]),
-                span=int(t["span"]),
-                unitary=opwin.matrix_from_pairs(t["unitary"]),
-                registers=(
-                    tuple((int(a), int(b)) for a, b in t["registers"])
-                    if "registers" in t
-                    else None
-                ),
-            )
-            for t in data["templates"]
-        )
-        return BlockLayer(
-            period=int(data["period"]),
-            templates=templates,
-            min_site=data.get("min_site"),
-            max_site=data.get("max_site"),
-        )
-    raise ValidationError(f"unknown step kind {kind!r}")
+        return _at(path, ShiftPrimitive, *_ints(data, path, "register", "displacement"))
+    if kind != "layer":
+        raise ValidationError(f"{path}: unknown step kind {kind!r}")
+    (period,) = _ints(data, path, "period")
+    if not isinstance(data.get("templates"), list):
+        raise ValidationError(f"{path}.templates: expected a list of gate templates")
+    templates = []
+    for j, t in enumerate(data["templates"]):
+        tpath = f"{path}.templates[{j}]"
+        anchor, span = _ints(t, tpath, "anchor", "span")
+        unitary = _at(f"{tpath}.unitary", opwin.matrix_from_pairs, t.get("unitary"))
+        templates.append(_at(tpath, GateTemplate, anchor, span, unitary, t.get("registers")))
+    lo, hi = (
+        None if data.get(k) is None else _ints(data, path, k)[0] for k in ("min_site", "max_site")
+    )
+    return _at(path, BlockLayer, period, tuple(templates), lo, hi)
 
 
 def expr_to_data(expr: QcaExpr) -> list[dict]:
     return [step_to_data(s) for s in expr.steps]
 
 
-def expr_from_data(sites: SiteSpec, data) -> QcaExpr:
-    return QcaExpr(sites, tuple(step_from_data(s) for s in data))
+def expr_from_data(sites: SiteSpec, data, path: str = "steps") -> QcaExpr:
+    """Parse a serialized step list; errors name `path[i]` for a bad step and
+    `path` for a step list that does not fit the SiteSpec."""
+    if not isinstance(data, list):
+        raise ValidationError(f"{path}: expected a list of steps")
+    steps = tuple(step_from_data(s, f"{path}[{i}]") for i, s in enumerate(data))
+    return _at(path, QcaExpr, sites, steps)

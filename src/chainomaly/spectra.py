@@ -58,10 +58,6 @@ class HamiltonianSpec:
 class SparseOperator:
     dim: int
     matrix: sp.csr_matrix
-    hermitian: bool
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
 
 def _string(n: int, placements: dict[int, str]) -> sp.csr_matrix:
@@ -90,8 +86,7 @@ def build_hamiltonian(spec: HamiltonianSpec, size_cap: int = 22) -> SparseOperat
             H = H + spec.a_coupling * (
                 _string(n, {j: "Y"}) - _string(n, {jm: "Z", j: "Y", jp: "Z"})
             )
-    herm = abs(H - H.getH()).max() <= 1e-12 if H.nnz else True
-    return SparseOperator(dim=dim, matrix=H.tocsr(), hermitian=bool(herm))
+    return SparseOperator(dim=dim, matrix=H.tocsr())
 
 
 def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:

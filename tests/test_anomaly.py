@@ -12,6 +12,7 @@ from chainomaly.errors import (
     NotInner,
     NotProjective,
     ShiftsPresent,
+    SnapFailure,
 )
 from chainomaly.grpcoh import (
     FiniteGroup,
@@ -318,13 +319,6 @@ def test_stacking_with_trivial_factor_preserves_class():
     assert rep.omega.values == base.omega.values
 
 
-def test_threaded_extraction_deterministic():
-    base = anm.anomaly_class(anm.levin_gu_action())
-    threaded = anm.anomaly_class(anm.levin_gu_action(), threads=4)
-    assert threaded.omega.values == base.omega.values
-    assert threaded.coords.residues == base.coords.residues
-
-
 # -- projective representations ----------------------------------------------------------------
 
 def test_pauli_multiplier_values():
@@ -355,8 +349,20 @@ def test_not_projective_detected():
     G = FiniteGroup.cyclic(2)
     mats = (np.eye(2, dtype=complex), np.diag([1.0, 1j]))  # order 4, not 2
     rep = anm.ProjectiveRep(G, mats)
-    with pytest.raises(NotProjective):
+    with pytest.raises(NotProjective, match=r"matrices at \(1, 1\) are not projective"):
         anm.projective_cocycle(rep)
+
+
+def test_snap_failures_name_the_failing_tuple():
+    # omega(-1,-1,-1) = 1/2 and rho(X, Z) = 1/2 have no denominator-1 rational
+    with pytest.raises(
+        SnapFailure, match=r"omega\(-1, -1, -1\): no rational with denominator <= 1"
+    ):
+        anm.anomaly_class(anm.levin_gu_action(), den_cap=1)
+    with pytest.raises(
+        SnapFailure, match=r"multiplier at \(\(0,1\), \(1,0\)\): no rational with denominator"
+    ):
+        anm.projective_cocycle(anm.pauli_projective_rep(), den_cap=1)
 
 
 # -- the mixed anomaly --------------------------------------------------------------------------
@@ -397,6 +403,32 @@ def test_lsm_obstruction_is_projective_matrix_on_one_site():
     idx = next(i for i in range(flat.size) if abs(flat[i]) > 0.5 / 2)
     expected = expected * (flat[idx].conjugate() / abs(flat[idx]))
     assert np.max(np.abs(gate.mat - expected)) <= 1e-9
+
+
+def test_lsm_stacked_expr_balances_the_whole_action():
+    # the translation circuit balanced on its own, with the on-site layer in
+    # front, is step for step the balancing of layer + shifts together
+    rep = anm.pauli_projective_rep()
+    sites2 = SiteSpec((2, 2))
+    for g in rep.group.elements():
+        for n in (1, 2):
+            layer = BlockLayer(1, (GateTemplate(0, 1, rep.matrices[g], registers=((0, 0),)),))
+            steps = ((layer,) if g else ()) + (ShiftPrimitive(0, n), ShiftPrimitive(1, -n))
+            whole = qca.balance_shifts(QcaExpr(sites2, steps))
+            assert qca.expr_to_data(anm.lsm_stacked_expr(rep, g, n)) == qca.expr_to_data(whole)
+
+
+def test_lsm_balances_each_translation_once(monkeypatch):
+    calls = []
+
+    def counting(expr, *args, **kw):
+        calls.append(expr)
+        return qca.balance_shifts(expr, *args, **kw)
+
+    monkeypatch.setattr(anm, "balance_shifts", counting)
+    out = anm.lsm_pipeline(anm.clock_shift_rep(3))
+    assert out.classes_equal
+    assert len(calls) == 2
 
 
 @pytest.mark.slow

@@ -205,6 +205,34 @@ def test_row_nested_matrix_literal_is_a_config_error(tmp_path, capsys):
     assert "action.rep.matrices[1]" in capsys.readouterr().err
 
 
+GNVW_SITE = "mode: gnvw\naction:\n  site: {registers: [2]}\n  steps: "
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        (GNVW_SITE + "[5]\n", "action.steps[0]"),
+        (GNVW_SITE + "[{kind: layer, period: 1, templates: [5]}]\n",
+         "action.steps[0].templates[0]"),
+        (GNVW_SITE + "[{kind: shift, register: 0}]\n", "action.steps[0].displacement"),
+        ("mode: anomaly\ngroup: {kind: cyclic, n: 2}\n"
+         "action: {site: {registers: [2]}, map: [5]}\n", "action.map[0]"),
+        ("mode: spectra\nspectra: {grid: [5]}\n", "spectra.grid[0]"),
+        ("mode: spectra\nspectra: {grid: [{N: 6, terms: h0}]}\n", "spectra.grid[0].terms"),
+        ("mode: selftest\ncaps: 5\n", "caps"),
+        ("mode: selftest\noutput: 5\n", "output"),
+        ("mode: selftest\noutput: {json: 5}\n", "output.json"),
+        (GNVW_SITE + "[{kind: layer, period: 1, min_site: a, templates: []}]\n",
+         "action.steps[0].min_site"),
+    ],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(text)
+    assert cli.main(["run", str(cfg_path)]) == 1
+    assert f"error: {path}:" in capsys.readouterr().err
+
+
 def test_selftest_passes():
     ok, lines = cli.selftest()
     assert ok
