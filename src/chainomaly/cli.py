@@ -22,6 +22,8 @@ from .grpcoh import FiniteGroup, cohomology
 from .opwin import SiteSpec
 
 MODES = ("anomaly", "cohomology", "gnvw", "spectra", "selftest")
+_TOP_KEYS = ("mode", "group", "degree", "action", "spectra", "caps", "output")
+_OUTPUT_KEYS = ("json", "csv", "summary")
 
 
 @dataclass
@@ -71,6 +73,17 @@ def _mapping(d, path: str) -> dict:
     if not isinstance(d, dict):
         raise ValidationError(f"{path}: expected a mapping, got {d!r}")
     return d
+
+
+def _known_keys(d: dict, keys: tuple[str, ...], path: str) -> None:
+    """Reject a key the config schema does not have, so a misspelled
+    setting cannot fall back to its default unnoticed."""
+    prefix = f"{path}." if path else ""
+    for key in d:
+        if key not in keys:
+            raise ValidationError(
+                f"{prefix}{key}: unknown key (expected one of {', '.join(keys)})"
+            )
 
 
 def _build_group(d, path: str) -> FiniteGroup:
@@ -135,12 +148,14 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config: expected a mapping at top level")
+    _known_keys(raw, _TOP_KEYS, "")
     mode = raw.get("mode")
     if mode not in MODES:
         raise ValidationError(f"mode: expected one of {MODES}, got {mode!r}")
     cfg = RunConfig(mode=mode)
 
     caps = _mapping(raw.get("caps"), "caps")
+    _known_keys(caps, ("den_cap", "window_cap", "max_hint", "phase_tol"), "caps")
     if "den_cap" in caps:
         cfg.den_cap = _as_int(caps["den_cap"], "caps.den_cap")
     if "window_cap" in caps:
@@ -151,7 +166,8 @@ def parse_config(text: str) -> RunConfig:
         cfg.phase_tol = _as_float(caps["phase_tol"], "caps.phase_tol")
 
     out = _mapping(raw.get("output"), "output")
-    for key in ("json", "csv", "summary"):
+    _known_keys(out, _OUTPUT_KEYS, "output")
+    for key in _OUTPUT_KEYS:
         if out.get(key) is not None and not isinstance(out[key], str):
             raise ValidationError(f"output.{key}: expected a file name, got {out[key]!r}")
     cfg.out_json = out.get("json")
@@ -163,6 +179,7 @@ def parse_config(text: str) -> RunConfig:
 
     if mode == "spectra":
         block = _mapping(raw.get("spectra"), "spectra")
+        _known_keys(block, ("k", "grid"), "spectra")
         cfg.spectra_k = _as_int(block.get("k", 6), "spectra.k")
         grid = block.get("grid")
         if grid is None:
@@ -173,6 +190,7 @@ def parse_config(text: str) -> RunConfig:
             for i, row in enumerate(grid):
                 path = f"spectra.grid[{i}]"
                 n = _as_int(_need(row, "N", path), f"{path}.N")
+                _known_keys(row, ("N", "J", "a", "terms"), path)
                 terms = row.get("terms", ["h0", "h1"])
                 if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
                     raise ValidationError(f"{path}.terms: expected a list of term names")
@@ -195,6 +213,8 @@ def parse_config(text: str) -> RunConfig:
         return cfg
 
     action = raw.get("action")
+    if isinstance(action, dict):
+        _known_keys(action, ("preset", "rep", "site", "map", "steps"), "action")
     if mode == "gnvw":
         if not isinstance(action, dict) or "site" not in action or "steps" not in action:
             raise ValidationError("action: gnvw mode needs action.site and action.steps")
@@ -329,28 +349,32 @@ def run(cfg: RunConfig) -> RunResult:
     )
 
 
+def _output_paths(cfg: RunConfig, out_dir: str | None) -> dict[str, Path]:
+    """Where each requested file goes; raises if its directory is missing."""
+    base = Path(out_dir) if out_dir else Path(".")
+    paths = {}
+    for key in _OUTPUT_KEYS:
+        name = getattr(cfg, f"out_{key}")
+        if name:
+            path = Path(name) if Path(name).is_absolute() else base / name
+            if not path.parent.exists():
+                raise IoError(f"output directory does not exist: {path.parent}")
+            paths[key] = path
+    return paths
+
+
 def emit_report(result: RunResult, cfg: RunConfig, out_dir: str | None) -> list[str]:
     """Write requested files; returns the paths written."""
+    texts = {
+        "json": json.dumps(result.report, sort_keys=True, indent=2) + "\n",
+        "csv": result.csv_text,
+        "summary": result.summary + "\n",
+    }
     written = []
-    base = Path(out_dir) if out_dir else Path(".")
-
-    def resolve(p: str) -> Path:
-        q = Path(p)
-        return q if q.is_absolute() else base / q
-
-    def write(path_str: str, text: str):
-        path = resolve(path_str)
-        if not path.parent.exists():
-            raise IoError(f"output directory does not exist: {path.parent}")
-        path.write_text(text, encoding="utf-8")
-        written.append(str(path))
-
-    if cfg.out_json:
-        write(cfg.out_json, json.dumps(result.report, sort_keys=True, indent=2) + "\n")
-    if cfg.out_csv and result.csv_text is not None:
-        write(cfg.out_csv, result.csv_text)
-    if cfg.out_summary:
-        write(cfg.out_summary, result.summary + "\n")
+    for key, path in _output_paths(cfg, out_dir).items():
+        if texts[key] is not None:
+            path.write_text(texts[key], encoding="utf-8")
+            written.append(str(path))
     return written
 
 
@@ -449,6 +473,7 @@ def main(argv=None) -> int:
             cfg.window_cap = args.window_cap
         if args.tol is not None:
             cfg.phase_tol = args.tol
+        _output_paths(cfg, args.out)  # fail before a long run, not after
         result = run(cfg)
         written = emit_report(result, cfg, args.out)
         print(result.summary)

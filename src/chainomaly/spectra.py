@@ -1,16 +1,24 @@
 """Finite-size spectral witness on periodic chains.
 
-Builds the transverse-field, cluster, Ising, and chiral deformation terms as
-sparse matrices, computes low-lying spectra (dense below 11 sites, Lanczos
-via ARPACK above), and measures the symmetry charge of eigenstates under the
-ring version of the flip-and-entangle symmetry. A gap scan over a grid of
-sizes and couplings records the gapless or symmetry-broken trends that a
-nonzero anomaly forces on symmetric Hamiltonians.
+A ring Hamiltonian is a table of Pauli terms c * X^x Z^z on bitmasks, one
+entry per term and site: the X-part flips the bits of x, the Z-part is the
+parity sign of the bits of z, and Y = iXZ. `lowest_eigs` splits the ring
+into translation-momentum sectors (Sandvik, arXiv:1101.3281, sec. 4; the
+QuSpin paper, SciPost Phys. 2, 003 (2017)) and diagonalises sectors
+m = 0..N/2 one at a time: dense below a measured sector size, Lanczos via
+ARPACK from a seeded generic start vector above it. Every term is
+reflection-symmetric, so sector N - m has the levels of sector m and its
+eigenvectors are the bit-reversed ones. The lowest levels are lifted back
+to the full space, where the symmetry charge under the ring version of the
+flip-and-entangle symmetry is measured. A gap scan over a grid of sizes and
+couplings records the gapless or symmetry-broken trends that a nonzero
+anomaly forces on symmetric Hamiltonians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,12 +28,10 @@ from .errors import NoConvergence, SizeCap, ValidationError
 
 _KNOWN_TERMS = ("h0", "h1", "hj", "ha")
 
-_PAULI = {
-    "I": sp.identity(2, format="csr", dtype=complex),
-    "X": sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=complex)),
-    "Y": sp.csr_matrix(np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    "Z": sp.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex)),
-}
+# Largest momentum sector diagonalised densely. Measured with one BLAS
+# thread on complex blocks: dense eigh takes 1.5 ms at dimension 99 against
+# 4 ms for ARPACK, but 35 ms at 335 against 6-9 ms.
+_DENSE_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -54,17 +60,35 @@ class HamiltonianSpec:
         return ("h0" in self.terms) == ("h1" in self.terms)
 
 
+def _parity_sign(v: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(v), elementwise, for nonnegative int64 arrays."""
+    for s in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> s)
+    return 1.0 - 2.0 * (v & 1)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    dim: int
-    matrix: sp.csr_matrix
+    """Sum of coef * X^x Z^z over the (coef, x, z) entries of `terms`, on
+    n_sites qubits with site 0 the most significant bit (Z acts first)."""
 
+    n_sites: int
+    terms: tuple[tuple[complex, int, int], ...]
 
-def _string(n: int, placements: dict[int, str]) -> sp.csr_matrix:
-    out = sp.identity(1, format="csr", dtype=complex)
-    for j in range(n):
-        out = sp.kron(out, _PAULI[placements.get(j % n, "I")], format="csr")
-    return out
+    @property
+    def dim(self) -> int:
+        return 2 ** self.n_sites
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The full sparse matrix, built on first access."""
+        s = np.arange(self.dim, dtype=np.int64)
+        rows = np.concatenate([s ^ x for _, x, _ in self.terms])
+        vals = np.concatenate([c * _parity_sign(s & z) for c, _, z in self.terms])
+        cols = np.tile(s, len(self.terms))
+        H = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        H.eliminate_zeros()
+        return H
 
 
 def build_hamiltonian(spec: HamiltonianSpec, size_cap: int = 22) -> SparseOperator:
@@ -72,57 +96,191 @@ def build_hamiltonian(spec: HamiltonianSpec, size_cap: int = 22) -> SparseOperat
     n = spec.n_sites
     if n > size_cap:
         raise SizeCap(f"{n} sites exceeds the sparse cap {size_cap}")
-    dim = 2 ** n
-    H = sp.csr_matrix((dim, dim), dtype=complex)
+
+    def bit(j: int) -> int:
+        return 1 << (n - 1 - j % n)
+
+    terms: list[tuple[complex, int, int]] = []
     for j in range(n):
-        jm, jp = (j - 1) % n, (j + 1) % n
-        if "h0" in spec.terms:
-            H = H - _string(n, {j: "X"})
-        if "h1" in spec.terms:
-            H = H - _string(n, {jm: "Z", j: "X", jp: "Z"})
-        if "hj" in spec.terms:
-            H = H - spec.j_coupling * _string(n, {j: "Z", jp: "Z"})
-        if "ha" in spec.terms:
-            H = H + spec.a_coupling * (
-                _string(n, {j: "Y"}) - _string(n, {jm: "Z", j: "Y", jp: "Z"})
-            )
-    return SparseOperator(dim=dim, matrix=H.tocsr())
+        left, mid, right = bit(j - 1), bit(j), bit(j + 1)
+        if "h0" in spec.terms:  # -X_j
+            terms.append((-1.0 + 0j, mid, 0))
+        if "h1" in spec.terms:  # -Z_{j-1} X_j Z_{j+1}
+            terms.append((-1.0 + 0j, mid, left | right))
+        if "hj" in spec.terms:  # -J Z_j Z_{j+1}
+            terms.append((complex(-spec.j_coupling), 0, mid | right))
+        if "ha" in spec.terms:  # a (Y_j - Z_{j-1} Y_j Z_{j+1})
+            terms.append((1j * spec.a_coupling, mid, mid))
+            terms.append((-1j * spec.a_coupling, mid, left | mid | right))
+    return SparseOperator(n_sites=n, terms=tuple(terms))
+
+
+def _rotate(s: np.ndarray, n: int) -> np.ndarray:
+    """T^-1 on basis states, where T moves site j to site j + 1."""
+    return ((s << 1) & ((1 << n) - 1)) | (s >> (n - 1))
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """Translation orbits of all 2^n basis states. Each state s equals
+    T^shift[s] applied to the representative reps[index[s]], the least state
+    of its orbit; period[i] is the orbit length of reps[i]."""
+
+    n_sites: int
+    reps: np.ndarray
+    index: np.ndarray
+    shift: np.ndarray
+    period: np.ndarray
+
+    @classmethod
+    def of(cls, n: int) -> "_Orbits":
+        s = np.arange(1 << n, dtype=np.int64)
+        rep, shift = s.copy(), np.zeros_like(s)
+        period = np.full_like(s, n)
+        cur = s
+        for r in range(1, n):
+            cur = _rotate(cur, n)
+            lower = cur < rep
+            rep[lower] = cur[lower]
+            shift[lower] = r
+            period[(cur == s) & (period == n)] = r
+        reps = np.flatnonzero(rep == s)
+        index = np.full_like(s, -1)
+        index[reps] = np.arange(len(reps))
+        return cls(n, reps, index[rep], shift, period[reps])
+
+
+def _bit_reverse(n: int) -> np.ndarray:
+    """The reflection j -> N-1-j of the ring as a permutation of states."""
+    s = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros_like(s)
+    for j in range(n):
+        out |= ((s >> j) & 1) << (n - 1 - j)
+    return out
+
+
+def _hops(H: SparseOperator, orb: _Orbits):
+    """H on the representatives, for every sector at once: for each nonzero
+    amplitude, the source and target representative, the shift l with
+    target state = T^l (target representative), and h * sqrt(R_a / R_b).
+    Sector q weights each entry by e^{iql}."""
+    by_flip: dict[int, list[tuple[complex, int]]] = {}
+    for c, x, z in H.terms:
+        by_flip.setdefault(x, []).append((c, z))
+    cols, rows, shifts, vals = [], [], [], []
+    for x, group in by_flip.items():
+        amp = sum(c * _parity_sign(orb.reps & z) for c, z in group)
+        src = np.flatnonzero(amp != 0)
+        tgt = orb.reps[src] ^ x
+        cols.append(src)
+        rows.append(orb.index[tgt])
+        shifts.append(orb.shift[tgt])
+        vals.append(amp[src])
+    cols, rows = np.concatenate(cols), np.concatenate(rows)
+    vals = np.concatenate(vals) * np.sqrt(orb.period[cols] / orb.period[rows])
+    return cols, rows, np.concatenate(shifts), vals
+
+
+def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Sector q = 2 pi m / N: the mask of representatives it holds (those
+    whose orbit length R has m R = 0 mod N) and H on their momentum states."""
+    n = orb.n_sites
+    cols, rows, shifts, vals = hops
+    inside = (m * orb.period) % n == 0
+    local = np.cumsum(inside) - 1
+    keep = inside[cols] & inside[rows]
+    d = int(local[-1]) + 1
+    block = sp.csr_matrix(
+        (vals[keep] * np.exp(2j * np.pi * m / n * shifts[keep]),
+         (local[rows[keep]], local[cols[keep]])),
+        shape=(d, d),
+    )
+    return inside, block
+
+
+def _lift(orb: _Orbits, inside: np.ndarray, m: int, vec: np.ndarray) -> np.ndarray:
+    """A sector-m eigenvector in the full basis: state T^l r gets the
+    amplitude of r times e^{-iql} / sqrt(R_r)."""
+    n = orb.n_sites
+    local = np.cumsum(inside) - 1
+    member = inside[orb.index]
+    rep = orb.index[member]
+    psi = np.zeros(len(orb.index), dtype=complex)
+    psi[member] = (
+        vec[local[rep]]
+        * np.exp(-2j * np.pi * m / n * orb.shift[member])
+        / np.sqrt(orb.period[rep])
+    )
+    return psi
+
+
+def _sector_lowest(block, want: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    d = block.shape[0]
+    real = not block.data.imag.any()  # q = 0 or pi without the Y terms
+    if real:
+        block = block.real
+    if d <= _DENSE_MAX:
+        vals, vecs = np.linalg.eigh(block.toarray())
+        return vals[:want], vecs[:, :want]
+    v0 = rng.standard_normal(d)
+    if not real:
+        v0 = v0 + 1j * rng.standard_normal(d)
+    try:
+        vals, vecs = spla.eigsh(block, k=want, which="SA", v0=v0, maxiter=2000)
+    except spla.ArpackNoConvergence as exc:
+        raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenvalues and vectors, residual-checked to 1e-7."""
+    """k lowest eigenvalues and vectors, residual-checked to 1e-7.
+
+    Diagonalises one momentum sector q = 2 pi m / N at a time for
+    m = 0..N/2 and counts the levels of 0 < m < N/2 twice, once for the
+    mirrored sector N - m, whose eigenvectors are the bit-reversed ones."""
     if k < 1 or k > 8:
         raise ValidationError("k must be between 1 and 8")
-    if H.dim <= 1024:
-        dense = H.matrix.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        v0 = np.ones(H.dim) / np.sqrt(H.dim)
-        try:
-            vals, vecs = spla.eigsh(
-                H.matrix, k=k, which="SA", v0=v0, maxiter=2000
+    n = H.n_sites
+    orb = _Orbits.of(n)
+    hops = _hops(H, orb)
+    rng = np.random.default_rng(0)
+    levels = []  # (energy, m, index in sector, mirrored)
+    sectors = {}
+    for m in range(n // 2 + 1):
+        inside, block = _momentum_block(orb, hops, m)
+        mirrored = 0 < m < n // 2
+        # each level of a mirrored sector fills two of the k places
+        want = min((k + 1) // 2 if mirrored else k, block.shape[0])
+        e, v = _sector_lowest(block, want, rng)
+        resid = np.linalg.norm(block @ v - v * e, axis=0)
+        if resid.max() > 1e-7:
+            i = int(np.argmax(resid))
+            raise NoConvergence(
+                f"momentum sector {m}: eigenpair {i} residual {resid[i]:.3g} exceeds 1e-7"
             )
-        except spla.ArpackNoConvergence as exc:
-            raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    for i in range(k):
-        resid = np.linalg.norm(H.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
-        if resid > 1e-7:
-            raise NoConvergence(f"eigenpair {i} residual {resid:.3g} exceeds 1e-7")
-    return np.real(vals), vecs
+        sectors[m] = (inside, v)
+        for i, energy in enumerate(e):
+            levels.append((energy, m, i, False))
+            if mirrored:
+                levels.append((energy, m, i, True))
+    levels.sort(key=lambda t: t[0])
+    levels = levels[:k]
+
+    out = np.empty((H.dim, len(levels)), dtype=complex)
+    reverse = _bit_reverse(n) if any(t[3] for t in levels) else None
+    for col, (_, m, i, mirror) in enumerate(levels):
+        inside, v = sectors[m]
+        psi = _lift(orb, inside, m, v[:, i])
+        out[:, col] = psi[reverse] if mirror else psi
+    return np.array([t[0] for t in levels]), out
 
 
 def _gamma_phases(n: int) -> np.ndarray:
     """Diagonal of the entangling part on the ring: -1 per bond whose two
     bits are both one (site 0 is the most significant bit)."""
     s = np.arange(2 ** n, dtype=np.int64)
-    bits = [(s >> (n - 1 - j)) & 1 for j in range(n)]
-    count = np.zeros_like(s)
-    for j in range(n):
-        count += bits[j] & bits[(j + 1) % n]
-    return np.where(count % 2 == 0, 1.0, -1.0).astype(complex)
+    return _parity_sign(s & _rotate(s, n)).astype(complex)
 
 
 def symmetry_charge(state: np.ndarray, n: int, kind: str = "gamma") -> complex:

@@ -233,6 +233,37 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):
     assert f"error: {path}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ("mode: selftest\nbogus: 1\n", "bogus"),
+        (LEVIN_GU + "caps: {den_cpa: 1}\n", "caps.den_cpa"),
+        (LEVIN_GU + "caps: {threads: 4}\n", "caps.threads"),
+        ("mode: selftest\noutput: {jsn: r.json}\n", "output.jsn"),
+        ("mode: spectra\nspectra: {k: 2, gird: []}\n", "spectra.gird"),
+        ("mode: spectra\nspectra: {grid: [{N: 6, j: 1.0}]}\n", "spectra.grid[0].j"),
+        ("mode: anomaly\naction: {preset: lsm, reps: pauli}\n", "action.reps"),
+    ],
+)
+def test_unknown_key_is_a_config_error(tmp_path, capsys, text, path):
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(text)
+    assert cli.main(["run", str(cfg_path)]) == 1
+    assert f"error: {path}: unknown key" in capsys.readouterr().err
+
+
+def test_missing_out_directory_fails_before_the_pipeline(tmp_path, capsys, monkeypatch):
+    def pipeline(cfg):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run", pipeline)
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(SPECTRA_SMALL)
+    missing = tmp_path / "nosuchdir"
+    assert cli.main(["run", str(cfg_path), "--out", str(missing)]) == IoError.exit_code
+    assert f"error: output directory does not exist: {missing}" in capsys.readouterr().err
+
+
 def test_selftest_passes():
     ok, lines = cli.selftest()
     assert ok

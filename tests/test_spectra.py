@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
+from chainomaly import spectra
 from chainomaly.errors import SizeCap, ValidationError
 from chainomaly.spectra import (
     HamiltonianSpec,
@@ -174,3 +177,50 @@ def test_chiral_deformation_gap_keeps_shrinking():
         gaps[n] = vals[1] - vals[0]
         assert abs(abs(symmetry_charge(vecs[:, 0], n)) - 1.0) <= 1e-6
     assert gaps[12] < gaps[8]
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_paramagnet_first_excited_level_is_n_fold(n):
+    # the N one-flip states span the first excited level, one per momentum;
+    # a translation- and flip-invariant Lanczos start once dropped copies
+    vals, _ = lowest_eigs(build_hamiltonian(HamiltonianSpec(n, terms=("h0",))), k=6)
+    assert np.max(np.abs(vals - np.array([-n] + [-n + 2] * 5))) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [12, 14, 16, 18])
+def test_free_fermion_oracle_agrees_with_sectors(n):
+    vals, _ = lowest_eigs(build_hamiltonian(HamiltonianSpec(n)), k=6)
+    assert np.max(np.abs(vals - np.array(free_fermion_levels(n, nlow=6)))) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@given(j=st.floats(-3, 3), a=st.floats(-3, 3))
+def test_momentum_sectors_partition_the_spectrum(n, j, a):
+    H = build_hamiltonian(
+        HamiltonianSpec(n, j_coupling=j, a_coupling=a, terms=("h0", "h1", "hj", "ha"))
+    )
+    orb = spectra._Orbits.of(n)
+    hops = spectra._hops(H, orb)
+    levels = {}
+    for m in range(n):
+        _, block = spectra._momentum_block(orb, hops, m)
+        levels[m] = np.linalg.eigvalsh(block.toarray())
+    union = np.sort(np.concatenate(list(levels.values())))
+    assert np.max(np.abs(union - np.linalg.eigvalsh(H.matrix.toarray()))) <= 1e-10
+    for m in range(1, n):
+        # reflection maps momentum q to -q and commutes with every term
+        assert np.max(np.abs(levels[m] - levels[n - m])) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("terms", [("h0",), ("h0", "h1", "hj", "ha")])
+def test_lifted_eigenvectors_are_orthonormal_eigenvectors(n, terms):
+    spec = HamiltonianSpec(n, j_coupling=0.7, a_coupling=0.3, terms=terms)
+    H = build_hamiltonian(spec)
+    vals, vecs = lowest_eigs(H, k=8)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(8))) <= 1e-10
+    resid = np.linalg.norm(H.matrix @ vecs - vecs * vals, axis=0)
+    assert resid.max() <= 1e-10
+    if terms == ("h0",):
+        # N-fold first excited level: pairs from sectors m and N - m
+        assert np.sum(np.abs(vals - (-n + 2)) <= 1e-9) == 7
