@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Small tour of composition indices: shifts, swap circuits, and the numeric
-cross-check through support algebras across the cut."""
+cross-check as a ratio of Hilbert-Schmidt overlaps across the cut.
+
+Run from the repository root: PYTHONPATH=src python scripts/index_zoo.py"""
 
 import numpy as np
 

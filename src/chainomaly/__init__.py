@@ -22,7 +22,6 @@ from .qca import (
     gnvw_numeric,
     gnvw_symbolic,
     invert,
-    support_algebra_dim,
 )
 from .grpcoh import (
     ClassCoords,

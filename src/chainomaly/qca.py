@@ -5,7 +5,7 @@ layer of disjoint gates or a shift of one on-site register. Steps act on
 operators in list order: apply(expr, A) = step_n(...step_1(A)...). The
 composition index (integer combinations of log-primes of register
 dimensions) is computed symbolically from the shift content and can be
-cross-checked numerically through support algebras across a cut.
+cross-checked numerically as a ratio of Hilbert-Schmidt overlaps across a cut.
 
 Internally operators are tracked at register granularity: each (site,
 register) pair is one tensor slot, and identity slots are trimmed after
@@ -386,14 +386,6 @@ def apply(expr: QcaExpr, op: LocalOperator, dim_cap: int | None = None) -> Local
     return _batch_to_locals(expr.sites, slots, mats)[0]
 
 
-def apply_batch(expr: QcaExpr, window: Window, mats: np.ndarray, dim_cap: int | None = None) -> list[LocalOperator]:
-    """Apply to a batch of operators sharing one window (trimming is shared,
-    so all results come back on a common window)."""
-    slots = _slots_of_window(expr.sites, window)
-    slots, out = _run_batch(expr, slots, np.asarray(mats, dtype=complex), dim_cap)
-    return _batch_to_locals(expr.sites, slots, out)
-
-
 def matrix_unit_batch(dim: int) -> np.ndarray:
     """All dim^2 matrix units as a batch, unit (i, j) at index i*dim + j."""
     out = np.zeros((dim * dim, dim, dim), dtype=complex)
@@ -416,137 +408,57 @@ def gnvw_symbolic(expr: QcaExpr) -> PrimeLog:
     return total
 
 
-def support_algebra_dim(
-    gens,
-    part: Window,
-    rank_tol: float = 1e-9,
-    dim_cap: int | None = None,
-) -> int:
-    """Dimension of the algebra generated by the part-side coefficients of the
-    generators, expanded in a Hilbert-Schmidt product basis of the complement
-    and closed under multiplication."""
-    gens = list(gens)
-    if not gens:
-        return 0
-    sites = gens[0].sites
-    d = sites.dim
-    peff = sorted(
-        {
-            j
-            for g in gens
-            for j in g.window.sites()
-            if part.contains_site(j)
-        }
-    )
-    dims_p = [d] * len(peff)
-    Dp = math.prod(dims_p) if peff else 1
-    cap = DEFAULT_DIM_CAP if dim_cap is None else dim_cap
-    if Dp > cap:
-        raise WindowCapExceeded(f"support window dimension {Dp} exceeds cap {cap}")
-
-    coeffs: list[np.ndarray] = []
-    for g in gens:
-        if g.window.is_empty:
-            if abs(g.mat[0, 0]) > 1e-12:
-                coeffs.append(np.eye(Dp, dtype=complex).reshape(1, Dp, Dp))
-            continue
-        wsites = list(g.window.sites())
-        n = len(wsites)
-        ov = [i for i, j in enumerate(wsites) if part.contains_site(j)]
-        out = [i for i in range(n) if i not in ov]
-        dims = [d] * n
-        arr = g.mat.reshape(dims + dims)
-        order = ov + out
-        arr = arr.transpose([o for o in order] + [n + o for o in order])
-        Dov = d ** len(ov)
-        Dout = d ** len(out)
-        arr = arr.reshape(Dov, Dout, Dov, Dout).transpose(1, 3, 0, 2).reshape(
-            Dout * Dout, Dov, Dov
-        )
-        scale = max(1.0, float(np.max(np.abs(g.mat))))
-        norms = np.linalg.norm(arr.reshape(arr.shape[0], -1), axis=1)
-        block = arr[norms > 1e-12 * scale]
-        if block.size == 0:
-            continue
-        pos = [peff.index(wsites[i]) for i in ov]
-        coeffs.append(tz.embed_factors_batch(block, dims_p, pos) if peff else block)
-
-    # close the span under multiplication, batched
-    basis = np.zeros((0, Dp * Dp), dtype=complex)
-
-    def absorb(cands: np.ndarray) -> np.ndarray:
-        """Orthonormalize candidates against the basis; returns new rows."""
-        nonlocal basis
-        flat = cands.reshape(cands.shape[0], -1)
-        nrm = np.linalg.norm(flat, axis=1)
-        flat = flat[nrm > rank_tol]
-        if flat.shape[0] == 0:
-            return flat
-        flat = flat / np.linalg.norm(flat, axis=1)[:, None]
-        for _ in range(2):
-            if basis.shape[0]:
-                flat = flat - (flat @ basis.conj().T) @ basis
-        if flat.shape[0] == 0:
-            return flat
-        u, s, vh = np.linalg.svd(flat, full_matrices=False)
-        new = vh[s > rank_tol]
-        if new.shape[0]:
-            basis = np.vstack([basis, new])
-        return new
-
-    fresh = absorb(np.concatenate(coeffs)) if coeffs else np.zeros((0, Dp * Dp))
-    while fresh.shape[0]:
-        if basis.shape[0] > Dp * Dp:
-            raise InvariantViolation("support algebra closure exceeded full dimension")
-        a = fresh.reshape(-1, Dp, Dp)
-        b = basis.reshape(-1, Dp, Dp)
-        prods = np.concatenate(
-            [
-                np.einsum("aij,bjk->abik", a, b).reshape(-1, Dp, Dp),
-                np.einsum("aij,bjk->abik", b, a).reshape(-1, Dp, Dp),
-            ]
-        )
-        fresh = absorb(prods)
-    return basis.shape[0]
+# Largest d^(2r) (site dimension d, radius r) the numeric index accepts. It is
+# the size of the unit batch on r input sites; larger circuits push the slot
+# engine's transient batches to gigabytes.
+_NUMERIC_UNIT_CAP = 64
 
 
-def gnvw_numeric(
-    expr: QcaExpr,
-    dim_cap: int | None = None,
-    rank_tol: float = 1e-9,
-    max_input_dim: int = 64,
-) -> PrimeLog:
-    """Numeric cross-check of the shift content through support algebras
-    across the cut between sites -1 and 0. Raises IndexMismatch if it
-    disagrees with gnvw_symbolic (the symbolic value is authoritative)."""
+def _overlap(expr: QcaExpr, inputs: Window, outputs: Window, dim_cap: int | None = None) -> float:
+    """eta(X -> Y) = sum_i ||E_Y(alpha(u_i))||_tau^2 over the tau-orthonormal
+    matrix units u_i = sqrt(D)|a><b| of X, with E_Y the normalised partial
+    trace onto the slots of Y and ||x||_tau^2 = tr(x^dag x) / dim x."""
+    sites = expr.sites
+    D = sites.dim ** inputs.length
+    units = math.sqrt(D) * matrix_unit_batch(D)
+    slots, mats = _run_batch(expr, _slots_of_window(sites, inputs), units, dim_cap)
+    keep = [i for i, s in enumerate(slots) if outputs.contains_site(s // sites.nregisters)]
+    reduced = tz.partial_trace_keep_batch(mats, _slot_dims(sites, slots), keep)
+    return float(np.sum(np.abs(reduced) ** 2)) / reduced.shape[-1]
+
+
+def gnvw_numeric(expr: QcaExpr, dim_cap: int | None = None) -> PrimeLog:
+    """Numeric cross-check of the shift content across the cut between sites
+    -1 and 0, as the ratio of Hilbert-Schmidt overlaps
+    ind^2 = eta([-r, -1] -> [0, 2r-1]) / eta([0, r-1] -> [-2r, -1])
+    (Gross-Nesme-Vogts-Werner). Raises IndexMismatch if it disagrees with
+    gnvw_symbolic (the symbolic value is authoritative)."""
     r = max(radius(expr), 1)
     d = expr.sites.dim
-    if d ** (2 * r) > max_input_dim:
+    if d ** (2 * r) > _NUMERIC_UNIT_CAP:
         raise WindowCapExceeded(
             f"numeric index at radius {r} and site dimension {d} needs a "
-            f"{d ** (4 * r)}-element operator basis; cap is {max_input_dim}^2"
+            f"{d ** (2 * r)}-element unit batch; cap is {_NUMERIC_UNIT_CAP}"
         )
-
-    def side(input_window: Window, part: Window) -> int:
-        D = d ** input_window.length
-        units = matrix_unit_batch(D)
-        images = apply_batch(expr, input_window, units, dim_cap)
-        return support_algebra_dim(images, part, rank_tol, dim_cap)
-
-    dim_r = side(Window(-2 * r, -1), Window(0, 3 * r))
-    dim_l = side(Window(0, 2 * r - 1), Window(-3 * r, -1))
-    ratio = Fraction(dim_r, dim_l)
+    eta_lr = _overlap(expr, Window(-r, -1), Window(0, 2 * r - 1), dim_cap)
+    eta_rl = _overlap(expr, Window(0, r - 1), Window(-2 * r, -1), dim_cap)
+    measured = eta_lr / eta_rl
+    ratio = Fraction(measured).limit_denominator(d ** (2 * r))
     ns, ds = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
-    if ns * ns != ratio.numerator or ds * ds != ratio.denominator:
+    if (
+        abs(measured - ratio) > TOL_AUTO * max(1.0, ratio)
+        or ns * ns != ratio.numerator
+        or ds * ds != ratio.denominator
+    ):
         raise NonSquareRatio(
-            f"support dimension ratio {dim_r}/{dim_l} is not the square of a rational"
+            f"overlap ratio {eta_lr:.12g}/{eta_rl:.12g} is not the square of a rational"
         )
     result = PrimeLog.of_dimension(ns, 1) + PrimeLog.of_dimension(ds, -1)
     expected = gnvw_symbolic(expr)
     if result != expected:
         raise IndexMismatch(
-            f"numeric index {result} (dims {dim_r}/{dim_l}) disagrees with "
-            f"symbolic {expected}"
+            f"numeric index {result} (overlaps {eta_lr:.12g}/{eta_rl:.12g}) "
+            f"disagrees with symbolic {expected}"
         )
     return result
 

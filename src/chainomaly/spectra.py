@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NoConvergence, SizeCap, ValidationError
+from .errors import ChainomalyError, NoConvergence, SizeCap, ValidationError
 
 _KNOWN_TERMS = ("h0", "h1", "hj", "ha")
 
@@ -337,12 +337,13 @@ def spectrum_row(spec: HamiltonianSpec, k: int = 6) -> SpectrumRow:
 
 
 def gap_scan(grid, k: int = 6) -> list[SpectrumRow]:
-    """One row per spec, in grid order; failures are recorded, not fatal."""
+    """One row per spec, in grid order; a ChainomalyError in a row is recorded
+    as row data, anything else propagates."""
     rows = []
     for spec in grid:
         try:
             rows.append(spectrum_row(spec, k))
-        except Exception as exc:  # per-row errors are data
+        except ChainomalyError as exc:  # per-row errors are data
             rows.append(
                 SpectrumRow(
                     n_sites=spec.n_sites,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from chainomaly import cli, opwin, qca, spectra
+from chainomaly import cli, opwin, spectra
 from chainomaly import anomaly as anm
 from chainomaly.grpcoh import (
     FiniteGroup,
@@ -27,13 +27,12 @@ from chainomaly.qca import (
     compose,
     gnvw_numeric,
     gnvw_symbolic,
-    matrix_unit_batch,
     single_gate_expr,
-    support_algebra_dim,
 )
 
 from conftest import random_unitary
 from helpers_free_fermion import free_fermion_levels
+from helpers_support_algebra import support_dims
 
 
 @contextmanager
@@ -112,7 +111,7 @@ def test_criterion_4_cohomology_kernel():
 
 def _random_index_expr(rng, d: int) -> QcaExpr:
     """Layers of random 2-site gates composed with shifts; the radius is kept
-    at 1 for d = 3 (the numeric input windows grow as d^(4r))."""
+    at 1 for d = 3 (the numeric unit batch grows as d^(2r))."""
     sites = SiteSpec((d,))
     steps = []
     if d == 2:
@@ -152,11 +151,7 @@ def test_criterion_5_gnvw_agreement():
         # pinned sub-case: the unit shift at d = 2
         s2 = SiteSpec((2,))
         shift = QcaExpr(s2, (ShiftPrimitive(0, 1),))
-        units = matrix_unit_batch(4)
-        right = qca.apply_batch(shift, Window(-2, -1), units)
-        left = qca.apply_batch(shift, Window(0, 1), units)
-        assert support_algebra_dim(right, Window(0, 3)) == 4
-        assert support_algebra_dim(left, Window(-3, -1)) == 1
+        assert support_dims(shift) == (4, 1)
         assert gnvw_numeric(shift).as_dict() == {2: 1}
         rng = np.random.default_rng(415)
         count = 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainomaly import opwin
+from chainomaly import opwin, qca
 from chainomaly.anomaly import levin_gu_action
 from chainomaly.errors import (
     NonZeroIndex,
@@ -20,7 +20,6 @@ from chainomaly.qca import (
     ShiftPrimitive,
     action_distance_on_units,
     apply,
-    apply_batch,
     balance_shifts,
     compose,
     expr_from_data,
@@ -32,10 +31,10 @@ from chainomaly.qca import (
     matrix_unit_batch,
     radius,
     single_gate_expr,
-    support_algebra_dim,
 )
 
 from conftest import random_unitary
+from helpers_support_algebra import support_algebra_dim, support_dims, unit_images
 
 S2 = SiteSpec((2,))
 SWAP4 = np.array(
@@ -245,8 +244,7 @@ def test_support_algebra_zz():
 
 def test_support_algebra_swap_moves_full_matrix_algebra():
     swap_layer = QcaExpr(S2, (BlockLayer(2, (GateTemplate(-1, 2, SWAP4),)),))
-    units = matrix_unit_batch(2)
-    images = apply_batch(swap_layer, Window(-1, -1), units)
+    images = unit_images(swap_layer, Window(-1, -1))
     assert support_algebra_dim(images, Window(0, 0)) == 4
 
 
@@ -259,11 +257,7 @@ def test_support_algebra_identity():
 
 def test_gnvw_numeric_shift_dimensions():
     e = shift_expr(S2, 0, 1)
-    units = matrix_unit_batch(4)
-    right = apply_batch(e, Window(-2, -1), units)
-    left = apply_batch(e, Window(0, 1), units)
-    assert support_algebra_dim(right, Window(0, 3)) == 4
-    assert support_algebra_dim(left, Window(-3, -1)) == 1
+    assert support_dims(e) == (4, 1)
     assert gnvw_numeric(e).as_dict() == {2: 1}
 
 
@@ -286,6 +280,54 @@ def test_gnvw_numeric_matches_symbolic_random(seed):
     rng.shuffle(steps)
     e = QcaExpr(S2, tuple(steps))
     assert gnvw_numeric(e) == gnvw_symbolic(e)
+
+
+def overlaps(e):
+    """(eta_lr, eta_rl) on the windows gnvw_numeric uses."""
+    r = max(radius(e), 1)
+    return (
+        qca._overlap(e, Window(-r, -1), Window(0, 2 * r - 1)),
+        qca._overlap(e, Window(0, r - 1), Window(-2 * r, -1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "expr, etas, index",
+    [
+        (shift_expr(S2, 0, 1), (4, 1), {2: 1}),
+        (levin_gu_action().expr(1), (1, 1), {}),
+        (shift_expr(SiteSpec((3,)), 0, -1), (1, 9), {3: -1}),
+    ],
+    ids=["qubit_right_shift", "levin_gu", "qutrit_left_shift"],
+)
+def test_gnvw_overlaps_pinned(expr, etas, index):
+    assert overlaps(expr) == pytest.approx(etas, abs=1e-12)
+    assert gnvw_numeric(expr).as_dict() == index
+
+
+def test_overlap_ratio_of_opposed_shifts():
+    # qubit right, qutrit left: the index 2/3 has no integer overlap ratio
+    e = QcaExpr(SiteSpec((2, 3)), (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1)))
+    lr = qca._overlap(e, Window(-1, -1), Window(0, 1))
+    rl = qca._overlap(e, Window(0, 0), Window(-2, -1))
+    assert (lr, rl) == pytest.approx((4, 9), abs=1e-12)
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 10 ** 6))
+def test_overlap_ratio_matches_support_algebra_oracle(seed):
+    # radius <= 2 on qubits: one layer and an optional shift, or two layers
+    rng = np.random.default_rng(seed)
+    steps = [random_two_site_layer(rng, anchor=int(rng.integers(0, 2)))]
+    if rng.integers(0, 2):
+        steps.append(ShiftPrimitive(0, int(rng.choice([-1, 1]))))
+    else:
+        steps.append(random_two_site_layer(rng, anchor=int(rng.integers(0, 2))))
+    rng.shuffle(steps)
+    e = QcaExpr(S2, tuple(steps))
+    lr, rl = overlaps(e)
+    dim_r, dim_l = support_dims(e)
+    assert lr / rl == pytest.approx(dim_r / dim_l, abs=1e-9)
 
 
 # -- shift neutralization ------------------------------------------------------------------
@@ -409,22 +451,22 @@ def test_gnvw_numeric_input_cap():
 
 
 def test_gnvw_numeric_guard_errors(monkeypatch):
-    # white-box: force inconsistent support dimensions through both guards
-    from chainomaly import qca as qca_mod
+    # white-box: force inconsistent overlaps through both guards
     from chainomaly.errors import IndexMismatch, NonSquareRatio
 
     e = shift_expr(S2, 0, 1)
 
-    def fake_dims(values):
+    def fake_overlaps(values):
         it = iter(values)
-        return lambda gens, part, rank_tol=1e-9, dim_cap=None: next(it)
+        return lambda expr, inputs, outputs, dim_cap=None: next(it)
 
-    monkeypatch.setattr(qca_mod, "support_algebra_dim", fake_dims([8, 1]))
-    with pytest.raises(NonSquareRatio):
-        qca_mod.gnvw_numeric(e)
-    monkeypatch.setattr(qca_mod, "support_algebra_dim", fake_dims([16, 1]))
+    for values in ([8, 1], [4.3, 1]):  # a non-square and a non-rational ratio
+        monkeypatch.setattr(qca, "_overlap", fake_overlaps(values))
+        with pytest.raises(NonSquareRatio):
+            gnvw_numeric(e)
+    monkeypatch.setattr(qca, "_overlap", fake_overlaps([16, 1]))
     with pytest.raises(IndexMismatch):
-        qca_mod.gnvw_numeric(e)
+        gnvw_numeric(e)
 
 
 def test_balance_same_register_cancellation():

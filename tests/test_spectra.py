@@ -140,6 +140,16 @@ def test_gap_scan_records_failures():
     assert rows[1].error is not None and "SizeCap" in rows[1].error
 
 
+def test_gap_scan_propagates_bugs(monkeypatch):
+    # only ChainomalyError becomes row data; a programming error fails loudly
+    def broken_row(spec, k):
+        raise TypeError("bug in a row")
+
+    monkeypatch.setattr(spectra, "spectrum_row", broken_row)
+    with pytest.raises(TypeError, match="bug in a row"):
+        gap_scan([HamiltonianSpec(8, terms=("h0",))])
+
+
 def test_gap_scan_default_grid_trends():
     grid = default_grid()
     rows = gap_scan(grid, k=6)
