@@ -1,22 +1,13 @@
 """Anomaly indices, exact group cohomology, and spectral witnesses for
 symmetry actions on quantum spin chains."""
 
-from .opwin import (
-    LocalOperator,
-    SiteSpec,
-    Window,
-    conditional_expectation,
-    embed,
-    op_distance,
-    product,
-)
+from .opwin import SiteSpec, Window
 from .qca import (
     BlockLayer,
     GateTemplate,
     PrimeLog,
     QcaExpr,
     ShiftPrimitive,
-    apply,
     balance_shifts,
     compose,
     gnvw_numeric,
@@ -39,7 +30,6 @@ from .anomaly import (
     AnomalyReport,
     ProjectiveRep,
     anomaly_class,
-    extract_implementing_unitary,
     levin_gu_action,
     lsm_pipeline,
     omega_cocycle,

@@ -24,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _tensors as tz
-from . import opwin
 from . import qca
 from .errors import (
     CocycleViolation,
@@ -54,7 +53,6 @@ from .opwin import (
     PAULI_Z,
     TOL_AUTO,
     TOL_PHASE,
-    LocalOperator,
     SiteSpec,
     Window,
 )
@@ -63,7 +61,6 @@ from .qca import (
     GateTemplate,
     QcaExpr,
     ShiftPrimitive,
-    apply,
     balance_shifts,
     compose,
     gnvw_symbolic,
@@ -72,7 +69,11 @@ from .qca import (
     matrix_unit_batch,
     radius,
 )
-from .qca import _batch_to_locals, _run_batch, _slot_dims
+from .qca import _on_union, _run_batch, _site_span, _slot_dims, _trim_batch
+
+# A local operator (slots, matrix): the matrix acts on the listed tensor
+# slots in ascending order, as in the slot engine of `qca`.
+SlotOperator = tuple[tuple[int, ...], np.ndarray]
 
 
 def default_den_cap(group_order: int) -> int:
@@ -130,13 +131,14 @@ class ProjectiveRep:
 
 @dataclass(eq=False)
 class VTable:
-    """Obstruction unitaries V(g, h) with extraction diagnostics."""
+    """Obstruction unitaries V(g, h), as (slots, matrix), with extraction
+    diagnostics."""
 
-    entries: dict[tuple[int, int], LocalOperator]
+    entries: dict[tuple[int, int], SlotOperator]
     residuals: dict[tuple[int, int], float] = field(default_factory=dict)
     omega_diagnostics: dict[tuple[int, ...], dict] = field(default_factory=dict)
 
-    def gate(self, g: int, h: int) -> LocalOperator:
+    def gate(self, g: int, h: int) -> SlotOperator:
         return self.entries[(g, h)]
 
 
@@ -336,7 +338,9 @@ def _extract_once(
     tol: float = TOL_AUTO,
     dim_cap: int | None = None,
     max_choi_dim: int = 64,
-) -> tuple[LocalOperator, float]:
+) -> tuple[SlotOperator, float]:
+    """The local unitary V, trimmed to the slots it acts on, with
+    V A V^+ = expr(A), and the residual of that identity."""
     sites = expr.sites
     R = sites.nregisters
     r = max(radius(expr), 1)
@@ -362,7 +366,7 @@ def _extract_once(
                         f"action is not the identity at site {site}"
                     )
     if not active:
-        return opwin.scalar(sites, 1.0), 0.0
+        return ((), np.ones((1, 1), dtype=complex)), 0.0
 
     dims = _slot_dims(sites, active)
     D = math.prod(dims)
@@ -410,27 +414,15 @@ def _extract_once(
     resid = float(np.max(np.abs(V @ units @ V.conj().T - out)))
     if resid > tol:
         raise NotInner(f"extracted unitary fails to reproduce the action ({resid:.3g})")
-    loc = _batch_to_locals(sites, tuple(active), V[None])[0]
-    return opwin.trim(loc), resid
-
-
-def extract_implementing_unitary(
-    expr: QcaExpr,
-    hint_window: Window,
-    rank_ratio: float = 1e-7,
-    tol: float = TOL_AUTO,
-    dim_cap: int | None = None,
-    max_choi_dim: int = 64,
-) -> LocalOperator:
-    gate, _ = _extract_once(expr, hint_window, rank_ratio, tol, dim_cap, max_choi_dim)
-    return gate
+    slots, mats = _trim_batch(sites, active, V[None], active)
+    return (slots, mats[0]), resid
 
 
 def _extract_search(
     expr: QcaExpr,
     max_hint: int = 8,
     **kw,
-) -> tuple[LocalOperator, float]:
+) -> tuple[SlotOperator, float]:
     step = max(1, radius(expr))
     hi = 1
     while True:
@@ -458,20 +450,17 @@ def _scalar_phase(M: np.ndarray, scalar_tol: float) -> tuple[complex, float]:
 
 def _omega_at(V, beta, mul, a, b, c, den_cap, scalar_tol, dim_cap, name) -> tuple[Fraction, dict]:
     """The associator V(a,b) V(ab,c) V(a,bc)^+ beta_a(V(b,c))^+ as an exact
-    phase, with its snap and scalar residuals. `V(x, y)` returns the gate,
-    `mul` is the group law and `name` labels elements in error messages."""
+    phase, with its snap and scalar residuals. `V(x, y)` returns the gate as
+    (slots, matrix), `mul` is the group law and `name` labels elements in
+    error messages."""
     ab, bc = mul(a, b), mul(b, c)
     try:
-        P = opwin.product(
-            opwin.product(V(a, b), V(ab, c), dim_cap),
-            opwin.product(
-                opwin.adjoint(V(a, bc)),
-                opwin.adjoint(apply(beta[a], V(b, c), dim_cap)),
-                dim_cap,
-            ),
-            dim_cap,
-        )
-        lam, resid = _scalar_phase(P.mat, scalar_tol)
+        bc_slots, vbc = V(b, c)
+        parts = [(slots, m[None]) for slots, m in (V(a, b), V(ab, c), V(a, bc))]
+        parts.append(_run_batch(beta[a], bc_slots, vbc[None], dim_cap))
+        _, (vab, vabc, va_bc, beta_vbc) = _on_union(beta[a].sites, parts, dim_cap)
+        P = (vab[0] @ vabc[0]) @ (va_bc[0].conj().T @ beta_vbc[0].conj().T)
+        lam, resid = _scalar_phase(P, scalar_tol)
         frac, err = snap_fraction(float(np.angle(lam)) / (2 * math.pi), den_cap)
     except (NotScalar, SnapFailure) as exc:
         raise type(exc)(f"omega({name(a)}, {name(b)}, {name(c)}): {exc}") from exc
@@ -554,8 +543,8 @@ def anomaly_class(
             default=0.0,
         ),
         "v_windows": {
-            f"{spec.group.name(g)},{spec.group.name(h)}": str(gate.window)
-            for (g, h), gate in sorted(vtable.entries.items())
+            f"{spec.group.name(g)},{spec.group.name(h)}": str(_site_span(spec2.sites, slots))
+            for (g, h), (slots, _) in sorted(vtable.entries.items())
         },
         "omega": dict(vtable.omega_diagnostics),
     }
@@ -650,9 +639,9 @@ def lsm_pipeline(
     def namez(a):
         return f"({G0.name(a[0])}, {a[1]})"
 
-    vcache: dict[tuple, tuple[LocalOperator, float]] = {}
+    vcache: dict[tuple, tuple[SlotOperator, float]] = {}
 
-    def V(a, b) -> LocalOperator:
+    def V(a, b) -> SlotOperator:
         key = (a, b)
         if key not in vcache:
             ab = mulz(a, b)

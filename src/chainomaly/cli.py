@@ -451,9 +451,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run a config file")
     runp.add_argument("config", help="path to a YAML config")
     runp.add_argument("--out", default=None, help="output directory")
-    runp.add_argument("--tol", type=float, default=None, help="phase tolerance override")
-    runp.add_argument("--den-cap", type=int, default=None)
-    runp.add_argument("--window-cap", type=int, default=None)
     sub.add_parser("selftest", help="run the built-in invariant battery")
     args = parser.parse_args(argv)
 
@@ -467,12 +464,6 @@ def main(argv=None) -> int:
             return 0 if ok else 3
         text = Path(args.config).read_text(encoding="utf-8")
         cfg = parse_config(text)
-        if args.den_cap is not None:
-            cfg.den_cap = args.den_cap
-        if args.window_cap is not None:
-            cfg.window_cap = args.window_cap
-        if args.tol is not None:
-            cfg.phase_tol = args.tol
         _output_paths(cfg, args.out)  # fail before a long run, not after
         result = run(cfg)
         written = emit_report(result, cfg, args.out)

@@ -31,10 +31,6 @@ class PipelineError(ChainomalyError):
     exit_code = 2
 
 
-class WindowMismatch(PipelineError):
-    pass
-
-
 class WindowCapExceeded(PipelineError):
     pass
 

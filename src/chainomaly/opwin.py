@@ -1,12 +1,11 @@
-"""Exact finite-window operator algebra for qudit chains.
+"""Sites, windows, tolerances and matrix literals for qudit chains.
 
-An operator is a dense complex matrix attached to a finite interval of
-integer sites. The tensor convention is global and fixed: the leftmost site
-is the most significant factor, and within one site the registers of the
-SiteSpec appear in listed order with register 0 most significant. Scalars
-are carried on the distinguished empty window as 1x1 matrices.
-
-All operations are pure functions on immutable values.
+A SiteSpec lists the register dimensions of one site; a Window is a finite
+interval of integer sites. The tensor convention is global and fixed: the
+leftmost site is the most significant factor, and within one site the
+registers of the SiteSpec appear in listed order with register 0 most
+significant. Operators themselves are (slots, matrix) pairs handled by the
+slot engine in `chainomaly.qca`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tensors as tz
-from .errors import ValidationError, WindowCapExceeded, WindowMismatch
+from .errors import ValidationError
 
 # Tolerance hierarchy: exact algebraic identities, automorphism and
 # unitarity checks, phase extraction.
@@ -96,169 +95,8 @@ class Window:
     def contains_site(self, j: int) -> bool:
         return not self.is_empty and self.lo <= j <= self.hi
 
-    def contains(self, other: "Window") -> bool:
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def union(self, other: "Window") -> "Window":
-        """Smallest interval containing both windows."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Window(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def intersection(self, other: "Window") -> "Window":
-        if self.is_empty or other.is_empty:
-            return Window.empty()
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Window(lo, hi) if lo <= hi else Window.empty()
-
     def __str__(self):
         return "[]" if self.is_empty else f"[{self.lo},{self.hi}]"
-
-
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
-    """Complex matrix on a finite window of sites of a fixed SiteSpec."""
-
-    sites: SiteSpec
-    window: Window
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)
-        want = self.sites.dim ** self.window.length
-        if m.shape != (want, want):
-            raise ValidationError(
-                f"matrix shape {m.shape} does not match window {self.window} "
-                f"(expected {want}x{want})"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def norm(self) -> float:
-        return tz.operator_norm(self.mat)
-
-    def is_unitary(self, tol: float = TOL_AUTO) -> bool:
-        return tz.is_unitary(self.mat, tol)
-
-    def site_dims(self) -> list[int]:
-        return [self.sites.dim] * self.window.length
-
-    def __repr__(self):
-        return f"LocalOperator(window={self.window}, dim={self.dim})"
-
-
-def scalar(sites: SiteSpec, value: complex = 1.0) -> LocalOperator:
-    return LocalOperator(sites, Window.empty(), np.array([[value]], dtype=complex))
-
-
-def identity_on(sites: SiteSpec, window: Window) -> LocalOperator:
-    d = sites.dim ** window.length
-    return LocalOperator(sites, window, np.eye(d, dtype=complex))
-
-
-def one_site(sites: SiteSpec, j: int, mat: np.ndarray) -> LocalOperator:
-    return LocalOperator(sites, Window.site(j), mat)
-
-
-def matrix_unit(sites: SiteSpec, j: int, a: int, b: int) -> LocalOperator:
-    d = sites.dim
-    m = np.zeros((d, d), dtype=complex)
-    m[a, b] = 1.0
-    return one_site(sites, j, m)
-
-
-def _check_cap(dim: int, cap: int | None):
-    cap = DEFAULT_DIM_CAP if cap is None else cap
-    if dim > cap:
-        raise WindowCapExceeded(f"operator dimension {dim} exceeds cap {cap}")
-
-
-def embed(op: LocalOperator, target: Window, dim_cap: int | None = None) -> LocalOperator:
-    """Embed as op tensor identity on the extra sites of `target`."""
-    if not target.contains(op.window):
-        raise WindowMismatch(f"target {target} does not contain {op.window}")
-    if target == op.window:
-        return op
-    d = op.sites.dim
-    _check_cap(d ** target.length, dim_cap)
-    if op.window.is_empty:
-        val = op.mat[0, 0]
-        return LocalOperator(
-            op.sites, target, val * np.eye(d ** target.length, dtype=complex)
-        )
-    dims = [d] * target.length
-    positions = [j - target.lo for j in op.window.sites()]
-    return LocalOperator(op.sites, target, tz.embed_factors(op.mat, dims, positions))
-
-
-def product(a: LocalOperator, b: LocalOperator, dim_cap: int | None = None) -> LocalOperator:
-    """Multiply after embedding both into the union window."""
-    if a.sites != b.sites:
-        raise WindowMismatch("operands live on different SiteSpecs")
-    w = a.window.union(b.window)
-    ea = embed(a, w, dim_cap)
-    eb = embed(b, w, dim_cap)
-    return LocalOperator(a.sites, w, ea.mat @ eb.mat)
-
-
-def adjoint(op: LocalOperator) -> LocalOperator:
-    return LocalOperator(op.sites, op.window, op.mat.conj().T)
-
-
-def scale(op: LocalOperator, c: complex) -> LocalOperator:
-    return LocalOperator(op.sites, op.window, c * op.mat)
-
-
-def conditional_expectation(op: LocalOperator, keep: Window) -> LocalOperator:
-    """Normalized partial trace onto `keep`; unital and contractive."""
-    if not op.window.contains(keep):
-        raise WindowMismatch(f"keep {keep} is not inside {op.window}")
-    if keep == op.window:
-        return op
-    if op.window.is_empty:
-        return op
-    dims = op.site_dims()
-    keep_pos = [j - op.window.lo for j in keep.sites()]
-    out = tz.partial_trace_keep_batch(op.mat[None], dims, keep_pos, normalized=True)[0]
-    if keep.is_empty:
-        return scalar(op.sites, out[0, 0])
-    return LocalOperator(op.sites, keep, out)
-
-
-def op_distance(a: LocalOperator, b: LocalOperator, dim_cap: int | None = None) -> float:
-    """Operator norm of a - b after common embedding."""
-    if a.sites != b.sites:
-        raise WindowMismatch("operands live on different SiteSpecs")
-    w = a.window.union(b.window)
-    if w.is_empty:
-        return float(abs(a.mat[0, 0] - b.mat[0, 0]))
-    return tz.operator_norm(embed(a, w, dim_cap).mat - embed(b, w, dim_cap).mat)
-
-
-def trim(op: LocalOperator, tol: float = TOL_ALGEBRA) -> LocalOperator:
-    """Drop boundary sites on which the operator acts as identity."""
-    cur = op
-    while not cur.window.is_empty:
-        dims = cur.site_dims()
-        n = len(dims)
-        if tz.factor_is_trivial_batch(cur.mat[None], dims, 0, tol):
-            cur = conditional_expectation(cur, Window(cur.window.lo + 1, cur.window.hi))
-            continue
-        if n > 0 and tz.factor_is_trivial_batch(cur.mat[None], dims, n - 1, tol):
-            cur = conditional_expectation(cur, Window(cur.window.lo, cur.window.hi - 1))
-            continue
-        break
-    return cur
 
 
 # -- matrix literal format (shared with the CLI config) ----------------------

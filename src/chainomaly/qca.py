@@ -2,19 +2,22 @@
 
 An expression is an ordered list of steps, each a translation-invariant
 layer of disjoint gates or a shift of one on-site register. Steps act on
-operators in list order: apply(expr, A) = step_n(...step_1(A)...). The
+operators in list order: the image of A is step_n(...step_1(A)...). The
 composition index (integer combinations of log-primes of register
 dimensions) is computed symbolically from the shift content and can be
 cross-checked numerically as a ratio of Hilbert-Schmidt overlaps across a cut.
 
-Internally operators are tracked at register granularity: each (site,
-register) pair is one tensor slot, and identity slots are trimmed after
-every gate. That keeps swap-heavy circuits (stacked shift neutralizations)
-at small matrix sizes regardless of their depth.
+An operator is a pair (slots, matrix): each (site, register) pair is one
+tensor slot, numbered site * nregisters + register, and the matrix acts on
+the listed slots in ascending order (identity elsewhere). The slot engine
+`_run_batch` maps a batch of such matrices through an expression, trimming
+identity slots after every gate. That keeps swap-heavy circuits (stacked
+shift neutralizations) at small matrix sizes regardless of their depth.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -36,7 +39,6 @@ from .opwin import (
     DEFAULT_DIM_CAP,
     TOL_ALGEBRA,
     TOL_AUTO,
-    LocalOperator,
     SiteSpec,
     Window,
 )
@@ -223,18 +225,8 @@ def identity_expr(sites: SiteSpec) -> QcaExpr:
     return QcaExpr(sites, ())
 
 
-def single_gate_expr(sites: SiteSpec, gate: LocalOperator) -> QcaExpr:
-    """Conjugation by one local unitary, as a maximally truncated layer."""
-    if gate.window.is_empty:
-        return identity_expr(sites)
-    w = gate.window
-    tmpl = GateTemplate(anchor=w.lo, span=w.length, unitary=gate.mat)
-    layer = BlockLayer(period=w.length, templates=(tmpl,), min_site=w.lo, max_site=w.hi)
-    return QcaExpr(sites, (layer,))
-
-
 def compose(e1: QcaExpr, e2: QcaExpr) -> QcaExpr:
-    """apply(compose(e1, e2), A) = apply(e1, apply(e2, A))."""
+    """The automorphism e1(e2(A)): the steps of e2 act first, then those of e1."""
     if e1.sites != e2.sites:
         raise ValidationError("composition across different SiteSpecs")
     return QcaExpr(e1.sites, e2.steps + e1.steps)
@@ -258,12 +250,18 @@ def invert(e: QcaExpr) -> QcaExpr:
 
 
 def radius(e: QcaExpr) -> int:
+    """Light-cone radius. Each layer adds its widest span - 1. A run of
+    consecutive shifts moves every register rigidly by its net displacement,
+    so the run adds only the largest |net|."""
     r = 0
-    for step in e.steps:
-        if isinstance(step, ShiftPrimitive):
-            r += abs(step.displacement)
+    for is_shift, run in itertools.groupby(e.steps, key=lambda s: isinstance(s, ShiftPrimitive)):
+        if is_shift:
+            net: dict[int, int] = {}
+            for s in run:
+                net[s.register] = net.get(s.register, 0) + s.displacement
+            r += max(abs(n) for n in net.values())
         else:
-            r += max(t.span - 1 for t in step.templates)
+            r += sum(max(t.span - 1 for t in layer.templates) for layer in run)
     return r
 
 
@@ -362,28 +360,28 @@ def _slots_of_window(sites: SiteSpec, window: Window) -> tuple[int, ...]:
     return tuple(range(window.lo * R, (window.hi + 1) * R))
 
 
-def _batch_to_locals(sites, slots, mats) -> list[LocalOperator]:
-    if not slots:
-        return [opwin.scalar(sites, m[0, 0]) for m in mats]
+def _site_span(sites: SiteSpec, slots) -> Window:
+    """The smallest window of sites that holds the given slots."""
     R = sites.nregisters
-    lo, hi = min(slots) // R, max(slots) // R
-    window = Window(lo, hi)
-    full = _slots_of_window(sites, window)
-    dims = _slot_dims(sites, full)
-    pos = [full.index(s) for s in slots]
-    big = tz.embed_factors_batch(mats, dims, pos)
-    return [LocalOperator(sites, window, m) for m in big]
+    return Window(min(slots) // R, max(slots) // R) if slots else Window.empty()
 
 
-def apply(expr: QcaExpr, op: LocalOperator, dim_cap: int | None = None) -> LocalOperator:
-    """Image of a local operator under the automorphism."""
-    if op.sites != expr.sites:
-        raise ValidationError("operator lives on a different SiteSpec")
-    if op.window.is_empty:
-        return op
-    slots = _slots_of_window(expr.sites, op.window)
-    slots, mats = _run_batch(expr, slots, op.mat[None], dim_cap)
-    return _batch_to_locals(expr.sites, slots, mats)[0]
+def _on_union(
+    sites: SiteSpec, parts, dim_cap: int | None = None
+) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """Embed every (slots, batch) part on the sorted union of all their slots,
+    refusing a union whose dimension exceeds the cap."""
+    union = tuple(sorted(set().union(*(slots for slots, _ in parts))))
+    dims = _slot_dims(sites, union)
+    D = math.prod(dims)
+    cap = DEFAULT_DIM_CAP if dim_cap is None else dim_cap
+    if D > cap:
+        raise WindowCapExceeded(f"operator dimension {D} exceeds cap {cap}")
+    return union, [
+        mats if tuple(slots) == union
+        else tz.embed_factors_batch(mats, dims, [union.index(s) for s in slots])
+        for slots, mats in parts
+    ]
 
 
 def matrix_unit_batch(dim: int) -> np.ndarray:
@@ -569,16 +567,9 @@ def action_distance_on_units(
     """Largest Frobenius distance between the images of a unit batch under two
     expressions (an upper bound for the operator-norm distance), computed at
     slot granularity so big common windows are never materialized."""
-    sl1, m1 = _run_batch(e1, _slots_of_window(e1.sites, window), mats, dim_cap)
-    sl2, m2 = _run_batch(e2, _slots_of_window(e2.sites, window), mats, dim_cap)
-    union = tuple(sorted(set(sl1) | set(sl2)))
-    if not union:
-        return float(np.max(np.abs(m1 - m2)))
-    dims = _slot_dims(e1.sites, union)
-    if sl1 != union:
-        m1 = tz.embed_factors_batch(m1, dims, [union.index(s) for s in sl1])
-    if sl2 != union:
-        m2 = tz.embed_factors_batch(m2, dims, [union.index(s) for s in sl2])
+    slots = _slots_of_window(e1.sites, window)
+    images = [_run_batch(e, slots, mats, dim_cap) for e in (e1, e2)]
+    _, (m1, m2) = _on_union(e1.sites, images, dim_cap)
     diff = m1 - m2
     per_unit = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(1, 2)))
     return float(np.max(per_unit))

@@ -16,15 +16,20 @@ import numpy as np
 from chainomaly import _tensors as tz
 from chainomaly import qca
 from chainomaly.errors import InvariantViolation, WindowCapExceeded
-from chainomaly.opwin import DEFAULT_DIM_CAP, LocalOperator, Window
+from chainomaly.opwin import DEFAULT_DIM_CAP, SiteSpec, Window
 from chainomaly.qca import QcaExpr, matrix_unit_batch, radius
 
 
-def unit_images(expr: QcaExpr, window: Window) -> list[LocalOperator]:
-    """Images of all matrix units on `window`, on one common window."""
-    units = matrix_unit_batch(expr.sites.dim ** window.length)
-    slots, mats = qca._run_batch(expr, qca._slots_of_window(expr.sites, window), units)
-    return qca._batch_to_locals(expr.sites, slots, mats)
+def unit_images(expr: QcaExpr, window: Window) -> list[tuple[Window, np.ndarray]]:
+    """Images of all matrix units on `window`, as (window, matrix) pairs on
+    one common window of whole sites."""
+    sites = expr.sites
+    units = matrix_unit_batch(sites.dim ** window.length)
+    slots, mats = qca._run_batch(expr, qca._slots_of_window(sites, window), units)
+    span = qca._site_span(sites, slots)
+    full = qca._slots_of_window(sites, span)
+    big = tz.embed_factors_batch(mats, qca._slot_dims(sites, full), [full.index(s) for s in slots])
+    return [(span, m) for m in big]
 
 
 def support_dims(expr: QcaExpr) -> tuple[int, int]:
@@ -32,12 +37,14 @@ def support_dims(expr: QcaExpr) -> tuple[int, int]:
     sites -1 and 0 of the images of [-2r, -1], and its mirror image; the
     index squared is dim_r / dim_l."""
     r = max(radius(expr), 1)
-    dim_r = support_algebra_dim(unit_images(expr, Window(-2 * r, -1)), Window(0, 3 * r))
-    dim_l = support_algebra_dim(unit_images(expr, Window(0, 2 * r - 1)), Window(-3 * r, -1))
+    sites = expr.sites
+    dim_r = support_algebra_dim(sites, unit_images(expr, Window(-2 * r, -1)), Window(0, 3 * r))
+    dim_l = support_algebra_dim(sites, unit_images(expr, Window(0, 2 * r - 1)), Window(-3 * r, -1))
     return dim_r, dim_l
 
 
 def support_algebra_dim(
+    sites: SiteSpec,
     gens,
     part: Window,
     rank_tol: float = 1e-9,
@@ -45,17 +52,17 @@ def support_algebra_dim(
 ) -> int:
     """Dimension of the algebra generated by the part-side coefficients of the
     generators, expanded in a Hilbert-Schmidt product basis of the complement
-    and closed under multiplication."""
+    and closed under multiplication. Each generator is a (window, matrix)
+    pair, the matrix acting on all sites of the window."""
     gens = list(gens)
     if not gens:
         return 0
-    sites = gens[0].sites
     d = sites.dim
     peff = sorted(
         {
             j
-            for g in gens
-            for j in g.window.sites()
+            for w, _ in gens
+            for j in w.sites()
             if part.contains_site(j)
         }
     )
@@ -66,17 +73,17 @@ def support_algebra_dim(
         raise WindowCapExceeded(f"support window dimension {Dp} exceeds cap {cap}")
 
     coeffs: list[np.ndarray] = []
-    for g in gens:
-        if g.window.is_empty:
-            if abs(g.mat[0, 0]) > 1e-12:
+    for w, mat in gens:
+        if w.is_empty:
+            if abs(mat[0, 0]) > 1e-12:
                 coeffs.append(np.eye(Dp, dtype=complex).reshape(1, Dp, Dp))
             continue
-        wsites = list(g.window.sites())
+        wsites = list(w.sites())
         n = len(wsites)
         ov = [i for i, j in enumerate(wsites) if part.contains_site(j)]
         out = [i for i in range(n) if i not in ov]
         dims = [d] * n
-        arr = g.mat.reshape(dims + dims)
+        arr = mat.reshape(dims + dims)
         order = ov + out
         arr = arr.transpose([o for o in order] + [n + o for o in order])
         Dov = d ** len(ov)
@@ -84,7 +91,7 @@ def support_algebra_dim(
         arr = arr.reshape(Dov, Dout, Dov, Dout).transpose(1, 3, 0, 2).reshape(
             Dout * Dout, Dov, Dov
         )
-        scale = max(1.0, float(np.max(np.abs(g.mat))))
+        scale = max(1.0, float(np.max(np.abs(mat))))
         norms = np.linalg.norm(arr.reshape(arr.shape[0], -1), axis=1)
         block = arr[norms > 1e-12 * scale]
         if block.size == 0:

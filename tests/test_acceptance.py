@@ -17,20 +17,18 @@ from chainomaly.grpcoh import (
     coboundary,
     cohomology,
 )
-from chainomaly.opwin import SiteSpec, Window
+from chainomaly.opwin import SiteSpec
 from chainomaly.qca import (
     BlockLayer,
     GateTemplate,
     QcaExpr,
     ShiftPrimitive,
-    apply,
     compose,
     gnvw_numeric,
     gnvw_symbolic,
-    single_gate_expr,
 )
 
-from conftest import random_unitary
+from conftest import image, random_unitary, single_gate_expr, slot_product
 from helpers_free_fermion import free_fermion_levels
 from helpers_support_algebra import support_dims
 
@@ -55,9 +53,9 @@ def test_criterion_1_levin_gu_pipeline():
         report = anm.anomaly_class(anm.levin_gu_action())
         # obstruction unitary at the cut is the Pauli Z up to gauge
         _, vt = anm.omega_cocycle(anm.levin_gu_action())
-        v11 = vt.gate(1, 1)
-        assert v11.window == Window(0, 0)
-        assert np.allclose(v11.mat, opwin.PAULI_Z, atol=1e-9)
+        slots, v11 = vt.gate(1, 1)
+        assert slots == (0,)
+        assert np.allclose(v11, opwin.PAULI_Z, atol=1e-9)
         assert report.omega.at(1, 1, 1) == Fraction(1, 2)
         assert max(
             d["snap_error"] for d in report.diagnostics["omega"].values()
@@ -179,22 +177,19 @@ def test_criterion_6_cocycle_robustness(rng):
             for g in G.elements():
                 lo = int(rng.integers(0, 3))
                 hi = min(4, lo + int(rng.integers(0, 2)))
-                w = Window(lo, hi)
-                U[g] = opwin.LocalOperator(s2, w, random_unitary(2 ** w.length, rng))
+                slots = tuple(range(lo, hi + 1))
+                U[g] = (slots, random_unitary(2 ** len(slots), rng))
             beta_t = {
-                g: compose(beta[g], single_gate_expr(s2, U[g])) for g in G.elements()
+                g: compose(beta[g], single_gate_expr(s2, *U[g])) for g in G.elements()
             }
             vt_t = anm.VTable(entries={}, residuals={})
             for g1 in G.elements():
                 for g2 in G.elements():
                     g12 = G.mul(g1, g2)
-                    left = apply(beta[g1], U[g1])
-                    right = apply(
-                        beta[g12], opwin.product(U[g2], opwin.adjoint(U[g12]))
-                    )
-                    vt_t.entries[(g1, g2)] = opwin.product(
-                        opwin.product(left, vt.gate(g1, g2)), right
-                    )
+                    left = image(beta[g1], U[g1])
+                    u12_dag = (U[g12][0], U[g12][1].conj().T)
+                    right = image(beta[g12], slot_product(s2, U[g2], u12_dag))
+                    vt_t.entries[(g1, g2)] = slot_product(s2, left, vt.gate(g1, g2), right)
             om_t = anm.omega_from_vtable(G, beta_t, vt_t, den_cap=48)
             assert om_t.values == om.values
         # >= 10 random rephasings: exact coboundary shift, class unchanged
@@ -205,10 +200,8 @@ def test_criterion_6_cocycle_robustness(rng):
                 G, 2, lambda g, h: Fraction(int(rng.integers(0, 12)), 12)
             )
             vt2 = anm.VTable(entries={}, residuals={})
-            for (g, h), gate in vt.entries.items():
-                vt2.entries[(g, h)] = opwin.scale(
-                    gate, np.exp(2j * np.pi * float(theta.at(g, h)))
-                )
+            for (g, h), (slots, mat) in vt.entries.items():
+                vt2.entries[(g, h)] = (slots, np.exp(2j * np.pi * float(theta.at(g, h))) * mat)
             om2 = anm.omega_from_vtable(G, beta, vt2, den_cap=48)
             assert (om2 - om).values == coboundary(-theta).values
             assert class_of(om2, H).residues == base_class.residues

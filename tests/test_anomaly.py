@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chainomaly import opwin, qca
+from chainomaly import qca
 from chainomaly import anomaly as anm
 from chainomaly.errors import (
     NotAHomomorphism,
     NotIdentityOutside,
     NotInner,
     NotProjective,
+    NotScalar,
     ShiftsPresent,
     SnapFailure,
 )
@@ -22,30 +23,27 @@ from chainomaly.grpcoh import (
     cohomology,
     is_cocycle,
 )
-from chainomaly.opwin import (
-    PAULI_X,
-    PAULI_Z,
-    LocalOperator,
-    SiteSpec,
-    Window,
-    one_site,
-    op_distance,
-)
+from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec, Window
 from chainomaly.qca import (
     BlockLayer,
     GateTemplate,
     QcaExpr,
     ShiftPrimitive,
     action_distance_on_units,
-    apply,
     compose,
     identity_expr,
     invert,
     matrix_unit_batch,
-    single_gate_expr,
 )
 
-from conftest import random_unitary
+from conftest import (
+    image,
+    on_union,
+    random_unitary,
+    single_gate_expr,
+    slot_distance,
+    slot_product,
+)
 
 S2 = SiteSpec((2,))
 
@@ -105,16 +103,15 @@ def test_restrict_right_truncates_gates():
     beta = anm.restrict_right(act.expr(1))
     # identity to the left of the cut
     for j in (-3, -2, -1):
-        probe = one_site(S2, j, PAULI_X)
-        assert op_distance(apply(beta, probe), probe) <= 1e-12
+        probe = ((j,), PAULI_X)
+        assert slot_distance(S2, image(beta, probe), probe) <= 1e-12
     # acts like the full automorphism well to the right
-    x5 = one_site(S2, 5, PAULI_X)
-    full = apply(act.expr(1), x5)
-    assert op_distance(apply(beta, x5), full) <= 1e-12
+    x5 = ((5,), PAULI_X)
+    full = image(act.expr(1), x5)
+    assert slot_distance(S2, image(beta, x5), full) <= 1e-12
     # boundary site keeps only the right bond gate
-    x0 = one_site(S2, 0, PAULI_X)
-    expected = opwin.product(one_site(S2, 0, PAULI_X), one_site(S2, 1, PAULI_Z))
-    assert op_distance(apply(beta, x0), expected) <= 1e-12
+    expected = ((0, 1), np.kron(PAULI_X, PAULI_Z))
+    assert slot_distance(S2, image(beta, ((0,), PAULI_X)), expected) <= 1e-12
 
 
 def test_restrict_right_rejects_shifts():
@@ -126,38 +123,39 @@ def test_restrict_right_rejects_shifts():
 def test_restrict_right_onsite_layer():
     act = anm.onsite_flip_action()
     beta = anm.restrict_right(act.expr(1))
-    z0 = one_site(S2, 0, PAULI_Z)
-    assert op_distance(apply(beta, z0), opwin.scale(z0, -1)) <= 1e-12
-    zm = one_site(S2, -1, PAULI_Z)
-    assert op_distance(apply(beta, zm), zm) <= 1e-12
+    z0 = ((0,), PAULI_Z)
+    assert slot_distance(S2, image(beta, z0), ((0,), -PAULI_Z)) <= 1e-12
+    zm = ((-1,), PAULI_Z)
+    assert slot_distance(S2, image(beta, zm), zm) <= 1e-12
 
 
 # -- extraction --------------------------------------------------------------------------
 
 def test_extract_levin_gu_square_is_z0():
     beta = anm.restrict_right(anm.levin_gu_action().expr(1))
-    gate = anm.extract_implementing_unitary(compose(beta, beta), Window(0, 1))
-    assert gate.window == Window(0, 0)
-    assert np.allclose(gate.mat, PAULI_Z, atol=1e-9)
+    (slots, mat), _ = anm._extract_once(compose(beta, beta), Window(0, 1))
+    assert slots == (0,)
+    assert np.allclose(mat, PAULI_Z, atol=1e-9)
 
 
 def test_extract_identity():
-    gate = anm.extract_implementing_unitary(identity_expr(S2), Window(0, 1))
-    assert gate.window.is_empty
-    assert abs(gate.mat[0, 0] - 1.0) <= 1e-12
+    (slots, mat), _ = anm._extract_once(identity_expr(S2), Window(0, 1))
+    assert slots == ()
+    assert abs(mat[0, 0] - 1.0) <= 1e-12
 
 
 def test_extract_random_gate_recovers_it(rng):
     u = random_unitary(4, rng)
-    loc = LocalOperator(S2, Window(0, 1), u)
-    e = single_gate_expr(S2, loc)
+    e = single_gate_expr(S2, (0, 1), u)
     gate, resid = anm._extract_search(e)
     assert resid <= 1e-9
     # same gauge normalization applied to the input reproduces it exactly
     flat = u.reshape(-1)
     idx = next(i for i in range(flat.size) if abs(flat[i]) > 0.5 / 2)
     u_gauged = u * (flat[idx].conjugate() / abs(flat[idx]))
-    assert np.max(np.abs(opwin.embed(gate, Window(0, 1)).mat - u_gauged)) <= 1e-9
+    union, (mat, _) = on_union(S2, gate, ((0, 1), u))
+    assert union == (0, 1)
+    assert np.max(np.abs(mat - u_gauged)) <= 1e-9
 
 
 def test_extract_rejects_non_inner():
@@ -174,7 +172,7 @@ def test_vtable_invariant_levin_gu():
     units = matrix_unit_batch(2)
     for (g, h), gate in vt.entries.items():
         target = compose(beta[g], compose(beta[h], invert(beta[G.mul(g, h)])))
-        conj = single_gate_expr(S2, gate) if not gate.window.is_empty else identity_expr(S2)
+        conj = single_gate_expr(S2, *gate)
         for j in (0, 1, 2):
             assert action_distance_on_units(target, conj, Window.site(j), units) <= 1e-9
 
@@ -208,9 +206,9 @@ def test_omega_rephasing_shifts_by_coboundary(rng):
             G, 2, lambda g, h: Fraction(int(rng.integers(0, 8)), 8)
         )
         vt2 = anm.VTable(entries={}, residuals={})
-        for (g, h), gate in vt.entries.items():
+        for (g, h), (slots, mat) in vt.entries.items():
             phase = np.exp(2j * np.pi * float(theta.at(g, h)))
-            vt2.entries[(g, h)] = opwin.scale(gate, phase)
+            vt2.entries[(g, h)] = (slots, phase * mat)
         om2 = anm.omega_from_vtable(G, beta, vt2, den_cap=48)
         diff = om2 - om
         # with the alternating-sum orientation the shift is d(-theta)
@@ -232,24 +230,33 @@ def test_omega_beta_independence_exact(rng):
         for g in G.elements():
             lo = int(rng.integers(0, 3))
             hi = min(4, lo + int(rng.integers(0, 2)))
-            w = Window(lo, hi)
-            U[g] = LocalOperator(S2, w, random_unitary(2 ** w.length, rng))
+            slots = tuple(range(lo, hi + 1))
+            U[g] = (slots, random_unitary(2 ** len(slots), rng))
         beta_t = {
-            g: compose(beta[g], single_gate_expr(S2, U[g])) for g in G.elements()
+            g: compose(beta[g], single_gate_expr(S2, *U[g])) for g in G.elements()
         }
         vt_t = anm.VTable(entries={}, residuals={})
         for g1 in G.elements():
             for g2 in G.elements():
                 g12 = G.mul(g1, g2)
-                left = apply(beta[g1], U[g1])
-                right = apply(
-                    beta[g12], opwin.product(U[g2], opwin.adjoint(U[g12]))
-                )
-                vt_t.entries[(g1, g2)] = opwin.product(
-                    opwin.product(left, vt0.gate(g1, g2)), right
-                )
+                left = image(beta[g1], U[g1])
+                u12_dag = (U[g12][0], U[g12][1].conj().T)
+                right = image(beta[g12], slot_product(S2, U[g2], u12_dag))
+                vt_t.entries[(g1, g2)] = slot_product(S2, left, vt0.gate(g1, g2), right)
         om_t = anm.omega_from_vtable(G, beta_t, vt_t, den_cap=48)
         assert om_t.values == om0.values
+
+
+def test_non_scalar_associator_names_the_tuple():
+    # V(-1,-1) = Z0 times X0: beta_(-1) maps it to a product that leaves
+    # Z1 behind, so omega(-1,-1,-1) is not a multiple of the identity
+    act = anm.levin_gu_action()
+    G = act.group
+    _, vt = anm.omega_cocycle(act)
+    beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
+    vt.entries[(1, 1)] = slot_product(S2, ((0,), PAULI_X), vt.entries[(1, 1)])
+    with pytest.raises(NotScalar, match=r"omega\(-1, -1, -1\): product is not"):
+        anm.omega_from_vtable(G, beta, vt, den_cap=48)
 
 
 def test_omega_pentagon_exact():
@@ -396,13 +403,14 @@ def test_lsm_obstruction_is_projective_matrix_on_one_site():
     ab = (g, 1)
     ev = compose(beta[a], compose(beta[b], invert(beta[ab])))
     gate, _ = anm._extract_search(ev)
-    assert gate.window == Window(0, 0)
+    assert qca._site_span(SiteSpec((2, 2)), gate[0]) == Window(0, 0)
     expected = np.kron(PAULI_X, np.eye(2))
     # same gauge rule applied to the expected matrix
     flat = expected.reshape(-1)
     idx = next(i for i in range(flat.size) if abs(flat[i]) > 0.5 / 2)
     expected = expected * (flat[idx].conjugate() / abs(flat[idx]))
-    assert np.max(np.abs(gate.mat - expected)) <= 1e-9
+    _, (mat, _) = on_union(SiteSpec((2, 2)), gate, ((0, 1), expected))
+    assert np.max(np.abs(mat - expected)) <= 1e-9
 
 
 def test_lsm_stacked_expr_balances_the_whole_action():
@@ -445,8 +453,7 @@ def test_conjugated_action_same_class(rng):
     # conjugating the whole action by a local unitary near the cut leaves the
     # class (and here even the snapped cocycle) unchanged
     act = anm.levin_gu_action()
-    W = LocalOperator(S2, Window(0, 1), random_unitary(4, rng))
-    wexpr = single_gate_expr(S2, W)
+    wexpr = single_gate_expr(S2, (0, 1), random_unitary(4, rng))
     conj = compose(wexpr, compose(act.expr(1), invert(wexpr)))
     act2 = anm.ActionSpec(act.group, S2, (identity_expr(S2), conj))
     base = anm.anomaly_class(act)
@@ -508,11 +515,10 @@ def test_inner_action_not_anomalous(rng):
     h = h + h.conj().T
     evals, evecs = np.linalg.eigh(h)
     w = evecs @ np.diag(np.where(evals > np.median(evals), 1.0, -1.0)) @ evecs.conj().T
-    gate = LocalOperator(S2, Window(0, 2), w)
     act = anm.ActionSpec(
         FiniteGroup.cyclic(2),
         S2,
-        (identity_expr(S2), single_gate_expr(S2, gate)),
+        (identity_expr(S2), single_gate_expr(S2, (0, 1, 2), w)),
     )
     rep = anm.anomaly_class(act)
     assert rep.verdict == "NonAnomalous"

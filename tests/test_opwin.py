@@ -5,53 +5,43 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainomaly import opwin
-from chainomaly.errors import ValidationError, WindowCapExceeded, WindowMismatch
+from chainomaly import _tensors as tz
+from chainomaly import qca
+from chainomaly.errors import ValidationError, WindowCapExceeded
 from chainomaly.opwin import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    LocalOperator,
     SiteSpec,
     Window,
-    adjoint,
-    conditional_expectation,
-    embed,
-    identity_on,
     matrix_from_pairs,
     matrix_to_pairs,
-    matrix_unit,
-    one_site,
-    op_distance,
-    product,
-    scale,
-    trim,
 )
 
-from conftest import random_unitary
+from conftest import on_union, random_unitary, slot_distance, slot_product
 
 S2 = SiteSpec((2,))
 
 
-def rand_op(rng, window, d=2, hermitian=False):
-    n = d ** window.length
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    if hermitian:
-        m = m + m.conj().T
-    return LocalOperator(SiteSpec((d,)), window, m)
+def rand_mat(rng, n, d=2):
+    D = d ** n
+    return rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+
+
+def expect(mat, dims, keep):
+    """Normalized partial trace onto the factors `keep`."""
+    return tz.partial_trace_keep_batch(mat[None], dims, keep, normalized=True)[0]
 
 
 # -- windows ---------------------------------------------------------------
 
 def test_window_algebra():
-    assert Window(0, 3).union(Window(5, 6)) == Window(0, 6)
-    assert Window(0, 3).intersection(Window(2, 5)) == Window(2, 3)
-    assert Window(0, 1).intersection(Window(3, 4)).is_empty
-    assert Window.empty().union(Window(1, 2)) == Window(1, 2)
-    assert Window(0, 2).contains(Window(1, 1))
-    assert Window(0, 2).contains(Window.empty())
-    assert not Window(0, 2).contains(Window(0, 3))
     assert Window(3, 1).is_empty  # normalizes to the canonical empty window
+    assert Window(3, 1) == Window.empty() and str(Window.empty()) == "[]"
+    assert Window(-1, 2).length == 4 and list(Window(-1, 2).sites()) == [-1, 0, 1, 2]
+    assert Window(0, 2).contains_site(2) and not Window(0, 2).contains_site(3)
+    assert not Window.empty().contains_site(0)
+    assert str(Window.site(5)) == "[5,5]"
 
 
 def test_sitespec_validation():
@@ -62,187 +52,156 @@ def test_sitespec_validation():
         SiteSpec(())
 
 
-# -- embed -------------------------------------------------------------------
+# -- embedding -----------------------------------------------------------------
 
 def test_embed_z_tensors_identity():
-    z = one_site(S2, 0, PAULI_Z)
-    e = embed(z, Window(0, 1))
-    assert np.allclose(e.mat, np.diag([1, 1, -1, -1]))
+    e = tz.embed_factors(PAULI_Z, [2, 2], [0])
+    assert np.allclose(e, np.diag([1, 1, -1, -1]))
 
 
 def test_embed_identity_any_window():
-    i = one_site(S2, 3, np.eye(2))
-    e = embed(i, Window(1, 5))
-    assert np.allclose(e.mat, np.eye(2 ** 5))
+    e = tz.embed_factors(np.eye(2), [2] * 5, [2])
+    assert np.allclose(e, np.eye(2 ** 5))
 
 
 def test_embed_nested_matches_direct(rng):
-    # two-step embedding equals the one-step embedding, entry for entry
-    a = rand_op(rng, Window(0, 0))
-    two_step = embed(embed(a, Window(0, 1)), Window(-1, 2))
-    one_step = embed(a, Window(-1, 2))
-    assert np.allclose(two_step.mat, one_step.mat, atol=1e-12)
-
-
-def test_embed_rejects_bad_target():
-    z = one_site(S2, 0, PAULI_Z)
-    with pytest.raises(WindowMismatch):
-        embed(z, Window(1, 2))
+    # two-step embedding equals the one-step embedding, entry for entry:
+    # a on factor 1 of [0, 1], then [0, 1] on factors 1, 2 of four
+    a = rand_mat(rng, 1)
+    two_step = tz.embed_factors(tz.embed_factors(a, [2, 2], [0]), [2] * 4, [1, 2])
+    one_step = tz.embed_factors(a, [2] * 4, [1])
+    assert np.allclose(two_step, one_step, atol=1e-12)
 
 
 def test_embed_scalar():
-    s = opwin.scalar(S2, 2.5)
-    e = embed(s, Window(0, 1))
-    assert np.allclose(e.mat, 2.5 * np.eye(4))
+    e = tz.embed_factors(np.array([[2.5]]), [2, 2], [])
+    assert np.allclose(e, 2.5 * np.eye(4))
 
 
 def test_embed_cap():
-    z = one_site(S2, 0, PAULI_Z)
+    # the union of three one-slot operators has dimension 8
+    ops = [((j,), PAULI_Z) for j in range(3)]
+    assert on_union(S2, *ops, dim_cap=8)[0] == (0, 1, 2)
     with pytest.raises(WindowCapExceeded):
-        embed(z, Window(0, 12))  # 13 sites > 4096 dims
+        on_union(S2, *ops, dim_cap=4)
 
 
 @given(seed=st.integers(0, 10 ** 6))
 def test_embed_preserves_norm(seed):
     rng = np.random.default_rng(seed)
-    w = Window(0, int(rng.integers(0, 2)))
-    a = rand_op(rng, w)
-    big = embed(a, Window(-1, 2))
-    assert abs(big.norm() - a.norm()) <= 1e-12 * max(1.0, a.norm())
+    n = int(rng.integers(1, 3))
+    a = rand_mat(rng, n)
+    big = tz.embed_factors(a, [2] * 4, list(range(1, 1 + n)))
+    norm_a = tz.operator_norm(a)
+    assert abs(tz.operator_norm(big) - norm_a) <= 1e-12 * max(1.0, norm_a)
 
 
-# -- product ------------------------------------------------------------------
+# -- products on the union of slots ----------------------------------------------
 
 def test_product_pauli_same_site():
-    x = one_site(S2, 0, PAULI_X)
-    z = one_site(S2, 0, PAULI_Z)
-    xz = product(x, z)
-    assert np.allclose(xz.mat, -1j * PAULI_Y)
+    union, xz = slot_product(S2, ((0,), PAULI_X), ((0,), PAULI_Z))
+    assert union == (0,)
+    assert np.allclose(xz, -1j * PAULI_Y)
 
 
 def test_product_disjoint_supports():
-    z = one_site(S2, 0, PAULI_Z)
-    x = one_site(S2, 1, PAULI_X)
-    zx = product(z, x)
-    assert zx.window == Window(0, 1)
-    assert np.allclose(zx.mat, np.kron(PAULI_Z, PAULI_X))
-    assert np.allclose(product(x, z).mat, zx.mat)  # disjoint supports commute
+    z, x = ((0,), PAULI_Z), ((1,), PAULI_X)
+    union, zx = slot_product(S2, z, x)
+    assert union == (0, 1)
+    assert np.allclose(zx, np.kron(PAULI_Z, PAULI_X))
+    assert np.allclose(slot_product(S2, x, z)[1], zx)  # disjoint supports commute
 
 
 @given(seed=st.integers(0, 10 ** 6))
 def test_product_with_inverse(seed):
     rng = np.random.default_rng(seed)
     u = random_unitary(4, rng)
-    a = LocalOperator(S2, Window(0, 1), u)
-    ainv = LocalOperator(S2, Window(0, 1), np.linalg.inv(u))
-    p = product(a, ainv)
-    assert np.allclose(p.mat, np.eye(4), atol=1e-12)
+    _, p = slot_product(S2, ((0, 1), u), ((0, 1), np.linalg.inv(u)))
+    assert np.allclose(p, np.eye(4), atol=1e-12)
 
 
 @given(seed=st.integers(0, 10 ** 6))
 def test_product_associative(seed):
     rng = np.random.default_rng(seed)
-    ops = [rand_op(rng, Window(int(rng.integers(-1, 2)), 0).union(Window(0, 0)))
-           for _ in range(3)]
+    ops = []
+    for _ in range(3):
+        slots = tuple(range(int(rng.integers(-1, 1)), 1))
+        ops.append((slots, rand_mat(rng, len(slots))))
     a, b, c = ops
-    left = product(product(a, b), c)
-    right = product(a, product(b, c))
-    assert op_distance(left, right) <= 1e-12 * max(1.0, left.norm())
+    left = slot_product(S2, slot_product(S2, a, b), c)
+    right = slot_product(S2, a, slot_product(S2, b, c))
+    assert left[0] == right[0]
+    assert slot_distance(S2, left, right) <= 1e-12 * max(1.0, tz.operator_norm(left[1]))
 
 
-def test_product_rejects_mixed_sitespecs():
-    a = one_site(S2, 0, PAULI_Z)
-    b = one_site(SiteSpec((3,)), 0, np.eye(3))
-    with pytest.raises(WindowMismatch):
-        product(a, b)
-
-
-# -- conditional expectation ----------------------------------------------------
+# -- normalized partial trace (conditional expectation) ------------------------
 
 def test_expectation_traceless_to_scalar_zero():
-    z = one_site(S2, 0, PAULI_Z)
-    out = conditional_expectation(z, Window.empty())
-    assert out.window.is_empty
-    assert abs(out.mat[0, 0]) == 0
+    out = expect(PAULI_Z, [2], [])
+    assert out.shape == (1, 1)
+    assert abs(out[0, 0]) == 0
 
 
 def test_expectation_partner_traceless():
-    zz = product(one_site(S2, 0, PAULI_Z), one_site(S2, 1, PAULI_Z))
-    out = conditional_expectation(zz, Window(0, 0))
-    assert np.allclose(out.mat, 0)
+    out = expect(np.kron(PAULI_Z, PAULI_Z), [2, 2], [0])
+    assert np.allclose(out, 0)
 
 
 def test_expectation_identity_factor():
-    z0 = embed(one_site(S2, 0, PAULI_Z), Window(0, 1))
-    out = conditional_expectation(z0, Window(0, 0))
-    assert np.allclose(out.mat, PAULI_Z)
-
-
-def test_expectation_requires_containment():
-    z = one_site(S2, 0, PAULI_Z)
-    with pytest.raises(WindowMismatch):
-        conditional_expectation(z, Window(1, 1))
+    out = expect(tz.embed_factors(PAULI_Z, [2, 2], [0]), [2, 2], [0])
+    assert np.allclose(out, PAULI_Z)
 
 
 @given(seed=st.integers(0, 10 ** 6))
 def test_expectation_properties(seed):
     rng = np.random.default_rng(seed)
-    w = Window(0, int(rng.integers(1, 4)))  # window length <= 4
-    keep = Window(0, int(rng.integers(0, w.hi + 1)))
-    a = rand_op(rng, w)
-    ea = conditional_expectation(a, keep)
+    n = int(rng.integers(2, 5))  # window length <= 4
+    k = int(rng.integers(1, n + 1))
+    dims, keep = [2] * n, list(range(k))
+    a = rand_mat(rng, n)
+    norm_a = tz.operator_norm(a)
+    ea = expect(a, dims, keep)
     # idempotent and contractive
-    assert op_distance(conditional_expectation(embed(ea, w), keep), ea) <= 1e-12 * a.norm()
-    assert ea.norm() <= a.norm() + 1e-12
+    again = expect(tz.embed_factors(ea, dims, keep), dims, keep)
+    assert tz.operator_norm(again - ea) <= 1e-12 * norm_a
+    assert tz.operator_norm(ea) <= norm_a + 1e-12
     # unital
-    ident = identity_on(S2, w)
-    assert op_distance(conditional_expectation(ident, keep), identity_on(S2, keep)) <= 1e-12
+    assert tz.operator_norm(expect(np.eye(2 ** n), dims, keep) - np.eye(2 ** k)) <= 1e-12
     # bimodule law for operators supported inside keep
-    b = rand_op(rng, keep)
-    lhs = conditional_expectation(product(embed(b, w), a), keep)
-    rhs = product(b, ea)
-    assert op_distance(lhs, rhs) <= 1e-12 * max(1.0, b.norm() * a.norm())
+    b = rand_mat(rng, k)
+    lhs = expect(tz.embed_factors(b, dims, keep) @ a, dims, keep)
+    assert tz.operator_norm(lhs - b @ ea) <= 1e-12 * max(1.0, tz.operator_norm(b) * norm_a)
 
 
-# -- distance ---------------------------------------------------------------------
+# -- distance on the union of slots ------------------------------------------------
 
 def test_distance_examples():
-    x = one_site(S2, 0, PAULI_X)
-    z = one_site(S2, 0, PAULI_Z)
-    assert op_distance(x, x) == 0
-    assert abs(op_distance(z, scale(z, -1)) - 2.0) <= 1e-12
-    # eigenvalues of X - Z are +-sqrt(2)
-    assert abs(op_distance(x, z) - math.sqrt(2)) <= 1e-12
+    x, z = ((0,), PAULI_X), ((0,), PAULI_Z)
+    assert slot_distance(S2, x, x) == 0
+    assert abs(slot_distance(S2, z, ((0,), -PAULI_Z)) - 2 * math.sqrt(2)) <= 1e-12
+    # Frobenius norm of X - Z: four unit entries
+    assert abs(slot_distance(S2, x, z) - 2.0) <= 1e-12
 
 
 def test_distance_across_windows():
-    x0 = one_site(S2, 0, PAULI_X)
-    x1 = one_site(S2, 1, PAULI_X)
-    d = op_distance(x0, x1)
+    d = slot_distance(S2, ((0,), PAULI_X), ((1,), PAULI_X))
     assert d > 1.0  # genuinely different operators
 
 
 # -- misc -------------------------------------------------------------------------
 
-def test_adjoint_and_scale():
-    y = one_site(S2, 0, PAULI_Y)
-    assert np.allclose(adjoint(y).mat, PAULI_Y)
-    assert np.allclose(scale(y, 2j).mat, 2j * PAULI_Y)
-
-
 def test_trim_drops_identity_sites():
-    z = embed(one_site(S2, 1, PAULI_Z), Window(0, 2))
-    t = trim(z)
-    assert t.window == Window(1, 1)
-    assert np.allclose(t.mat, PAULI_Z)
-    c = scale(identity_on(S2, Window(0, 1)), 3.0)
-    tc = trim(c)
-    assert tc.window.is_empty and tc.mat[0, 0] == 3.0
+    z = tz.embed_factors(PAULI_Z, [2, 2, 2], [1])
+    slots, t = qca._trim_batch(S2, (0, 1, 2), z[None], (0, 1, 2))
+    assert slots == (1,)
+    assert np.allclose(t[0], PAULI_Z)
+    slots, tc = qca._trim_batch(S2, (0, 1), 3.0 * np.eye(4)[None], (0, 1))
+    assert slots == () and tc[0, 0, 0] == 3.0
 
 
 def test_matrix_unit():
-    e01 = matrix_unit(S2, 0, 0, 1)
-    assert e01.mat[0, 1] == 1 and np.count_nonzero(e01.mat) == 1
+    e01 = qca.matrix_unit_batch(2)[1]
+    assert e01[0, 1] == 1 and np.count_nonzero(e01) == 1
 
 
 def test_matrix_literal_roundtrip():

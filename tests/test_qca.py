@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainomaly import opwin, qca
+from chainomaly import _tensors as tz
+from chainomaly import qca
 from chainomaly.anomaly import levin_gu_action
 from chainomaly.errors import (
     NonZeroIndex,
@@ -11,7 +12,7 @@ from chainomaly.errors import (
     ValidationError,
     WindowCapExceeded,
 )
-from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec, Window, one_site, op_distance
+from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec, Window
 from chainomaly.qca import (
     BlockLayer,
     GateTemplate,
@@ -19,7 +20,6 @@ from chainomaly.qca import (
     QcaExpr,
     ShiftPrimitive,
     action_distance_on_units,
-    apply,
     balance_shifts,
     compose,
     expr_from_data,
@@ -30,10 +30,9 @@ from chainomaly.qca import (
     invert,
     matrix_unit_batch,
     radius,
-    single_gate_expr,
 )
 
-from conftest import random_unitary
+from conftest import image, random_unitary, single_gate_expr, slot_distance, slot_product
 from helpers_support_algebra import support_algebra_dim, support_dims, unit_images
 
 S2 = SiteSpec((2,))
@@ -52,9 +51,14 @@ def random_two_site_layer(rng, d=2, anchor=0):
 
 
 def random_probe(rng, sites, window):
+    """A random operator on all slots of `window`, as (slots, matrix)."""
     n = sites.dim ** window.length
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return opwin.LocalOperator(sites, window, m)
+    return qca._slots_of_window(sites, window), m
+
+
+def norm(op) -> float:
+    return tz.operator_norm(op[1])
 
 
 # -- structure validation ------------------------------------------------------
@@ -84,33 +88,38 @@ def test_radius():
         ),
     )
     assert radius(e) == 3
+    # a run of shifts moves each register rigidly by its net displacement
+    s22 = SiteSpec((2, 2))
+    opposed = QcaExpr(s22, (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1)))
+    assert radius(opposed) == 1
+    assert radius(QcaExpr(S2, (ShiftPrimitive(0, 1), ShiftPrimitive(0, -1)))) == 0
+    # a layer between two runs still mixes them: 1 + 0 + 1
+    swap = BlockLayer(1, (GateTemplate(0, 1, SWAP4),))
+    split = QcaExpr(s22, (ShiftPrimitive(0, 1), swap, ShiftPrimitive(1, 1)))
+    assert radius(split) == 2
 
 
-# -- apply -----------------------------------------------------------------------
+# -- the slot engine -----------------------------------------------------------------
 
 def test_shift_moves_operators():
     e = shift_expr(S2, 0, 1)
-    x0 = one_site(S2, 0, PAULI_X)
-    out = apply(e, x0)
-    assert out.window == Window(1, 1)
-    assert np.allclose(out.mat, PAULI_X)
+    slots, mat = image(e, ((0,), PAULI_X))
+    assert slots == (1,)
+    assert np.allclose(mat, PAULI_X)
 
 
 def test_levin_gu_generator_action():
     gamma = levin_gu_action().expr(1)
-    z0 = one_site(S2, 0, PAULI_Z)
-    assert op_distance(apply(gamma, z0), opwin.scale(z0, -1)) <= 1e-12
-    x0 = one_site(S2, 0, PAULI_X)
-    zxz = opwin.product(
-        opwin.product(one_site(S2, -1, PAULI_Z), x0), one_site(S2, 1, PAULI_Z)
-    )
-    assert op_distance(apply(gamma, x0), zxz) <= 1e-12
+    z0 = ((0,), PAULI_Z)
+    assert slot_distance(S2, image(gamma, z0), ((0,), -PAULI_Z)) <= 1e-12
+    zxz = ((-1, 0, 1), np.kron(np.kron(PAULI_Z, PAULI_X), PAULI_Z))
+    assert slot_distance(S2, image(gamma, ((0,), PAULI_X)), zxz) <= 1e-12
 
 
 def test_apply_scalar_passthrough():
     e = shift_expr(S2, 0, 1)
-    s = opwin.scalar(S2, 3j)
-    assert apply(e, s).mat[0, 0] == 3j
+    slots, mat = image(e, ((), np.array([[3j]])))
+    assert slots == () and mat[0, 0] == 3j
 
 
 @given(seed=st.integers(0, 10 ** 6))
@@ -124,16 +133,16 @@ def test_apply_is_isometric(seed):
         ),
     )
     a = random_probe(rng, S2, Window(0, 1))
-    out = apply(e, a)
-    assert abs(out.norm() - a.norm()) <= 1e-9 * max(1.0, a.norm())
+    out = image(e, a)
+    assert abs(norm(out) - norm(a)) <= 1e-9 * max(1.0, norm(a))
 
 
 def test_apply_window_growth_bounded():
     rng = np.random.default_rng(5)
     e = QcaExpr(S2, (random_two_site_layer(rng),) * 2)
     a = random_probe(rng, S2, Window(0, 0))
-    out = apply(e, a)
-    assert Window(-radius(e), radius(e)).contains(out.window)
+    slots, _ = image(e, a)
+    assert all(-radius(e) <= s <= radius(e) for s in slots)
 
 
 def test_apply_cap():
@@ -142,7 +151,7 @@ def test_apply_cap():
     e = QcaExpr(S2, layers)
     a = random_probe(rng, S2, Window(0, 1))
     with pytest.raises(WindowCapExceeded):
-        apply(e, a, dim_cap=64)
+        image(e, a, dim_cap=64)
 
 
 # -- compose and invert ------------------------------------------------------------
@@ -182,13 +191,13 @@ def test_levin_gu_is_involution():
 
 
 def test_compose_order_convention(rng):
-    # apply(compose(e1, e2), A) = apply(e1, apply(e2, A))
+    # compose(e1, e2) maps A to e1(e2(A))
     e1 = QcaExpr(S2, (random_two_site_layer(rng),))
     e2 = shift_expr(S2, 0, 1)
     a = random_probe(rng, S2, Window(0, 0))
-    lhs = apply(compose(e1, e2), a)
-    rhs = apply(e1, apply(e2, a))
-    assert op_distance(lhs, rhs) <= 1e-12 * max(1.0, a.norm())
+    lhs = image(compose(e1, e2), a)
+    rhs = image(e1, image(e2, a))
+    assert slot_distance(S2, lhs, rhs) <= 1e-12 * max(1.0, norm(a))
 
 
 # -- symbolic index ------------------------------------------------------------------
@@ -238,19 +247,19 @@ def test_primelog_arithmetic():
 # -- support algebras ------------------------------------------------------------------
 
 def test_support_algebra_zz():
-    zz = opwin.product(one_site(S2, 0, PAULI_Z), one_site(S2, 1, PAULI_Z))
-    assert support_algebra_dim([zz], Window(0, 0)) == 2
+    zz = (Window(0, 1), np.kron(PAULI_Z, PAULI_Z))
+    assert support_algebra_dim(S2, [zz], Window(0, 0)) == 2
 
 
 def test_support_algebra_swap_moves_full_matrix_algebra():
     swap_layer = QcaExpr(S2, (BlockLayer(2, (GateTemplate(-1, 2, SWAP4),)),))
     images = unit_images(swap_layer, Window(-1, -1))
-    assert support_algebra_dim(images, Window(0, 0)) == 4
+    assert support_algebra_dim(S2, images, Window(0, 0)) == 4
 
 
 def test_support_algebra_identity():
-    iden = opwin.identity_on(S2, Window(0, 0))
-    assert support_algebra_dim([iden], Window(3, 5)) == 1
+    iden = (Window(0, 0), np.eye(2, dtype=complex))
+    assert support_algebra_dim(S2, [iden], Window(3, 5)) == 1
 
 
 # -- numeric index ----------------------------------------------------------------------
@@ -311,6 +320,8 @@ def test_overlap_ratio_of_opposed_shifts():
     lr = qca._overlap(e, Window(-1, -1), Window(0, 1))
     rl = qca._overlap(e, Window(0, 0), Window(-2, -1))
     assert (lr, rl) == pytest.approx((4, 9), abs=1e-12)
+    # radius 1, so the d = 6 unit batch has 36 units, within the cap
+    assert gnvw_numeric(e).as_dict() == {2: 1, 3: -1}
 
 
 @settings(max_examples=10)
@@ -426,17 +437,17 @@ def test_expr_serialization_roundtrip(rng):
 
 def test_single_gate_expr(rng):
     u = random_unitary(4, rng)
-    gate = opwin.LocalOperator(S2, Window(2, 3), u)
-    e = single_gate_expr(S2, gate)
+    gate = ((2, 3), u)
+    e = single_gate_expr(S2, *gate)
     probe = random_probe(rng, S2, Window(2, 3))
-    expected = opwin.product(opwin.product(gate, probe), opwin.adjoint(gate))
-    assert op_distance(apply(e, probe), expected) <= 1e-9 * max(1.0, probe.norm())
+    expected = slot_product(S2, gate, probe, ((2, 3), u.conj().T))
+    assert slot_distance(S2, image(e, probe), expected) <= 1e-9 * max(1.0, norm(probe))
     far = random_probe(rng, S2, Window(5, 5))
-    assert op_distance(apply(e, far), far) <= 1e-12 * max(1.0, far.norm())
+    assert slot_distance(S2, image(e, far), far) <= 1e-12 * max(1.0, norm(far))
 
 
 def test_gnvw_numeric_input_cap():
-    # four-dimensional sites at radius 2 would need a 65536-element basis
+    # four-dimensional sites at radius 2 would need a 256-element unit batch
     s22 = SiteSpec((2, 2))
     e = QcaExpr(
         s22,
@@ -485,12 +496,11 @@ def test_balance_same_register_cancellation():
 def _dense_layer_apply(expr, op, margin):
     """Independent oracle: embed into one big window and conjugate by the
     product of all layer gates inside it (layer-only expressions)."""
-    big = Window(op.window.lo - margin, op.window.hi + margin)
-    mat = opwin.embed(op, big, dim_cap=1 << 16).mat
     R = expr.sites.nregisters
-    dims = [expr.sites.registers[s % R] for s in range(big.lo * R, (big.hi + 1) * R)]
-    from chainomaly import _tensors as tz
-
+    big = Window(min(op[0]) // R - margin, max(op[0]) // R + margin)
+    full = qca._slots_of_window(expr.sites, big)
+    dims = [expr.sites.registers[s % R] for s in full]
+    mat = tz.embed_factors(op[1], dims, [full.index(s) for s in op[0]])
     for step in expr.steps:
         assert isinstance(step, BlockLayer)
         total = np.eye(len(mat), dtype=complex)
@@ -511,7 +521,7 @@ def _dense_layer_apply(expr, op, margin):
                 pos = [s - big.lo * R for s in tmpl.slots_at(base, R)]
                 total = tz.embed_factors(tmpl.unitary, dims, pos) @ total
         mat = total @ mat @ total.conj().T
-    return opwin.LocalOperator(expr.sites, big, mat)
+    return full, mat
 
 
 @settings(max_examples=10)
@@ -527,9 +537,9 @@ def test_engine_matches_dense_conjugation(seed):
             steps.append(BlockLayer(1, (GateTemplate(0, 1, u),)))
     e = QcaExpr(S2, tuple(steps))
     a = random_probe(rng, S2, Window(0, int(rng.integers(0, 2))))
-    fast = apply(e, a)
+    fast = image(e, a)
     slow = _dense_layer_apply(e, a, radius(e) + 2)
-    assert op_distance(fast, slow, dim_cap=1 << 16) <= 1e-9 * max(1.0, a.norm())
+    assert slot_distance(S2, fast, slow, dim_cap=1 << 16) <= 1e-9 * max(1.0, norm(a))
 
 
 @settings(max_examples=10)
@@ -541,6 +551,6 @@ def test_engine_matches_dense_with_truncated_layers(seed):
 
     e = QcaExpr(S2, (replace(layer, min_site=0),))
     a = random_probe(rng, S2, Window(-1, 1))
-    fast = apply(e, a)
+    fast = image(e, a)
     slow = _dense_layer_apply(e, a, radius(e) + 2)
-    assert op_distance(fast, slow, dim_cap=1 << 16) <= 1e-9 * max(1.0, a.norm())
+    assert slot_distance(S2, fast, slow, dim_cap=1 << 16) <= 1e-9 * max(1.0, norm(a))
