@@ -76,17 +76,6 @@ def partial_trace_keep_batch(mats: np.ndarray, dims, keep, normalized=True) -> n
     return out
 
 
-def factor_is_trivial_batch(mats: np.ndarray, dims, idx, tol) -> bool:
-    """True if every operator in the batch acts as identity on factor `idx`,
-    i.e. equals (normalized partial trace over idx) tensor identity."""
-    n = len(dims)
-    keep = [i for i in range(n) if i != idx]
-    reduced = partial_trace_keep_batch(mats, dims, keep, normalized=True)
-    rebuilt = embed_factors_batch(reduced, dims, keep)
-    scale = max(1.0, float(np.max(np.abs(mats))) if mats.size else 1.0)
-    return bool(np.max(np.abs(rebuilt - mats)) <= tol * scale)
-
-
 def factor_swap_matrix(dims, i, j) -> np.ndarray:
     """Permutation matrix exchanging factors i and j (equal dimensions)."""
     if dims[i] != dims[j]:

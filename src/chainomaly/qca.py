@@ -12,7 +12,9 @@ tensor slot, numbered site * nregisters + register, and the matrix acts on
 the listed slots in ascending order (identity elsewhere). The slot engine
 `_run_batch` maps a batch of such matrices through an expression, trimming
 identity slots after every gate. That keeps swap-heavy circuits (stacked
-shift neutralizations) at small matrix sizes regardless of their depth.
+shift neutralizations) at small matrix sizes regardless of their depth. An
+operator is the identity on a slot exactly when, cut into blocks by that
+slot's index, its off-diagonal blocks vanish and its diagonal blocks agree.
 """
 
 from __future__ import annotations
@@ -302,16 +304,39 @@ def _layer_gates(layer: BlockLayer, sites: SiteSpec, slots) -> list[tuple[tuple[
     return out
 
 
+def _reduce_if_identity(mats: np.ndarray, a: int, d: int, c: int, thr: float):
+    """For a batch on factors (a, d, c): the normalised partial trace over the
+    middle factor if every matrix is identity there, i.e. every off-diagonal
+    d x d block has all entries within `thr` of 0 and every diagonal block is
+    within `thr` of that trace; otherwise None. A NaN entry is never within
+    `thr`."""
+    B = mats.shape[0]
+    t = mats.reshape(B, a, d, c, a, d, c)
+    for x, y in itertools.permutations(range(d), 2):
+        if not np.abs(t[:, :, x, :, :, y, :]).max() <= thr:
+            return None
+    reduced = np.einsum("nixjkxl->nijkl", t) / d
+    if not np.abs(t.diagonal(axis1=2, axis2=5) - reduced[..., None]).max() <= thr:
+        return None
+    return reduced.reshape(B, a * c, a * c)
+
+
 def _trim_batch(sites, slots, mats, candidates, tol=TOL_ALGEBRA):
+    """Drop each candidate slot on which the whole batch acts as identity,
+    within tol times the largest entry (at least 1), highest slot first."""
     slots = list(slots)
+    scale = None
     for s in sorted(set(candidates), reverse=True):
-        if s not in slots or len(slots) == 0:
+        if s not in slots:
             continue
+        if scale is None:
+            scale = max(1.0, float(np.abs(mats).max()) if mats.size else 1.0)
         dims = _slot_dims(sites, slots)
         idx = slots.index(s)
-        if tz.factor_is_trivial_batch(mats, dims, idx, tol):
-            keep = [i for i in range(len(slots)) if i != idx]
-            mats = tz.partial_trace_keep_batch(mats, dims, keep, normalized=True)
+        a, c = math.prod(dims[:idx]), math.prod(dims[idx + 1:])
+        reduced = _reduce_if_identity(mats, a, dims[idx], c, tol * scale)
+        if reduced is not None:
+            mats, scale = reduced, None
             slots.pop(idx)
     return tuple(slots), mats
 
@@ -568,8 +593,14 @@ def action_distance_on_units(
     expressions (an upper bound for the operator-norm distance), computed at
     slot granularity so big common windows are never materialized."""
     slots = _slots_of_window(e1.sites, window)
-    images = [_run_batch(e, slots, mats, dim_cap) for e in (e1, e2)]
-    _, (m1, m2) = _on_union(e1.sites, images, dim_cap)
+    a, b = (_run_batch(e, slots, mats, dim_cap) for e in (e1, e2))
+    return _image_distance(e1.sites, a, b, dim_cap)
+
+
+def _image_distance(sites: SiteSpec, a, b, dim_cap=None) -> float:
+    """Largest Frobenius distance between matching members of two batches
+    (slots, matrices), compared on the union of their slots."""
+    _, (m1, m2) = _on_union(sites, [a, b], dim_cap)
     diff = m1 - m2
     per_unit = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(1, 2)))
     return float(np.max(per_unit))

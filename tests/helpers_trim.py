@@ -1,0 +1,40 @@
+"""Factor triviality by partial trace and re-embedding, kept as an independent
+oracle for the slot engine's one-pass test in `chainomaly.qca._trim_batch`.
+
+A batch acts as identity on a factor exactly when it equals its normalised
+partial trace over that factor tensored with the identity there. Used only
+by the tests as an oracle."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from chainomaly import _tensors as tz
+from chainomaly import qca
+
+
+def factor_is_trivial_batch(mats: np.ndarray, dims, idx, tol) -> bool:
+    """True if every operator in the batch acts as identity on factor `idx`,
+    i.e. equals (normalized partial trace over idx) tensor identity."""
+    n = len(dims)
+    keep = [i for i in range(n) if i != idx]
+    reduced = tz.partial_trace_keep_batch(mats, dims, keep, normalized=True)
+    rebuilt = tz.embed_factors_batch(reduced, dims, keep)
+    scale = max(1.0, float(np.max(np.abs(mats))) if mats.size else 1.0)
+    return bool(np.max(np.abs(rebuilt - mats)) <= tol * scale)
+
+
+def trim_batch(sites, slots, mats, candidates, tol=qca.TOL_ALGEBRA):
+    """Drop each candidate slot on which the batch is trivial, highest first,
+    tracing it out."""
+    slots = list(slots)
+    for s in sorted(set(candidates), reverse=True):
+        if s not in slots:
+            continue
+        dims = qca._slot_dims(sites, slots)
+        idx = slots.index(s)
+        if factor_is_trivial_batch(mats, dims, idx, tol):
+            keep = [i for i in range(len(slots)) if i != idx]
+            mats = tz.partial_trace_keep_batch(mats, dims, keep, normalized=True)
+            slots.pop(idx)
+    return tuple(slots), mats

@@ -50,6 +50,56 @@ S2 = SiteSpec((2,))
 
 # -- verify_action -----------------------------------------------------------------
 
+def naive_homomorphism_residual(spec: anm.ActionSpec) -> float:
+    """verify_action's residual computed pair by pair: compose(e_g, e_h)
+    against e_gh, and the identity element's expression against the identity,
+    at every probe site."""
+    G = spec.group
+    r = max(max(qca.radius(e) for e in spec.exprs), 1)
+    units = matrix_unit_batch(spec.sites.dim)
+
+    def dist(e1, e2):
+        return max(
+            action_distance_on_units(e1, e2, Window.site(j), units) for j in range(-(r + 1), r + 1)
+        )
+
+    worst = dist(spec.expr(0), identity_expr(spec.sites))
+    for g, h in itertools.product(G.elements(), repeat=2):
+        worst = max(worst, dist(compose(spec.expr(g), spec.expr(h)), spec.expr(G.mul(g, h))))
+    return worst
+
+
+def k4_conjugated_twosite(seed: int) -> anm.ActionSpec:
+    """The Klein-four action (identity, flip, flip-entangle, both) conjugated
+    by a seeded real orthogonal two-site layer."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
+    w = q * np.sign(np.diag(r))
+    w_layer = BlockLayer(2, (GateTemplate(0, 2, w),))
+    w_inverse = BlockLayer(2, (GateTemplate(0, 2, w.T),))
+    gamma = anm.levin_gu_action().expr(1)
+    flip = anm.onsite_flip_action().expr(1)
+    exprs = [identity_expr(S2)] + [
+        QcaExpr(S2, (w_inverse,) + e.steps + (w_layer,))
+        for e in (flip, gamma, compose(gamma, flip))
+    ]
+    K4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    return anm.ActionSpec(K4, S2, tuple(exprs))
+
+
+def s3_permutation_action() -> anm.ActionSpec:
+    """S3 permuting the basis states of a qutrit on every site: an action of
+    a non-abelian group."""
+    perms = list(itertools.permutations(range(3)))
+    table = tuple(tuple(perms.index(tuple(a[i] for i in b)) for b in perms) for a in perms)
+    sites = SiteSpec((3,))
+    exprs = [identity_expr(sites)] + [
+        QcaExpr(sites, (BlockLayer(1, (GateTemplate(0, 1, np.eye(3)[:, p]),)),))
+        for p in perms[1:]
+    ]
+    return anm.ActionSpec(FiniteGroup(table), sites, tuple(exprs))
+
+
 def test_verify_levin_gu():
     diag = anm.verify_action(anm.levin_gu_action())
     assert diag["max_residual"] <= 1e-9
@@ -59,22 +109,38 @@ def test_verify_onsite():
     assert anm.verify_action(anm.onsite_flip_action())["max_residual"] <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        anm.levin_gu_action,
+        anm.onsite_flip_action,
+        lambda: k4_conjugated_twosite(11),
+        s3_permutation_action,
+    ],
+    ids=["levin-gu", "onsite", "k4-conj-twosite", "s3-permutations"],
+)
+def test_verify_matches_pairwise_reference(make):
+    # images reused per element give exactly the pairwise compose residual
+    spec = make()
+    assert anm.verify_action(spec)["max_residual"] == naive_homomorphism_residual(spec)
+
+
 def test_verify_rejects_broken_identity():
     act = anm.levin_gu_action()
     x_layer = QcaExpr(S2, (BlockLayer(1, (GateTemplate(0, 1, PAULI_X),)),))
     broken = anm.ActionSpec(act.group, act.sites, (x_layer, act.expr(1)))
-    with pytest.raises(NotAHomomorphism):
+    with pytest.raises(NotAHomomorphism, match="identity element acts nontrivially"):
         anm.verify_action(broken)
 
 
 def test_verify_rejects_non_involution():
     # generator maps to a single spin flip composed with an entangling layer
-    # that does not square to the identity
+    # that does not square to the identity; (1, 1) is the first failing pair
     rng = np.random.default_rng(3)
     layer = BlockLayer(2, (GateTemplate(0, 2, random_unitary(4, rng)),))
     bad = QcaExpr(S2, (layer,))
     act = anm.ActionSpec(FiniteGroup.cyclic(2), S2, (identity_expr(S2), bad))
-    with pytest.raises(NotAHomomorphism):
+    with pytest.raises(NotAHomomorphism, match=r"pair \(1, 1\) violates"):
         anm.verify_action(act)
 
 

@@ -12,7 +12,7 @@ from chainomaly.errors import (
     ValidationError,
     WindowCapExceeded,
 )
-from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec, Window
+from chainomaly.opwin import PAULI_X, PAULI_Z, TOL_ALGEBRA, SiteSpec, Window
 from chainomaly.qca import (
     BlockLayer,
     GateTemplate,
@@ -34,6 +34,7 @@ from chainomaly.qca import (
 
 from conftest import image, random_unitary, single_gate_expr, slot_distance, slot_product
 from helpers_support_algebra import support_algebra_dim, support_dims, unit_images
+from helpers_trim import trim_batch
 
 S2 = SiteSpec((2,))
 SWAP4 = np.array(
@@ -152,6 +153,51 @@ def test_apply_cap():
     a = random_probe(rng, S2, Window(0, 1))
     with pytest.raises(WindowCapExceeded):
         image(e, a, dim_cap=64)
+
+
+# -- trimming identity slots -----------------------------------------------------------
+
+@given(seed=st.integers(0, 10 ** 6), registers=st.sampled_from([(2,), (3,), (2, 3)]))
+def test_trim_matches_partial_trace_oracle(seed, registers):
+    # each slot carries the identity, a random factor, or a random diagonal
+    # factor, whose off-diagonal blocks vanish but whose diagonal blocks differ
+    rng = np.random.default_rng(seed)
+    sites = SiteSpec(registers)
+    n = int(rng.integers(1, 4))
+    slots = tuple(sorted(int(s) for s in rng.choice(6, size=n, replace=False)))
+    dims = qca._slot_dims(sites, slots)
+    kinds = rng.choice(["identity", "random", "diagonal"], size=n)
+    random_on = [i for i in range(n) if kinds[i] == "random"]
+    dk = int(np.prod([dims[i] for i in random_on]))
+    B = int(rng.integers(1, 5))
+    small = rng.normal(size=(B, dk, dk)) + 1j * rng.normal(size=(B, dk, dk))
+    mats = tz.embed_factors_batch(small, dims, random_on)
+    for i in range(n):
+        if kinds[i] == "diagonal":
+            diag = np.diag(rng.normal(size=dims[i]) + 1j * rng.normal(size=dims[i]))
+            mats = mats @ tz.embed_factors(diag, dims, [i])
+    candidates = [s for s in slots + (6,) if rng.random() < 0.7]
+    got_slots, got = qca._trim_batch(sites, slots, mats, candidates)
+    want_slots, want = trim_batch(sites, slots, mats, candidates)
+    assert got_slots == want_slots
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("block", ["off-diagonal", "diagonal"])
+@pytest.mark.parametrize("factor, trimmed", [(0.5, True), (2.0, False)])
+def test_trim_threshold(block, factor, trimmed):
+    # Z on slot 0 times a perturbed identity on slot 1; the perturbation
+    # moves one entry of each affected block by factor * tol
+    eps = factor * TOL_ALGEBRA
+    pert = np.array([[0, eps], [0, 0]]) if block == "off-diagonal" else np.diag([eps, -eps])
+    mats = np.kron(PAULI_Z, np.eye(2) + pert)[None].astype(complex)
+    slots, out = qca._trim_batch(S2, (0, 1), mats, (1,))
+    assert slots == trim_batch(S2, (0, 1), mats, (1,))[0]
+    if trimmed:
+        assert slots == (0,) and np.max(np.abs(out[0] - PAULI_Z)) <= 1e-15
+    else:
+        assert slots == (0, 1) and np.array_equal(out, mats)
 
 
 # -- compose and invert ------------------------------------------------------------
