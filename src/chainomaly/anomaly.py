@@ -5,13 +5,17 @@ pipeline checks the action is a homomorphism, neutralizes any shift content
 by stacking with a copy carrying the inverse shifts, restricts each
 automorphism to the right half-chain by gate truncation, extracts the local
 unitaries measuring the failure of the restriction to be a homomorphism,
-assembles the resulting degree-3 phase cocycle, and classifies it exactly.
-A nonzero class rules out symmetric gapped ground states for every
-invariant finite-range Hamiltonian.
+evaluates the resulting degree-3 phase cocycle in float turns, and
+classifies it exactly from its rounded Bockstein, which does not depend on
+the gauge the extraction picks. A nonzero class rules out symmetric gapped
+ground states for every invariant finite-range Hamiltonian.
 
 For a projective on-site representation combined with translation, the
 mixed anomaly is computed lazily on the translation-slant argument set and
-reduced to a degree-2 class on the on-site group.
+reduced to a degree-2 class on the on-site group, to compare with the class
+of the projective multiplier. Reports print each cocycle exactly, as its
+phases snapped to rationals or, when one does not snap, as its class
+representative. Caps and tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .grpcoh import (
     CohomologyGroup,
     FiniteGroup,
     PhaseCochain,
+    bockstein_class,
     class_of,
     cohomology,
     is_cocycle,
@@ -85,7 +90,12 @@ SlotOperator = tuple[tuple[int, ...], np.ndarray]
 
 
 def default_den_cap(group_order: int) -> int:
+    """Largest denominator a reported phase snaps to."""
     return group_order * group_order * 12
+
+
+# V extraction widens its window [0, hi] up to hi = MAX_HINT - 1.
+MAX_HINT = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +154,6 @@ class VTable:
 
     entries: dict[tuple[int, int], SlotOperator]
     residuals: dict[tuple[int, int], float] = field(default_factory=dict)
-    omega_diagnostics: dict[tuple[int, ...], dict] = field(default_factory=dict)
 
     def gate(self, g: int, h: int) -> SlotOperator:
         return self.entries[(g, h)]
@@ -158,6 +167,18 @@ def _phase_rows(cochain: PhaseCochain):
         yield t, {"args": [G.name(g) for g in t], "phase": f"{v.numerator}/{v.denominator}"}
 
 
+@dataclass(frozen=True, eq=False)
+class ClassifiedCocycle:
+    """A phase cocycle's class, from the rounded Bockstein of its float turns,
+    and the exact cochain a report prints: the measured phases snapped to
+    rationals (`snap_errors` holds their errors), or the class representative
+    from the generators when some phase does not snap (`snap_errors` None)."""
+
+    cochain: PhaseCochain
+    coords: ClassCoords
+    snap_errors: tuple[float, ...] | None
+
+
 @dataclass(eq=False)
 class AnomalyReport:
     group: FiniteGroup
@@ -168,14 +189,14 @@ class AnomalyReport:
     coords: ClassCoords
     verdict: str
     diagnostics: dict
+    omega_diagnostics: dict[tuple[int, ...], dict]
 
     def as_json_dict(self) -> dict:
         G = self.group
-        omega_diag = self.diagnostics.get("omega", {})
-        omega_rows = [
-            {**row, "snap_error": float(omega_diag.get(t, {}).get("snap_error", 0.0))}
-            for t, row in _phase_rows(self.omega)
-        ]
+        omega_rows = []
+        for t, row in _phase_rows(self.omega):
+            err = self.omega_diagnostics[t].get("snap_error")
+            omega_rows.append(row if err is None else {**row, "snap_error": float(err)})
         return {
             "gnvw": {
                 G.name(g): {str(p): e for p, e in pl.exponents}
@@ -186,9 +207,7 @@ class AnomalyReport:
             "invariant_factors": list(self.cohomology.invariant_factors),
             "class": list(self.coords.residues),
             "verdict": self.verdict,
-            "diagnostics": {
-                k: v for k, v in self.diagnostics.items() if k != "omega"
-            },
+            "diagnostics": self.diagnostics,
         }
 
     def summary_text(self) -> str:
@@ -254,7 +273,7 @@ class MixedAnomalyReport:
 
 # -- action verification and neutralization -----------------------------------
 
-def verify_action(spec: ActionSpec, tol: float = TOL_AUTO, dim_cap: int | None = None) -> dict:
+def verify_action(spec: ActionSpec, tol: float = TOL_AUTO) -> dict:
     """Check map(identity) = id and map(g) map(h) = map(gh) on all single-site
     matrix units in a probe window of width 2*radius + 2. At each probe site
     every element's image of the units is computed once; map(g) map(h) is
@@ -267,11 +286,11 @@ def verify_action(spec: ActionSpec, tol: float = TOL_AUTO, dim_cap: int | None =
     dist = dict.fromkeys(itertools.product(G.elements(), repeat=2), 0.0)
     for j in range(-(r + 1), r + 1):
         slots = _slots_of_window(sites, Window.site(j))
-        image = [_run_batch(e, slots, units, dim_cap) for e in spec.exprs]
-        res = max(res, _image_distance(sites, image[0], (slots, units), dim_cap))
+        image = [_run_batch(e, slots, units) for e in spec.exprs]
+        res = max(res, _image_distance(sites, image[0], (slots, units)))
         for g, h in dist:
-            gh = _run_batch(spec.expr(g), *image[h], dim_cap)
-            dist[g, h] = max(dist[g, h], _image_distance(sites, gh, image[G.mul(g, h)], dim_cap))
+            gh = _run_batch(spec.expr(g), *image[h])
+            dist[g, h] = max(dist[g, h], _image_distance(sites, gh, image[G.mul(g, h)]))
     if res > tol:
         raise NotAHomomorphism(f"identity element acts nontrivially (residual {res:.3g})")
     for (g, h), d in dist.items():
@@ -298,7 +317,7 @@ def _lift_step_to_double(step, nregs0: int):
     return replace(step, templates=tuple(templates))
 
 
-def stack_neutralize(spec: ActionSpec, dim_cap: int | None = None) -> ActionSpec:
+def stack_neutralize(spec: ActionSpec) -> ActionSpec:
     """If some element carries shift content, act on a doubled chain where the
     copy is shifted oppositely, then replace all shifts by swap circuits."""
     indices = [gnvw_symbolic(e) for e in spec.exprs]
@@ -316,9 +335,9 @@ def stack_neutralize(spec: ActionSpec, dim_cap: int | None = None) -> ActionSpec
         for r, n in sorted(net.items()):
             if n:
                 steps.append(ShiftPrimitive(R0 + r, -n))
-        new_exprs.append(balance_shifts(QcaExpr(sites2, tuple(steps)), dim_cap))
+        new_exprs.append(balance_shifts(QcaExpr(sites2, tuple(steps))))
     out = ActionSpec(spec.group, sites2, tuple(new_exprs), name=spec.name)
-    verify_action(out, dim_cap=dim_cap)
+    verify_action(out)
     return out
 
 
@@ -340,7 +359,6 @@ def _extract_once(
     hint_window: Window,
     rank_ratio: float = 1e-7,
     tol: float = TOL_AUTO,
-    dim_cap: int | None = None,
     max_choi_dim: int = 64,
 ) -> tuple[SlotOperator, float]:
     """The local unitary V, trimmed to the slots it acts on, with
@@ -357,7 +375,7 @@ def _extract_once(
         for reg in range(R):
             slot = site * R + reg
             units = register_units[reg]
-            out_slots, out = _run_batch(expr, (slot,), units, dim_cap)
+            out_slots, out = _run_batch(expr, (slot,), units)
             if out_slots == (slot,):
                 moved = bool(np.max(np.abs(out - units)) > tol)
             else:
@@ -379,7 +397,7 @@ def _extract_once(
             f"candidate support dimension {D} exceeds the extraction cap {max_choi_dim}"
         )
     units = matrix_unit_batch(D)
-    out_slots, out = _run_batch(expr, tuple(active), units, dim_cap)
+    out_slots, out = _run_batch(expr, tuple(active), units)
     if not set(out_slots) <= set(active):
         raise NotInner("images leave the candidate support window")
     if tuple(out_slots) != tuple(active):
@@ -422,20 +440,16 @@ def _extract_once(
     return (slots, mats[0]), resid
 
 
-def _extract_search(
-    expr: QcaExpr,
-    max_hint: int = 8,
-    **kw,
-) -> tuple[SlotOperator, float]:
+def _extract_search(expr: QcaExpr) -> tuple[SlotOperator, float]:
     step = max(1, radius(expr))
     hi = 1
     while True:
         try:
-            return _extract_once(expr, Window(0, hi), **kw)
+            return _extract_once(expr, Window(0, hi))
         except (NotInner, NotIdentityOutside):
-            if hi + 1 >= max_hint:
+            if hi + 1 >= MAX_HINT:
                 raise
-            hi = min(hi + step, max_hint - 1)
+            hi = min(hi + step, MAX_HINT - 1)
 
 
 # -- the degree-3 cocycle --------------------------------------------------------
@@ -452,60 +466,67 @@ def _scalar_phase(M: np.ndarray, scalar_tol: float) -> tuple[complex, float]:
     return lam / abs(lam), resid
 
 
-def _omega_at(V, beta, mul, a, b, c, den_cap, scalar_tol, dim_cap, name) -> tuple[Fraction, dict]:
-    """The associator V(a,b) V(ab,c) V(a,bc)^+ beta_a(V(b,c))^+ as an exact
-    phase, with its snap and scalar residuals. `V(x, y)` returns the gate as
-    (slots, matrix), `mul` is the group law and `name` labels elements in
+def _omega_at(V, beta, mul, a, b, c, name) -> tuple[float, float]:
+    """The associator V(a,b) V(ab,c) V(a,bc)^+ beta_a(V(b,c))^+ as float turns
+    (angle over 2 pi), with its scalar residual. `V(x, y)` returns the gate
+    as (slots, matrix), `mul` is the group law and `name` labels elements in
     error messages."""
     ab, bc = mul(a, b), mul(b, c)
     try:
         bc_slots, vbc = V(b, c)
         parts = [(slots, m[None]) for slots, m in (V(a, b), V(ab, c), V(a, bc))]
-        parts.append(_run_batch(beta[a], bc_slots, vbc[None], dim_cap))
-        _, (vab, vabc, va_bc, beta_vbc) = _on_union(beta[a].sites, parts, dim_cap)
+        parts.append(_run_batch(beta[a], bc_slots, vbc[None]))
+        _, (vab, vabc, va_bc, beta_vbc) = _on_union(beta[a].sites, parts)
         P = (vab[0] @ vabc[0]) @ (va_bc[0].conj().T @ beta_vbc[0].conj().T)
-        lam, resid = _scalar_phase(P, scalar_tol)
-        frac, err = snap_fraction(float(np.angle(lam)) / (2 * math.pi), den_cap)
-    except (NotScalar, SnapFailure) as exc:
-        raise type(exc)(f"omega({name(a)}, {name(b)}, {name(c)}): {exc}") from exc
-    return frac, {"snap_error": err, "scalar_residual": resid}
+        lam, resid = _scalar_phase(P, TOL_PHASE)
+    except NotScalar as exc:
+        raise NotScalar(f"omega({name(a)}, {name(b)}, {name(c)}): {exc}") from exc
+    return float(np.angle(lam)) / (2 * math.pi), resid
+
+
+def _classify(H: CohomologyGroup, turns, what: str, entries=None, build=list) -> ClassifiedCocycle:
+    """Classify float turns, one per tuple. The measured phases are `entries`
+    (default: the turns), and `build` maps their snapped values to the
+    cochain; its exact class must equal the rounded one."""
+    coords = bockstein_class(turns, H, what)
+    den = default_den_cap(H.group.order)
+    try:
+        snaps = [snap_fraction(x, den) for x in (turns if entries is None else entries)]
+    except SnapFailure:
+        return ClassifiedCocycle(H.representative(coords), coords, None)
+    cochain = PhaseCochain(H.group, H.degree, tuple(build([f for f, _ in snaps])))
+    if not is_cocycle(cochain) or class_of(cochain, H) != coords:
+        raise CocycleViolation(
+            f"snapped {what} is not a cocycle of class {list(coords.residues)}, "
+            "the class of its rounded Bockstein"
+        )
+    return ClassifiedCocycle(cochain, coords, tuple(err for _, err in snaps))
 
 
 def omega_from_vtable(
-    group: FiniteGroup,
-    beta: dict[int, QcaExpr],
-    vtable: VTable,
-    den_cap: int,
-    scalar_tol: float = TOL_PHASE,
-    dim_cap: int | None = None,
-) -> PhaseCochain:
-    """Evaluate the associator of the V table and snap to exact phases."""
-    vals = []
+    group: FiniteGroup, beta: dict[int, QcaExpr], vtable: VTable
+) -> tuple[ClassifiedCocycle, dict[tuple[int, ...], dict]]:
+    """Evaluate the associator of the V table on every tuple and classify it.
+    Returns the classified cocycle and, per tuple, its scalar residual and
+    (when the phases snap) its snap error."""
+    turns, diagnostics = [], {}
     for t in itertools.product(range(group.order), repeat=3):
-        frac, diag = _omega_at(
-            vtable.gate, beta, group.mul, *t, den_cap, scalar_tol, dim_cap, group.name
-        )
-        vals.append(frac)
-        vtable.omega_diagnostics[t] = diag
-    om = PhaseCochain(group, 3, tuple(vals))
-    if not is_cocycle(om):
-        raise CocycleViolation("snapped 3-cochain fails the cocycle identity")
-    return om
+        x, resid = _omega_at(vtable.gate, beta, group.mul, *t, group.name)
+        turns.append(x)
+        diagnostics[t] = {"scalar_residual": resid}
+    om = _classify(cohomology(group, 3), turns, "omega")
+    for diag, err in zip(diagnostics.values(), om.snap_errors or ()):
+        diag["snap_error"] = err
+    return om, diagnostics
 
 
-def omega_cocycle(
-    spec: ActionSpec,
-    den_cap: int | None = None,
-    dim_cap: int | None = None,
-    max_hint: int = 8,
-    scalar_tol: float = TOL_PHASE,
-) -> tuple[PhaseCochain, VTable]:
+def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, dict, VTable]:
     """Restrict the (zero-index) action to the right half-chain, extract all
-    V(g, h), and evaluate the degree-3 phase cocycle."""
+    V(g, h), and evaluate the degree-3 phase cocycle. Returns what
+    omega_from_vtable returns, and the V table."""
     G = spec.group
-    den = default_den_cap(G.order) if den_cap is None else den_cap
     balanced = {
-        g: balance_shifts(spec.expr(g), dim_cap) if spec.expr(g).has_shifts else spec.expr(g)
+        g: balance_shifts(spec.expr(g)) if spec.expr(g).has_shifts else spec.expr(g)
         for g in G.elements()
     }
     beta = {g: restrict_right(balanced[g]) for g in G.elements()}
@@ -513,92 +534,75 @@ def omega_cocycle(
     for g in G.elements():
         for h in G.elements():
             ev = compose(beta[g], compose(beta[h], invert(beta[G.mul(g, h)])))
-            gate, resid = _extract_search(ev, max_hint=max_hint, dim_cap=dim_cap)
+            gate, resid = _extract_search(ev)
             vtable.entries[(g, h)] = gate
             vtable.residuals[(g, h)] = resid
-    om = omega_from_vtable(G, beta, vtable, den, scalar_tol=scalar_tol, dim_cap=dim_cap)
-    return om, vtable
+    om, diagnostics = omega_from_vtable(G, beta, vtable)
+    return om, diagnostics, vtable
 
 
-def anomaly_class(
-    spec: ActionSpec,
-    den_cap: int | None = None,
-    dim_cap: int | None = None,
-    max_hint: int = 8,
-    scalar_tol: float = TOL_PHASE,
-) -> AnomalyReport:
-    """Full pipeline: verify, neutralize, restrict, extract, snap, classify."""
-    ver = verify_action(spec, dim_cap=dim_cap)
+def anomaly_class(spec: ActionSpec) -> AnomalyReport:
+    """Full pipeline: verify, neutralize, restrict, extract, classify."""
+    ver = verify_action(spec)
     gnvw = {g: gnvw_symbolic(spec.expr(g)) for g in spec.group.elements()}
-    spec2 = stack_neutralize(spec, dim_cap)
+    spec2 = stack_neutralize(spec)
     stacked = spec2 is not spec
-    om, vtable = omega_cocycle(spec2, den_cap, dim_cap, max_hint, scalar_tol)
-    H = cohomology(spec.group, 3)
-    coords = class_of(om, H)
-    verdict = "NonAnomalous" if coords.is_trivial else "Anomalous"
+    om, omega_diagnostics, vtable = omega_cocycle(spec2)
+    verdict = "NonAnomalous" if om.coords.is_trivial else "Anomalous"
     diagnostics = {
         "homomorphism_residual": ver["max_residual"],
         "max_v_residual": max(vtable.residuals.values(), default=0.0),
-        "max_snap_error": max(
-            (d["snap_error"] for d in vtable.omega_diagnostics.values()), default=0.0
-        ),
         "max_scalar_residual": max(
-            (d["scalar_residual"] for d in vtable.omega_diagnostics.values()),
-            default=0.0,
+            (d["scalar_residual"] for d in omega_diagnostics.values()), default=0.0
         ),
         "v_windows": {
             f"{spec.group.name(g)},{spec.group.name(h)}": str(_site_span(spec2.sites, slots))
             for (g, h), (slots, _) in sorted(vtable.entries.items())
         },
-        "omega": dict(vtable.omega_diagnostics),
     }
+    if om.snap_errors is None:
+        diagnostics["representative_rows"] = ["omega"]
+    else:
+        diagnostics["max_snap_error"] = max(om.snap_errors)
     return AnomalyReport(
         group=spec.group,
         gnvw=gnvw,
         stacked=stacked,
-        omega=om,
-        cohomology=H,
-        coords=coords,
+        omega=om.cochain,
+        cohomology=cohomology(spec.group, 3),
+        coords=om.coords,
         verdict=verdict,
         diagnostics=diagnostics,
+        omega_diagnostics=omega_diagnostics,
     )
 
 
 # -- projective representations and the mixed anomaly ---------------------------
 
-def projective_cocycle(
-    rep: ProjectiveRep, den_cap: int | None = None, tol: float = TOL_AUTO
-) -> PhaseCochain:
-    """The multiplier phases: rep(gh) = rho(g,h) rep(g) rep(h)."""
+def projective_cocycle(rep: ProjectiveRep) -> ClassifiedCocycle:
+    """The multiplier phases, rep(gh) = rho(g,h) rep(g) rep(h), classified."""
     G = rep.group
-    den = default_den_cap(G.order) if den_cap is None else den_cap
-    vals = []
+    turns = []
     for g, h in itertools.product(range(G.order), repeat=2):
         M = rep.matrices[G.mul(g, h)] @ (rep.matrices[g] @ rep.matrices[h]).conj().T
-        pair = f"({G.name(g)}, {G.name(h)})"
         try:
-            lam, _ = _scalar_phase(M, tol)
+            lam, _ = _scalar_phase(M, TOL_AUTO)
         except NotScalar as exc:
-            raise NotProjective(f"matrices at {pair} are not projective: {exc}") from exc
-        try:
-            frac, _ = snap_fraction(float(np.angle(lam)) / (2 * math.pi), den)
-        except SnapFailure as exc:
-            raise SnapFailure(f"multiplier at {pair}: {exc}") from exc
-        vals.append(frac)
-    rho = PhaseCochain(G, 2, tuple(vals))
-    if not is_cocycle(rho):
-        raise CocycleViolation("snapped multiplier fails the 2-cocycle identity")
-    return rho
+            raise NotProjective(
+                f"matrices at ({G.name(g)}, {G.name(h)}) are not projective: {exc}"
+            ) from exc
+        turns.append(float(np.angle(lam)) / (2 * math.pi))
+    return _classify(cohomology(G, 2), turns, "multiplier")
 
 
-def _lsm_translation(m: int, n: int, dim_cap: int | None) -> QcaExpr:
+def _lsm_translation(m: int, n: int) -> QcaExpr:
     """Translation by n on the doubled chain of two m-dimensional registers
     (the copy shifted by -n), realized as a swap circuit."""
     sites2 = SiteSpec((m, m))
     if n == 0:
         return identity_expr(sites2)
     shift = QcaExpr(sites2, (ShiftPrimitive(0, n), ShiftPrimitive(1, -n)))
-    return balance_shifts(shift, dim_cap)
+    return balance_shifts(shift)
 
 
 def _lsm_with_onsite(rep: ProjectiveRep, g: int, translation: QcaExpr) -> QcaExpr:
@@ -609,28 +613,19 @@ def _lsm_with_onsite(rep: ProjectiveRep, g: int, translation: QcaExpr) -> QcaExp
     return QcaExpr(translation.sites, (BlockLayer(1, (tmpl,)),) + translation.steps)
 
 
-def lsm_stacked_expr(
-    rep: ProjectiveRep, g: int, n: int, dim_cap: int | None = None
-) -> QcaExpr:
+def lsm_stacked_expr(rep: ProjectiveRep, g: int, n: int) -> QcaExpr:
     """Action of (g, n) on the doubled chain: the on-site projective layer on
     the first register, with translation realized as n swap-circuit rounds."""
-    return _lsm_with_onsite(rep, g, _lsm_translation(rep.dimension, n, dim_cap))
+    return _lsm_with_onsite(rep, g, _lsm_translation(rep.dimension, n))
 
 
-def lsm_pipeline(
-    rep: ProjectiveRep,
-    den_cap: int | None = None,
-    dim_cap: int | None = None,
-    max_hint: int = 8,
-    scalar_tol: float = TOL_PHASE,
-) -> MixedAnomalyReport:
+def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     """Mixed anomaly of (projective on-site) x (translation): the slant of
     the degree-3 cocycle against the translation generator, compared with the
     class of the projective multiplier."""
     G0 = rep.group
-    den = default_den_cap(G0.order) if den_cap is None else den_cap
     max_n = 2
-    translations = [_lsm_translation(rep.dimension, n, dim_cap) for n in range(max_n + 1)]
+    translations = [_lsm_translation(rep.dimension, n) for n in range(max_n + 1)]
     beta: dict[tuple[int, int], QcaExpr] = {
         (g, n): restrict_right(_lsm_with_onsite(rep, g, t))
         for g in G0.elements()
@@ -650,37 +645,44 @@ def lsm_pipeline(
         if key not in vcache:
             ab = mulz(a, b)
             ev = compose(beta[a], compose(beta[b], invert(beta[ab])))
-            vcache[key] = _extract_search(ev, max_hint=max_hint, dim_cap=dim_cap)
+            vcache[key] = _extract_search(ev)
         return vcache[key][0]
 
-    omega_diags: list[dict] = []
+    omega_turns: dict[tuple, float] = {}
+    scalar_residuals: list[float] = []
 
-    def omega_eval(a, b, c) -> Fraction:
-        frac, diag = _omega_at(V, beta, mulz, a, b, c, den, scalar_tol, dim_cap, namez)
-        omega_diags.append(diag)
-        return frac
+    def omega_eval(a, b, c) -> float:
+        x, resid = _omega_at(V, beta, mulz, a, b, c, namez)
+        omega_turns[(a, b, c)] = x
+        scalar_residuals.append(resid)
+        return x
 
-    slant = slant_z(omega_eval, G0)
+    def snapped_slant(fracs) -> list[Fraction]:
+        exact = dict(zip(omega_turns, fracs))
+        return slant_z(lambda *t: exact[t], G0)
+
     H2 = cohomology(G0, 2)
-    slant_class = class_of(slant, H2)
-    rho = projective_cocycle(rep, den)
-    rho_class = class_of(rho, H2)
-    equal = slant_class.residues == rho_class.residues
-    verdict = "NonAnomalous" if slant_class.is_trivial else "Anomalous"
+    slant_turns = slant_z(omega_eval, G0)
+    slant = _classify(H2, slant_turns, "slant", list(omega_turns.values()), snapped_slant)
+    rho = projective_cocycle(rep)
+    equal = slant.coords.residues == rho.coords.residues
+    verdict = "NonAnomalous" if slant.coords.is_trivial else "Anomalous"
     diag = {
-        "max_snap_error": max((d["snap_error"] for d in omega_diags), default=0.0),
-        "max_scalar_residual": max(
-            (d["scalar_residual"] for d in omega_diags), default=0.0
-        ),
+        "max_scalar_residual": max(scalar_residuals, default=0.0),
         "max_v_residual": max((r for _, r in vcache.values()), default=0.0),
         "v_count": len(vcache),
     }
+    if slant.snap_errors is not None:
+        diag["max_snap_error"] = max(slant.snap_errors)
+    unsnapped = [key for key, c in (("slant", slant), ("projective", rho)) if c.snap_errors is None]
+    if unsnapped:
+        diag["representative_rows"] = unsnapped
     return MixedAnomalyReport(
         group0=G0,
-        slant=slant,
-        slant_class=slant_class,
-        projective=rho,
-        projective_class=rho_class,
+        slant=slant.cochain,
+        slant_class=slant.coords,
+        projective=rho.cochain,
+        projective_class=rho.coords,
         classes_equal=equal,
         cohomology=H2,
         verdict=verdict,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration problem, 2 pipeline failure,
 3 internal invariant violation. Reports are byte-stable for identical
-inputs: phases are printed as exact fractions and floats at fixed precision.
+inputs: phases are printed as exact fractions, JSON floats as Python's
+shortest round-trip repr, and CSV floats with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .grpcoh import FiniteGroup, cohomology
 from .opwin import SiteSpec
 
 MODES = ("anomaly", "cohomology", "gnvw", "spectra", "selftest")
-_TOP_KEYS = ("mode", "group", "degree", "action", "spectra", "caps", "output")
+_TOP_KEYS = ("mode", "group", "degree", "action", "spectra", "output")
 _OUTPUT_KEYS = ("json", "csv", "summary")
 
 
@@ -36,10 +37,6 @@ class RunConfig:
     degree: int = 3
     spectra_grid: list[spectra.HamiltonianSpec] = field(default_factory=list)
     spectra_k: int = 6
-    den_cap: int | None = None
-    window_cap: int | None = None
-    max_hint: int = 8
-    phase_tol: float = opwin.TOL_PHASE
     out_json: str | None = None
     out_csv: str | None = None
     out_summary: str | None = None
@@ -153,17 +150,6 @@ def parse_config(text: str) -> RunConfig:
     if mode not in MODES:
         raise ValidationError(f"mode: expected one of {MODES}, got {mode!r}")
     cfg = RunConfig(mode=mode)
-
-    caps = _mapping(raw.get("caps"), "caps")
-    _known_keys(caps, ("den_cap", "window_cap", "max_hint", "phase_tol"), "caps")
-    if "den_cap" in caps:
-        cfg.den_cap = _as_int(caps["den_cap"], "caps.den_cap")
-    if "window_cap" in caps:
-        cfg.window_cap = _as_int(caps["window_cap"], "caps.window_cap")
-    if "max_hint" in caps:
-        cfg.max_hint = _as_int(caps["max_hint"], "caps.max_hint")
-    if "phase_tol" in caps:
-        cfg.phase_tol = _as_float(caps["phase_tol"], "caps.phase_tol")
 
     out = _mapping(raw.get("output"), "output")
     _known_keys(out, _OUTPUT_KEYS, "output")
@@ -282,7 +268,7 @@ def run(cfg: RunConfig) -> RunResult:
         return RunResult(report=report, summary=f"H^{cfg.degree} = {H.pretty()}")
     if cfg.mode == "gnvw":
         sym = qca.gnvw_symbolic(cfg.gnvw_expr)
-        num = qca.gnvw_numeric(cfg.gnvw_expr, dim_cap=cfg.window_cap)
+        num = qca.gnvw_numeric(cfg.gnvw_expr)
         report = {
             "mode": "gnvw",
             "symbolic": {str(p): e for p, e in sym.exponents},
@@ -325,24 +311,12 @@ def run(cfg: RunConfig) -> RunResult:
         )
     # anomaly mode
     if cfg.lsm_rep is not None:
-        rep_report = anm.lsm_pipeline(
-            cfg.lsm_rep,
-            den_cap=cfg.den_cap,
-            dim_cap=cfg.window_cap,
-            max_hint=cfg.max_hint,
-            scalar_tol=cfg.phase_tol,
-        )
+        rep_report = anm.lsm_pipeline(cfg.lsm_rep)
         return RunResult(
             report={"mode": "anomaly", "preset": "lsm", **rep_report.as_json_dict()},
             summary=rep_report.summary_text(),
         )
-    report = anm.anomaly_class(
-        cfg.action,
-        den_cap=cfg.den_cap,
-        dim_cap=cfg.window_cap,
-        max_hint=cfg.max_hint,
-        scalar_tol=cfg.phase_tol,
-    )
+    report = anm.anomaly_class(cfg.action)
     return RunResult(
         report={"mode": "anomaly", **report.as_json_dict()},
         summary=report.summary_text(),

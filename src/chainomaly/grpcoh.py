@@ -1,14 +1,17 @@
 """Exact finite group cohomology with circle-group coefficients.
 
 Phases are exact rationals in [0,1) representing exp(2*pi*i*q), so cocycle
-and coboundary identities are checked with integer arithmetic, never floats.
-Cohomology groups are classified through the integer bar complex. For
-k >= 1, H^k(G, U(1)) = H^(k+1)(G, Z), which is exactly the torsion of the
-cokernel of the integer coboundary d_k. Its exponent divides |G|, so each
-p-primary part is read off a local Smith form of d_k computed in numpy int64
-modulo a power of p. A phase k-cocycle is lifted to rationals; its integer
-coboundary (the Bockstein) is a degree-(k+1) integer cocycle, which the
-recorded row operations project onto the invariant-factor coordinates.
+and coboundary identities are checked with exact arithmetic. Cohomology
+groups are classified through the integer bar complex. For k >= 1,
+H^k(G, U(1)) = H^(k+1)(G, Z), which is exactly the torsion of the cokernel
+of the integer coboundary d_k. Its exponent divides |G|, so each p-primary
+part is read off a local Smith form of d_k computed in numpy int64 modulo a
+power of p. A phase k-cocycle is lifted to [0, 1); the coboundary of the
+lift (the Bockstein) is a degree-(k+1) integer cocycle, which the recorded
+row operations project onto the invariant-factor coordinates. Measured
+phases need not be rational: their float Bockstein is rounded to integers.
+Every alternating face sum, exact, float or integer, goes through one
+vectorised face index.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     SnapFailure,
     ValidationError,
 )
+from .opwin import TOL_PHASE
 from .qca import _factorize
 
 DEFAULT_MAX_DEGREE = 3
@@ -147,14 +151,27 @@ def _all_tuples(n: int, k: int):
     return itertools.product(range(n), repeat=k)
 
 
-def _faces(group: FiniteGroup, t: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Faces d_0..d_m of an m-tuple (inhomogeneous bar convention)."""
-    m = len(t)
-    out = [t[1:]]
+def _face_index(group: FiniteGroup, m: int) -> np.ndarray:
+    """Flat index of every face of every m-tuple, as an (m + 1, n^m) array:
+    row i holds d_i t (inhomogeneous bar convention), and columns and
+    entries are indexed like _tuple_index."""
+    n = group.order
+    table = np.array(group.table)
+    t = np.indices((n,) * m).reshape(m, -1)
+    place = n ** np.arange(m - 2, -1, -1)  # place values of an (m-1)-tuple
+    faces = [t[1:]]
     for i in range(1, m):
-        out.append(t[: i - 1] + (group.mul(t[i - 1], t[i]),) + t[i + 1:])
-    out.append(t[:-1])
-    return out
+        faces.append(np.concatenate([t[: i - 1], table[t[i - 1], t[i]][None], t[i + 1:]]))
+    faces.append(t[:-1])
+    return np.stack([place @ f for f in faces])
+
+
+def _face_sums(group: FiniteGroup, degree: int, values) -> np.ndarray:
+    """Alternating face sums sum_i (-1)^i f(d_i t) over every (degree+1)-tuple
+    t, for a degree-cochain f given by its flat values: exact Fractions in an
+    object array, float turns, or integers."""
+    terms = np.asarray(values)[_face_index(group, degree + 1)]
+    return terms[0::2].sum(axis=0) - terms[1::2].sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -213,26 +230,12 @@ class PhaseCochain:
         return out
 
 
-def _face_sums(f: PhaseCochain) -> list[Fraction]:
-    """Alternating face sums of the lift of f to [0, 1), unreduced: the
-    integer Bockstein of f when f is a cocycle."""
-    G = f.group
-    n = G.order
-    out = []
-    for t in _all_tuples(n, f.degree + 1):
-        acc = Fraction(0)
-        for i, face in enumerate(_faces(G, t)):
-            v = f.values[_tuple_index(face, n)]
-            acc += v if i % 2 == 0 else -v
-        out.append(acc)
-    return out
-
-
 def coboundary(f: PhaseCochain, max_degree: int = DEFAULT_MAX_DEGREE) -> PhaseCochain:
     """Alternating-sum coboundary, one degree up, exact."""
     if f.degree > max_degree:
         raise DegreeCap(f"coboundary capped at degree {max_degree}")
-    return PhaseCochain(f.group, f.degree + 1, tuple(_face_sums(f)))
+    sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
+    return PhaseCochain(f.group, f.degree + 1, tuple(sums))
 
 
 def is_cocycle(f: PhaseCochain, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
@@ -258,19 +261,11 @@ def snap_fraction(turns: float, den_cap: int, tol: float = 1e-6) -> tuple[Fracti
 def _coboundary_matrix(group: FiniteGroup, k: int) -> np.ndarray:
     """Integer matrix of d: C^k(Z) -> C^(k+1)(Z), rows and columns indexed
     like _tuple_index."""
-    n = group.order
-    table = np.array(group.table)
-    t = list(np.indices((n,) * (k + 1)).reshape(k + 1, -1))
-    rows = np.arange(n ** (k + 1))
-    d = np.zeros((n ** (k + 1), n ** k), dtype=np.int64)
-    for i in range(k + 2):
-        if i == 0:
-            face = t[1:]
-        elif i == k + 1:
-            face = t[:-1]
-        else:
-            face = t[: i - 1] + [table[t[i - 1], t[i]]] + t[i + 1:]
-        np.add.at(d, (rows, np.ravel_multi_index(face, (n,) * k)), (-1) ** i)
+    faces = _face_index(group, k + 1)
+    rows = np.arange(faces.shape[1])
+    d = np.zeros((faces.shape[1], group.order ** k), dtype=np.int64)
+    for i, face in enumerate(faces):
+        np.add.at(d, (rows, face), (-1) ** i)
     return d
 
 
@@ -363,6 +358,13 @@ class CohomologyGroup:
             return "trivial"
         return " ⊕ ".join(f"ℤ/{f}" for f in self.invariant_factors)
 
+    def representative(self, coords: "ClassCoords") -> PhaseCochain:
+        """The exact cocycle sum_i r_i gen_i of the class with residues r."""
+        out = PhaseCochain.zero(self.group, self.degree)
+        for r, gen in zip(coords.residues, self.generators):
+            out = out + PhaseCochain(gen.group, gen.degree, tuple(r * v for v in gen.values))
+        return out
+
 
 @dataclass(frozen=True)
 class ClassCoords:
@@ -448,35 +450,51 @@ def class_of(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
     if f.group != H.group or f.degree != H.degree:
         raise ValidationError("cochain does not match the cohomology group")
     # integer Bockstein: coboundary of the rational lift
-    sums = _face_sums(f)
+    sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
     if any(s.denominator != 1 for s in sums):
         raise NotACocycle("input is not a cocycle")
     c = np.array([s.numerator for s in sums], dtype=np.int64)
     return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
 
 
-def slant_z(omega_eval, group0: FiniteGroup) -> PhaseCochain:
+def bockstein_class(turns, H: CohomologyGroup, what: str = "cochain") -> ClassCoords:
+    """Class of a phase cocycle given as float turns (angle over 2 pi), one per
+    tuple: the coboundary of the lift to [0, 1), rounded to the integer
+    Bockstein, is blind to real coboundaries. `what` names it in errors."""
+    G, k = H.group, H.degree
+    b = _face_sums(G, k, np.asarray(turns, dtype=float) % 1.0)
+    c = np.rint(b)
+    err = np.abs(b - c)
+    worst = int(np.argmax(err))
+    if err[worst] > TOL_PHASE:
+        t = np.unravel_index(worst, (G.order,) * (k + 1))
+        raise NotACocycle(
+            f"{what} is not a cocycle: its Bockstein at "
+            f"({', '.join(G.name(int(g)) for g in t)}) is {err[worst]:.3g} from an integer"
+        )
+    c = c.astype(np.int64)
+    if _face_sums(G, k + 1, c).any():
+        raise InvariantViolation(f"the rounded Bockstein of the {what} is not a cocycle")
+    return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
+
+
+def slant_z(omega_eval, group0: FiniteGroup) -> list:
     """Contract a 3-cochain on G0 x Z against the generator of the Z factor.
 
-    `omega_eval` takes three (g, n) pairs with n in {0, 1} and returns an
-    exact Fraction phase. In additive notation the result is
-    w(e,1; g,0; g',0) + w(g,0; g',0; e,1) - w(g,0; e,1; g',0).
+    `omega_eval` takes three (g, n) pairs with n in {0, 1} and returns a
+    phase: an exact Fraction or float turns. In additive notation the result
+    is w(e,1; g,0; g',0) + w(g,0; g',0; e,1) - w(g,0; e,1; g',0), one value
+    per pair (g, g') in _tuple_index order, of the evaluator's type.
     """
     e = 0
 
     def ev(*args):
         try:
-            return Fraction(omega_eval(*args))
-        except EvaluatorDomain:
-            raise
+            return omega_eval(*args)
         except KeyError as exc:
             raise EvaluatorDomain(f"evaluator undefined at {args}") from exc
 
-    def fn(g, gp):
-        return (
-            ev((e, 1), (g, 0), (gp, 0))
-            + ev((g, 0), (gp, 0), (e, 1))
-            - ev((g, 0), (e, 1), (gp, 0))
-        )
-
-    return PhaseCochain.from_function(group0, 2, fn)
+    return [
+        ev((e, 1), (g, 0), (gp, 0)) + ev((g, 0), (gp, 0), (e, 1)) - ev((g, 0), (e, 1), (gp, 0))
+        for g, gp in _all_tuples(group0.order, 2)
+    ]

@@ -341,13 +341,12 @@ def _trim_batch(sites, slots, mats, candidates, tol=TOL_ALGEBRA):
     return tuple(slots), mats
 
 
-def _conj_gate_batch(sites, slots, mats, gslots, gmat, dim_cap):
+def _conj_gate_batch(sites, slots, mats, gslots, gmat):
     new_slots = tuple(sorted(set(slots) | set(gslots)))
     dims = _slot_dims(sites, new_slots)
     D = math.prod(dims)
-    cap = DEFAULT_DIM_CAP if dim_cap is None else dim_cap
-    if D > cap:
-        raise WindowCapExceeded(f"transient dimension {D} exceeds cap {cap}")
+    if D > DEFAULT_DIM_CAP:
+        raise WindowCapExceeded(f"transient dimension {D} exceeds cap {DEFAULT_DIM_CAP}")
     if new_slots != tuple(slots):
         pos = [new_slots.index(s) for s in slots]
         mats = tz.embed_factors_batch(mats, dims, pos)
@@ -367,14 +366,14 @@ def _shift_batch(sites, slots, mats, register, displacement):
     return tuple(moved[i] for i in order), mats
 
 
-def _run_batch(expr: QcaExpr, slots, mats, dim_cap=None):
+def _run_batch(expr: QcaExpr, slots, mats):
     slots, mats = _trim_batch(expr.sites, slots, mats, slots)
     for step in expr.steps:
         if isinstance(step, ShiftPrimitive):
             slots, mats = _shift_batch(expr.sites, slots, mats, step.register, step.displacement)
         else:
             for gslots, gmat in _layer_gates(step, expr.sites, slots):
-                slots, mats = _conj_gate_batch(expr.sites, slots, mats, gslots, gmat, dim_cap)
+                slots, mats = _conj_gate_batch(expr.sites, slots, mats, gslots, gmat)
     return slots, mats
 
 
@@ -391,17 +390,14 @@ def _site_span(sites: SiteSpec, slots) -> Window:
     return Window(min(slots) // R, max(slots) // R) if slots else Window.empty()
 
 
-def _on_union(
-    sites: SiteSpec, parts, dim_cap: int | None = None
-) -> tuple[tuple[int, ...], list[np.ndarray]]:
+def _on_union(sites: SiteSpec, parts) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """Embed every (slots, batch) part on the sorted union of all their slots,
     refusing a union whose dimension exceeds the cap."""
     union = tuple(sorted(set().union(*(slots for slots, _ in parts))))
     dims = _slot_dims(sites, union)
     D = math.prod(dims)
-    cap = DEFAULT_DIM_CAP if dim_cap is None else dim_cap
-    if D > cap:
-        raise WindowCapExceeded(f"operator dimension {D} exceeds cap {cap}")
+    if D > DEFAULT_DIM_CAP:
+        raise WindowCapExceeded(f"operator dimension {D} exceeds cap {DEFAULT_DIM_CAP}")
     return union, [
         mats if tuple(slots) == union
         else tz.embed_factors_batch(mats, dims, [union.index(s) for s in slots])
@@ -437,20 +433,20 @@ def gnvw_symbolic(expr: QcaExpr) -> PrimeLog:
 _NUMERIC_UNIT_CAP = 64
 
 
-def _overlap(expr: QcaExpr, inputs: Window, outputs: Window, dim_cap: int | None = None) -> float:
+def _overlap(expr: QcaExpr, inputs: Window, outputs: Window) -> float:
     """eta(X -> Y) = sum_i ||E_Y(alpha(u_i))||_tau^2 over the tau-orthonormal
     matrix units u_i = sqrt(D)|a><b| of X, with E_Y the normalised partial
     trace onto the slots of Y and ||x||_tau^2 = tr(x^dag x) / dim x."""
     sites = expr.sites
     D = sites.dim ** inputs.length
     units = math.sqrt(D) * matrix_unit_batch(D)
-    slots, mats = _run_batch(expr, _slots_of_window(sites, inputs), units, dim_cap)
+    slots, mats = _run_batch(expr, _slots_of_window(sites, inputs), units)
     keep = [i for i, s in enumerate(slots) if outputs.contains_site(s // sites.nregisters)]
     reduced = tz.partial_trace_keep_batch(mats, _slot_dims(sites, slots), keep)
     return float(np.sum(np.abs(reduced) ** 2)) / reduced.shape[-1]
 
 
-def gnvw_numeric(expr: QcaExpr, dim_cap: int | None = None) -> PrimeLog:
+def gnvw_numeric(expr: QcaExpr) -> PrimeLog:
     """Numeric cross-check of the shift content across the cut between sites
     -1 and 0, as the ratio of Hilbert-Schmidt overlaps
     ind^2 = eta([-r, -1] -> [0, 2r-1]) / eta([0, r-1] -> [-2r, -1])
@@ -463,8 +459,8 @@ def gnvw_numeric(expr: QcaExpr, dim_cap: int | None = None) -> PrimeLog:
             f"numeric index at radius {r} and site dimension {d} needs a "
             f"{d ** (2 * r)}-element unit batch; cap is {_NUMERIC_UNIT_CAP}"
         )
-    eta_lr = _overlap(expr, Window(-r, -1), Window(0, 2 * r - 1), dim_cap)
-    eta_rl = _overlap(expr, Window(0, r - 1), Window(-2 * r, -1), dim_cap)
+    eta_lr = _overlap(expr, Window(-r, -1), Window(0, 2 * r - 1))
+    eta_rl = _overlap(expr, Window(0, r - 1), Window(-2 * r, -1))
     measured = eta_lr / eta_rl
     ratio = Fraction(measured).limit_denominator(d ** (2 * r))
     ns, ds = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
@@ -529,7 +525,7 @@ def _pair_swap_steps(sites: SiteSpec, reg_plus: int, reg_minus: int) -> tuple[St
     return s_layer, st_layer
 
 
-def balance_shifts(expr: QcaExpr, dim_cap: int | None = None, tol: float = TOL_AUTO) -> QcaExpr:
+def balance_shifts(expr: QcaExpr, tol: float = TOL_AUTO) -> QcaExpr:
     """Replace all shift steps by swap circuits. Requires zero total index;
     unit shifts of equal-dimension registers with opposite signs are paired
     greedily in step order."""
@@ -582,36 +578,36 @@ def balance_shifts(expr: QcaExpr, dim_cap: int | None = None, tol: float = TOL_A
             continue  # opposite shifts of one register cancel outright
         steps.extend(_pair_swap_steps(sites, reg_plus, reg_minus))
     out = QcaExpr(sites, tuple(steps))
-    _verify_same_action(expr, out, tol, dim_cap)
+    _verify_same_action(expr, out, tol)
     return out
 
 
 def action_distance_on_units(
-    e1: QcaExpr, e2: QcaExpr, window: Window, mats: np.ndarray, dim_cap=None
+    e1: QcaExpr, e2: QcaExpr, window: Window, mats: np.ndarray
 ) -> float:
     """Largest Frobenius distance between the images of a unit batch under two
     expressions (an upper bound for the operator-norm distance), computed at
     slot granularity so big common windows are never materialized."""
     slots = _slots_of_window(e1.sites, window)
-    a, b = (_run_batch(e, slots, mats, dim_cap) for e in (e1, e2))
-    return _image_distance(e1.sites, a, b, dim_cap)
+    a, b = (_run_batch(e, slots, mats) for e in (e1, e2))
+    return _image_distance(e1.sites, a, b)
 
 
-def _image_distance(sites: SiteSpec, a, b, dim_cap=None) -> float:
+def _image_distance(sites: SiteSpec, a, b) -> float:
     """Largest Frobenius distance between matching members of two batches
     (slots, matrices), compared on the union of their slots."""
-    _, (m1, m2) = _on_union(sites, [a, b], dim_cap)
+    _, (m1, m2) = _on_union(sites, [a, b])
     diff = m1 - m2
     per_unit = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(1, 2)))
     return float(np.max(per_unit))
 
 
-def _verify_same_action(e1: QcaExpr, e2: QcaExpr, tol: float, dim_cap=None):
+def _verify_same_action(e1: QcaExpr, e2: QcaExpr, tol: float):
     d = e1.sites.dim
     rr = max(radius(e1), radius(e2), 1) + 1
     units = matrix_unit_batch(d)
     for j in range(-rr, rr + 1):
-        if action_distance_on_units(e1, e2, Window.site(j), units, dim_cap) > tol:
+        if action_distance_on_units(e1, e2, Window.site(j), units) > tol:
             raise InvariantViolation(
                 f"shift neutralization changed the action at site {j}"
             )

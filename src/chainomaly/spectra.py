@@ -181,6 +181,14 @@ def _hops(H: SparseOperator, orb: _Orbits):
     return cols, rows, np.concatenate(shifts), vals
 
 
+def _sector_phase(m: int, n: int, shifts: np.ndarray) -> np.ndarray:
+    """e^{iql} for q = 2 pi m / N and every shift l. It is exactly +-1 in the
+    sectors q = 0 and q = pi, whose blocks are then real without Y terms."""
+    if 2 * m % n == 0:
+        return 1.0 - 2.0 * ((2 * m // n * shifts) % 2)
+    return np.exp(2j * np.pi * m / n * shifts)
+
+
 def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matrix]:
     """Sector q = 2 pi m / N: the mask of representatives it holds (those
     whose orbit length R has m R = 0 mod N) and H on their momentum states."""
@@ -191,7 +199,7 @@ def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matr
     keep = inside[cols] & inside[rows]
     d = int(local[-1]) + 1
     block = sp.csr_matrix(
-        (vals[keep] * np.exp(2j * np.pi * m / n * shifts[keep]),
+        (vals[keep] * _sector_phase(m, n, shifts[keep]),
          (local[rows[keep]], local[cols[keep]])),
         shape=(d, d),
     )
@@ -208,7 +216,7 @@ def _lift(orb: _Orbits, inside: np.ndarray, m: int, vec: np.ndarray) -> np.ndarr
     psi = np.zeros(len(orb.index), dtype=complex)
     psi[member] = (
         vec[local[rep]]
-        * np.exp(-2j * np.pi * m / n * orb.shift[member])
+        * _sector_phase(m, n, orb.shift[member]).conj()
         / np.sqrt(orb.period[rep])
     )
     return psi

@@ -42,30 +42,30 @@ def single_gate_expr(sites, slots, mat) -> QcaExpr:
     return QcaExpr(sites, (layer,))
 
 
-def image(expr, op, dim_cap=None):
+def image(expr, op):
     """The image of one operator under the automorphism, by the slot engine."""
-    slots, mats = qca._run_batch(expr, op[0], np.asarray(op[1], dtype=complex)[None], dim_cap)
+    slots, mats = qca._run_batch(expr, op[0], np.asarray(op[1], dtype=complex)[None])
     return slots, mats[0]
 
 
-def on_union(sites, *ops, dim_cap=None):
+def on_union(sites, *ops):
     """The operators embedded on the union of their slots."""
     parts = [(s, np.asarray(m, dtype=complex)[None]) for s, m in ops]
-    union, mats = qca._on_union(sites, parts, dim_cap)
+    union, mats = qca._on_union(sites, parts)
     return union, [m[0] for m in mats]
 
 
-def slot_product(sites, *ops, dim_cap=None):
+def slot_product(sites, *ops):
     """The product of the operators, left to right, on the union of slots."""
-    union, mats = on_union(sites, *ops, dim_cap=dim_cap)
+    union, mats = on_union(sites, *ops)
     out = mats[0]
     for m in mats[1:]:
         out = out @ m
     return union, out
 
 
-def slot_distance(sites, a, b, dim_cap=None) -> float:
+def slot_distance(sites, a, b) -> float:
     """Frobenius norm of a - b on the union of their slots. It bounds the
     operator-norm distance from above."""
-    _, (x, y) = on_union(sites, a, b, dim_cap=dim_cap)
+    _, (x, y) = on_union(sites, a, b)
     return float(np.linalg.norm(x - y))

@@ -52,13 +52,13 @@ def test_criterion_1_levin_gu_pipeline():
     with criterion(1, "flip-entangle preset: V, omega, class, verdict", 10.0):
         report = anm.anomaly_class(anm.levin_gu_action())
         # obstruction unitary at the cut is the Pauli Z up to gauge
-        _, vt = anm.omega_cocycle(anm.levin_gu_action())
+        _, _, vt = anm.omega_cocycle(anm.levin_gu_action())
         slots, v11 = vt.gate(1, 1)
         assert slots == (0,)
         assert np.allclose(v11, opwin.PAULI_Z, atol=1e-9)
         assert report.omega.at(1, 1, 1) == Fraction(1, 2)
         assert max(
-            d["snap_error"] for d in report.diagnostics["omega"].values()
+            d["snap_error"] for d in report.omega_diagnostics.values()
         ) < 1e-8
         assert report.cohomology.invariant_factors == (2,)
         assert report.coords.residues == (1,)
@@ -76,7 +76,7 @@ def test_criterion_3_lsm_mixed_anomaly():
     with criterion(3, "translation x projective rep: slant class = multiplier class", 60.0):
         out = anm.lsm_pipeline(anm.pauli_projective_rep())
         rho_class = class_of(
-            anm.projective_cocycle(anm.pauli_projective_rep()),
+            anm.projective_cocycle(anm.pauli_projective_rep()).cochain,
             cohomology(anm.pauli_projective_rep().group, 2),
         )
         assert out.slant_class.residues == rho_class.residues
@@ -103,7 +103,7 @@ def test_criterion_4_cohomology_kernel():
         assert h2.invariant_factors == (2,)
         assert time.monotonic() - t0 < 5.0
         # cross-check by the projective Pauli pair
-        rho = anm.projective_cocycle(anm.pauli_projective_rep())
+        rho = anm.projective_cocycle(anm.pauli_projective_rep()).cochain
         assert class_of(rho, h2).residues == (1,)
 
 
@@ -165,7 +165,8 @@ def test_criterion_6_cocycle_robustness(rng):
     with criterion(6, "pentagon exact; restriction and gauge independence", 120.0):
         act = anm.levin_gu_action()
         G = act.group
-        om, vt = anm.omega_cocycle(act)
+        omc, _, vt = anm.omega_cocycle(act)
+        om = omc.cochain
         # post-snap cocycle identity on every quadruple, exact arithmetic
         d_om = coboundary(om)
         assert all(v == 0 for v in d_om.values)
@@ -190,8 +191,8 @@ def test_criterion_6_cocycle_robustness(rng):
                     u12_dag = (U[g12][0], U[g12][1].conj().T)
                     right = image(beta[g12], slot_product(s2, U[g2], u12_dag))
                     vt_t.entries[(g1, g2)] = slot_product(s2, left, vt.gate(g1, g2), right)
-            om_t = anm.omega_from_vtable(G, beta_t, vt_t, den_cap=48)
-            assert om_t.values == om.values
+            om_t, _ = anm.omega_from_vtable(G, beta_t, vt_t)
+            assert om_t.cochain.values == om.values
         # >= 10 random rephasings: exact coboundary shift, class unchanged
         H = cohomology(G, 3)
         base_class = class_of(om, H)
@@ -202,7 +203,7 @@ def test_criterion_6_cocycle_robustness(rng):
             vt2 = anm.VTable(entries={}, residuals={})
             for (g, h), (slots, mat) in vt.entries.items():
                 vt2.entries[(g, h)] = (slots, np.exp(2j * np.pi * float(theta.at(g, h))) * mat)
-            om2 = anm.omega_from_vtable(G, beta, vt2, den_cap=48)
+            om2 = anm.omega_from_vtable(G, beta, vt2)[0].cochain
             assert (om2 - om).values == coboundary(-theta).values
             assert class_of(om2, H).residues == base_class.residues
 

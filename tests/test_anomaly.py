@@ -1,10 +1,15 @@
+import functools
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainomaly import qca
+from chainomaly import cli, qca
 from chainomaly import anomaly as anm
 from chainomaly.errors import (
     NotAHomomorphism,
@@ -13,7 +18,6 @@ from chainomaly.errors import (
     NotProjective,
     NotScalar,
     ShiftsPresent,
-    SnapFailure,
 )
 from chainomaly.grpcoh import (
     FiniteGroup,
@@ -224,15 +228,16 @@ def test_extract_random_gate_recovers_it(rng):
     assert np.max(np.abs(mat - u_gauged)) <= 1e-9
 
 
-def test_extract_rejects_non_inner():
+def test_extract_rejects_non_inner(monkeypatch):
     beta = anm.restrict_right(anm.levin_gu_action().expr(1))
+    monkeypatch.setattr(anm, "MAX_HINT", 4)
     with pytest.raises((NotInner, NotIdentityOutside)):
-        anm._extract_search(beta, max_hint=4)
+        anm._extract_search(beta)
 
 
 def test_vtable_invariant_levin_gu():
     act = anm.levin_gu_action()
-    om, vt = anm.omega_cocycle(act)
+    _, _, vt = anm.omega_cocycle(act)
     G = act.group
     beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
     units = matrix_unit_batch(2)
@@ -250,22 +255,23 @@ def test_omega_levin_gu_values():
     # automorphism flips the sign of Z0, so the only nonzero value is
     # Z0 * 1 * 1 * (-Z0)^{-1} = -1, a half turn at (-1,-1,-1)
     act = anm.levin_gu_action()
-    om, vt = anm.omega_cocycle(act)
+    om, diagnostics, _ = anm.omega_cocycle(act)
     for t in itertools.product(range(2), repeat=3):
         expect = Fraction(1, 2) if t == (1, 1, 1) else Fraction(0)
-        assert om.at(*t) == expect
-    assert max(d["snap_error"] for d in vt.omega_diagnostics.values()) < 1e-8
+        assert om.cochain.at(*t) == expect
+    assert max(d["snap_error"] for d in diagnostics.values()) < 1e-8
 
 
 def test_omega_onsite_trivial():
-    om, _ = anm.omega_cocycle(anm.onsite_flip_action())
-    assert om.is_zero()
+    om, _, _ = anm.omega_cocycle(anm.onsite_flip_action())
+    assert om.cochain.is_zero()
 
 
 def test_omega_rephasing_shifts_by_coboundary(rng):
     act = anm.levin_gu_action()
     G = act.group
-    om, vt = anm.omega_cocycle(act)
+    omc, _, vt = anm.omega_cocycle(act)
+    om = omc.cochain
     beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
     for _ in range(3):
         theta = PhaseCochain.from_function(
@@ -275,7 +281,7 @@ def test_omega_rephasing_shifts_by_coboundary(rng):
         for (g, h), (slots, mat) in vt.entries.items():
             phase = np.exp(2j * np.pi * float(theta.at(g, h)))
             vt2.entries[(g, h)] = (slots, phase * mat)
-        om2 = anm.omega_from_vtable(G, beta, vt2, den_cap=48)
+        om2 = anm.omega_from_vtable(G, beta, vt2)[0].cochain
         diff = om2 - om
         # with the alternating-sum orientation the shift is d(-theta)
         assert diff.values == coboundary(-theta).values
@@ -289,7 +295,7 @@ def test_omega_beta_independence_exact(rng):
     # cocycle value for value
     act = anm.levin_gu_action()
     G = act.group
-    om0, vt0 = anm.omega_cocycle(act)
+    om0, _, vt0 = anm.omega_cocycle(act)
     beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
     for _ in range(3):
         U = {}
@@ -309,8 +315,8 @@ def test_omega_beta_independence_exact(rng):
                 u12_dag = (U[g12][0], U[g12][1].conj().T)
                 right = image(beta[g12], slot_product(S2, U[g2], u12_dag))
                 vt_t.entries[(g1, g2)] = slot_product(S2, left, vt0.gate(g1, g2), right)
-        om_t = anm.omega_from_vtable(G, beta_t, vt_t, den_cap=48)
-        assert om_t.values == om0.values
+        om_t, _ = anm.omega_from_vtable(G, beta_t, vt_t)
+        assert om_t.cochain.values == om0.cochain.values
 
 
 def test_non_scalar_associator_names_the_tuple():
@@ -318,17 +324,17 @@ def test_non_scalar_associator_names_the_tuple():
     # Z1 behind, so omega(-1,-1,-1) is not a multiple of the identity
     act = anm.levin_gu_action()
     G = act.group
-    _, vt = anm.omega_cocycle(act)
+    _, _, vt = anm.omega_cocycle(act)
     beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
     vt.entries[(1, 1)] = slot_product(S2, ((0,), PAULI_X), vt.entries[(1, 1)])
     with pytest.raises(NotScalar, match=r"omega\(-1, -1, -1\): product is not"):
-        anm.omega_from_vtable(G, beta, vt, den_cap=48)
+        anm.omega_from_vtable(G, beta, vt)
 
 
 def test_omega_pentagon_exact():
-    om, _ = anm.omega_cocycle(anm.levin_gu_action())
-    assert is_cocycle(om)
-    assert coboundary(om).is_zero()
+    om, _, _ = anm.omega_cocycle(anm.levin_gu_action())
+    assert is_cocycle(om.cochain)
+    assert coboundary(om.cochain).is_zero()
 
 
 # -- full pipeline --------------------------------------------------------------------------
@@ -396,7 +402,7 @@ def test_stacking_with_trivial_factor_preserves_class():
 
 def test_pauli_multiplier_values():
     rep = anm.pauli_projective_rep()
-    rho = anm.projective_cocycle(rep)
+    rho = anm.projective_cocycle(rep).cochain
     G = rep.group
     # labels: (a, b) -> a*2 + b; direct 2x2 products pin the phases
     xa, zb = 2, 1  # (1,0) and (0,1)
@@ -406,13 +412,13 @@ def test_pauli_multiplier_values():
 
 
 def test_linear_rep_trivial_multiplier():
-    rho = anm.projective_cocycle(anm.linear_flip_rep())
+    rho = anm.projective_cocycle(anm.linear_flip_rep()).cochain
     assert rho.is_zero()
 
 
 def test_pauli_multiplier_class_nonzero():
     rep = anm.pauli_projective_rep()
-    rho = anm.projective_cocycle(rep)
+    rho = anm.projective_cocycle(rep).cochain
     H = cohomology(rep.group, 2)
     assert H.invariant_factors == (2,)
     assert class_of(rho, H).residues == (1,)
@@ -426,16 +432,29 @@ def test_not_projective_detected():
         anm.projective_cocycle(rep)
 
 
-def test_snap_failures_name_the_failing_tuple():
-    # omega(-1,-1,-1) = 1/2 and rho(X, Z) = 1/2 have no denominator-1 rational
-    with pytest.raises(
-        SnapFailure, match=r"omega\(-1, -1, -1\): no rational with denominator <= 1"
-    ):
-        anm.anomaly_class(anm.levin_gu_action(), den_cap=1)
-    with pytest.raises(
-        SnapFailure, match=r"multiplier at \(\(0,1\), \(1,0\)\): no rational with denominator"
-    ):
-        anm.projective_cocycle(anm.pauli_projective_rep(), den_cap=1)
+def test_unsnapped_phases_keep_their_class(monkeypatch):
+    # omega(-1,-1,-1) = 1/2 and rho(X, Z) = 1/2 have no denominator-1
+    # rational: the class still comes from the rounded Bockstein, and the
+    # report prints the class representative built from the generators
+    monkeypatch.setattr(anm, "default_den_cap", lambda order: 1)
+    rep = anm.anomaly_class(anm.levin_gu_action())
+    assert rep.coords.residues == (1,)
+    assert rep.omega.values == rep.cohomology.representative(rep.coords).values
+    d = rep.as_json_dict()
+    assert d["diagnostics"]["representative_rows"] == ["omega"]
+    assert "max_snap_error" not in d["diagnostics"]
+    assert all(set(row) == {"args", "phase"} for row in d["omega"])
+    rho = anm.projective_cocycle(anm.pauli_projective_rep())
+    assert rho.snap_errors is None
+    assert rho.coords.residues == (1,)
+    assert class_of(rho.cochain, cohomology(rho.cochain.group, 2)) == rho.coords
+
+
+def test_snapped_rows_carry_no_representative_key():
+    d = anm.anomaly_class(anm.levin_gu_action()).as_json_dict()
+    assert "representative_rows" not in d["diagnostics"]
+    assert all(set(row) == {"args", "phase", "snap_error"} for row in d["omega"])
+    assert "representative_rows" not in anm.lsm_pipeline(anm.linear_flip_rep()).diagnostics
 
 
 # -- the mixed anomaly --------------------------------------------------------------------------
@@ -602,3 +621,106 @@ def test_stack_neutralize_rejects_fake_shift_action():
     )
     with pytest.raises(NotAHomomorphism):
         anm.stack_neutralize(act)
+
+
+# -- gauge-invariant classification ----------------------------------------------------------
+
+K4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+
+
+def _layer(period: int, mat: np.ndarray, anchor: int = 0) -> dict:
+    """A config layer of one gate template, its matrix as [re, im] pairs."""
+    span = int(round(np.log2(len(mat))))
+    pairs = [[float(z.real), float(z.imag)] for z in np.asarray(mat).reshape(-1)]
+    template = {"anchor": anchor, "span": span, "unitary": pairs}
+    return {"kind": "layer", "period": period, "templates": [template]}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4, 9])
+def test_k4_conjugated_by_ginibre_unitary_keeps_its_class(tmp_path, seed):
+    # K4 acting by flip, flip-entangle and entangle, conjugated on-site by a
+    # Haar-random unitary: its gauge-fixed phases are irrational for seeds
+    # 3, 4 and 9, which a per-phase snap used to refuse
+    u = random_unitary(2, np.random.default_rng(seed))
+    cz = np.diag([1.0, 1.0, 1.0, -1.0])
+    flip, entangle = [_layer(1, PAULI_X)], [_layer(2, cz), _layer(2, cz, anchor=1)]
+    steps = [[]] + [
+        [_layer(1, u.conj().T)] + s + [_layer(1, u)] for s in (flip, flip + entangle, entangle)
+    ]
+    config = {
+        "mode": "anomaly",
+        "group": {"kind": "product", "factors": [2, 2]},
+        "action": {
+            "site": {"registers": [2]},
+            "map": [{"element": g, "steps": s} for g, s in enumerate(steps)],
+        },
+        "output": {"json": "report.json"},
+    }
+    path = tmp_path / "k4.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["class"] == [0, 1, 0]
+    assert report["verdict"] == "Anomalous"
+    # the printed rows are an exact cocycle of the printed class
+    rows = PhaseCochain(K4, 3, tuple(Fraction(r["phase"]) for r in report["omega"]))
+    assert class_of(rows, cohomology(K4, 3)).residues == (0, 1, 0)
+
+
+def _rephased(rep: anm.ProjectiveRep, phases) -> anm.ProjectiveRep:
+    """Every matrix but the identity's times e^{2 pi i t}, t in turns."""
+    mats = (rep.matrices[0],) + tuple(
+        np.exp(2j * np.pi * t) * m for t, m in zip(phases, rep.matrices[1:])
+    )
+    return anm.ProjectiveRep(rep.group, mats)
+
+
+def test_rephased_pauli_rep_slant_equals_multiplier_class():
+    # X, Z and XZ times e^{0.3i}, e^{1.1i} and e^{2.0i}: no multiplier phase
+    # is rational any more
+    rep = _rephased(anm.pauli_projective_rep(), np.array([0.3, 1.1, 2.0]) / (2 * np.pi))
+    out = anm.lsm_pipeline(rep)
+    assert out.slant_class.residues == (1,)
+    assert out.projective_class.residues == (1,)
+    assert out.classes_equal
+    assert out.diagnostics["representative_rows"] == ["projective"]
+
+
+@functools.lru_cache(maxsize=1)
+def _k4_omega():
+    """K4 acting by identity, flip, flip-entangle and the bare entangler: its
+    restrictions, its classified cocycle and its V table."""
+    gamma = anm.levin_gu_action().expr(1)
+    flip = anm.onsite_flip_action().expr(1)
+    act = anm.ActionSpec(K4, S2, (identity_expr(S2), flip, gamma, compose(gamma, flip)))
+    beta = {g: anm.restrict_right(act.expr(g)) for g in K4.elements()}
+    om, _, vt = anm.omega_cocycle(act)
+    return beta, om, vt
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 10 ** 6))
+def test_real_phases_on_v_leave_the_class(seed):
+    # V(g,h) -> e^{2 pi i mu(g,h)} V(g,h) with real mu changes omega by a real
+    # coboundary; the oracle is the class of the unrotated V table
+    beta, base, vt = _k4_omega()
+    rng = np.random.default_rng(seed)
+    vt2 = anm.VTable(entries={})
+    for key, (slots, mat) in vt.entries.items():
+        vt2.entries[key] = (slots, np.exp(2j * np.pi * rng.uniform()) * mat)
+    om, _ = anm.omega_from_vtable(K4, beta, vt2)
+    assert om.coords == base.coords
+    assert om.coords.residues == (0, 1, 0)
+
+
+@pytest.mark.parametrize("make_rep", [anm.pauli_projective_rep, lambda: anm.clock_shift_rep(3)])
+@given(seed=st.integers(0, 10 ** 6))
+def test_real_phases_on_rep_matrices_leave_the_class(make_rep, seed):
+    # the multiplier moves by a real coboundary; the oracle is the class of
+    # the unrotated representation
+    rep = make_rep()
+    base = anm.projective_cocycle(rep)
+    phases = np.random.default_rng(seed).uniform(size=rep.group.order - 1)
+    moved = anm.projective_cocycle(_rephased(rep, phases))
+    assert moved.coords == base.coords
+    assert not moved.coords.is_trivial

@@ -237,8 +237,8 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):
     "text, path",
     [
         ("mode: selftest\nbogus: 1\n", "bogus"),
-        (LEVIN_GU + "caps: {den_cpa: 1}\n", "caps.den_cpa"),
-        (LEVIN_GU + "caps: {threads: 4}\n", "caps.threads"),
+        (LEVIN_GU + "caps: {den_cap: 48, window_cap: 4096, max_hint: 8}\n", "caps"),
+        (LEVIN_GU + "caps: {threads: 4}\n", "caps"),
         ("mode: selftest\noutput: {jsn: r.json}\n", "output.jsn"),
         ("mode: spectra\nspectra: {k: 2, gird: []}\n", "spectra.gird"),
         ("mode: spectra\nspectra: {grid: [{N: 6, j: 1.0}]}\n", "spectra.grid[0].j"),
@@ -279,11 +279,16 @@ def test_expr_config_roundtrip():
     assert qca.expr_to_data(again) == data
 
 
-def test_shipped_configs_parse():
+def test_shipped_configs_parse(tmp_path):
     cfg_dir = Path(__file__).resolve().parent.parent / "configs"
-    for path in sorted(cfg_dir.glob("*.yaml")):
+    paths = sorted(cfg_dir.glob("*.yaml"))
+    assert paths
+    for path in paths:
         cfg = cli.parse_config(path.read_text())
         assert cfg.mode in cli.MODES
+        out = tmp_path / path.stem
+        out.mkdir()
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0, path.name
 
 
 CUSTOM_LEVIN_GU = """

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from chainomaly.errors import (
     DegreeCap,
     EvaluatorDomain,
+    InvariantViolation,
     MatrixCap,
     NotACocycle,
     SnapFailure,
@@ -18,6 +20,7 @@ from chainomaly.grpcoh import (
     PhaseCochain,
     _coboundary_matrix,
     _face_sums,
+    bockstein_class,
     class_of,
     coboundary,
     cohomology,
@@ -127,25 +130,40 @@ def test_coboundary_degree_one_formula():
 @pytest.mark.parametrize("degree", [1, 2])
 @given(seed=st.integers(0, 10 ** 6))
 def test_d_squared_zero(group, degree, seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     f = random_cochain(group, degree, rng)
     assert coboundary(coboundary(f)).is_zero()
+
+
+def faces(group, t):
+    """Faces d_0..d_m of an m-tuple, inhomogeneous bar convention."""
+    m = len(t)
+    out = [t[1:]]
+    for i in range(1, m):
+        out.append(t[: i - 1] + (group.mul(t[i - 1], t[i]),) + t[i + 1:])
+    out.append(t[:-1])
+    return out
 
 
 @pytest.mark.parametrize("group", [Z3, Z2Z2, S3])
 @pytest.mark.parametrize("degree", [1, 2])
 @given(seed=st.integers(0, 10 ** 6))
 def test_coboundary_matrix_matches_face_sums(group, degree, seed):
-    # the vectorised matrix of d_k against the exact face-sum loop
-    import numpy as np
-
+    # the matrix of d_k and the vectorised face sums, on integers, floats and
+    # exact fractions, against face sums written out tuple by tuple
     rng = np.random.default_rng(seed)
     f = random_cochain(group, degree, rng)
+    want = [
+        sum((-1) ** i * f.at(*face) for i, face in enumerate(faces(group, t)))
+        for t in itertools.product(range(group.order), repeat=degree + 1)
+    ]
     nums = np.array([int(v * 8) for v in f.values])
-    want = [int(s * 8) for s in _face_sums(f)]
-    assert (_coboundary_matrix(group, degree) @ nums).tolist() == want
+    assert (_coboundary_matrix(group, degree) @ nums).tolist() == [int(s * 8) for s in want]
+    assert _face_sums(group, degree, nums).tolist() == [int(s * 8) for s in want]
+    exact = _face_sums(group, degree, np.array(f.values, dtype=object))
+    assert list(exact) == want
+    floats = _face_sums(group, degree, np.array([float(v) for v in f.values]))
+    assert np.allclose(floats, [float(s) for s in want], rtol=0, atol=1e-12)
 
 
 def test_degree_cap():
@@ -187,8 +205,6 @@ def test_not_a_cocycle():
 
 @given(seed=st.integers(0, 10 ** 6))
 def test_coboundaries_are_cocycles(seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     psi = random_cochain(Z2Z2, 2, rng)
     assert is_cocycle(coboundary(psi))
@@ -249,8 +265,6 @@ def test_generators_hit_the_standard_basis_across_primes(group, degree):
 @pytest.mark.parametrize("group", [Z4, Z2Z2, Z6])
 @given(seed=st.integers(0, 10 ** 6))
 def test_generator_classes_ignore_coboundaries(group, seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     H = cohomology(group, 3)
     psi = random_cochain(group, 2, rng, den=12)
@@ -293,8 +307,6 @@ def test_class_of_rejects_non_cocycles():
 
 @given(seed=st.integers(0, 10 ** 6))
 def test_class_of_kills_coboundaries(seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     H = cohomology(Z2, 3)
     psi = random_cochain(Z2, 2, rng)
@@ -305,8 +317,6 @@ def test_class_of_kills_coboundaries(seed):
 
 @given(seed=st.integers(0, 10 ** 6))
 def test_class_of_additive(seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     H = cohomology(Z2Z2, 2)
     f = coboundary(random_cochain(Z2Z2, 1, rng))
@@ -322,6 +332,70 @@ def test_class_coords_arithmetic():
     c = ClassCoords((1,), (2,))
     assert (c + c).is_trivial
     assert (-c).residues == (1,)
+
+
+# -- the rounded Bockstein of float phases ----------------------------------------------
+
+@pytest.mark.parametrize("group,degree", [(Z2Z2, 2), (Z2Z2, 3), (Z4, 3), (S3, 3)])
+@given(seed=st.integers(0, 10 ** 6))
+def test_bockstein_class_ignores_real_coboundaries(group, degree, seed):
+    # the exact class of a representative is the oracle; adding d of a real
+    # (irrational) cochain and reading the phases as floats keeps it
+    rng = np.random.default_rng(seed)
+    H = cohomology(group, degree)
+    coords = ClassCoords(
+        tuple(int(rng.integers(0, f)) for f in H.invariant_factors), H.invariant_factors
+    )
+    rep = H.representative(coords)
+    assert class_of(rep, H) == coords
+    mu = rng.uniform(-3.0, 3.0, size=group.order ** (degree - 1))
+    turns = np.array([float(v) for v in rep.values]) + _coboundary_matrix(group, degree - 1) @ mu
+    assert bockstein_class(turns, H) == coords
+
+
+def test_bockstein_residual_names_the_worst_tuple():
+    # perturbing omega(1,1,1) by 1e-3 and omega(0,1,1) by 4e-3: the written-out
+    # pentagon residual of every quadruple is the oracle for the named tuple
+    om = omega_z2()
+    turns = {t: float(om.at(*t)) for t in itertools.product(range(2), repeat=3)}
+    turns[(1, 1, 1)] += 1e-3
+    turns[(0, 1, 1)] += 4e-3
+    resid = {}
+    for t in itertools.product(range(2), repeat=4):
+        b = sum((-1) ** i * (turns[face] % 1.0) for i, face in enumerate(faces(Z2, t)))
+        resid[t] = abs(b - round(b))
+    worst = max(resid.values())
+    pattern = r"omega is not a cocycle: its Bockstein at \(([01], ){3}[01]\)"
+    with pytest.raises(NotACocycle, match=pattern) as exc:
+        bockstein_class([turns[t] for t in sorted(turns)], cohomology(Z2, 3), "omega")
+    named = tuple(int(x) for x in str(exc.value).split("(")[1].split(")")[0].split(", "))
+    assert resid[named] == pytest.approx(worst, abs=1e-12)
+    assert f"is {worst:.3g} from an integer" in str(exc.value)
+
+
+def test_bockstein_within_tolerance_rounds():
+    om = omega_z2()
+    turns = [float(v) + 1e-9 for v in om.values]
+    assert bockstein_class(turns, cohomology(Z2, 3)).residues == (1,)
+
+
+def test_rounded_bockstein_must_be_a_cocycle(monkeypatch):
+    # an integer Bockstein that is not a cocycle cannot come from any phases;
+    # a corrupted face sum stands in for the bug that would produce one
+    import chainomaly.grpcoh as grpcoh
+
+    real = grpcoh._face_sums
+
+    def corrupt(group, degree, values):
+        out = real(group, degree, values)
+        if degree == 3:
+            out = out.copy()
+            out[5] += 1
+        return out
+
+    monkeypatch.setattr(grpcoh, "_face_sums", corrupt)
+    with pytest.raises(InvariantViolation, match="rounded Bockstein of the omega is not a cocycle"):
+        bockstein_class([float(v) for v in omega_z2().values], cohomology(Z2, 3), "omega")
 
 
 # -- snapping ------------------------------------------------------------------------
@@ -340,7 +414,7 @@ def test_snap_fraction():
 # -- slant product --------------------------------------------------------------------
 
 def test_slant_of_zero():
-    out = slant_z(lambda a, b, c: Fraction(0), Z2)
+    out = PhaseCochain(Z2, 2, tuple(slant_z(lambda a, b, c: Fraction(0), Z2)))
     assert out.is_zero()
 
 
@@ -352,7 +426,7 @@ def test_slant_of_pullback_is_cohomologically_trivial():
     def ev(a, b, c):
         return om.at(a[0], b[0], c[0])
 
-    out = slant_z(ev, Z2)
+    out = PhaseCochain(Z2, 2, tuple(slant_z(ev, Z2)))
     assert is_cocycle(out)
     assert class_of(out, cohomology(Z2, 2)).is_trivial
 

@@ -78,12 +78,14 @@ def test_embed_scalar():
     assert np.allclose(e, 2.5 * np.eye(4))
 
 
-def test_embed_cap():
+def test_embed_cap(monkeypatch):
     # the union of three one-slot operators has dimension 8
     ops = [((j,), PAULI_Z) for j in range(3)]
-    assert on_union(S2, *ops, dim_cap=8)[0] == (0, 1, 2)
+    monkeypatch.setattr(qca, "DEFAULT_DIM_CAP", 8)
+    assert on_union(S2, *ops)[0] == (0, 1, 2)
+    monkeypatch.setattr(qca, "DEFAULT_DIM_CAP", 4)
     with pytest.raises(WindowCapExceeded):
-        on_union(S2, *ops, dim_cap=4)
+        on_union(S2, *ops)
 
 
 @given(seed=st.integers(0, 10 ** 6))

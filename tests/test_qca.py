@@ -146,13 +146,14 @@ def test_apply_window_growth_bounded():
     assert all(-radius(e) <= s <= radius(e) for s in slots)
 
 
-def test_apply_cap():
+def test_apply_cap(monkeypatch):
     rng = np.random.default_rng(6)
     layers = tuple(random_two_site_layer(rng, anchor=k % 2) for k in range(12))
     e = QcaExpr(S2, layers)
     a = random_probe(rng, S2, Window(0, 1))
+    monkeypatch.setattr(qca, "DEFAULT_DIM_CAP", 64)
     with pytest.raises(WindowCapExceeded):
-        image(e, a, dim_cap=64)
+        image(e, a)
 
 
 # -- trimming identity slots -----------------------------------------------------------
@@ -585,7 +586,9 @@ def test_engine_matches_dense_conjugation(seed):
     a = random_probe(rng, S2, Window(0, int(rng.integers(0, 2))))
     fast = image(e, a)
     slow = _dense_layer_apply(e, a, radius(e) + 2)
-    assert slot_distance(S2, fast, slow, dim_cap=1 << 16) <= 1e-9 * max(1.0, norm(a))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qca, "DEFAULT_DIM_CAP", 1 << 16)
+        assert slot_distance(S2, fast, slow) <= 1e-9 * max(1.0, norm(a))
 
 
 @settings(max_examples=10)
@@ -599,4 +602,6 @@ def test_engine_matches_dense_with_truncated_layers(seed):
     a = random_probe(rng, S2, Window(-1, 1))
     fast = image(e, a)
     slow = _dense_layer_apply(e, a, radius(e) + 2)
-    assert slot_distance(S2, fast, slow, dim_cap=1 << 16) <= 1e-9 * max(1.0, norm(a))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qca, "DEFAULT_DIM_CAP", 1 << 16)
+        assert slot_distance(S2, fast, slow) <= 1e-9 * max(1.0, norm(a))

@@ -222,6 +222,28 @@ def test_momentum_sectors_partition_the_spectrum(n, j, a):
         assert np.max(np.abs(levels[m] - levels[n - m])) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [8, 12, 14])
+def test_real_sectors_have_real_blocks(n):
+    # q = 0 and q = pi weigh every hop by exactly +-1, so without Y terms
+    # their blocks are real and take the real eigensolver path; the blocks
+    # agree with the e^{iql} weights to rounding
+    H = build_hamiltonian(HamiltonianSpec(n, j_coupling=4.0, terms=("h0", "h1", "hj")))
+    orb = spectra._Orbits.of(n)
+    cols, rows, shifts, vals = hops = spectra._hops(H, orb)
+    for m in (0, n // 2):
+        inside, block = spectra._momentum_block(orb, hops, m)
+        assert not block.data.imag.any()
+        local = np.cumsum(inside) - 1
+        keep = inside[cols] & inside[rows]
+        want = np.zeros(block.shape, dtype=complex)
+        np.add.at(
+            want,
+            (local[rows[keep]], local[cols[keep]]),
+            vals[keep] * np.exp(2j * np.pi * m / n * shifts[keep]),
+        )
+        assert np.max(np.abs(block.toarray() - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("terms", [("h0",), ("h0", "h1", "hj", "ha")])
 def test_lifted_eigenvectors_are_orthonormal_eigenvectors(n, terms):
