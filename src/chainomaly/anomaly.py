@@ -10,6 +10,12 @@ classifies it exactly from its rounded Bockstein, which does not depend on
 the gauge the extraction picks. A nonzero class rules out symmetric gapped
 ground states for every invariant finite-range Hamiltonian.
 
+Each V(g, h) implements beta_g beta_h beta_gh^-1 and is extracted on the
+slots that expression moves. A slot is moved unless beta_h beta_gh^-1 maps
+its matrix units to their images under beta_g^-1; those inverse images come
+from one table per V table, computed once per element and slot, so each
+probed slot costs one run of beta_h.
+
 For a projective on-site representation combined with translation, the
 mixed anomaly is computed lazily on the translation-slant argument set and
 reduced to a degree-2 class on the on-site group, to compare with the class
@@ -354,47 +360,77 @@ def restrict_right(expr: QcaExpr) -> QcaExpr:
 
 # -- implementing-unitary extraction -------------------------------------------
 
+# The largest support dimension of an extracted V, and the largest ratio of the
+# Choi matrix's second eigenvalue to its first that still counts as rank one.
+MAX_CHOI_DIM = 64
+CHOI_RANK_RATIO = 1e-7
+
+
+@dataclass(eq=False)
+class _InverseImages:
+    """The restricted action `beta` (element -> expression) with, computed
+    when first needed, each element's inverse and, per element x and slot s,
+    I_x(s): the matrix units of slot s run through the inverse of beta_x.
+    One table serves every pair and hint window of a V table."""
+
+    beta: dict
+    inverses: dict = field(default_factory=dict)
+    images: dict = field(default_factory=dict)
+
+    def inverse(self, x) -> QcaExpr:
+        if x not in self.inverses:
+            self.inverses[x] = invert(self.beta[x])
+        return self.inverses[x]
+
+    def image(self, x, slot: int):
+        if (x, slot) not in self.images:
+            sites = self.beta[x].sites
+            units = matrix_unit_batch(sites.registers[slot % sites.nregisters])
+            self.images[x, slot] = _run_batch(self.inverse(x), (slot,), units)
+        return self.images[x, slot]
+
+    def expression(self, a, b, ab) -> QcaExpr:
+        """beta_a beta_b beta_ab^-1, whose implementing unitary is V(a, b)."""
+        return compose(self.beta[a], compose(self.beta[b], self.inverse(ab)))
+
+    def active_slots(self, a, b, ab, r: int, hint_window: Window) -> list[int]:
+        """The slots of the hint window, padded by r + 1 sites on each side,
+        that beta_a beta_b beta_ab^-1 moves. It fixes A exactly when
+        beta_b beta_ab^-1 (A) = beta_a^-1 (A), since conjugating both sides by
+        beta_a preserves their distance; so each slot costs one run of beta_b.
+        Raises NotIdentityOutside at the first moved slot outside the window."""
+        sites = self.beta[a].sites
+        R = sites.nregisters
+        active: list[int] = []
+        for site in range(hint_window.lo - (r + 1), hint_window.hi + r + 2):
+            for slot in range(site * R, (site + 1) * R):
+                image = _run_batch(self.beta[b], *self.image(ab, slot))
+                if _image_distance(sites, image, self.image(a, slot)) <= TOL_AUTO:
+                    continue
+                if not hint_window.contains_site(site):
+                    raise NotIdentityOutside(f"action is not the identity at site {site}")
+                active.append(slot)
+        return active
+
+
 def _extract_once(
-    expr: QcaExpr,
-    hint_window: Window,
-    rank_ratio: float = 1e-7,
-    tol: float = TOL_AUTO,
-    max_choi_dim: int = 64,
+    table: _InverseImages, a, b, ab, hint_window: Window
 ) -> tuple[SlotOperator, float]:
     """The local unitary V, trimmed to the slots it acts on, with
-    V A V^+ = expr(A), and the residual of that identity."""
+    V A V^+ = beta_a beta_b beta_ab^-1 (A), and the residual of that identity."""
+    expr = table.expression(a, b, ab)
     sites = expr.sites
-    R = sites.nregisters
-    r = max(radius(expr), 1)
     if hint_window.is_empty:
         raise ValidationError("hint window must be nonempty")
-
-    active: list[int] = []
-    register_units = [matrix_unit_batch(m) for m in sites.registers]
-    for site in range(hint_window.lo - (r + 1), hint_window.hi + r + 2):
-        for reg in range(R):
-            slot = site * R + reg
-            units = register_units[reg]
-            out_slots, out = _run_batch(expr, (slot,), units)
-            if out_slots == (slot,):
-                moved = bool(np.max(np.abs(out - units)) > tol)
-            else:
-                moved = True
-            if moved:
-                if hint_window.contains_site(site):
-                    active.append(slot)
-                else:
-                    raise NotIdentityOutside(
-                        f"action is not the identity at site {site}"
-                    )
+    active = table.active_slots(a, b, ab, max(radius(expr), 1), hint_window)
     if not active:
         return ((), np.ones((1, 1), dtype=complex)), 0.0
 
     dims = _slot_dims(sites, active)
     D = math.prod(dims)
-    if D > max_choi_dim:
+    if D > MAX_CHOI_DIM:
         raise WindowCapExceeded(
-            f"candidate support dimension {D} exceeds the extraction cap {max_choi_dim}"
+            f"candidate support dimension {D} exceeds the extraction cap {MAX_CHOI_DIM}"
         )
     units = matrix_unit_batch(D)
     out_slots, out = _run_batch(expr, tuple(active), units)
@@ -420,7 +456,7 @@ def _extract_once(
         order = np.argsort(w)
         lam1, lam2 = float(w[order[-1]]), float(w[order[-2]])
         vec = v[:, order[-1]]
-    if lam2 > rank_ratio * lam1:
+    if lam2 > CHOI_RANK_RATIO * lam1:
         raise NotInner(
             f"superoperator is not rank one (ratio {lam2 / lam1:.3g}); "
             "window too small or action not inner"
@@ -434,21 +470,23 @@ def _extract_once(
     V = V * (flat[idx].conjugate() / abs(flat[idx]))
 
     resid = float(np.max(np.abs(V @ units @ V.conj().T - out)))
-    if resid > tol:
+    if resid > TOL_AUTO:
         raise NotInner(f"extracted unitary fails to reproduce the action ({resid:.3g})")
     slots, mats = _trim_batch(sites, active, V[None], active)
     return (slots, mats[0]), resid
 
 
-def _extract_search(expr: QcaExpr) -> tuple[SlotOperator, float]:
-    step = max(1, radius(expr))
+def _extract_search(table: _InverseImages, a, b, ab, pair: str) -> tuple[SlotOperator, float]:
+    """V(a, b) from hint windows [0, hi] of growing hi. A failure at the
+    largest window is raised with the prefix "V(pair): "."""
+    step = max(1, radius(table.expression(a, b, ab)))
     hi = 1
     while True:
         try:
-            return _extract_once(expr, Window(0, hi))
-        except (NotInner, NotIdentityOutside):
-            if hi + 1 >= MAX_HINT:
-                raise
+            return _extract_once(table, a, b, ab, Window(0, hi))
+        except (NotInner, NotIdentityOutside, WindowCapExceeded) as exc:
+            if isinstance(exc, WindowCapExceeded) or hi + 1 >= MAX_HINT:
+                raise type(exc)(f"V({pair}): {exc}") from exc
             hi = min(hi + step, MAX_HINT - 1)
 
 
@@ -530,11 +568,12 @@ def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, dict, VTable]:
         for g in G.elements()
     }
     beta = {g: restrict_right(balanced[g]) for g in G.elements()}
+    table = _InverseImages(beta)
     vtable = VTable(entries={}, residuals={})
     for g in G.elements():
         for h in G.elements():
-            ev = compose(beta[g], compose(beta[h], invert(beta[G.mul(g, h)])))
-            gate, resid = _extract_search(ev)
+            pair = f"{G.name(g)}, {G.name(h)}"
+            gate, resid = _extract_search(table, g, h, G.mul(g, h), pair)
             vtable.entries[(g, h)] = gate
             vtable.residuals[(g, h)] = resid
     om, diagnostics = omega_from_vtable(G, beta, vtable)
@@ -638,14 +677,13 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     def namez(a):
         return f"({G0.name(a[0])}, {a[1]})"
 
+    table = _InverseImages(beta)
     vcache: dict[tuple, tuple[SlotOperator, float]] = {}
 
     def V(a, b) -> SlotOperator:
         key = (a, b)
         if key not in vcache:
-            ab = mulz(a, b)
-            ev = compose(beta[a], compose(beta[b], invert(beta[ab])))
-            vcache[key] = _extract_search(ev)
+            vcache[key] = _extract_search(table, a, b, mulz(a, b), f"{namez(a)}, {namez(b)}")
         return vcache[key][0]
 
     omega_turns: dict[tuple, float] = {}

@@ -228,10 +228,15 @@ def identity_expr(sites: SiteSpec) -> QcaExpr:
 
 
 def compose(e1: QcaExpr, e2: QcaExpr) -> QcaExpr:
-    """The automorphism e1(e2(A)): the steps of e2 act first, then those of e1."""
+    """The automorphism e1(e2(A)): the steps of e2 act first, then those of e1.
+    Every step already passed validation against the shared SiteSpec, so it
+    is not validated again."""
     if e1.sites != e2.sites:
         raise ValidationError("composition across different SiteSpecs")
-    return QcaExpr(e1.sites, e2.steps + e1.steps)
+    out = object.__new__(QcaExpr)
+    object.__setattr__(out, "sites", e1.sites)
+    object.__setattr__(out, "steps", e2.steps + e1.steps)
+    return out
 
 
 def invert(e: QcaExpr) -> QcaExpr:

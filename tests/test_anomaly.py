@@ -18,6 +18,7 @@ from chainomaly.errors import (
     NotProjective,
     NotScalar,
     ShiftsPresent,
+    WindowCapExceeded,
 )
 from chainomaly.grpcoh import (
     FiniteGroup,
@@ -40,6 +41,7 @@ from chainomaly.qca import (
     matrix_unit_batch,
 )
 
+import helpers_probe
 from conftest import (
     image,
     on_union,
@@ -201,15 +203,21 @@ def test_restrict_right_onsite_layer():
 
 # -- extraction --------------------------------------------------------------------------
 
+def bare_table(e) -> anm._InverseImages:
+    """A two-entry table in which the pair (a, b, ab) = (1, 0, 0) is the bare
+    expression e: beta_1 = e and beta_0 = the identity."""
+    return anm._InverseImages({0: identity_expr(e.sites), 1: e})
+
+
 def test_extract_levin_gu_square_is_z0():
     beta = anm.restrict_right(anm.levin_gu_action().expr(1))
-    (slots, mat), _ = anm._extract_once(compose(beta, beta), Window(0, 1))
+    (slots, mat), _ = anm._extract_once(bare_table(compose(beta, beta)), 1, 0, 0, Window(0, 1))
     assert slots == (0,)
     assert np.allclose(mat, PAULI_Z, atol=1e-9)
 
 
 def test_extract_identity():
-    (slots, mat), _ = anm._extract_once(identity_expr(S2), Window(0, 1))
+    (slots, mat), _ = anm._extract_once(bare_table(identity_expr(S2)), 1, 0, 0, Window(0, 1))
     assert slots == ()
     assert abs(mat[0, 0] - 1.0) <= 1e-12
 
@@ -217,7 +225,7 @@ def test_extract_identity():
 def test_extract_random_gate_recovers_it(rng):
     u = random_unitary(4, rng)
     e = single_gate_expr(S2, (0, 1), u)
-    gate, resid = anm._extract_search(e)
+    gate, resid = anm._extract_search(bare_table(e), 1, 0, 0, "e, 1")
     assert resid <= 1e-9
     # same gauge normalization applied to the input reproduces it exactly
     flat = u.reshape(-1)
@@ -231,8 +239,77 @@ def test_extract_random_gate_recovers_it(rng):
 def test_extract_rejects_non_inner(monkeypatch):
     beta = anm.restrict_right(anm.levin_gu_action().expr(1))
     monkeypatch.setattr(anm, "MAX_HINT", 4)
-    with pytest.raises((NotInner, NotIdentityOutside)):
-        anm._extract_search(beta)
+    with pytest.raises((NotInner, NotIdentityOutside), match=r"^V\(-1, 1\): "):
+        anm._extract_search(bare_table(beta), 1, 0, 0, "-1, 1")
+
+
+def test_extraction_failures_name_the_pair(monkeypatch):
+    monkeypatch.setattr(anm, "MAX_CHOI_DIM", 1)
+    with pytest.raises(WindowCapExceeded, match=r"^V\(-1, -1\): candidate support dimension 2 "):
+        anm.omega_cocycle(anm.levin_gu_action())
+    with pytest.raises(WindowCapExceeded, match=r"^V\(\(\(0,1\), 0\), \(\(0,0\), 1\)\): candidate "):
+        anm.lsm_pipeline(anm.pauli_projective_rep())
+
+
+def _action_probe_case(spec: anm.ActionSpec):
+    G = spec.group
+    beta = {g: anm.restrict_right(spec.expr(g)) for g in G.elements()}
+    return beta, [(g, h, G.mul(g, h)) for g in G.elements() for h in G.elements()]
+
+
+def _lsm_probe_case(rep: anm.ProjectiveRep):
+    G0 = rep.group
+    beta = {
+        (g, n): anm.restrict_right(anm.lsm_stacked_expr(rep, g, n))
+        for g in G0.elements()
+        for n in range(3)
+    }
+    pairs = [
+        (a, b, (G0.mul(a[0], b[0]), a[1] + b[1])) for a in beta for b in beta if a[1] + b[1] <= 2
+    ]
+    return beta, pairs
+
+
+@functools.cache
+def probe_case(name: str, seed: int = 0):
+    """(one inverse-image table shared by every example, its pairs (a, b, ab))."""
+    beta, pairs = {
+        "levin-gu": lambda: _action_probe_case(anm.levin_gu_action()),
+        "k4-conj-twosite": lambda: _action_probe_case(k4_conjugated_twosite(seed)),
+        "lsm-pauli": lambda: _lsm_probe_case(anm.pauli_projective_rep()),
+        "lsm-clock-shift3": lambda: _lsm_probe_case(anm.clock_shift_rep(3)),
+    }[name]()
+    return anm._InverseImages(beta), pairs
+
+
+def _probe_outcome(probe):
+    """The moved slots, or the message of the NotIdentityOutside raised."""
+    try:
+        return probe()
+    except NotIdentityOutside as exc:
+        return f"NotIdentityOutside: {exc}"
+
+
+@settings(max_examples=80)
+@given(
+    name=st.sampled_from(["levin-gu", "k4-conj-twosite", "lsm-pauli", "lsm-clock-shift3"]),
+    seed=st.integers(0, 3),
+    pick=st.integers(0, 10**6),
+    lo=st.integers(-1, 1),
+    width=st.integers(0, 3),
+)
+def test_table_probe_matches_whole_expression_probe(name, seed, pick, lo, width):
+    # one beta run per slot against the cached inverse images moves the same
+    # slots as running the whole of beta_a beta_b beta_ab^-1, and refuses the
+    # same hint windows at the same site
+    table, pairs = probe_case(name, seed if name == "k4-conj-twosite" else 0)
+    a, b, ab = pairs[pick % len(pairs)]
+    window = Window(lo, lo + width)
+    beta = table.beta
+    expr = compose(beta[a], compose(beta[b], invert(beta[ab])))
+    r = max(qca.radius(expr), 1)
+    want = _probe_outcome(lambda: helpers_probe.active_slots(expr, window))
+    assert _probe_outcome(lambda: table.active_slots(a, b, ab, r, window)) == want
 
 
 def test_vtable_invariant_levin_gu():
@@ -486,8 +563,7 @@ def test_lsm_obstruction_is_projective_matrix_on_one_site():
     g = 2  # the (1,0) element, matrix X
     a, b = (g, 0), (0, 1)
     ab = (g, 1)
-    ev = compose(beta[a], compose(beta[b], invert(beta[ab])))
-    gate, _ = anm._extract_search(ev)
+    gate, _ = anm._extract_search(anm._InverseImages(beta), a, b, ab, "(X, 0), (1, 1)")
     assert qca._site_span(SiteSpec((2, 2)), gate[0]) == Window(0, 0)
     expected = np.kron(PAULI_X, np.eye(2))
     # same gauge rule applied to the expected matrix

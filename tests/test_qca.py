@@ -221,6 +221,25 @@ def test_compose_invert_gives_identity(rng):
         )
 
 
+def test_compose_rejects_mixed_sitespecs():
+    e2 = QcaExpr(SiteSpec((2, 2)), (ShiftPrimitive(1, 1),))
+    for e1, e2 in ((shift_expr(S2, 0, 1), e2), (e2, shift_expr(S2, 0, 1))):
+        with pytest.raises(ValidationError, match="different SiteSpecs"):
+            compose(e1, e2)
+
+
+def test_compose_equals_validated_expression(rng):
+    e1 = QcaExpr(S2, (random_two_site_layer(rng), ShiftPrimitive(0, 1)))
+    e2 = QcaExpr(S2, (ShiftPrimitive(0, -1), random_two_site_layer(rng, anchor=1)))
+    composed = compose(e1, e2)
+    built = QcaExpr(S2, e2.steps + e1.steps)
+    assert type(composed) is QcaExpr
+    assert composed.sites == built.sites
+    assert len(composed.steps) == len(built.steps) == 4
+    assert all(a is b for a, b in zip(composed.steps, built.steps))
+    assert qca.expr_to_data(composed) == qca.expr_to_data(built)
+
+
 def test_invert_shift():
     e = invert(shift_expr(S2, 0, 1))
     assert e.steps == (ShiftPrimitive(0, -1),)
