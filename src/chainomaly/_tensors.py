@@ -76,15 +76,18 @@ def partial_trace_keep_batch(mats: np.ndarray, dims, keep, normalized=True) -> n
     return out
 
 
+def factor_swap_source(dims, i, j) -> np.ndarray:
+    """The column of the 1 in each row of factor_swap_matrix(dims, i, j)."""
+    return np.swapaxes(np.arange(math.prod(dims)).reshape(dims), i, j).reshape(-1)
+
+
 def factor_swap_matrix(dims, i, j) -> np.ndarray:
     """Permutation matrix exchanging factors i and j (equal dimensions)."""
     if dims[i] != dims[j]:
         raise ValueError("factor_swap_matrix needs equal dimensions")
     D = math.prod(dims)
-    flat = np.arange(D).reshape(dims)
-    src = np.swapaxes(flat, i, j).reshape(-1)
     P = np.zeros((D, D), dtype=complex)
-    P[np.arange(D), src] = 1.0
+    P[np.arange(D), factor_swap_source(dims, i, j)] = 1.0
     return P
 
 

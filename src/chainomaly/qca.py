@@ -10,18 +10,22 @@ cross-checked numerically as a ratio of Hilbert-Schmidt overlaps across a cut.
 An operator is a pair (slots, matrix): each (site, register) pair is one
 tensor slot, numbered site * nregisters + register, and the matrix acts on
 the listed slots in ascending order (identity elsewhere). The slot engine
-`_run_batch` maps a batch of such matrices through an expression, trimming
-identity slots after every gate. That keeps swap-heavy circuits (stacked
-shift neutralizations) at small matrix sizes regardless of their depth. An
-operator is the identity on a slot exactly when, cut into blocks by that
-slot's index, its off-diagonal blocks vanish and its diagonal blocks agree.
+`_run_batch` maps a batch of such matrices through an expression. A shift,
+and a gate whose matrix is exactly the swap of two equal-dimension slots,
+only relabel slots: the factors are reordered and no entry changes. Every
+other gate is conjugated on the union of its slots and the batch's, and then
+the gate's slots on which the batch acts as identity are trimmed. So swap
+circuits (stacked shift neutralizations) cost no matrix products, and the
+matrices stay small however deep the circuit. An operator is the identity on
+a slot exactly when, cut into blocks by that slot's index, its off-diagonal
+blocks vanish and its diagonal blocks agree.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +113,7 @@ class GateTemplate:
     span: int
     unitary: np.ndarray
     registers: tuple[tuple[int, int], ...] | None = None
+    _swaps: dict = field(default_factory=dict, init=False, repr=False)  # factor_swap memo
 
     def __post_init__(self):
         m = np.array(self.unitary, dtype=complex)
@@ -132,6 +137,29 @@ class GateTemplate:
 
     def window_at(self, base: int) -> tuple[int, int]:
         return (base, base + self.span - 1)
+
+    def factor_swap(self, sites: SiteSpec) -> tuple[int, int] | None:
+        """The positions (i, j) in `slots_at` order if the unitary is exactly
+        tz.factor_swap_matrix(dims, i, j) for two equal-dimension factors,
+        identity on the rest; otherwise None. Decided once per SiteSpec: the
+        unitary is read-only."""
+        if sites not in self._swaps:
+            self._swaps[sites] = _factor_swap(
+                self.unitary, _slot_dims(sites, self.slots_at(0, sites.nregisters))
+            )
+        return self._swaps[sites]
+
+
+def _factor_swap(u: np.ndarray, dims) -> tuple[int, int] | None:
+    # u equals factor_swap_matrix(dims, i, j) bit for bit iff it is the 0/1
+    # permutation matrix with the same column in every row
+    src = np.argmax(np.abs(u), axis=1)
+    if not np.array_equal(u, np.eye(len(u), dtype=complex)[src]):
+        return None
+    for i, j in itertools.combinations(range(len(dims)), 2):
+        if dims[i] == dims[j] and np.array_equal(src, tz.factor_swap_source(dims, i, j)):
+            return i, j
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +311,9 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _layer_gates(layer: BlockLayer, sites: SiteSpec, slots) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """All gates of the layer whose slots intersect `slots`."""
+def _layer_gates(layer: BlockLayer, sites: SiteSpec, slots):
+    """All gates of the layer whose slots intersect `slots`, as (gate slots,
+    unitary, the two slots it swaps or None), in slot order."""
     if not slots:
         return []
     R = sites.nregisters
@@ -293,6 +322,7 @@ def _layer_gates(layer: BlockLayer, sites: SiteSpec, slots) -> list[tuple[tuple[
     sset = set(slots)
     out = []
     for t in layer.templates:
+        pair = t.factor_swap(sites)
         k_lo = _ceil_div(lo_site - t.span + 1 - t.anchor, layer.period)
         k_hi = (hi_site - t.anchor) // layer.period
         for k in range(k_lo, k_hi + 1):
@@ -304,7 +334,8 @@ def _layer_gates(layer: BlockLayer, sites: SiteSpec, slots) -> list[tuple[tuple[
                 continue
             gslots = t.slots_at(base, R)
             if sset.intersection(gslots):
-                out.append((gslots, t.unitary))
+                swap = None if pair is None else (gslots[pair[0]], gslots[pair[1]])
+                out.append((gslots, t.unitary, swap))
     out.sort(key=lambda g: g[0])
     return out
 
@@ -361,24 +392,33 @@ def _conj_gate_batch(sites, slots, mats, gslots, gmat):
     return _trim_batch(sites, new_slots, mats, gslots)
 
 
-def _shift_batch(sites, slots, mats, register, displacement):
-    R = sites.nregisters
-    moved = [s + displacement * R if s % R == register else s for s in slots]
-    order = sorted(range(len(moved)), key=lambda i: moved[i])
+def _relabel_batch(sites, slots, mats, rename: dict[int, int]):
+    """Move the factor on each slot s to slot rename.get(s, s) (a register
+    shift, or a gate that swaps two equal-dimension slots). Only the factor
+    order changes, so every entry is kept exactly and no slot turns trivial."""
+    moved = [rename.get(s, s) for s in slots]
+    order = sorted(range(len(moved)), key=moved.__getitem__)
     if order != list(range(len(moved))):
-        dims = _slot_dims(sites, slots)
-        mats = tz.permute_factors_batch(mats, dims, order)
+        mats = tz.permute_factors_batch(mats, _slot_dims(sites, slots), order)
     return tuple(moved[i] for i in order), mats
 
 
 def _run_batch(expr: QcaExpr, slots, mats):
-    slots, mats = _trim_batch(expr.sites, slots, mats, slots)
+    sites = expr.sites
+    R = sites.nregisters
+    slots, mats = _trim_batch(sites, slots, mats, slots)
     for step in expr.steps:
         if isinstance(step, ShiftPrimitive):
-            slots, mats = _shift_batch(expr.sites, slots, mats, step.register, step.displacement)
-        else:
-            for gslots, gmat in _layer_gates(step, expr.sites, slots):
-                slots, mats = _conj_gate_batch(expr.sites, slots, mats, gslots, gmat)
+            n = step.displacement * R
+            rename = {s: s + n for s in slots if s % R == step.register}
+            slots, mats = _relabel_batch(sites, slots, mats, rename)
+            continue
+        for gslots, gmat, swap in _layer_gates(step, sites, slots):
+            if swap is None:
+                slots, mats = _conj_gate_batch(sites, slots, mats, gslots, gmat)
+            else:
+                x, y = swap
+                slots, mats = _relabel_batch(sites, slots, mats, {x: y, y: x})
     return slots, mats
 
 

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainomaly import _tensors as tz
 from chainomaly import cli, qca
 from chainomaly import anomaly as anm
 from chainomaly.errors import (
@@ -598,6 +599,35 @@ def test_lsm_balances_each_translation_once(monkeypatch):
     out = anm.lsm_pipeline(anm.clock_shift_rep(3))
     assert out.classes_equal
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "make_rep",
+    [anm.pauli_projective_rep, lambda: anm.clock_shift_rep(3)],
+    ids=["pauli", "clock_shift3"],
+)
+def test_lsm_report_same_with_swaps_conjugated_as_matrices(monkeypatch, make_rep):
+    # the swap circuits of balance_shifts relabel slots; forced through the
+    # matrix path instead, every swap is conjugated and the report is equal
+    swaps = []
+    real = qca._conj_gate_batch
+
+    def recording(sites, slots, mats, gslots, gmat):
+        dims = qca._slot_dims(sites, gslots)
+        if any(
+            dims[i] == dims[j] and np.array_equal(gmat, tz.factor_swap_matrix(dims, i, j))
+            for i, j in itertools.combinations(range(len(dims)), 2)
+        ):
+            swaps.append(gslots)
+        return real(sites, slots, mats, gslots, gmat)
+
+    monkeypatch.setattr(qca, "_conj_gate_batch", recording)
+    fast = anm.lsm_pipeline(make_rep()).as_json_dict()
+    assert swaps == []
+    monkeypatch.setattr(GateTemplate, "factor_swap", lambda self, sites: None)
+    slow = anm.lsm_pipeline(make_rep()).as_json_dict()
+    assert swaps
+    assert fast == slow
 
 
 @pytest.mark.slow

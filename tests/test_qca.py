@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -624,3 +626,120 @@ def test_engine_matches_dense_with_truncated_layers(seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qca, "DEFAULT_DIM_CAP", 1 << 16)
         assert slot_distance(S2, fast, slow) <= 1e-9 * max(1.0, norm(a))
+
+
+# -- swap gates relabel slots ---------------------------------------------------------------
+
+def _count_conj(monkeypatch):
+    """Count the gates the slot engine conjugates by matrix products."""
+    calls = []
+    real = qca._conj_gate_batch
+
+    def counting(sites, slots, mats, gslots, gmat):
+        calls.append(gslots)
+        return real(sites, slots, mats, gslots, gmat)
+
+    monkeypatch.setattr(qca, "_conj_gate_batch", counting)
+    return calls
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    registers=st.sampled_from([(2,), (3,), (2, 2), (3, 3), (2, 3, 3)]),
+    held=st.sampled_from(["x", "y", "both"]),
+)
+def test_swap_relabel_matches_permutation_oracle(seed, registers, held):
+    # one swap of equal-dimension slots x < y among three sites, on a batch
+    # holding x, y or both, plus up to two other slots; the oracle is the
+    # dense conjugation by the permutation, which is exact
+    rng = np.random.default_rng(seed)
+    sites = SiteSpec(registers)
+    slots = range(3 * sites.nregisters)
+    dims = qca._slot_dims(sites, slots)
+    pairs = [(a, b) for a in slots for b in slots if a < b and dims[a] == dims[b]]
+    x, y = pairs[rng.integers(len(pairs))]
+    others = [s for s in slots if s not in (x, y)]
+    extra = rng.choice(others, size=int(rng.integers(0, min(2, len(others)) + 1)), replace=False)
+    held_slots = {"x": [x], "y": [y], "both": [x, y]}[held]
+    support = tuple(sorted(held_slots + [int(s) for s in extra]))
+    n = math.prod(qca._slot_dims(sites, support))
+    B = int(rng.integers(1, 4))
+    mats = rng.uniform(-1, 1, (B, n, n)) + 1j * rng.uniform(-1, 1, (B, n, n))
+    swap = tz.factor_swap_matrix([dims[x], dims[x]], 0, 1)
+    expr = single_gate_expr(sites, (x, y), swap)
+
+    union = tuple(sorted(set(support) | {x, y}))
+    udims = qca._slot_dims(sites, union)
+
+    def on_swap_union(op_slots, op):
+        return tz.embed_factors_batch(op, udims, [union.index(s) for s in op_slots])
+
+    P = tz.factor_swap_matrix(udims, union.index(x), union.index(y))
+    want = P @ on_swap_union(support, mats) @ P.T
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_conj(mp)
+        got_slots, got = qca._run_batch(expr, support, mats)
+    assert calls == []
+    assert got_slots == tuple(sorted({x: y, y: x}.get(s, s) for s in support))
+    assert np.array_equal(on_swap_union(got_slots, got), want)
+
+    # the matrix path agrees up to its trim, which averages d equal blocks
+    old_slots, old = qca._conj_gate_batch(sites, support, mats, (x, y), swap)
+    assert old_slots == got_slots
+    assert np.max(np.abs(old - got)) <= 1e-15
+
+
+SWAP_NOT_EXACT = SWAP4.copy()
+SWAP_NOT_EXACT[0, 0] = np.nextafter(1, 0)
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "registers, gate",
+    [
+        ((2, 2), np.exp(0.3j) * SWAP4),
+        ((2, 2), SWAP_NOT_EXACT),
+        ((2, 2), CNOT),
+        ((2, 2), np.kron(PAULI_X, PAULI_X)),
+        ((2, 3), np.eye(6, dtype=complex)[[1, 2, 3, 4, 5, 0]]),
+    ],
+    ids=["rephased_swap", "swap_one_ulp_off", "cnot", "xx", "perm6_on_2x3"],
+)
+def test_non_swap_gates_take_the_matrix_path(monkeypatch, registers, gate):
+    sites = SiteSpec(registers)
+    rng = np.random.default_rng(7)
+    e = single_gate_expr(sites, (0, 1), gate)
+    assert e.steps[0].templates[0].factor_swap(sites) is None
+    calls = _count_conj(monkeypatch)
+    a = random_probe(rng, sites, Window(0, 0))
+    image(e, a)
+    assert calls == [(0, 1)]
+
+
+def test_swap_of_outer_factors_relabels(monkeypatch):
+    # a three-factor template that swaps its outer factors and is identity
+    # on the middle one; factor_swap names the positions in slot order
+    sites = SiteSpec((2, 3, 2))
+    t = GateTemplate(0, 1, tz.factor_swap_matrix([2, 3, 2], 0, 2))
+    assert t.factor_swap(sites) == (0, 2)
+    assert GateTemplate(0, 1, np.eye(12)).factor_swap(sites) is None
+    calls = _count_conj(monkeypatch)
+    slots, mat = image(QcaExpr(sites, (BlockLayer(1, (t,)),)), ((3,), PAULI_Z))
+    assert calls == [] and slots == (5,) and np.array_equal(mat, PAULI_Z)
+
+
+@pytest.mark.parametrize(
+    "registers, balanced",
+    [((2, 3), False), ((2, 2), True)],
+    ids=["qubit_right_qutrit_left", "balanced_qubit_pair"],
+)
+def test_gnvw_numeric_same_with_swaps_conjugated_as_matrices(monkeypatch, registers, balanced):
+    expr = QcaExpr(SiteSpec(registers), (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1)))
+    if balanced:
+        expr = balance_shifts(expr)
+    calls = _count_conj(monkeypatch)
+    fast = overlaps(expr), gnvw_numeric(expr)
+    assert calls == []
+    monkeypatch.setattr(GateTemplate, "factor_swap", lambda self, sites: None)
+    assert (overlaps(expr), gnvw_numeric(expr)) == fast
