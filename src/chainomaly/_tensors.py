@@ -54,10 +54,10 @@ def permute_factors_batch(mats: np.ndarray, dims, perm) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(B, D, D))
 
 
-def partial_trace_keep_batch(mats: np.ndarray, dims, keep, normalized=True) -> np.ndarray:
+def partial_trace_keep_batch(mats: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out all factors not in `keep` (ascending positions kept in
-    order) from each matrix of the batch. With normalized=True each traced
-    factor is averaged, which makes the map unital."""
+    order) from each matrix of the batch. Each traced factor is averaged,
+    which makes the map unital."""
     n = len(dims)
     keep = list(keep)
     traced = [i for i in range(n) if i not in keep]
@@ -70,10 +70,7 @@ def partial_trace_keep_batch(mats: np.ndarray, dims, keep, normalized=True) -> n
     dk = math.prod([dims[i] for i in keep])
     dt = math.prod([dims[i] for i in traced])
     t = t.reshape(B, dk, dt, dk, dt)
-    out = np.einsum("nakbk->nab", t)
-    if normalized:
-        out = out / dt
-    return out
+    return np.einsum("nakbk->nab", t) / dt
 
 
 def factor_swap_source(dims, i, j) -> np.ndarray:

@@ -10,11 +10,15 @@ classifies it exactly from its rounded Bockstein, which does not depend on
 the gauge the extraction picks. A nonzero class rules out symmetric gapped
 ground states for every invariant finite-range Hamiltonian.
 
-Each V(g, h) implements beta_g beta_h beta_gh^-1 and is extracted on the
-slots that expression moves. A slot is moved unless beta_h beta_gh^-1 maps
-its matrix units to their images under beta_g^-1; those inverse images come
-from one table per V table, computed once per element and slot, so each
-probed slot costs one run of beta_h.
+Each V(g, h) implements beta_g beta_h beta_gh^-1 and is extracted, when the
+associator first needs it, on the slots that expression moves. One sweep
+finds them: sites 0, 1, 2, ... are probed until the r + 1 sites after the
+last moved one are fixed, r being the expression's radius (at least 1).
+That is exact for a right restriction of a homomorphic action, which moves
+nothing left of the cut and nothing at a site >= r. A slot is moved unless
+beta_h beta_gh^-1 maps its matrix units to their images under beta_g^-1;
+the V table keeps those inverse images, computed once per element and
+slot, so each probed slot costs one run of beta_h.
 
 For a projective on-site representation combined with translation, the
 mixed anomaly is computed lazily on the translation-slant argument set and
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -38,7 +43,6 @@ from . import qca
 from .errors import (
     CocycleViolation,
     NotAHomomorphism,
-    NotIdentityOutside,
     NotInner,
     NotProjective,
     NotScalar,
@@ -100,10 +104,6 @@ def default_den_cap(group_order: int) -> int:
     return group_order * group_order * 12
 
 
-# V extraction widens its window [0, hi] up to hi = MAX_HINT - 1.
-MAX_HINT = 8
-
-
 @dataclass(frozen=True, eq=False)
 class ActionSpec:
     """A finite group acting by one QcaExpr per element (element 0 maps to
@@ -151,18 +151,6 @@ class ProjectiveRep:
     @property
     def dimension(self) -> int:
         return self.matrices[0].shape[0]
-
-
-@dataclass(eq=False)
-class VTable:
-    """Obstruction unitaries V(g, h), as (slots, matrix), with extraction
-    diagnostics."""
-
-    entries: dict[tuple[int, int], SlotOperator]
-    residuals: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def gate(self, g: int, h: int) -> SlotOperator:
-        return self.entries[(g, h)]
 
 
 def _phase_rows(cochain: PhaseCochain):
@@ -279,7 +267,7 @@ class MixedAnomalyReport:
 
 # -- action verification and neutralization -----------------------------------
 
-def verify_action(spec: ActionSpec, tol: float = TOL_AUTO) -> dict:
+def verify_action(spec: ActionSpec) -> dict:
     """Check map(identity) = id and map(g) map(h) = map(gh) on all single-site
     matrix units in a probe window of width 2*radius + 2. At each probe site
     every element's image of the units is computed once; map(g) map(h) is
@@ -297,10 +285,10 @@ def verify_action(spec: ActionSpec, tol: float = TOL_AUTO) -> dict:
         for g, h in dist:
             gh = _run_batch(spec.expr(g), *image[h])
             dist[g, h] = max(dist[g, h], _image_distance(sites, gh, image[G.mul(g, h)]))
-    if res > tol:
+    if res > TOL_AUTO:
         raise NotAHomomorphism(f"identity element acts nontrivially (residual {res:.3g})")
     for (g, h), d in dist.items():
-        if d > tol:
+        if d > TOL_AUTO:
             raise NotAHomomorphism(
                 f"pair ({G.name(g)}, {G.name(h)}) violates the homomorphism "
                 f"property (residual {d:.3g})"
@@ -367,15 +355,31 @@ CHOI_RANK_RATIO = 1e-7
 
 
 @dataclass(eq=False)
-class _InverseImages:
-    """The restricted action `beta` (element -> expression) with, computed
-    when first needed, each element's inverse and, per element x and slot s,
-    I_x(s): the matrix units of slot s run through the inverse of beta_x.
-    One table serves every pair and hint window of a V table."""
+class VTable:
+    """The obstruction unitaries V(a, b) of the restricted action `beta`
+    (element -> expression), each extracted on first use and kept as
+    (slots, matrix) in `entries`, with its residual in `residuals`. `mul` is
+    the group law and `name` labels elements in error messages. The table
+    also keeps, computed when first needed, each element's inverse and, per
+    element x and slot s, I_x(s): the matrix units of slot s run through the
+    inverse of beta_x."""
 
     beta: dict
+    mul: Callable
+    name: Callable
+    entries: dict[tuple, SlotOperator] = field(default_factory=dict)
+    residuals: dict[tuple, float] = field(default_factory=dict)
     inverses: dict = field(default_factory=dict)
     images: dict = field(default_factory=dict)
+
+    def gate(self, a, b) -> SlotOperator:
+        """V(a, b); a failed extraction is raised with the prefix "V(a, b): "."""
+        if (a, b) not in self.entries:
+            try:
+                self.entries[a, b], self.residuals[a, b] = _extract(self, a, b)
+            except (NotInner, WindowCapExceeded) as exc:
+                raise type(exc)(f"V({self.name(a)}, {self.name(b)}): {exc}") from exc
+        return self.entries[a, b]
 
     def inverse(self, x) -> QcaExpr:
         if x not in self.inverses:
@@ -389,49 +393,49 @@ class _InverseImages:
             self.images[x, slot] = _run_batch(self.inverse(x), (slot,), units)
         return self.images[x, slot]
 
-    def expression(self, a, b, ab) -> QcaExpr:
+    def expression(self, a, b) -> QcaExpr:
         """beta_a beta_b beta_ab^-1, whose implementing unitary is V(a, b)."""
-        return compose(self.beta[a], compose(self.beta[b], self.inverse(ab)))
+        return compose(self.beta[a], compose(self.beta[b], self.inverse(self.mul(a, b))))
 
-    def active_slots(self, a, b, ab, r: int, hint_window: Window) -> list[int]:
-        """The slots of the hint window, padded by r + 1 sites on each side,
-        that beta_a beta_b beta_ab^-1 moves. It fixes A exactly when
+    def active_slots(self, a, b, r: int) -> list[int]:
+        """The slots that beta_a beta_b beta_ab^-1 moves, probed site by site
+        from the cut until the r + 1 sites after the last moved site (after
+        site -1 if none moved) are fixed. It fixes A exactly when
         beta_b beta_ab^-1 (A) = beta_a^-1 (A), since conjugating both sides by
         beta_a preserves their distance; so each slot costs one run of beta_b.
-        Raises NotIdentityOutside at the first moved slot outside the window."""
+        Raises WindowCapExceeded once the moved slots exceed MAX_CHOI_DIM."""
         sites = self.beta[a].sites
         R = sites.nregisters
+        ab = self.mul(a, b)
         active: list[int] = []
-        for site in range(hint_window.lo - (r + 1), hint_window.hi + r + 2):
+        D, last, site = 1, -1, 0
+        while site <= last + r + 1:
             for slot in range(site * R, (site + 1) * R):
                 image = _run_batch(self.beta[b], *self.image(ab, slot))
                 if _image_distance(sites, image, self.image(a, slot)) <= TOL_AUTO:
                     continue
-                if not hint_window.contains_site(site):
-                    raise NotIdentityOutside(f"action is not the identity at site {site}")
                 active.append(slot)
+                last = site
+                D *= sites.registers[slot % R]
+                if D > MAX_CHOI_DIM:
+                    raise WindowCapExceeded(
+                        f"candidate support dimension {D} exceeds the extraction cap {MAX_CHOI_DIM}"
+                    )
+            site += 1
         return active
 
 
-def _extract_once(
-    table: _InverseImages, a, b, ab, hint_window: Window
-) -> tuple[SlotOperator, float]:
-    """The local unitary V, trimmed to the slots it acts on, with
+def _extract(table: VTable, a, b) -> tuple[SlotOperator, float]:
+    """The local unitary V(a, b), trimmed to the slots it acts on, with
     V A V^+ = beta_a beta_b beta_ab^-1 (A), and the residual of that identity."""
-    expr = table.expression(a, b, ab)
+    expr = table.expression(a, b)
     sites = expr.sites
-    if hint_window.is_empty:
-        raise ValidationError("hint window must be nonempty")
-    active = table.active_slots(a, b, ab, max(radius(expr), 1), hint_window)
+    active = table.active_slots(a, b, max(radius(expr), 1))
     if not active:
         return ((), np.ones((1, 1), dtype=complex)), 0.0
 
     dims = _slot_dims(sites, active)
     D = math.prod(dims)
-    if D > MAX_CHOI_DIM:
-        raise WindowCapExceeded(
-            f"candidate support dimension {D} exceeds the extraction cap {MAX_CHOI_DIM}"
-        )
     units = matrix_unit_batch(D)
     out_slots, out = _run_batch(expr, tuple(active), units)
     if not set(out_slots) <= set(active):
@@ -476,20 +480,6 @@ def _extract_once(
     return (slots, mats[0]), resid
 
 
-def _extract_search(table: _InverseImages, a, b, ab, pair: str) -> tuple[SlotOperator, float]:
-    """V(a, b) from hint windows [0, hi] of growing hi. A failure at the
-    largest window is raised with the prefix "V(pair): "."""
-    step = max(1, radius(table.expression(a, b, ab)))
-    hi = 1
-    while True:
-        try:
-            return _extract_once(table, a, b, ab, Window(0, hi))
-        except (NotInner, NotIdentityOutside, WindowCapExceeded) as exc:
-            if isinstance(exc, WindowCapExceeded) or hi + 1 >= MAX_HINT:
-                raise type(exc)(f"V({pair}): {exc}") from exc
-            hi = min(hi + step, MAX_HINT - 1)
-
-
 # -- the degree-3 cocycle --------------------------------------------------------
 
 def _scalar_phase(M: np.ndarray, scalar_tol: float) -> tuple[complex, float]:
@@ -504,20 +494,20 @@ def _scalar_phase(M: np.ndarray, scalar_tol: float) -> tuple[complex, float]:
     return lam / abs(lam), resid
 
 
-def _omega_at(V, beta, mul, a, b, c, name) -> tuple[float, float]:
-    """The associator V(a,b) V(ab,c) V(a,bc)^+ beta_a(V(b,c))^+ as float turns
-    (angle over 2 pi), with its scalar residual. `V(x, y)` returns the gate
-    as (slots, matrix), `mul` is the group law and `name` labels elements in
-    error messages."""
-    ab, bc = mul(a, b), mul(b, c)
+def _omega_at(table: VTable, a, b, c) -> tuple[float, float]:
+    """The associator V(a,b) V(ab,c) V(a,bc)^+ beta_a(V(b,c))^+ of the V table
+    as float turns (angle over 2 pi), with its scalar residual."""
+    V, beta_a = table.gate, table.beta[a]
+    ab, bc = table.mul(a, b), table.mul(b, c)
     try:
         bc_slots, vbc = V(b, c)
         parts = [(slots, m[None]) for slots, m in (V(a, b), V(ab, c), V(a, bc))]
-        parts.append(_run_batch(beta[a], bc_slots, vbc[None]))
-        _, (vab, vabc, va_bc, beta_vbc) = _on_union(beta[a].sites, parts)
+        parts.append(_run_batch(beta_a, bc_slots, vbc[None]))
+        _, (vab, vabc, va_bc, beta_vbc) = _on_union(beta_a.sites, parts)
         P = (vab[0] @ vabc[0]) @ (va_bc[0].conj().T @ beta_vbc[0].conj().T)
         lam, resid = _scalar_phase(P, TOL_PHASE)
     except NotScalar as exc:
+        name = table.name
         raise NotScalar(f"omega({name(a)}, {name(b)}, {name(c)}): {exc}") from exc
     return float(np.angle(lam)) / (2 * math.pi), resid
 
@@ -542,14 +532,14 @@ def _classify(H: CohomologyGroup, turns, what: str, entries=None, build=list) ->
 
 
 def omega_from_vtable(
-    group: FiniteGroup, beta: dict[int, QcaExpr], vtable: VTable
+    group: FiniteGroup, vtable: VTable
 ) -> tuple[ClassifiedCocycle, dict[tuple[int, ...], dict]]:
     """Evaluate the associator of the V table on every tuple and classify it.
     Returns the classified cocycle and, per tuple, its scalar residual and
     (when the phases snap) its snap error."""
     turns, diagnostics = [], {}
     for t in itertools.product(range(group.order), repeat=3):
-        x, resid = _omega_at(vtable.gate, beta, group.mul, *t, group.name)
+        x, resid = _omega_at(vtable, *t)
         turns.append(x)
         diagnostics[t] = {"scalar_residual": resid}
     om = _classify(cohomology(group, 3), turns, "omega")
@@ -559,24 +549,13 @@ def omega_from_vtable(
 
 
 def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, dict, VTable]:
-    """Restrict the (zero-index) action to the right half-chain, extract all
-    V(g, h), and evaluate the degree-3 phase cocycle. Returns what
-    omega_from_vtable returns, and the V table."""
+    """Restrict the (zero-index) action to the right half-chain and evaluate
+    the degree-3 phase cocycle, extracting each V(g, h) when the associator
+    first needs it. Returns what omega_from_vtable returns, and the V table."""
     G = spec.group
-    balanced = {
-        g: balance_shifts(spec.expr(g)) if spec.expr(g).has_shifts else spec.expr(g)
-        for g in G.elements()
-    }
-    beta = {g: restrict_right(balanced[g]) for g in G.elements()}
-    table = _InverseImages(beta)
-    vtable = VTable(entries={}, residuals={})
-    for g in G.elements():
-        for h in G.elements():
-            pair = f"{G.name(g)}, {G.name(h)}"
-            gate, resid = _extract_search(table, g, h, G.mul(g, h), pair)
-            vtable.entries[(g, h)] = gate
-            vtable.residuals[(g, h)] = resid
-    om, diagnostics = omega_from_vtable(G, beta, vtable)
+    beta = {g: restrict_right(balance_shifts(spec.expr(g))) for g in G.elements()}
+    vtable = VTable(beta, G.mul, G.name)
+    om, diagnostics = omega_from_vtable(G, vtable)
     return om, diagnostics, vtable
 
 
@@ -677,20 +656,12 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     def namez(a):
         return f"({G0.name(a[0])}, {a[1]})"
 
-    table = _InverseImages(beta)
-    vcache: dict[tuple, tuple[SlotOperator, float]] = {}
-
-    def V(a, b) -> SlotOperator:
-        key = (a, b)
-        if key not in vcache:
-            vcache[key] = _extract_search(table, a, b, mulz(a, b), f"{namez(a)}, {namez(b)}")
-        return vcache[key][0]
-
+    table = VTable(beta, mulz, namez)
     omega_turns: dict[tuple, float] = {}
     scalar_residuals: list[float] = []
 
     def omega_eval(a, b, c) -> float:
-        x, resid = _omega_at(V, beta, mulz, a, b, c, namez)
+        x, resid = _omega_at(table, a, b, c)
         omega_turns[(a, b, c)] = x
         scalar_residuals.append(resid)
         return x
@@ -707,8 +678,8 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     verdict = "NonAnomalous" if slant.coords.is_trivial else "Anomalous"
     diag = {
         "max_scalar_residual": max(scalar_residuals, default=0.0),
-        "max_v_residual": max((r for _, r in vcache.values()), default=0.0),
-        "v_count": len(vcache),
+        "max_v_residual": max(table.residuals.values(), default=0.0),
+        "v_count": len(table.entries),
     }
     if slant.snap_errors is not None:
         diag["max_snap_error"] = max(slant.snap_errors)

@@ -71,10 +71,6 @@ class NotInner(PipelineError):
     pass
 
 
-class NotIdentityOutside(PipelineError):
-    pass
-
-
 class NotAHomomorphism(PipelineError):
     pass
 

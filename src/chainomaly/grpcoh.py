@@ -36,8 +36,8 @@ from .errors import (
 from .opwin import TOL_PHASE
 from .qca import _factorize
 
-DEFAULT_MAX_DEGREE = 3
-DEFAULT_MATRIX_CAP = 16 ** 5  # bound on |G|^(n+2)
+MAX_DEGREE = 3
+MATRIX_CAP = 16 ** 5  # bound on |G|^(n+2)
 
 
 @dataclass(frozen=True)
@@ -230,28 +230,29 @@ class PhaseCochain:
         return out
 
 
-def coboundary(f: PhaseCochain, max_degree: int = DEFAULT_MAX_DEGREE) -> PhaseCochain:
+def coboundary(f: PhaseCochain) -> PhaseCochain:
     """Alternating-sum coboundary, one degree up, exact."""
-    if f.degree > max_degree:
-        raise DegreeCap(f"coboundary capped at degree {max_degree}")
+    if f.degree > MAX_DEGREE:
+        raise DegreeCap(f"coboundary capped at degree {MAX_DEGREE}")
     sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
     return PhaseCochain(f.group, f.degree + 1, tuple(sums))
 
 
-def is_cocycle(f: PhaseCochain, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
-    return coboundary(f, max_degree).is_zero()
+def is_cocycle(f: PhaseCochain) -> bool:
+    return coboundary(f).is_zero()
 
 
-def snap_fraction(turns: float, den_cap: int, tol: float = 1e-6) -> tuple[Fraction, float]:
+def snap_fraction(turns: float, den_cap: int) -> tuple[Fraction, float]:
     """Snap a phase given in turns (angle / 2 pi) to an exact rational with
-    denominator at most den_cap. Returns (fraction in [0,1), snap error)."""
+    denominator at most den_cap, within TOL_PHASE. Returns (fraction in
+    [0,1), snap error)."""
     x = float(turns) % 1.0
     q = Fraction(x).limit_denominator(den_cap)
     qn = _frac_mod1(q)
     err = min(abs(x - float(qn)), abs(x - float(qn) - 1.0), abs(x - float(qn) + 1.0))
-    if err > tol:
+    if err > TOL_PHASE:
         raise SnapFailure(
-            f"no rational with denominator <= {den_cap} within {tol} of {x}"
+            f"no rational with denominator <= {den_cap} within {TOL_PHASE} of {x}"
         )
     return qn, err
 
@@ -430,17 +431,13 @@ def _cohomology_cached(group: FiniteGroup, degree: int) -> CohomologyGroup:
     )
 
 
-def cohomology(
-    group: FiniteGroup,
-    degree: int,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-) -> CohomologyGroup:
+def cohomology(group: FiniteGroup, degree: int) -> CohomologyGroup:
     """H^degree(G, U(1)) as invariant factors plus classification data."""
     if degree < 1:
         raise ValidationError("degree must be >= 1")
-    if group.order ** (degree + 2) > matrix_cap:
+    if group.order ** (degree + 2) > MATRIX_CAP:
         raise MatrixCap(
-            f"|G|^(degree+2) = {group.order ** (degree + 2)} exceeds cap {matrix_cap}"
+            f"|G|^(degree+2) = {group.order ** (degree + 2)} exceeds cap {MATRIX_CAP}"
         )
     return _cohomology_cached(group, degree)
 

@@ -101,8 +101,8 @@ class Window:
 
 # -- matrix literal format (shared with the CLI config) ----------------------
 
-def matrix_from_pairs(pairs, expect_unitary: bool = True) -> np.ndarray:
-    """Row-major list of [re, im] pairs -> square complex matrix."""
+def matrix_from_pairs(pairs) -> np.ndarray:
+    """Row-major list of [re, im] pairs -> square unitary complex matrix."""
     if not isinstance(pairs, (list, tuple)) or not all(
         isinstance(p, (list, tuple))
         and len(p) == 2
@@ -115,7 +115,7 @@ def matrix_from_pairs(pairs, expect_unitary: bool = True) -> np.ndarray:
     if n * n != len(vals):
         raise ValidationError(f"matrix literal length {len(vals)} is not a square")
     m = np.array(vals, dtype=complex).reshape(n, n)
-    if expect_unitary and not tz.is_unitary(m, TOL_AUTO):
+    if not tz.is_unitary(m, TOL_AUTO):
         raise ValidationError("matrix literal is not unitary within 1e-9")
     return m
 

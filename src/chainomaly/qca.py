@@ -357,9 +357,10 @@ def _reduce_if_identity(mats: np.ndarray, a: int, d: int, c: int, thr: float):
     return reduced.reshape(B, a * c, a * c)
 
 
-def _trim_batch(sites, slots, mats, candidates, tol=TOL_ALGEBRA):
+def _trim_batch(sites, slots, mats, candidates):
     """Drop each candidate slot on which the whole batch acts as identity,
-    within tol times the largest entry (at least 1), highest slot first."""
+    within TOL_ALGEBRA times the largest entry (at least 1), highest slot
+    first."""
     slots = list(slots)
     scale = None
     for s in sorted(set(candidates), reverse=True):
@@ -370,7 +371,7 @@ def _trim_batch(sites, slots, mats, candidates, tol=TOL_ALGEBRA):
         dims = _slot_dims(sites, slots)
         idx = slots.index(s)
         a, c = math.prod(dims[:idx]), math.prod(dims[idx + 1:])
-        reduced = _reduce_if_identity(mats, a, dims[idx], c, tol * scale)
+        reduced = _reduce_if_identity(mats, a, dims[idx], c, TOL_ALGEBRA * scale)
         if reduced is not None:
             mats, scale = reduced, None
             slots.pop(idx)
@@ -570,7 +571,7 @@ def _pair_swap_steps(sites: SiteSpec, reg_plus: int, reg_minus: int) -> tuple[St
     return s_layer, st_layer
 
 
-def balance_shifts(expr: QcaExpr, tol: float = TOL_AUTO) -> QcaExpr:
+def balance_shifts(expr: QcaExpr) -> QcaExpr:
     """Replace all shift steps by swap circuits. Requires zero total index;
     unit shifts of equal-dimension registers with opposite signs are paired
     greedily in step order."""
@@ -623,7 +624,7 @@ def balance_shifts(expr: QcaExpr, tol: float = TOL_AUTO) -> QcaExpr:
             continue  # opposite shifts of one register cancel outright
         steps.extend(_pair_swap_steps(sites, reg_plus, reg_minus))
     out = QcaExpr(sites, tuple(steps))
-    _verify_same_action(expr, out, tol)
+    _verify_same_action(expr, out)
     return out
 
 
@@ -647,12 +648,12 @@ def _image_distance(sites: SiteSpec, a, b) -> float:
     return float(np.max(per_unit))
 
 
-def _verify_same_action(e1: QcaExpr, e2: QcaExpr, tol: float):
+def _verify_same_action(e1: QcaExpr, e2: QcaExpr):
     d = e1.sites.dim
     rr = max(radius(e1), radius(e2), 1) + 1
     units = matrix_unit_batch(d)
     for j in range(-rr, rr + 1):
-        if action_distance_on_units(e1, e2, Window.site(j), units) > tol:
+        if action_distance_on_units(e1, e2, Window.site(j), units) > TOL_AUTO:
             raise InvariantViolation(
                 f"shift neutralization changed the action at site {j}"
             )

@@ -33,6 +33,9 @@ _KNOWN_TERMS = ("h0", "h1", "hj", "ha")
 # 4 ms for ARPACK, but 35 ms at 335 against 6-9 ms.
 _DENSE_MAX = 200
 
+# Largest ring a Hamiltonian is built for.
+SIZE_CAP = 22
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -91,11 +94,11 @@ class SparseOperator:
         return H
 
 
-def build_hamiltonian(spec: HamiltonianSpec, size_cap: int = 22) -> SparseOperator:
+def build_hamiltonian(spec: HamiltonianSpec) -> SparseOperator:
     """Sum of the selected terms with periodic identification j + N = j."""
     n = spec.n_sites
-    if n > size_cap:
-        raise SizeCap(f"{n} sites exceeds the sparse cap {size_cap}")
+    if n > SIZE_CAP:
+        raise SizeCap(f"{n} sites exceeds the sparse cap {SIZE_CAP}")
 
     def bit(j: int) -> int:
         return 1 << (n - 1 - j % n)

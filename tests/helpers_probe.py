@@ -1,7 +1,8 @@
 """The whole-expression extraction probe, kept as an independent oracle for
-the inverse-image probe in `chainomaly.anomaly._InverseImages.active_slots`.
+the inverse-image probe in `chainomaly.anomaly.VTable.active_slots`.
 
-Every slot of the hint window, padded by radius + 1 sites on each side, has
+Sites 0, 1, 2, ... are swept until the radius + 1 sites after the last moved
+site (after site -1 if none moved) are fixed; every slot of a swept site has
 its matrix units run through the whole expression beta_a beta_b beta_ab^-1
 and compared with themselves. Used only by the tests as an oracle."""
 
@@ -10,31 +11,29 @@ from __future__ import annotations
 import numpy as np
 
 from chainomaly import qca
-from chainomaly.errors import NotIdentityOutside
-from chainomaly.opwin import TOL_AUTO, Window
+from chainomaly.opwin import TOL_AUTO
 from chainomaly.qca import QcaExpr, matrix_unit_batch, radius
 
 
-def active_slots(expr: QcaExpr, hint_window: Window, tol: float = TOL_AUTO) -> list[int]:
-    """The slots around the hint window that `expr` moves. Raises
-    NotIdentityOutside at the first moved slot outside the window."""
-    sites = expr.sites
-    R = sites.nregisters
+def moves(expr: QcaExpr, slot: int, tol: float = TOL_AUTO) -> bool:
+    """Whether `expr` moves the matrix units of one slot."""
+    units = matrix_unit_batch(expr.sites.registers[slot % expr.sites.nregisters])
+    out_slots, out = qca._run_batch(expr, (slot,), units)
+    return out_slots != (slot,) or bool(np.max(np.abs(out - units)) > tol)
+
+
+def active_slots(expr: QcaExpr, max_site: int = 64) -> list[int]:
+    """The slots that `expr` moves, by the sweep rule. Fails past `max_site`
+    instead of sweeping without end."""
+    R = expr.sites.nregisters
     r = max(radius(expr), 1)
     active: list[int] = []
-    register_units = [matrix_unit_batch(m) for m in sites.registers]
-    for site in range(hint_window.lo - (r + 1), hint_window.hi + r + 2):
-        for reg in range(R):
-            slot = site * R + reg
-            units = register_units[reg]
-            out_slots, out = qca._run_batch(expr, (slot,), units)
-            if out_slots == (slot,):
-                moved = bool(np.max(np.abs(out - units)) > tol)
-            else:
-                moved = True
-            if moved:
-                if hint_window.contains_site(site):
-                    active.append(slot)
-                else:
-                    raise NotIdentityOutside(f"action is not the identity at site {site}")
+    last, site = -1, 0
+    while site <= last + r + 1:
+        assert site <= max_site, "the sweep does not end"
+        for slot in range(site * R, (site + 1) * R):
+            if moves(expr, slot):
+                active.append(slot)
+                last = site
+        site += 1
     return active

@@ -18,7 +18,7 @@ def factor_is_trivial_batch(mats: np.ndarray, dims, idx, tol) -> bool:
     i.e. equals (normalized partial trace over idx) tensor identity."""
     n = len(dims)
     keep = [i for i in range(n) if i != idx]
-    reduced = tz.partial_trace_keep_batch(mats, dims, keep, normalized=True)
+    reduced = tz.partial_trace_keep_batch(mats, dims, keep)
     rebuilt = tz.embed_factors_batch(reduced, dims, keep)
     scale = max(1.0, float(np.max(np.abs(mats))) if mats.size else 1.0)
     return bool(np.max(np.abs(rebuilt - mats)) <= tol * scale)
@@ -35,6 +35,6 @@ def trim_batch(sites, slots, mats, candidates, tol=qca.TOL_ALGEBRA):
         idx = slots.index(s)
         if factor_is_trivial_batch(mats, dims, idx, tol):
             keep = [i for i in range(len(slots)) if i != idx]
-            mats = tz.partial_trace_keep_batch(mats, dims, keep, normalized=True)
+            mats = tz.partial_trace_keep_batch(mats, dims, keep)
             slots.pop(idx)
     return tuple(slots), mats

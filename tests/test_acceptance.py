@@ -183,7 +183,7 @@ def test_criterion_6_cocycle_robustness(rng):
             beta_t = {
                 g: compose(beta[g], single_gate_expr(s2, *U[g])) for g in G.elements()
             }
-            vt_t = anm.VTable(entries={}, residuals={})
+            vt_t = anm.VTable(beta_t, G.mul, G.name)
             for g1 in G.elements():
                 for g2 in G.elements():
                     g12 = G.mul(g1, g2)
@@ -191,7 +191,7 @@ def test_criterion_6_cocycle_robustness(rng):
                     u12_dag = (U[g12][0], U[g12][1].conj().T)
                     right = image(beta[g12], slot_product(s2, U[g2], u12_dag))
                     vt_t.entries[(g1, g2)] = slot_product(s2, left, vt.gate(g1, g2), right)
-            om_t, _ = anm.omega_from_vtable(G, beta_t, vt_t)
+            om_t, _ = anm.omega_from_vtable(G, vt_t)
             assert om_t.cochain.values == om.values
         # >= 10 random rephasings: exact coboundary shift, class unchanged
         H = cohomology(G, 3)
@@ -200,10 +200,10 @@ def test_criterion_6_cocycle_robustness(rng):
             theta = PhaseCochain.from_function(
                 G, 2, lambda g, h: Fraction(int(rng.integers(0, 12)), 12)
             )
-            vt2 = anm.VTable(entries={}, residuals={})
+            vt2 = anm.VTable(beta, G.mul, G.name)
             for (g, h), (slots, mat) in vt.entries.items():
                 vt2.entries[(g, h)] = (slots, np.exp(2j * np.pi * float(theta.at(g, h))) * mat)
-            om2 = anm.omega_from_vtable(G, beta, vt2)[0].cochain
+            om2 = anm.omega_from_vtable(G, vt2)[0].cochain
             assert (om2 - om).values == coboundary(-theta).values
             assert class_of(om2, H).residues == base_class.residues
 

@@ -14,8 +14,6 @@ from chainomaly import cli, qca
 from chainomaly import anomaly as anm
 from chainomaly.errors import (
     NotAHomomorphism,
-    NotIdentityOutside,
-    NotInner,
     NotProjective,
     NotScalar,
     ShiftsPresent,
@@ -204,44 +202,48 @@ def test_restrict_right_onsite_layer():
 
 # -- extraction --------------------------------------------------------------------------
 
-def bare_table(e) -> anm._InverseImages:
-    """A two-entry table in which the pair (a, b, ab) = (1, 0, 0) is the bare
-    expression e: beta_1 = e and beta_0 = the identity."""
-    return anm._InverseImages({0: identity_expr(e.sites), 1: e})
+def bare_table(e) -> anm.VTable:
+    """A two-entry table in which the pair (a, b) = (1, 0) is the bare
+    expression e: beta_1 = e, beta_0 = the identity, and the law a.b = b
+    makes ab = 0."""
+    return anm.VTable({0: identity_expr(e.sites), 1: e}, lambda a, b: b, ("1", "-1").__getitem__)
 
 
 def test_extract_levin_gu_square_is_z0():
     beta = anm.restrict_right(anm.levin_gu_action().expr(1))
-    (slots, mat), _ = anm._extract_once(bare_table(compose(beta, beta)), 1, 0, 0, Window(0, 1))
+    slots, mat = bare_table(compose(beta, beta)).gate(1, 0)
     assert slots == (0,)
     assert np.allclose(mat, PAULI_Z, atol=1e-9)
 
 
 def test_extract_identity():
-    (slots, mat), _ = anm._extract_once(bare_table(identity_expr(S2)), 1, 0, 0, Window(0, 1))
+    slots, mat = bare_table(identity_expr(S2)).gate(1, 0)
     assert slots == ()
     assert abs(mat[0, 0] - 1.0) <= 1e-12
 
 
 def test_extract_random_gate_recovers_it(rng):
-    u = random_unitary(4, rng)
-    e = single_gate_expr(S2, (0, 1), u)
-    gate, resid = anm._extract_search(bare_table(e), 1, 0, 0, "e, 1")
-    assert resid <= 1e-9
-    # same gauge normalization applied to the input reproduces it exactly
-    flat = u.reshape(-1)
-    idx = next(i for i in range(flat.size) if abs(flat[i]) > 0.5 / 2)
-    u_gauged = u * (flat[idx].conjugate() / abs(flat[idx]))
-    union, (mat, _) = on_union(S2, gate, ((0, 1), u))
-    assert union == (0, 1)
-    assert np.max(np.abs(mat - u_gauged)) <= 1e-9
+    # (0, 1, 2) reaches past the sites [0, 1] that the sweep probes first
+    for support in ((0, 1), (0, 1, 2)):
+        u = random_unitary(2 ** len(support), rng)
+        table = bare_table(single_gate_expr(S2, support, u))
+        gate = table.gate(1, 0)
+        assert table.residuals[1, 0] <= 1e-9
+        # same gauge normalization applied to the input reproduces it exactly
+        flat = u.reshape(-1)
+        idx = next(i for i in range(flat.size) if abs(flat[i]) > 0.5 / np.sqrt(len(u)))
+        u_gauged = u * (flat[idx].conjugate() / abs(flat[idx]))
+        union, (mat, _) = on_union(S2, gate, (support, u))
+        assert union == support
+        assert np.max(np.abs(mat - u_gauged)) <= 1e-9
 
 
-def test_extract_rejects_non_inner(monkeypatch):
+def test_extract_rejects_non_inner():
+    # the restricted Levin-Gu generator flips every site right of the cut, so
+    # the sweep never ends on its own and stops at the support cap
     beta = anm.restrict_right(anm.levin_gu_action().expr(1))
-    monkeypatch.setattr(anm, "MAX_HINT", 4)
-    with pytest.raises((NotInner, NotIdentityOutside), match=r"^V\(-1, 1\): "):
-        anm._extract_search(bare_table(beta), 1, 0, 0, "-1, 1")
+    with pytest.raises(WindowCapExceeded, match=r"^V\(-1, 1\): candidate support dimension "):
+        bare_table(beta).gate(1, 0)
 
 
 def test_extraction_failures_name_the_pair(monkeypatch):
@@ -255,7 +257,7 @@ def test_extraction_failures_name_the_pair(monkeypatch):
 def _action_probe_case(spec: anm.ActionSpec):
     G = spec.group
     beta = {g: anm.restrict_right(spec.expr(g)) for g in G.elements()}
-    return beta, [(g, h, G.mul(g, h)) for g in G.elements() for h in G.elements()]
+    return anm.VTable(beta, G.mul, G.name), list(itertools.product(G.elements(), repeat=2))
 
 
 def _lsm_probe_case(rep: anm.ProjectiveRep):
@@ -265,30 +267,19 @@ def _lsm_probe_case(rep: anm.ProjectiveRep):
         for g in G0.elements()
         for n in range(3)
     }
-    pairs = [
-        (a, b, (G0.mul(a[0], b[0]), a[1] + b[1])) for a in beta for b in beta if a[1] + b[1] <= 2
-    ]
-    return beta, pairs
+    table = anm.VTable(beta, lambda a, b: (G0.mul(a[0], b[0]), a[1] + b[1]), str)
+    return table, [(a, b) for a in beta for b in beta if a[1] + b[1] <= 2]
 
 
 @functools.cache
 def probe_case(name: str, seed: int = 0):
-    """(one inverse-image table shared by every example, its pairs (a, b, ab))."""
-    beta, pairs = {
+    """(one V table shared by every example, its pairs (a, b))."""
+    return {
         "levin-gu": lambda: _action_probe_case(anm.levin_gu_action()),
         "k4-conj-twosite": lambda: _action_probe_case(k4_conjugated_twosite(seed)),
         "lsm-pauli": lambda: _lsm_probe_case(anm.pauli_projective_rep()),
         "lsm-clock-shift3": lambda: _lsm_probe_case(anm.clock_shift_rep(3)),
     }[name]()
-    return anm._InverseImages(beta), pairs
-
-
-def _probe_outcome(probe):
-    """The moved slots, or the message of the NotIdentityOutside raised."""
-    try:
-        return probe()
-    except NotIdentityOutside as exc:
-        return f"NotIdentityOutside: {exc}"
 
 
 @settings(max_examples=80)
@@ -296,21 +287,35 @@ def _probe_outcome(probe):
     name=st.sampled_from(["levin-gu", "k4-conj-twosite", "lsm-pauli", "lsm-clock-shift3"]),
     seed=st.integers(0, 3),
     pick=st.integers(0, 10**6),
-    lo=st.integers(-1, 1),
-    width=st.integers(0, 3),
 )
-def test_table_probe_matches_whole_expression_probe(name, seed, pick, lo, width):
+def test_table_probe_matches_whole_expression_probe(name, seed, pick):
     # one beta run per slot against the cached inverse images moves the same
-    # slots as running the whole of beta_a beta_b beta_ab^-1, and refuses the
-    # same hint windows at the same site
+    # slots as running the whole of beta_a beta_b beta_ab^-1, swept alike
     table, pairs = probe_case(name, seed if name == "k4-conj-twosite" else 0)
-    a, b, ab = pairs[pick % len(pairs)]
-    window = Window(lo, lo + width)
+    a, b = pairs[pick % len(pairs)]
     beta = table.beta
-    expr = compose(beta[a], compose(beta[b], invert(beta[ab])))
+    expr = compose(beta[a], compose(beta[b], invert(beta[table.mul(a, b)])))
     r = max(qca.radius(expr), 1)
-    want = _probe_outcome(lambda: helpers_probe.active_slots(expr, window))
-    assert _probe_outcome(lambda: table.active_slots(a, b, ab, r, window)) == want
+    assert table.active_slots(a, b, r) == helpers_probe.active_slots(expr)
+
+
+@pytest.mark.parametrize("case", ["k4", "lsm-clock-shift3"])
+def test_moved_slots_lie_in_the_light_cone(case):
+    # a right restriction of a homomorphic action moves nothing left of the
+    # cut and nothing at a site >= r, so one sweep from site 0 finds every
+    # moved slot
+    if case == "k4":
+        table, pairs = _k4_omega()[2], list(itertools.product(K4.elements(), repeat=2))
+    else:
+        table, pairs = probe_case(case)
+    R = next(iter(table.beta.values())).sites.nregisters
+    for a, b in pairs:
+        expr = table.expression(a, b)
+        r = max(qca.radius(expr), 1)
+        moved = {s // R for s in table.active_slots(a, b, r)}
+        assert moved <= set(range(r)), (a, b, r, moved)
+        left = range(-(r + 1) * R, 0)
+        assert not any(helpers_probe.moves(expr, slot) for slot in left), (a, b)
 
 
 def test_vtable_invariant_levin_gu():
@@ -350,16 +355,15 @@ def test_omega_rephasing_shifts_by_coboundary(rng):
     G = act.group
     omc, _, vt = anm.omega_cocycle(act)
     om = omc.cochain
-    beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
     for _ in range(3):
         theta = PhaseCochain.from_function(
             G, 2, lambda g, h: Fraction(int(rng.integers(0, 8)), 8)
         )
-        vt2 = anm.VTable(entries={}, residuals={})
+        vt2 = anm.VTable(vt.beta, G.mul, G.name)
         for (g, h), (slots, mat) in vt.entries.items():
             phase = np.exp(2j * np.pi * float(theta.at(g, h)))
             vt2.entries[(g, h)] = (slots, phase * mat)
-        om2 = anm.omega_from_vtable(G, beta, vt2)[0].cochain
+        om2 = anm.omega_from_vtable(G, vt2)[0].cochain
         diff = om2 - om
         # with the alternating-sum orientation the shift is d(-theta)
         assert diff.values == coboundary(-theta).values
@@ -385,7 +389,7 @@ def test_omega_beta_independence_exact(rng):
         beta_t = {
             g: compose(beta[g], single_gate_expr(S2, *U[g])) for g in G.elements()
         }
-        vt_t = anm.VTable(entries={}, residuals={})
+        vt_t = anm.VTable(beta_t, G.mul, G.name)
         for g1 in G.elements():
             for g2 in G.elements():
                 g12 = G.mul(g1, g2)
@@ -393,7 +397,7 @@ def test_omega_beta_independence_exact(rng):
                 u12_dag = (U[g12][0], U[g12][1].conj().T)
                 right = image(beta[g12], slot_product(S2, U[g2], u12_dag))
                 vt_t.entries[(g1, g2)] = slot_product(S2, left, vt0.gate(g1, g2), right)
-        om_t, _ = anm.omega_from_vtable(G, beta_t, vt_t)
+        om_t, _ = anm.omega_from_vtable(G, vt_t)
         assert om_t.cochain.values == om0.cochain.values
 
 
@@ -403,10 +407,9 @@ def test_non_scalar_associator_names_the_tuple():
     act = anm.levin_gu_action()
     G = act.group
     _, _, vt = anm.omega_cocycle(act)
-    beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
     vt.entries[(1, 1)] = slot_product(S2, ((0,), PAULI_X), vt.entries[(1, 1)])
     with pytest.raises(NotScalar, match=r"omega\(-1, -1, -1\): product is not"):
-        anm.omega_from_vtable(G, beta, vt)
+        anm.omega_from_vtable(G, vt)
 
 
 def test_omega_pentagon_exact():
@@ -563,8 +566,7 @@ def test_lsm_obstruction_is_projective_matrix_on_one_site():
             beta[(g, n)] = anm.restrict_right(anm.lsm_stacked_expr(rep, g, n))
     g = 2  # the (1,0) element, matrix X
     a, b = (g, 0), (0, 1)
-    ab = (g, 1)
-    gate, _ = anm._extract_search(anm._InverseImages(beta), a, b, ab, "(X, 0), (1, 1)")
+    gate = anm.VTable(beta, lambda a, b: (G0.mul(a[0], b[0]), a[1] + b[1]), str).gate(a, b)
     assert qca._site_span(SiteSpec((2, 2)), gate[0]) == Window(0, 0)
     expected = np.kron(PAULI_X, np.eye(2))
     # same gauge rule applied to the expected matrix
@@ -799,9 +801,8 @@ def _k4_omega():
     gamma = anm.levin_gu_action().expr(1)
     flip = anm.onsite_flip_action().expr(1)
     act = anm.ActionSpec(K4, S2, (identity_expr(S2), flip, gamma, compose(gamma, flip)))
-    beta = {g: anm.restrict_right(act.expr(g)) for g in K4.elements()}
     om, _, vt = anm.omega_cocycle(act)
-    return beta, om, vt
+    return vt.beta, om, vt
 
 
 @settings(max_examples=10)
@@ -811,10 +812,10 @@ def test_real_phases_on_v_leave_the_class(seed):
     # coboundary; the oracle is the class of the unrotated V table
     beta, base, vt = _k4_omega()
     rng = np.random.default_rng(seed)
-    vt2 = anm.VTable(entries={})
+    vt2 = anm.VTable(beta, K4.mul, K4.name)
     for key, (slots, mat) in vt.entries.items():
         vt2.entries[key] = (slots, np.exp(2j * np.pi * rng.uniform()) * mat)
-    om, _ = anm.omega_from_vtable(K4, beta, vt2)
+    om, _ = anm.omega_from_vtable(K4, vt2)
     assert om.coords == base.coords
     assert om.coords.residues == (0, 1, 0)
 

@@ -30,7 +30,7 @@ def rand_mat(rng, n, d=2):
 
 def expect(mat, dims, keep):
     """Normalized partial trace onto the factors `keep`."""
-    return tz.partial_trace_keep_batch(mat[None], dims, keep, normalized=True)[0]
+    return tz.partial_trace_keep_batch(mat[None], dims, keep)[0]
 
 
 # -- windows ---------------------------------------------------------------
