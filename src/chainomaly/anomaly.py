@@ -15,10 +15,14 @@ associator first needs it, on the slots that expression moves. One sweep
 finds them: sites 0, 1, 2, ... are probed until the r + 1 sites after the
 last moved one are fixed, r being the expression's radius (at least 1).
 That is exact for a right restriction of a homomorphic action, which moves
-nothing left of the cut and nothing at a site >= r. A slot is moved unless
-beta_h beta_gh^-1 maps its matrix units to their images under beta_g^-1;
-the V table keeps those inverse images, computed once per element and
-slot, so each probed slot costs one run of beta_h.
+nothing left of the cut and nothing at a site >= r. An automorphism of a
+full matrix algebra is fixed by its images of the column units |i><0|,
+which generate the algebra, so these units are the one probe batch. A slot
+is moved unless beta_h beta_gh^-1 maps its column units to their images
+under beta_g^-1; the V table keeps those inverse images, computed once per
+element and slot, so each probed slot costs one run of beta_h. On the moved
+slots the expression is conjugation by V, and V is read column by column
+off the images of the column units, v_i v_0^+.
 
 For a projective on-site representation combined with translation, the
 mixed anomaly is computed lazily on the translation-slant argument set and
@@ -42,6 +46,7 @@ from . import _tensors as tz
 from . import qca
 from .errors import (
     CocycleViolation,
+    NotACocycle,
     NotAHomomorphism,
     NotInner,
     NotProjective,
@@ -59,7 +64,6 @@ from .grpcoh import (
     bockstein_class,
     class_of,
     cohomology,
-    is_cocycle,
     slant_z,
     snap_fraction,
 )
@@ -77,11 +81,11 @@ from .qca import (
     QcaExpr,
     ShiftPrimitive,
     balance_shifts,
+    column_units,
     compose,
     gnvw_symbolic,
     identity_expr,
     invert,
-    matrix_unit_batch,
     radius,
 )
 from .qca import (
@@ -91,7 +95,6 @@ from .qca import (
     _site_span,
     _slot_dims,
     _slots_of_window,
-    _trim_batch,
 )
 
 # A local operator (slots, matrix): the matrix acts on the listed tensor
@@ -268,14 +271,15 @@ class MixedAnomalyReport:
 # -- action verification and neutralization -----------------------------------
 
 def verify_action(spec: ActionSpec) -> dict:
-    """Check map(identity) = id and map(g) map(h) = map(gh) on all single-site
-    matrix units in a probe window of width 2*radius + 2. At each probe site
-    every element's image of the units is computed once; map(g) map(h) is
-    map(g) run on the image under h, compared with the image under gh."""
+    """Check map(identity) = id and map(g) map(h) = map(gh) on the column
+    units of every site in a probe window of width 2*radius + 2; they generate
+    the site's algebra. At each probe site every element's image of the units
+    is computed once; map(g) map(h) is map(g) run on the image under h,
+    compared with the image under gh."""
     G = spec.group
     sites = spec.sites
     r = max(max((radius(e) for e in spec.exprs), default=0), 1)
-    units = matrix_unit_batch(sites.dim)
+    units = column_units(sites.dim)
     res = 0.0
     dist = dict.fromkeys(itertools.product(G.elements(), repeat=2), 0.0)
     for j in range(-(r + 1), r + 1):
@@ -348,10 +352,8 @@ def restrict_right(expr: QcaExpr) -> QcaExpr:
 
 # -- implementing-unitary extraction -------------------------------------------
 
-# The largest support dimension of an extracted V, and the largest ratio of the
-# Choi matrix's second eigenvalue to its first that still counts as rank one.
-MAX_CHOI_DIM = 64
-CHOI_RANK_RATIO = 1e-7
+# The largest support dimension of an extracted V.
+MAX_V_DIM = 64
 
 
 @dataclass(eq=False)
@@ -361,8 +363,8 @@ class VTable:
     (slots, matrix) in `entries`, with its residual in `residuals`. `mul` is
     the group law and `name` labels elements in error messages. The table
     also keeps, computed when first needed, each element's inverse and, per
-    element x and slot s, I_x(s): the matrix units of slot s run through the
-    inverse of beta_x."""
+    element x and slot s, I_x(s): the column units |i><0| of slot s run
+    through the inverse of beta_x."""
 
     beta: dict
     mul: Callable
@@ -389,7 +391,7 @@ class VTable:
     def image(self, x, slot: int):
         if (x, slot) not in self.images:
             sites = self.beta[x].sites
-            units = matrix_unit_batch(sites.registers[slot % sites.nregisters])
+            units = column_units(sites.registers[slot % sites.nregisters])
             self.images[x, slot] = _run_batch(self.inverse(x), (slot,), units)
         return self.images[x, slot]
 
@@ -403,7 +405,7 @@ class VTable:
         site -1 if none moved) are fixed. It fixes A exactly when
         beta_b beta_ab^-1 (A) = beta_a^-1 (A), since conjugating both sides by
         beta_a preserves their distance; so each slot costs one run of beta_b.
-        Raises WindowCapExceeded once the moved slots exceed MAX_CHOI_DIM."""
+        Raises WindowCapExceeded once the moved slots exceed MAX_V_DIM."""
         sites = self.beta[a].sites
         R = sites.nregisters
         ab = self.mul(a, b)
@@ -417,55 +419,34 @@ class VTable:
                 active.append(slot)
                 last = site
                 D *= sites.registers[slot % R]
-                if D > MAX_CHOI_DIM:
+                if D > MAX_V_DIM:
                     raise WindowCapExceeded(
-                        f"candidate support dimension {D} exceeds the extraction cap {MAX_CHOI_DIM}"
+                        f"candidate support dimension {D} exceeds the extraction cap {MAX_V_DIM}"
                     )
             site += 1
         return active
 
 
 def _extract(table: VTable, a, b) -> tuple[SlotOperator, float]:
-    """The local unitary V(a, b), trimmed to the slots it acts on, with
-    V A V^+ = beta_a beta_b beta_ab^-1 (A), and the residual of that identity."""
+    """The local unitary V(a, b) on the slots it acts on, with
+    V A V^+ = beta_a beta_b beta_ab^-1 (A), and the residual of that identity.
+    The images of the column units |i><0| are v_i v_0^+, v_i being column i
+    of V: a column of the first image gives v_0 up to a phase, and each image
+    times v_0 gives the other columns."""
     expr = table.expression(a, b)
-    sites = expr.sites
-    active = table.active_slots(a, b, max(radius(expr), 1))
+    active = tuple(table.active_slots(a, b, max(radius(expr), 1)))
     if not active:
         return ((), np.ones((1, 1), dtype=complex)), 0.0
 
-    dims = _slot_dims(sites, active)
-    D = math.prod(dims)
-    units = matrix_unit_batch(D)
-    out_slots, out = _run_batch(expr, tuple(active), units)
-    if not set(out_slots) <= set(active):
+    D = math.prod(_slot_dims(expr.sites, active))
+    units = column_units(D)
+    out_slots, out = _run_batch(expr, active, units)
+    if out_slots != active:
         raise NotInner("images leave the candidate support window")
-    if tuple(out_slots) != tuple(active):
-        pos = [active.index(s) for s in out_slots]
-        out = tz.embed_factors_batch(out, dims, pos)
-
-    # reshuffled superoperator (Choi form): rank one exactly for conjugations
-    arr = out.reshape(D, D, D, D)
-    choi = arr.transpose(2, 0, 3, 1).reshape(D * D, D * D)
-    choi = (choi + choi.conj().T) / 2
-    if D * D <= 1024:
-        w, v = np.linalg.eigh(choi)
-        lam1, lam2 = float(w[-1]), float(w[-2])
-        vec = v[:, -1]
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        v0 = np.ones(D * D) / math.sqrt(D * D)
-        w, v = eigsh(choi, k=2, which="LA", v0=v0)
-        order = np.argsort(w)
-        lam1, lam2 = float(w[order[-1]]), float(w[order[-2]])
-        vec = v[:, order[-1]]
-    if lam2 > CHOI_RANK_RATIO * lam1:
-        raise NotInner(
-            f"superoperator is not rank one (ratio {lam2 / lam1:.3g}); "
-            "window too small or action not inner"
-        )
-    V = vec.reshape(D, D) * math.sqrt(D)
+    # the largest diagonal entry of v_0 v_0^+ is at least 1/D
+    c = int(np.argmax(out[0].diagonal().real))
+    v0 = out[0][:, c] / math.sqrt(out[0][c, c].real)
+    V = (out @ v0).T
     u, _, wh = np.linalg.svd(V)
     V = u @ wh
     flat = V.reshape(-1)
@@ -474,10 +455,9 @@ def _extract(table: VTable, a, b) -> tuple[SlotOperator, float]:
     V = V * (flat[idx].conjugate() / abs(flat[idx]))
 
     resid = float(np.max(np.abs(V @ units @ V.conj().T - out)))
-    if resid > TOL_AUTO:
+    if not resid <= TOL_AUTO:
         raise NotInner(f"extracted unitary fails to reproduce the action ({resid:.3g})")
-    slots, mats = _trim_batch(sites, active, V[None], active)
-    return (slots, mats[0]), resid
+    return (active, V), resid
 
 
 # -- the degree-3 cocycle --------------------------------------------------------
@@ -523,7 +503,11 @@ def _classify(H: CohomologyGroup, turns, what: str, entries=None, build=list) ->
     except SnapFailure:
         return ClassifiedCocycle(H.representative(coords), coords, None)
     cochain = PhaseCochain(H.group, H.degree, tuple(build([f for f, _ in snaps])))
-    if not is_cocycle(cochain) or class_of(cochain, H) != coords:
+    try:
+        exact = class_of(cochain, H)
+    except NotACocycle:
+        exact = None
+    if exact != coords:
         raise CocycleViolation(
             f"snapped {what} is not a cocycle of class {list(coords.residues)}, "
             "the class of its rounded Bockstein"

@@ -219,16 +219,6 @@ class PhaseCochain:
     def __sub__(self, other: "PhaseCochain") -> "PhaseCochain":
         return self + (-other)
 
-    def format_lines(self) -> list[str]:
-        """Dump format: one line "g1,...,gk → p/q" per tuple."""
-        n = self.group.order
-        out = []
-        for t in _all_tuples(n, self.degree):
-            v = self.values[_tuple_index(t, n)]
-            key = ",".join(self.group.name(g) for g in t)
-            out.append(f"{key} → {v.numerator}/{v.denominator}")
-        return out
-
 
 def coboundary(f: PhaseCochain) -> PhaseCochain:
     """Alternating-sum coboundary, one degree up, exact."""

@@ -18,7 +18,9 @@ the gate's slots on which the batch acts as identity are trimmed. So swap
 circuits (stacked shift neutralizations) cost no matrix products, and the
 matrices stay small however deep the circuit. An operator is the identity on
 a slot exactly when, cut into blocks by that slot's index, its off-diagonal
-blocks vanish and its diagonal blocks agree.
+blocks vanish and its diagonal blocks agree. Two automorphisms are compared
+on the column units |i><0| of a site (`column_units`), which generate its
+algebra; the overlap index sums over all matrix units, an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -460,6 +462,15 @@ def matrix_unit_batch(dim: int) -> np.ndarray:
     return out
 
 
+def column_units(dim: int) -> np.ndarray:
+    """The dim column units |i><0| as a batch, unit i at index i. They
+    generate the full matrix algebra, |i><j| = |i><0| (|j><0|)^+, so two
+    automorphisms agree on it exactly when they agree on these units."""
+    out = np.zeros((dim, dim, dim), dtype=complex)
+    out[np.arange(dim), np.arange(dim), 0] = 1.0
+    return out
+
+
 # -- index computations --------------------------------------------------------
 
 def gnvw_symbolic(expr: QcaExpr) -> PrimeLog:
@@ -651,7 +662,7 @@ def _image_distance(sites: SiteSpec, a, b) -> float:
 def _verify_same_action(e1: QcaExpr, e2: QcaExpr):
     d = e1.sites.dim
     rr = max(radius(e1), radius(e2), 1) + 1
-    units = matrix_unit_batch(d)
+    units = column_units(d)
     for j in range(-rr, rr + 1):
         if action_distance_on_units(e1, e2, Window.site(j), units) > TOL_AUTO:
             raise InvariantViolation(

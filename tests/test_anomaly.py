@@ -34,6 +34,7 @@ from chainomaly.qca import (
     QcaExpr,
     ShiftPrimitive,
     action_distance_on_units,
+    column_units,
     compose,
     identity_expr,
     invert,
@@ -61,7 +62,7 @@ def naive_homomorphism_residual(spec: anm.ActionSpec) -> float:
     at every probe site."""
     G = spec.group
     r = max(max(qca.radius(e) for e in spec.exprs), 1)
-    units = matrix_unit_batch(spec.sites.dim)
+    units = column_units(spec.sites.dim)
 
     def dist(e1, e2):
         return max(
@@ -149,6 +150,15 @@ def test_verify_rejects_non_involution():
         anm.verify_action(act)
 
 
+def test_verify_rejects_a_diagonal_gate_that_squares_to_z():
+    # conjugation by diag(1, i) fixes every diagonal unit, but twice it is
+    # conjugation by Z, which sends |1><0| to -|1><0|
+    gate = QcaExpr(S2, (BlockLayer(1, (GateTemplate(0, 1, np.diag([1, 1j])),)),))
+    act = anm.ActionSpec(FiniteGroup.cyclic(2), S2, (identity_expr(S2), gate))
+    with pytest.raises(NotAHomomorphism, match=r"pair \(1, 1\) violates"):
+        anm.verify_action(act)
+
+
 # -- stacking and restriction ---------------------------------------------------------
 
 def test_stack_neutralize_zero_index_unchanged():
@@ -223,9 +233,15 @@ def test_extract_identity():
 
 
 def test_extract_random_gate_recovers_it(rng):
-    # (0, 1, 2) reaches past the sites [0, 1] that the sweep probes first
-    for support in ((0, 1), (0, 1, 2)):
-        u = random_unitary(2 ** len(support), rng)
+    # (0, 1, 2) reaches past the sites [0, 1] that the sweep probes first; a
+    # diagonal gate fixes every diagonal unit; six qubits reach MAX_V_DIM
+    cases = [
+        ((0, 1), random_unitary(4, rng)),
+        ((0, 1, 2), random_unitary(8, rng)),
+        ((0, 1), np.diag(np.exp(2j * np.pi * rng.uniform(size=4)))),
+        (tuple(range(6)), random_unitary(anm.MAX_V_DIM, rng)),
+    ]
+    for support, u in cases:
         table = bare_table(single_gate_expr(S2, support, u))
         gate = table.gate(1, 0)
         assert table.residuals[1, 0] <= 1e-9
@@ -247,7 +263,7 @@ def test_extract_rejects_non_inner():
 
 
 def test_extraction_failures_name_the_pair(monkeypatch):
-    monkeypatch.setattr(anm, "MAX_CHOI_DIM", 1)
+    monkeypatch.setattr(anm, "MAX_V_DIM", 1)
     with pytest.raises(WindowCapExceeded, match=r"^V\(-1, -1\): candidate support dimension 2 "):
         anm.omega_cocycle(anm.levin_gu_action())
     with pytest.raises(WindowCapExceeded, match=r"^V\(\(\(0,1\), 0\), \(\(0,0\), 1\)\): candidate "):

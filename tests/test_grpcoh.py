@@ -438,9 +438,3 @@ def test_slant_domain_error():
     with pytest.raises(EvaluatorDomain):
         slant_z(ev, Z2)
 
-
-def test_cochain_dump_format():
-    psi = PhaseCochain(Z2, 1, (Fraction(0), Fraction(1, 4)))
-    lines = coboundary(psi).format_lines()
-    assert lines[-1] == "1,1 → 1/2"
-    assert len(lines) == 4

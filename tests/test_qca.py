@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainomaly import _tensors as tz
@@ -561,9 +561,19 @@ def test_balance_same_register_cancellation():
         )
 
 
+def _conj_on_factors(mat, dims, pos, u):
+    """u mat u^+ for u acting on the consecutive factors `pos` of `dims`,
+    contracted on those factors only."""
+    assert list(pos) == list(range(pos[0], pos[-1] + 1))
+    D, g = len(mat), len(u)
+    a, c = math.prod(dims[: pos[0]]), math.prod(dims[pos[-1] + 1:])
+    mat = (u @ mat.reshape(a, g, c * D)).reshape(D * a, g, c)
+    return (u.conj() @ mat).reshape(D, D)
+
+
 def _dense_layer_apply(expr, op, margin):
-    """Independent oracle: embed into one big window and conjugate by the
-    product of all layer gates inside it (layer-only expressions)."""
+    """Independent oracle: embed into one big window and conjugate by every
+    layer gate inside it, gate by gate (layer-only expressions)."""
     R = expr.sites.nregisters
     big = Window(min(op[0]) // R - margin, max(op[0]) // R + margin)
     full = qca._slots_of_window(expr.sites, big)
@@ -571,7 +581,6 @@ def _dense_layer_apply(expr, op, margin):
     mat = tz.embed_factors(op[1], dims, [full.index(s) for s in op[0]])
     for step in expr.steps:
         assert isinstance(step, BlockLayer)
-        total = np.eye(len(mat), dtype=complex)
         for tmpl in step.templates:
             k = (big.lo - tmpl.anchor) // step.period - 1
             while True:
@@ -587,13 +596,13 @@ def _dense_layer_apply(expr, op, margin):
                 if step.max_site is not None and hi > step.max_site:
                     continue
                 pos = [s - big.lo * R for s in tmpl.slots_at(base, R)]
-                total = tz.embed_factors(tmpl.unitary, dims, pos) @ total
-        mat = total @ mat @ total.conj().T
+                mat = _conj_on_factors(mat, dims, pos, tmpl.unitary)
     return full, mat
 
 
 @settings(max_examples=10)
 @given(seed=st.integers(0, 10 ** 6))
+@example(seed=59)  # three two-site layers and a two-site probe: a 12-site window
 def test_engine_matches_dense_conjugation(seed):
     rng = np.random.default_rng(seed)
     steps = []
