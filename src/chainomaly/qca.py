@@ -350,7 +350,9 @@ def _reduce_if_identity(mats: np.ndarray, a: int, d: int, c: int, thr: float):
     `thr`."""
     B = mats.shape[0]
     t = mats.reshape(B, a, d, c, a, d, c)
-    for x, y in itertools.permutations(range(d), 2):
+    # (x, 0) blocks first: a batch of column units |i><0| is zero in every
+    # (0, y) block of its own slot and nonzero in (i, 0)
+    for y, x in itertools.permutations(range(d), 2):
         if not np.abs(t[:, :, x, :, :, y, :]).max() <= thr:
             return None
     reduced = np.einsum("nixjkxl->nijkl", t) / d

@@ -5,32 +5,42 @@ entry per term and site: the X-part flips the bits of x, the Z-part is the
 parity sign of the bits of z, and Y = iXZ. `lowest_eigs` splits the ring
 into translation-momentum sectors (Sandvik, arXiv:1101.3281, sec. 4; the
 QuSpin paper, SciPost Phys. 2, 003 (2017)) and diagonalises sectors
-m = 0..N/2 one at a time: dense below a measured sector size, Lanczos via
-ARPACK from a seeded generic start vector above it. Every term is
-reflection-symmetric, so sector N - m has the levels of sector m and its
-eigenvectors are the bit-reversed ones. The lowest levels are lifted back
-to the full space, where the symmetry charge under the ring version of the
-flip-and-entangle symmetry is measured. A gap scan over a grid of sizes and
-couplings records the gapless or symmetry-broken trends that a nonzero
-anomaly forces on symmetric Hamiltonians.
+m = 0..N/2 one at a time. Every term is reflection-symmetric, so sector
+N - m has the levels of sector m and its eigenvectors are the bit-reversed
+ones.
+
+Every term also commutes with the antiunitary A = PFK: the reflection
+P (j -> N-1-j), the global flip F and complex conjugation K. A^2 = 1 and
+A T A^-1 = T^-1, so A maps each momentum sector to itself, and every block
+is real in a basis of A-fixed vectors with at most two entries per column.
+(Sandvik's semi-momentum states pair q with -q through P; composing P with
+F K keeps q.) So one real path solves every sector: dense `eigh` below a
+measured sector size, real Lanczos (ARPACK `eigsh`) from a seeded generic
+start vector above it.
+
+The lowest levels are lifted back to the full space, where the symmetry
+charge under the ring version of the flip-and-entangle symmetry is
+measured. A gap scan over a grid of sizes and couplings records the gapless
+or symmetry-broken trends that a nonzero anomaly forces on symmetric
+Hamiltonians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ChainomalyError, NoConvergence, SizeCap, ValidationError
+from .errors import ChainomalyError, InvariantViolation, NoConvergence, SizeCap, ValidationError
 
 _KNOWN_TERMS = ("h0", "h1", "hj", "ha")
 
 # Largest momentum sector diagonalised densely. Measured with one BLAS
-# thread on complex blocks: dense eigh takes 1.5 ms at dimension 99 against
-# 4 ms for ARPACK, but 35 ms at 335 against 6-9 ms.
+# thread on the real blocks: dense eigh takes 0.9 ms at dimension 99-108
+# (N = 10) against 2.4-3.8 ms for ARPACK, but 11-22 ms at 335-352 (N = 12)
+# against 4-10 ms. No sector of an even ring has a size in between.
 _DENSE_MAX = 200
 
 # Largest ring a Hamiltonian is built for.
@@ -81,17 +91,6 @@ class SparseOperator:
     @property
     def dim(self) -> int:
         return 2 ** self.n_sites
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The full sparse matrix, built on first access."""
-        s = np.arange(self.dim, dtype=np.int64)
-        rows = np.concatenate([s ^ x for _, x, _ in self.terms])
-        vals = np.concatenate([c * _parity_sign(s & z) for c, _, z in self.terms])
-        cols = np.tile(s, len(self.terms))
-        H = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
-        H.eliminate_zeros()
-        return H
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> SparseOperator:
@@ -153,9 +152,8 @@ class _Orbits:
         return cls(n, reps, index[rep], shift, period[reps])
 
 
-def _bit_reverse(n: int) -> np.ndarray:
-    """The reflection j -> N-1-j of the ring as a permutation of states."""
-    s = np.arange(1 << n, dtype=np.int64)
+def _bit_reverse(s: np.ndarray, n: int) -> np.ndarray:
+    """The reflection j -> N-1-j of the ring on the states s."""
     out = np.zeros_like(s)
     for j in range(n):
         out |= ((s >> j) & 1) << (n - 1 - j)
@@ -192,6 +190,37 @@ def _sector_phase(m: int, n: int, shifts: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * m / n * shifts)
 
 
+def _partners(orb: _Orbits) -> tuple[np.ndarray, np.ndarray]:
+    """For each representative r, the index of r', the representative of the
+    reflected and flipped state PF r, and the shift s with PF r = T^s r'.
+    Then A|r, q> = e^{iqs}|r', q>, and r' has the orbit length of r."""
+    image = _bit_reverse(orb.reps, orb.n_sites) ^ ((1 << orb.n_sites) - 1)
+    return orb.index[image], orb.shift[image]
+
+
+def _real_basis(partners, inside: np.ndarray, m: int, n: int) -> sp.csr_matrix:
+    """Unitary U whose columns are A-fixed states of sector m, so U^+ B U is
+    real for every A-symmetric block B: e^{iqs/2}|r> when r' = r, and
+    (|r> + e^{iqs}|r'>)/sqrt(2) and i(|r> - e^{iqs}|r'>)/sqrt(2) for each
+    pair r < r'. Columns follow the representatives' order."""
+    partner, shift = partners
+    own = np.flatnonzero(inside)
+    other = partner[own]
+    local = np.cumsum(inside) - 1
+    w = _sector_phase(m, n, shift[own]).astype(complex)
+    fixed, pair = other == own, other > own
+    width = fixed + 2 * pair
+    col = np.cumsum(width) - width
+    i, j, c, wp = local[own[pair]], local[other[pair]], col[pair], w[pair]
+    h = np.sqrt(0.5)
+    rows = np.concatenate([local[own[fixed]], i, j, i, j])
+    cols = np.concatenate([col[fixed], c, c, c + 1, c + 1])
+    vals = np.concatenate(
+        [np.sqrt(w[fixed]), np.full(len(c), h), h * wp, np.full(len(c), 1j * h), -1j * h * wp]
+    )
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(own), len(own)))
+
+
 def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matrix]:
     """Sector q = 2 pi m / N: the mask of representatives it holds (those
     whose orbit length R has m R = 0 mod N) and H on their momentum states."""
@@ -225,36 +254,44 @@ def _lift(orb: _Orbits, inside: np.ndarray, m: int, vec: np.ndarray) -> np.ndarr
     return psi
 
 
-def _sector_lowest(block, want: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    d = block.shape[0]
-    real = not block.data.imag.any()  # q = 0 or pi without the Y terms
-    if real:
-        block = block.real
+def _sector_lowest(block, U, m: int, want: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The `want` lowest levels of momentum block m, solved as the real
+    matrix U^+ block U, with the eigenvectors mapped back through U."""
+    real = U.conj().T @ block @ U
+    scale = max(1.0, np.abs(block.data).max(initial=0.0))
+    imag = np.abs(real.data.imag).max(initial=0.0)
+    if not imag <= 1e-10 * scale:
+        raise InvariantViolation(
+            f"momentum sector {m}: block is not real in the A-fixed basis, "
+            f"imaginary part {imag:.3g}"
+        )
+    real = real.real.tocsr()  # eigsh runs 1.5-2.7 times slower on CSC
+    d = real.shape[0]
     if d <= _DENSE_MAX:
-        vals, vecs = np.linalg.eigh(block.toarray())
-        return vals[:want], vecs[:, :want]
+        vals, vecs = np.linalg.eigh(real.toarray())
+        return vals[:want], U @ vecs[:, :want]
     v0 = rng.standard_normal(d)
-    if not real:
-        v0 = v0 + 1j * rng.standard_normal(d)
     try:
-        vals, vecs = spla.eigsh(block, k=want, which="SA", v0=v0, maxiter=2000)
+        vals, vecs = spla.eigsh(real, k=want, which="SA", v0=v0, maxiter=2000)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], U @ vecs[:, order]
 
 
 def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenvalues and vectors, residual-checked to 1e-7.
 
     Diagonalises one momentum sector q = 2 pi m / N at a time for
-    m = 0..N/2 and counts the levels of 0 < m < N/2 twice, once for the
-    mirrored sector N - m, whose eigenvectors are the bit-reversed ones."""
+    m = 0..N/2, each as a real matrix in its A-fixed basis, and counts the
+    levels of 0 < m < N/2 twice, once for the mirrored sector N - m, whose
+    eigenvectors are the bit-reversed ones."""
     if k < 1 or k > 8:
         raise ValidationError("k must be between 1 and 8")
     n = H.n_sites
     orb = _Orbits.of(n)
     hops = _hops(H, orb)
+    partners = _partners(orb)
     rng = np.random.default_rng(0)
     levels = []  # (energy, m, index in sector, mirrored)
     sectors = {}
@@ -263,7 +300,8 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
         mirrored = 0 < m < n // 2
         # each level of a mirrored sector fills two of the k places
         want = min((k + 1) // 2 if mirrored else k, block.shape[0])
-        e, v = _sector_lowest(block, want, rng)
+        U = _real_basis(partners, inside, m, n)
+        e, v = _sector_lowest(block, U, m, want, rng)
         resid = np.linalg.norm(block @ v - v * e, axis=0)
         if resid.max() > 1e-7:
             i = int(np.argmax(resid))
@@ -277,9 +315,12 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
                 levels.append((energy, m, i, True))
     levels.sort(key=lambda t: t[0])
     levels = levels[:k]
+    del hops, partners, block, U  # freed before the full-space vectors are allocated
 
     out = np.empty((H.dim, len(levels)), dtype=complex)
-    reverse = _bit_reverse(n) if any(t[3] for t in levels) else None
+    reverse = None
+    if any(t[3] for t in levels):
+        reverse = _bit_reverse(np.arange(H.dim, dtype=np.int64), n)
     for col, (_, m, i, mirror) in enumerate(levels):
         inside, v = sectors[m]
         psi = _lift(orb, inside, m, v[:, i])
@@ -310,14 +351,6 @@ def symmetry_charge(state: np.ndarray, n: int, kind: str = "gamma") -> complex:
     else:
         raise ValidationError(f"unknown symmetry kind {kind!r}")
     return complex(np.vdot(state, d * state[flipped]))
-
-
-def gamma_unitary(n: int) -> sp.csr_matrix:
-    """The ring symmetry as a sparse matrix (for commutator checks)."""
-    dim = 2 ** n
-    d = _gamma_phases(n)
-    rows = np.arange(dim)[::-1]
-    return sp.csr_matrix((d, (rows, np.arange(dim))), shape=(dim, dim))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from chainomaly.qca import (
 
 from conftest import image, random_unitary, single_gate_expr, slot_product
 from helpers_free_fermion import free_fermion_levels
+from helpers_ring import full_matrix
 from helpers_support_algebra import support_dims
 
 
@@ -240,7 +241,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
             H = spectra.build_hamiltonian(spec)
             vals, vecs = spectra.lowest_eigs(H, k=4)
             for i in range(4):
-                r = np.linalg.norm(H.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
+                r = np.linalg.norm(full_matrix(H) @ vecs[:, i] - vals[i] * vecs[:, i])
                 assert r <= 1e-7
         # automorphism checks
         for act in (anm.levin_gu_action(), anm.onsite_flip_action()):

@@ -561,14 +561,15 @@ def test_balance_same_register_cancellation():
         )
 
 
-def _conj_on_factors(mat, dims, pos, u):
-    """u mat u^+ for u acting on the consecutive factors `pos` of `dims`,
-    contracted on those factors only."""
+def _conj_on_factors(mat, buf, dims, pos, u):
+    """mat <- u mat u^+ in place, for u acting on the consecutive factors
+    `pos` of `dims`, contracted on those factors only; `buf` is scratch of
+    mat's shape, so no window-sized array is allocated."""
     assert list(pos) == list(range(pos[0], pos[-1] + 1))
     D, g = len(mat), len(u)
     a, c = math.prod(dims[: pos[0]]), math.prod(dims[pos[-1] + 1:])
-    mat = (u @ mat.reshape(a, g, c * D)).reshape(D * a, g, c)
-    return (u.conj() @ mat).reshape(D, D)
+    np.matmul(u, mat.reshape(a, g, c * D), out=buf.reshape(a, g, c * D))
+    np.matmul(u.conj(), buf.reshape(D * a, g, c), out=mat.reshape(D * a, g, c))
 
 
 def _dense_layer_apply(expr, op, margin):
@@ -578,7 +579,9 @@ def _dense_layer_apply(expr, op, margin):
     big = Window(min(op[0]) // R - margin, max(op[0]) // R + margin)
     full = qca._slots_of_window(expr.sites, big)
     dims = [expr.sites.registers[s % R] for s in full]
-    mat = tz.embed_factors(op[1], dims, [full.index(s) for s in op[0]])
+    # an owned contiguous copy: it is updated in place through reshaped views
+    mat = np.array(tz.embed_factors(op[1], dims, [full.index(s) for s in op[0]]), dtype=complex)
+    buf = np.empty_like(mat)
     for step in expr.steps:
         assert isinstance(step, BlockLayer)
         for tmpl in step.templates:
@@ -596,7 +599,7 @@ def _dense_layer_apply(expr, op, margin):
                 if step.max_site is not None and hi > step.max_site:
                     continue
                 pos = [s - big.lo * R for s in tmpl.slots_at(base, R)]
-                mat = _conj_on_factors(mat, dims, pos, tmpl.unitary)
+                _conj_on_factors(mat, buf, dims, pos, tmpl.unitary)
     return full, mat
 
 

@@ -1,16 +1,18 @@
+import importlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
 from chainomaly import spectra
-from chainomaly.errors import SizeCap, ValidationError
+from chainomaly.errors import InvariantViolation, SizeCap, ValidationError
 from chainomaly.spectra import (
     HamiltonianSpec,
     build_hamiltonian,
     default_grid,
-    gamma_unitary,
     gap_scan,
     lowest_eigs,
     rows_to_csv,
@@ -19,6 +21,7 @@ from chainomaly.spectra import (
 )
 
 from helpers_free_fermion import free_fermion_levels
+from helpers_ring import full_matrix, gamma_unitary
 
 
 def test_spec_validation():
@@ -51,7 +54,8 @@ def test_paramagnet_exact():
 def test_hermitian_flag():
     H = build_hamiltonian(HamiltonianSpec(6, j_coupling=0.3, a_coupling=0.2,
                                           terms=("h0", "h1", "hj", "ha")))
-    assert abs(H.matrix - H.matrix.conj().T).max() <= 1e-12
+    M = full_matrix(H)
+    assert abs(M - M.conj().T).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -59,7 +63,7 @@ def test_hermitian_flag():
 def test_free_fermion_oracle_agrees_with_dense(n, j):
     terms = ("h0", "h1") if j == 0.0 else ("h0", "h1", "hj")
     H = build_hamiltonian(HamiltonianSpec(n, j_coupling=j, terms=terms))
-    dense = np.linalg.eigvalsh(H.matrix.toarray())[:6]
+    dense = np.linalg.eigvalsh(full_matrix(H).toarray())[:6]
     oracle = free_fermion_levels(n, j_coupling=j, nlow=6)
     assert np.max(np.abs(dense - np.array(oracle))) <= 1e-10
 
@@ -70,14 +74,15 @@ def test_symmetry_commutes_for_all_couplings():
         H = build_hamiltonian(
             HamiltonianSpec(8, j_coupling=j, a_coupling=a, terms=("h0", "h1", "hj", "ha"))
         )
-        assert abs(H.matrix @ U - U @ H.matrix).max() <= 1e-9
+        M = full_matrix(H)
+        assert abs(M @ U - U @ M).max() <= 1e-9
 
 
 def test_lanczos_matches_dense_at_n10():
-    H = build_hamiltonian(HamiltonianSpec(10))
-    dense = np.linalg.eigvalsh(H.matrix.toarray())[:4]
-    v0 = np.ones(H.dim) / np.sqrt(H.dim)
-    lanczos = np.sort(spla.eigsh(H.matrix, k=4, which="SA", v0=v0, maxiter=2000)[0])
+    M = full_matrix(build_hamiltonian(HamiltonianSpec(10)))
+    dense = np.linalg.eigvalsh(M.toarray())[:4]
+    v0 = np.ones(M.shape[0]) / np.sqrt(M.shape[0])
+    lanczos = np.sort(spla.eigsh(M, k=4, which="SA", v0=v0, maxiter=2000)[0])
     assert np.max(np.abs(dense - lanczos)) <= 1e-8
 
 
@@ -86,7 +91,7 @@ def test_eig_residuals():
         H = build_hamiltonian(spec)
         vals, vecs = lowest_eigs(H, k=4)
         for i in range(4):
-            resid = np.linalg.norm(H.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
+            resid = np.linalg.norm(full_matrix(H) @ vecs[:, i] - vals[i] * vecs[:, i])
             assert resid <= 1e-7
 
 
@@ -99,7 +104,7 @@ def test_k_capped():
 def test_strong_ising_degenerate_pair():
     # dense oracle at N = 8: near-degenerate ground pair, well-separated third
     H = build_hamiltonian(HamiltonianSpec(8, j_coupling=4.0, terms=("h0", "h1", "hj")))
-    vals = np.linalg.eigvalsh(H.matrix.toarray())
+    vals = np.linalg.eigvalsh(full_matrix(H).toarray())
     assert vals[1] - vals[0] < 1e-2
     assert vals[2] - vals[0] > 0.5
 
@@ -216,7 +221,7 @@ def test_momentum_sectors_partition_the_spectrum(n, j, a):
         _, block = spectra._momentum_block(orb, hops, m)
         levels[m] = np.linalg.eigvalsh(block.toarray())
     union = np.sort(np.concatenate(list(levels.values())))
-    assert np.max(np.abs(union - np.linalg.eigvalsh(H.matrix.toarray()))) <= 1e-10
+    assert np.max(np.abs(union - np.linalg.eigvalsh(full_matrix(H).toarray()))) <= 1e-10
     for m in range(1, n):
         # reflection maps momentum q to -q and commutes with every term
         assert np.max(np.abs(levels[m] - levels[n - m])) <= 1e-10
@@ -225,8 +230,8 @@ def test_momentum_sectors_partition_the_spectrum(n, j, a):
 @pytest.mark.parametrize("n", [8, 12, 14])
 def test_real_sectors_have_real_blocks(n):
     # q = 0 and q = pi weigh every hop by exactly +-1, so without Y terms
-    # their blocks are real and take the real eigensolver path; the blocks
-    # agree with the e^{iql} weights to rounding
+    # their momentum blocks are already real, before the A-fixed basis; the
+    # blocks agree with the e^{iql} weights to rounding
     H = build_hamiltonian(HamiltonianSpec(n, j_coupling=4.0, terms=("h0", "h1", "hj")))
     orb = spectra._Orbits.of(n)
     cols, rows, shifts, vals = hops = spectra._hops(H, orb)
@@ -251,8 +256,93 @@ def test_lifted_eigenvectors_are_orthonormal_eigenvectors(n, terms):
     H = build_hamiltonian(spec)
     vals, vecs = lowest_eigs(H, k=8)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(8))) <= 1e-10
-    resid = np.linalg.norm(H.matrix @ vecs - vecs * vals, axis=0)
+    resid = np.linalg.norm(full_matrix(H) @ vecs - vecs * vals, axis=0)
     assert resid.max() <= 1e-10
     if terms == ("h0",):
         # N-fold first excited level: pairs from sectors m and N - m
         assert np.sum(np.abs(vals - (-n + 2)) <= 1e-9) == 7
+
+
+def _pf(n: int) -> np.ndarray:
+    """PF as a permutation of states: bit reversal, then the global flip."""
+    s = np.arange(1 << n, dtype=np.int64)
+    return spectra._bit_reverse(s, n) ^ ((1 << n) - 1)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_every_term_commutes_with_reflection_flip_conjugation(n, rng):
+    # A = PFK: P F conj(H) F P == H, term by term with random couplings
+    pf = _pf(n)
+    for terms in (("h0",), ("h1",), ("hj",), ("ha",), ("h0", "h1", "hj", "ha")):
+        spec = HamiltonianSpec(
+            n, j_coupling=rng.normal(), a_coupling=rng.normal(), terms=terms
+        )
+        M = full_matrix(build_hamiltonian(spec)).toarray()
+        assert np.max(np.abs(M[np.ix_(pf, pf)].conj() - M)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_real_basis_is_unitary_and_fixed_by_the_antiunitary(n):
+    orb = spectra._Orbits.of(n)
+    partners = spectra._partners(orb)
+    pf = _pf(n)
+    for m in range(n):
+        inside = (m * orb.period) % n == 0
+        U = spectra._real_basis(partners, inside, m, n).toarray()
+        assert np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) <= 1e-12
+        assert np.max(np.sum(U != 0, axis=0)) <= 2
+        for col in U.T:
+            # each column lifted to the full space is fixed by A = PFK
+            psi = spectra._lift(orb, inside, m, col)
+            assert np.max(np.abs(psi[pf].conj() - psi)) <= 1e-12
+
+
+def test_imaginary_part_in_the_real_basis_is_an_invariant_violation(monkeypatch):
+    # a diagonal that differs between r and its partner r' breaks A in sector 1
+    real_block = spectra._momentum_block
+
+    def broken(orb, hops, m):
+        inside, block = real_block(orb, hops, m)
+        if m == 1:
+            d = block.shape[0]
+            block = block + sp.diags(np.linspace(0.0, 1.0, d))
+        return inside, block
+
+    monkeypatch.setattr(spectra, "_momentum_block", broken)
+    H = build_hamiltonian(HamiltonianSpec(8, a_coupling=0.4, terms=("h0", "h1", "ha")))
+    with pytest.raises(InvariantViolation, match="momentum sector 1: .* imaginary part"):
+        lowest_eigs(H, k=4)
+
+
+def test_complex_arnoldi_never_runs(monkeypatch):
+    # every sector is solved by real eigh or real eigsh; complex eigsh would
+    # call eigs (ARPACK znaupd) from scipy's arpack module
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex Arnoldi reached")
+
+    monkeypatch.setattr(spla, "eigs", refuse)
+    monkeypatch.setattr(
+        importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack"), "eigs", refuse
+    )
+    spec = HamiltonianSpec(14, j_coupling=0.8, a_coupling=0.5, terms=("h0", "h1", "hj", "ha"))
+    H = build_hamiltonian(spec)
+    vals, vecs = lowest_eigs(H, k=6)
+    resid = np.linalg.norm(full_matrix(H) @ vecs - vecs * vals, axis=0)
+    assert resid.max() <= 1e-7
+
+
+def test_chiral_term_on_lanczos_matches_full_space_oracle(rng):
+    n = 12
+    orb = spectra._Orbits.of(n)
+    sizes = [np.sum((m * orb.period) % n == 0) for m in range(n // 2 + 1)]
+    assert min(sizes) > spectra._DENSE_MAX  # every sector takes the Lanczos path
+    spec = HamiltonianSpec(
+        n, j_coupling=rng.normal(), a_coupling=rng.normal(), terms=("h0", "h1", "hj", "ha")
+    )
+    H = build_hamiltonian(spec)
+    M = full_matrix(H)
+    v0 = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)  # no symmetry
+    oracle = np.sort(spla.eigsh(M, k=8, which="SA", v0=v0, maxiter=5000)[0])
+    vals, vecs = lowest_eigs(H, k=8)
+    assert np.max(np.abs(vals - oracle)) <= 1e-8
+    assert np.linalg.norm(M @ vecs - vecs * vals, axis=0).max() <= 1e-7
