@@ -26,20 +26,24 @@ def embed_factors_batch(mats: np.ndarray, dims_all, positions) -> np.ndarray:
     if positions == list(range(n)):
         return mats
     rest = [i for i in range(n) if i not in positions]
-    d_rest = math.prod([dims_all[i] for i in rest])
-    eye = np.eye(d_rest, dtype=complex)
-    B, d, _ = mats.shape
-    big = (mats[:, :, None, :, None] * eye[None, None, :, None, :]).reshape(
-        B, d * d_rest, d * d_rest
-    )
-    # current factor order is positions + rest; permute to 0..n-1
-    order = positions + rest
-    perm = np.argsort(order)
-    dims_cur = [dims_all[i] for i in order]
-    t = big.reshape([B] + dims_cur + dims_cur)
-    t = t.transpose([0] + [1 + p for p in perm] + [1 + n + p for p in perm])
+    dims_pos = [dims_all[i] for i in positions]
+    dims_rest = [dims_all[i] for i in rest]
+    eye = np.eye(math.prod(dims_rest), dtype=complex)
+    B = mats.shape[0]
     D = math.prod(dims_all)
-    return np.ascontiguousarray(t.reshape(B, D, D))
+    out = np.empty((B, D, D), dtype=complex)
+    # write mats x eye once, through a view of `out` whose factors come in
+    # the order positions + rest
+    order = positions + rest
+    view = out.reshape([B] + list(dims_all) * 2)
+    view = view.transpose([0] + [1 + o for o in order] + [1 + n + o for o in order])
+    ones_pos, ones_rest = [1] * len(positions), [1] * len(rest)
+    np.multiply(
+        mats.reshape([B] + dims_pos + ones_rest + dims_pos + ones_rest),
+        eye.reshape([1] + ones_pos + dims_rest + ones_pos + dims_rest),
+        out=view,
+    )
+    return out
 
 
 def permute_factors_batch(mats: np.ndarray, dims, perm) -> np.ndarray:

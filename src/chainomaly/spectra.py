@@ -15,12 +15,25 @@ A T A^-1 = T^-1, so A maps each momentum sector to itself, and every block
 is real in a basis of A-fixed vectors with at most two entries per column.
 (Sandvik's semi-momentum states pair q with -q through P; composing P with
 F K keeps q.) So one real path solves every sector: dense `eigh` below a
-measured sector size, real Lanczos (ARPACK `eigsh`) from a seeded generic
+measured block size, real Lanczos (ARPACK `eigsh`) from a seeded generic
 start vector above it.
 
-The lowest levels are lifted back to the full space, where the symmetry
-charge under the ring version of the flip-and-entangle symmetry is
-measured. A gap scan over a grid of sizes and couplings records the gapless
+The ring version of the flip-and-entangle symmetry, Gamma = D F with D the
+sign -1 per bond whose two bits are both one, is a real signed permutation
+with Gamma^2 = 1 that commutes with T and with A on every even ring. It
+exchanges the field term h0 and the cluster term h1 and fixes hj and ha, so
+it commutes with H exactly when H holds h0 and h1 with equal weight, which
+`lowest_eigs` reads off the term table. Then H has no matrix element
+between Gamma = +1 and Gamma = -1, and each momentum sector splits exactly
+into two halves of about half the size, each real in an A-fixed basis of
+Gamma eigenvectors with at most four entries per column. Every level then
+comes with a sharp charge, and copies of a level in opposite halves (the
+symmetry-broken pair, in-sector Gamma doublets) are solved apart instead
+of being resolved out of one near-degenerate Lanczos run. Other
+Hamiltonians keep one whole-sector basis per momentum.
+
+The lowest levels are lifted back to the full space, where their charge
+under Gamma is measured. A gap scan over a grid of sizes and couplings records the gapless
 or symmetry-broken trends that a nonzero anomaly forces on symmetric
 Hamiltonians.
 """
@@ -33,14 +46,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ChainomalyError, InvariantViolation, NoConvergence, SizeCap, ValidationError
+from .errors import InvariantViolation, NoConvergence, PipelineError, SizeCap, ValidationError
 
 _KNOWN_TERMS = ("h0", "h1", "hj", "ha")
 
-# Largest momentum sector diagonalised densely. Measured with one BLAS
-# thread on the real blocks: dense eigh takes 0.9 ms at dimension 99-108
-# (N = 10) against 2.4-3.8 ms for ARPACK, but 11-22 ms at 335-352 (N = 12)
-# against 4-10 ms. No sector of an even ring has a size in between.
+# Largest real block diagonalised densely. Measured with one BLAS thread on
+# the Gamma halves of h0 + h1, summed over the halves of m = 0..N/2: at
+# N = 10 (dimension 48-56) dense eigh takes 11 ms against 45 ms for ARPACK,
+# at N = 12 (165-178) 52 ms against 59 ms, at N = 14 (576-596) 714 ms
+# against 120 ms. Whole sectors (no Gamma split) are 335-352 at N = 12,
+# where ARPACK wins. No block of an even ring has a size in between.
 _DENSE_MAX = 200
 
 # Largest ring a Hamiltonian is built for.
@@ -198,27 +213,100 @@ def _partners(orb: _Orbits) -> tuple[np.ndarray, np.ndarray]:
     return orb.index[image], orb.shift[image]
 
 
-def _real_basis(partners, inside: np.ndarray, m: int, n: int) -> sp.csr_matrix:
-    """Unitary U whose columns are A-fixed states of sector m, so U^+ B U is
-    real for every A-symmetric block B: e^{iqs/2}|r> when r' = r, and
-    (|r> + e^{iqs}|r'>)/sqrt(2) and i(|r> - e^{iqs}|r'>)/sqrt(2) for each
-    pair r < r'. Columns follow the representatives' order."""
-    partner, shift = partners
+def _gamma_partners(orb: _Orbits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each representative r, the index of r_G, the representative of
+    the flipped state F r, the shift t with F r = T^t r_G, and the bond sign
+    g(r). Then Gamma|r, q> = g(r) e^{iqt}|r_G, q>."""
+    image = orb.reps ^ ((1 << orb.n_sites) - 1)
+    sign = _parity_sign(orb.reps & _rotate(orb.reps, orb.n_sites))
+    return orb.index[image], orb.shift[image], sign
+
+
+def _commutes_with_gamma(H: SparseOperator) -> bool:
+    """Gamma H Gamma == H, read off the term table. Gamma = D F, with F the
+    global flip and D the bond signs, maps c X^x Z^z to
+    c (-1)^{|z| + b(x)} X^x Z^{z ^ w(x)}, where b(x) counts the bonds with
+    both ends in x and w(x) is the parity of the neighbours of x. So it
+    exchanges h0 and h1 and fixes hj and ha. The coefficients are compared
+    exactly: a term table that only rounds to a symmetric one is not split."""
+    n = H.n_sites
+    table: dict[tuple[int, int], complex] = {}
+    image: dict[tuple[int, int], complex] = {}
+    for c, x, z in H.terms:
+        if c == 0:
+            continue
+        left, right = _rotate(x, n), (x >> 1) | ((x & 1) << (n - 1))
+        sign = (-1) ** (bin(z).count("1") + bin(x & left).count("1"))
+        key = (x, z ^ left ^ right)
+        table[x, z] = table.get((x, z), 0) + c
+        image[key] = image.get(key, 0) + sign * c
+    return table == image
+
+
+def _sector_basis(partners, gamma, inside: np.ndarray, m: int, n: int, sigma) -> sp.csr_matrix:
+    """Unitary U from the real coordinates of the Gamma = sigma half of
+    sector m to its momentum coordinates, so that U^+ B U is real for every
+    block B that commutes with A and Gamma; sigma None takes the whole
+    sector. Every column is A-fixed and has at most four entries.
+
+    The half is spanned by the Gamma columns |r> when r_G = r and g_r = sigma,
+    and (|r> + sigma g_r |r_G>)/sqrt(2) for each pair r < r_G, where
+    g_r = g(r) e^{iqt}; for sigma None every |r> is a column. A maps column a
+    to w_a times column b = partner_a, with A^2 = 1. U takes e^{i phi/2}|a>
+    when b = a with w_a = e^{i phi}, and (|a> + w_a|b>)/sqrt(2) and
+    i(|a> - w_a|b>)/sqrt(2) for each pair a < b, in the order of a."""
     own = np.flatnonzero(inside)
-    other = partner[own]
     local = np.cumsum(inside) - 1
-    w = _sector_phase(m, n, shift[own]).astype(complex)
-    fixed, pair = other == own, other > own
-    width = fixed + 2 * pair
-    col = np.cumsum(width) - width
-    i, j, c, wp = local[own[pair]], local[other[pair]], col[pair], w[pair]
+    d = len(own)
+    states = np.arange(d)
+    a_to = local[partners[0][own]]
+    a_phase = _sector_phase(m, n, partners[1][own]).astype(complex)
+    if sigma is None:
+        g_to, g, sigma = states, np.ones(d), 1
+    else:
+        g_to = local[gamma[0][own]]
+        g = gamma[2][own] * _sector_phase(m, n, gamma[1][own])
     h = np.sqrt(0.5)
-    rows = np.concatenate([local[own[fixed]], i, j, i, j])
-    cols = np.concatenate([col[fixed], c, c, c + 1, c + 1])
-    vals = np.concatenate(
-        [np.sqrt(w[fixed]), np.full(len(c), h), h * wp, np.full(len(c), 1j * h), -1j * h * wp]
+    # the Gamma column of each state and its coefficient there (-1 and 0
+    # outside the half); Gamma^2 = 1 makes g_r = +-1 when r_G = r
+    lone = (g_to == states) & (np.real(g) * sigma > 0)
+    pair = g_to > states
+    lead = np.flatnonzero(lone | pair)
+    col = np.full(d, -1)
+    col[lead] = np.arange(len(lead))
+    col[g_to[pair]] = col[pair]
+    coef = np.zeros(d, dtype=complex)
+    coef[lone] = 1.0
+    coef[pair] = h
+    coef[g_to[pair]] = sigma * h * g[pair]
+    # A on the columns, read off at each column's leading state, whose
+    # coefficient is real, then checked at every state of the half
+    member = np.flatnonzero(col >= 0)
+    partner = col[a_to[lead]]
+    w = a_phase[lead] * coef[a_to[lead]].conj() / coef[lead].real
+    c = col[member]
+    off = np.abs(coef[member].conj() * a_phase[member] - w[c] * coef[a_to[member]])
+    if (col[a_to[member]] != partner[c]).any() or not off.max(initial=0.0) <= 1e-12:
+        raise InvariantViolation(
+            f"momentum sector {m}: A does not map the Gamma = {sigma} half to itself"
+        )
+    # the A-fixed combinations: column a < b owns U columns u_a and u_a + 1
+    cols = np.arange(len(lead))
+    fixed, lower = partner == cols, partner > cols
+    width = fixed + 2 * lower
+    owner = np.where(partner < cols, partner, cols)
+    u = (np.cumsum(width) - width)[owner]
+    wo = w[owner]
+    first = np.where(fixed, np.sqrt(w), np.where(lower, h, h * wo))
+    second = np.where(lower, 1j * h, -1j * h * wo)
+    two = ~fixed[c]
+    return sp.csr_matrix(
+        (
+            np.concatenate([first[c] * coef[member], (second[c] * coef[member])[two]]),
+            (np.concatenate([member, member[two]]), np.concatenate([u[c], u[c][two] + 1])),
+        ),
+        shape=(d, len(lead)),
     )
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(own), len(own)))
 
 
 def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -283,46 +371,53 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenvalues and vectors, residual-checked to 1e-7.
 
     Diagonalises one momentum sector q = 2 pi m / N at a time for
-    m = 0..N/2, each as a real matrix in its A-fixed basis, and counts the
-    levels of 0 < m < N/2 twice, once for the mirrored sector N - m, whose
-    eigenvectors are the bit-reversed ones."""
+    m = 0..N/2, each split into its Gamma = +1 and -1 halves when H commutes
+    with Gamma, each half as a real matrix in its A-fixed basis, and counts
+    the levels of 0 < m < N/2 twice, once for the mirrored sector N - m,
+    whose eigenvectors are the bit-reversed ones."""
     if k < 1 or k > 8:
         raise ValidationError("k must be between 1 and 8")
     n = H.n_sites
     orb = _Orbits.of(n)
     hops = _hops(H, orb)
     partners = _partners(orb)
+    gamma = _gamma_partners(orb)
+    charges = (1, -1) if _commutes_with_gamma(H) else (None,)
     rng = np.random.default_rng(0)
-    levels = []  # (energy, m, index in sector, mirrored)
-    sectors = {}
+    levels = []  # (energy, m, charge, index in half, mirrored)
+    halves = {}
     for m in range(n // 2 + 1):
         inside, block = _momentum_block(orb, hops, m)
         mirrored = 0 < m < n // 2
-        # each level of a mirrored sector fills two of the k places
-        want = min((k + 1) // 2 if mirrored else k, block.shape[0])
-        U = _real_basis(partners, inside, m, n)
-        e, v = _sector_lowest(block, U, m, want, rng)
-        resid = np.linalg.norm(block @ v - v * e, axis=0)
-        if resid.max() > 1e-7:
-            i = int(np.argmax(resid))
-            raise NoConvergence(
-                f"momentum sector {m}: eigenpair {i} residual {resid[i]:.3g} exceeds 1e-7"
-            )
-        sectors[m] = (inside, v)
-        for i, energy in enumerate(e):
-            levels.append((energy, m, i, False))
-            if mirrored:
-                levels.append((energy, m, i, True))
-    levels.sort(key=lambda t: t[0])
-    levels = levels[:k]
-    del hops, partners, block, U  # freed before the full-space vectors are allocated
+        for sigma in charges:
+            U = _sector_basis(partners, gamma, inside, m, n, sigma)
+            # each level of a mirrored sector fills two of the k places
+            want = min((k + 1) // 2 if mirrored else k, U.shape[1])
+            e, v = _sector_lowest(block, U, m, want, rng)
+            resid = np.linalg.norm(block @ v - v * e, axis=0)
+            if resid.max() > 1e-7:
+                i = int(np.argmax(resid))
+                raise NoConvergence(
+                    f"momentum sector {m}: eigenpair {i} residual {resid[i]:.3g} exceeds 1e-7"
+                )
+            halves[m, sigma] = (inside, v)
+            for i, energy in enumerate(e):
+                levels.append((energy, m, sigma, i, False))
+                if mirrored:
+                    levels.append((energy, m, sigma, i, True))
+            # the stable sort keeps the k lowest of all halves; the vectors
+            # of a half with no level among them are dropped on the way
+            levels.sort(key=lambda t: t[0])
+            del levels[k:]
+            halves = {t[1:3]: halves[t[1:3]] for t in levels}
+    del hops, partners, gamma, block, U  # freed before the full-space vectors are allocated
 
     out = np.empty((H.dim, len(levels)), dtype=complex)
     reverse = None
-    if any(t[3] for t in levels):
+    if any(t[4] for t in levels):
         reverse = _bit_reverse(np.arange(H.dim, dtype=np.int64), n)
-    for col, (_, m, i, mirror) in enumerate(levels):
-        inside, v = sectors[m]
+    for col, (_, m, sigma, i, mirror) in enumerate(levels):
+        inside, v = halves[m, sigma]
         psi = _lift(orb, inside, m, v[:, i])
         out[:, col] = psi[reverse] if mirror else psi
     return np.array([t[0] for t in levels]), out
@@ -381,13 +476,13 @@ def spectrum_row(spec: HamiltonianSpec, k: int = 6) -> SpectrumRow:
 
 
 def gap_scan(grid, k: int = 6) -> list[SpectrumRow]:
-    """One row per spec, in grid order; a ChainomalyError in a row is recorded
-    as row data, anything else propagates."""
+    """One row per spec, in grid order; a PipelineError in a row (a size cap,
+    no convergence) is recorded as row data, anything else propagates."""
     rows = []
     for spec in grid:
         try:
             rows.append(spectrum_row(spec, k))
-        except ChainomalyError as exc:  # per-row errors are data
+        except PipelineError as exc:  # per-row refusals are data
             rows.append(
                 SpectrumRow(
                     n_sites=spec.n_sites,

@@ -68,4 +68,8 @@ def slot_distance(sites, a, b) -> float:
     """Frobenius norm of a - b on the union of their slots. It bounds the
     operator-norm distance from above."""
     _, (x, y) = on_union(sites, a, b)
-    return float(np.linalg.norm(x - y))
+    # by blocks of rows: x - y at once would be one more window-sized array
+    rows = 256
+    return float(
+        np.sqrt(sum(np.linalg.norm(x[i:i + rows] - y[i:i + rows]) ** 2 for i in range(0, len(x), rows)))
+    )

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from chainomaly import cli, opwin, qca
+from chainomaly import cli, opwin, qca, spectra
 from chainomaly.errors import IoError, ParseError, ValidationError
 
 LEVIN_GU = """
@@ -186,6 +187,38 @@ def test_main_exit_codes(tmp_path, capsys):
     cfg_path.write_text(broken)
     assert cli.main(["run", str(cfg_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fault", ["block", "gamma"])
+def test_spectra_internal_fault_exits_3(tmp_path, monkeypatch, capsys, fault):
+    # a broken internal guarantee in a spectra row fails the run; only a
+    # pipeline refusal (size cap, no convergence) is recorded as row data
+    if fault == "block":
+        # a diagonal that differs between r and its partner r' breaks A
+        real_block = spectra._momentum_block
+
+        def broken(orb, hops, m):
+            inside, block = real_block(orb, hops, m)
+            if m == 1:
+                block = block + sp.diags(np.linspace(0.0, 1.0, block.shape[0]))
+            return inside, block
+
+        monkeypatch.setattr(spectra, "_momentum_block", broken)
+        message = "momentum sector 1: block is not real"
+    else:
+        # a wrong Gamma image breaks the split basis
+        real_gamma = spectra._gamma_partners
+
+        def broken(orb):
+            index, shift, sign = real_gamma(orb)
+            return index, shift + 1, sign
+
+        monkeypatch.setattr(spectra, "_gamma_partners", broken)
+        message = "momentum sector 1: A does not map the Gamma = 1 half to itself"
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text("mode: spectra\nspectra:\n  grid:\n    - {N: 8, terms: [h0, h1]}\n")
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_row_nested_matrix_literal_is_a_config_error(tmp_path, capsys):

@@ -146,13 +146,16 @@ def test_gap_scan_records_failures():
 
 
 def test_gap_scan_propagates_bugs(monkeypatch):
-    # only ChainomalyError becomes row data; a programming error fails loudly
-    def broken_row(spec, k):
-        raise TypeError("bug in a row")
+    # only a PipelineError becomes row data; a programming error or a broken
+    # internal guarantee fails loudly
+    for bug in (TypeError("bug in a row"), InvariantViolation("bug in a row")):
 
-    monkeypatch.setattr(spectra, "spectrum_row", broken_row)
-    with pytest.raises(TypeError, match="bug in a row"):
-        gap_scan([HamiltonianSpec(8, terms=("h0",))])
+        def broken_row(spec, k, bug=bug):
+            raise bug
+
+        monkeypatch.setattr(spectra, "spectrum_row", broken_row)
+        with pytest.raises(type(bug), match="bug in a row"):
+            gap_scan([HamiltonianSpec(8, terms=("h0",))])
 
 
 def test_gap_scan_default_grid_trends():
@@ -211,20 +214,28 @@ def test_free_fermion_oracle_agrees_with_sectors(n):
 @pytest.mark.parametrize("n", [6, 8])
 @given(j=st.floats(-3, 3), a=st.floats(-3, 3))
 def test_momentum_sectors_partition_the_spectrum(n, j, a):
-    H = build_hamiltonian(
-        HamiltonianSpec(n, j_coupling=j, a_coupling=a, terms=("h0", "h1", "hj", "ha"))
-    )
     orb = spectra._Orbits.of(n)
-    hops = spectra._hops(H, orb)
-    levels = {}
-    for m in range(n):
-        _, block = spectra._momentum_block(orb, hops, m)
-        levels[m] = np.linalg.eigvalsh(block.toarray())
-    union = np.sort(np.concatenate(list(levels.values())))
-    assert np.max(np.abs(union - np.linalg.eigvalsh(full_matrix(H).toarray()))) <= 1e-10
-    for m in range(1, n):
-        # reflection maps momentum q to -q and commutes with every term
-        assert np.max(np.abs(levels[m] - levels[n - m])) <= 1e-10
+    partners, gamma = spectra._partners(orb), spectra._gamma_partners(orb)
+    for terms in (("h0", "h1"), ("h0", "h1", "hj", "ha")):
+        H = build_hamiltonian(HamiltonianSpec(n, j_coupling=j, a_coupling=a, terms=terms))
+        full = np.linalg.eigvalsh(full_matrix(H).toarray())
+        hops = spectra._hops(H, orb)
+        levels, halves = {}, []
+        for m in range(n):
+            inside, block = spectra._momentum_block(orb, hops, m)
+            levels[m] = np.linalg.eigvalsh(block.toarray())
+            for sigma in (1, -1):
+                # the Gamma = sigma half, real in its A-fixed basis
+                U = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
+                real = (U.conj().T @ block @ U).toarray()
+                assert np.max(np.abs(real.imag)) <= 1e-12
+                halves.append(np.linalg.eigvalsh(real.real))
+        union = np.sort(np.concatenate(list(levels.values())))
+        assert np.max(np.abs(union - full)) <= 1e-10
+        assert np.max(np.abs(np.sort(np.concatenate(halves)) - full)) <= 1e-10
+        for m in range(1, n):
+            # reflection maps momentum q to -q and commutes with every term
+            assert np.max(np.abs(levels[m] - levels[n - m])) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [8, 12, 14])
@@ -281,20 +292,113 @@ def test_every_term_commutes_with_reflection_flip_conjugation(n, rng):
         assert np.max(np.abs(M[np.ix_(pf, pf)].conj() - M)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [6, 8, 10])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_real_basis_is_unitary_and_fixed_by_the_antiunitary(n):
     orb = spectra._Orbits.of(n)
-    partners = spectra._partners(orb)
+    partners, gamma = spectra._partners(orb), spectra._gamma_partners(orb)
     pf = _pf(n)
+    G = gamma_unitary(n)
     for m in range(n):
         inside = (m * orb.period) % n == 0
-        U = spectra._real_basis(partners, inside, m, n).toarray()
-        assert np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) <= 1e-12
-        assert np.max(np.sum(U != 0, axis=0)) <= 2
-        for col in U.T:
-            # each column lifted to the full space is fixed by A = PFK
-            psi = spectra._lift(orb, inside, m, col)
-            assert np.max(np.abs(psi[pf].conj() - psi)) <= 1e-12
+        d = int(np.count_nonzero(inside))
+        halves = []
+        for sigma, most in ((None, 2), (1, 4), (-1, 4)):
+            U = spectra._sector_basis(partners, gamma, inside, m, n, sigma).toarray()
+            assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))) <= 1e-12
+            assert np.max(np.sum(U != 0, axis=0)) <= most
+            for col in U.T:
+                # each column lifted to the full space is fixed by A = PFK and
+                # has Gamma charge sigma
+                psi = spectra._lift(orb, inside, m, col)
+                assert np.max(np.abs(psi[pf].conj() - psi)) <= 1e-12
+                if sigma is not None:
+                    assert np.max(np.abs(G @ psi - sigma * psi)) <= 1e-12
+            if sigma is not None:
+                halves.append(U)
+        # the two halves together span the sector
+        both = np.hstack(halves)
+        assert both.shape == (d, d)
+        assert np.max(np.abs(both.conj().T @ both - np.eye(d))) <= 1e-12
+
+
+def test_gamma_split_follows_the_commutator(rng):
+    # the split is decided from the term table; the oracle is the full-space
+    # commutator with the ring symmetry
+    n = 6
+    G = gamma_unitary(n)
+    for terms in (("h0",), ("h1",), ("hj",), ("ha",), ("h0", "h1"), ("h0", "hj"),
+                  ("h1", "hj", "ha"), ("h0", "h1", "hj", "ha")):
+        spec = HamiltonianSpec(n, j_coupling=rng.normal(), a_coupling=rng.normal(), terms=terms)
+        H = build_hamiltonian(spec)
+        M = full_matrix(H)
+        commutes = abs(M @ G - G @ M).max() <= 1e-9
+        assert spectra._commutes_with_gamma(H) == commutes == spec.is_symmetric
+
+
+@pytest.mark.parametrize("terms", [("h0",), ("h0", "h1")])
+def test_only_gamma_symmetric_hamiltonians_are_split(monkeypatch, terms):
+    seen = []
+    real = spectra._sector_basis
+
+    def spy(partners, gamma, inside, m, n, sigma):
+        seen.append(sigma)
+        return real(partners, gamma, inside, m, n, sigma)
+
+    monkeypatch.setattr(spectra, "_sector_basis", spy)
+    lowest_eigs(build_hamiltonian(HamiltonianSpec(8, terms=terms)), k=4)
+    if terms == ("h0",):
+        assert seen == [None] * 5  # the whole sector, m = 0..4
+    else:
+        assert seen == [1, -1] * 5
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HamiltonianSpec(8),
+        HamiltonianSpec(10, j_coupling=4.0, terms=("h0", "h1", "hj")),
+        HamiltonianSpec(8, j_coupling=0.7, a_coupling=0.5, terms=("h0", "h1", "hj", "ha")),
+    ],
+    ids=["h01", "ising4", "chiral"],
+)
+def test_every_half_level_has_its_charge(spec):
+    n = spec.n_sites
+    H = build_hamiltonian(spec)
+    orb = spectra._Orbits.of(n)
+    hops = spectra._hops(H, orb)
+    partners, gamma = spectra._partners(orb), spectra._gamma_partners(orb)
+    rng = np.random.default_rng(0)
+    for m in range(n // 2 + 1):
+        inside, block = spectra._momentum_block(orb, hops, m)
+        for sigma in (1, -1):
+            U = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
+            _, v = spectra._sector_lowest(block, U, m, min(4, U.shape[1]), rng)
+            for col in v.T:
+                psi = spectra._lift(orb, inside, m, col)
+                assert abs(symmetry_charge(psi, n) - sigma) <= 1e-12
+    # and so has every returned level
+    _, vecs = lowest_eigs(H, k=8)
+    for psi in vecs.T:
+        c = symmetry_charge(psi, n)
+        assert min(abs(c - 1), abs(c + 1)) <= 1e-12
+
+
+def test_halves_smaller_than_the_request_at_n4():
+    # at N = 4 the halves hold 1 to 3 states, fewer than the 8 levels asked
+    # for; the lowest 8 still match the dense oracle
+    H = build_hamiltonian(HamiltonianSpec(4, j_coupling=0.3, terms=("h0", "h1", "hj")))
+    vals, vecs = lowest_eigs(H, k=8)
+    dense = np.linalg.eigvalsh(full_matrix(H).toarray())[:8]
+    assert np.max(np.abs(vals - dense)) <= 1e-12
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(8))) <= 1e-12
+
+
+def test_ising_ground_state_charge_is_sharp_at_n14():
+    # the symmetry-broken pair is split by about 1e-8 here; each level comes
+    # from one Gamma half, so the ground state's charge is exact
+    row = spectra.spectrum_row(HamiltonianSpec(14, j_coupling=4.0, terms=("h0", "h1", "hj")))
+    assert min(abs(row.charge - 1), abs(row.charge + 1)) <= 1e-12
+    assert row.gap < 1e-2
 
 
 def test_imaginary_part_in_the_real_basis_is_an_invariant_violation(monkeypatch):
@@ -331,15 +435,26 @@ def test_complex_arnoldi_never_runs(monkeypatch):
     assert resid.max() <= 1e-7
 
 
-def test_chiral_term_on_lanczos_matches_full_space_oracle(rng):
-    n = 12
-    orb = spectra._Orbits.of(n)
-    sizes = [np.sum((m * orb.period) % n == 0) for m in range(n // 2 + 1)]
-    assert min(sizes) > spectra._DENSE_MAX  # every sector takes the Lanczos path
+@pytest.mark.parametrize("n", [12, 14])
+def test_chiral_term_on_lanczos_matches_full_space_oracle(n, rng):
     spec = HamiltonianSpec(
         n, j_coupling=rng.normal(), a_coupling=rng.normal(), terms=("h0", "h1", "hj", "ha")
     )
     H = build_hamiltonian(spec)
+    assert spectra._commutes_with_gamma(H)
+    # the sizes of the half blocks the solver receives: every one takes the
+    # dense path at N = 12 and the Lanczos path at N = 14
+    orb = spectra._Orbits.of(n)
+    partners, gamma = spectra._partners(orb), spectra._gamma_partners(orb)
+    sizes = [
+        spectra._sector_basis(partners, gamma, (m * orb.period) % n == 0, m, n, sigma).shape[1]
+        for m in range(n // 2 + 1)
+        for sigma in (1, -1)
+    ]
+    if n == 12:
+        assert max(sizes) <= spectra._DENSE_MAX
+    else:
+        assert min(sizes) > spectra._DENSE_MAX
     M = full_matrix(H)
     v0 = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)  # no symmetry
     oracle = np.sort(spla.eigsh(M, k=8, which="SA", v0=v0, maxiter=5000)[0])
