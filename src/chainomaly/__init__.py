@@ -22,7 +22,6 @@ from .grpcoh import (
     class_of,
     coboundary,
     cohomology,
-    is_cocycle,
     slant_z,
 )
 from .anomaly import (
@@ -46,7 +45,6 @@ from .spectra import (
     build_hamiltonian,
     gap_scan,
     lowest_eigs,
-    symmetry_charge,
 )
 
 __version__ = "0.1.0"

@@ -615,12 +615,6 @@ def _lsm_with_onsite(rep: ProjectiveRep, g: int, translation: QcaExpr) -> QcaExp
     return QcaExpr(translation.sites, (BlockLayer(1, (tmpl,)),) + translation.steps)
 
 
-def lsm_stacked_expr(rep: ProjectiveRep, g: int, n: int) -> QcaExpr:
-    """Action of (g, n) on the doubled chain: the on-site projective layer on
-    the first register, with translation realized as n swap-circuit rounds."""
-    return _lsm_with_onsite(rep, g, _lsm_translation(rep.dimension, n))
-
-
 def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     """Mixed anomaly of (projective on-site) x (translation): the slant of
     the degree-3 cocycle against the translation generator, compared with the

@@ -98,10 +98,6 @@ class FiniteGroup:
         return cls(table, names)
 
     @classmethod
-    def trivial(cls) -> "FiniteGroup":
-        return cls.cyclic(1)
-
-    @classmethod
     def direct_product(cls, g1: "FiniteGroup", g2: "FiniteGroup") -> "FiniteGroup":
         n1, n2 = g1.order, g2.order
 
@@ -121,19 +117,6 @@ class FiniteGroup:
             f"({g1.name(a1)},{g2.name(a2)})" for a1 in range(n1) for a2 in range(n2)
         )
         return cls(table, names)
-
-    def relabeled(self, perm: tuple[int, ...]) -> "FiniteGroup":
-        """Apply a permutation of labels fixing the identity."""
-        if perm[0] != 0:
-            raise ValidationError("relabeling must fix the identity")
-        n = self.order
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        table = tuple(
-            tuple(perm[self.mul(inv[a], inv[b])] for b in range(n)) for a in range(n)
-        )
-        return FiniteGroup(table)
 
 
 def _frac_mod1(q: Fraction) -> Fraction:
@@ -193,11 +176,6 @@ class PhaseCochain:
     def zero(cls, group: FiniteGroup, degree: int) -> "PhaseCochain":
         return cls(group, degree, (Fraction(0),) * group.order ** degree)
 
-    @classmethod
-    def from_function(cls, group: FiniteGroup, degree: int, fn) -> "PhaseCochain":
-        n = group.order
-        return cls(group, degree, tuple(fn(*t) for t in _all_tuples(n, degree)))
-
     def at(self, *t: int) -> Fraction:
         return self.values[_tuple_index(t, self.group.order)]
 
@@ -226,10 +204,6 @@ def coboundary(f: PhaseCochain) -> PhaseCochain:
         raise DegreeCap(f"coboundary capped at degree {MAX_DEGREE}")
     sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
     return PhaseCochain(f.group, f.degree + 1, tuple(sums))
-
-
-def is_cocycle(f: PhaseCochain) -> bool:
-    return coboundary(f).is_zero()
 
 
 def snap_fraction(turns: float, den_cap: int) -> tuple[Fraction, float]:

@@ -119,6 +119,3 @@ def matrix_from_pairs(pairs) -> np.ndarray:
         raise ValidationError("matrix literal is not unitary within 1e-9")
     return m
 
-
-def matrix_to_pairs(mat: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(mat).reshape(-1)]

@@ -674,33 +674,6 @@ def _verify_same_action(e1: QcaExpr, e2: QcaExpr):
 
 # -- serialization ----------------------------------------------------------------
 
-def step_to_data(step: Step) -> dict:
-    if isinstance(step, ShiftPrimitive):
-        return {"kind": "shift", "register": step.register, "displacement": step.displacement}
-    data = {
-        "kind": "layer",
-        "period": step.period,
-        "templates": [
-            {
-                "anchor": t.anchor,
-                "span": t.span,
-                "unitary": opwin.matrix_to_pairs(t.unitary),
-                **(
-                    {"registers": [list(x) for x in t.registers]}
-                    if t.registers is not None
-                    else {}
-                ),
-            }
-            for t in step.templates
-        ],
-    }
-    if step.min_site is not None:
-        data["min_site"] = step.min_site
-    if step.max_site is not None:
-        data["max_site"] = step.max_site
-    return data
-
-
 def _at(path: str, make, *args):
     """make(*args), with `path` prefixed to any ValidationError it raises."""
     try:
@@ -745,10 +718,6 @@ def step_from_data(data, path: str = "step") -> Step:
         None if data.get(k) is None else _ints(data, path, k)[0] for k in ("min_site", "max_site")
     )
     return _at(path, BlockLayer, period, tuple(templates), lo, hi)
-
-
-def expr_to_data(expr: QcaExpr) -> list[dict]:
-    return [step_to_data(s) for s in expr.steps]
 
 
 def expr_from_data(sites: SiteSpec, data, path: str = "steps") -> QcaExpr:

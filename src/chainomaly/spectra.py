@@ -32,10 +32,14 @@ symmetry-broken pair, in-sector Gamma doublets) are solved apart instead
 of being resolved out of one near-degenerate Lanczos run. Other
 Hamiltonians keep one whole-sector basis per momentum.
 
-The lowest levels are lifted back to the full space, where their charge
-under Gamma is measured. A gap scan over a grid of sizes and couplings records the gapless
-or symmetry-broken trends that a nonzero anomaly forces on symmetric
-Hamiltonians.
+Each returned level is labelled by its sector m, its half and whether it
+is the mirrored copy, and keeps its vector in sector-m momentum
+coordinates; none is lifted to the full space. Its Gamma charge is read
+inside the sector: exactly sigma in a half, <v|Gamma|v> from the Gamma
+partners of the representatives otherwise, and a mirrored copy shares its
+partner's charge because P Gamma P = Gamma. A gap scan over a grid of sizes
+and couplings records the gapless or symmetry-broken trends that a nonzero
+anomaly forces on symmetric Hamiltonians.
 """
 
 from __future__ import annotations
@@ -81,6 +85,12 @@ class HamiltonianSpec:
         if not terms:
             raise ValidationError("at least one term is required")
         object.__setattr__(self, "terms", terms)
+        # a coupling whose term is absent builds nothing; zero it so that
+        # equal Hamiltonians compare (and form witness families) as equal
+        if "hj" not in terms:
+            object.__setattr__(self, "j_coupling", 0.0)
+        if "ha" not in terms:
+            object.__setattr__(self, "a_coupling", 0.0)
 
     @property
     def is_symmetric(self) -> bool:
@@ -102,10 +112,6 @@ class SparseOperator:
 
     n_sites: int
     terms: tuple[tuple[complex, int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_sites
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> SparseOperator:
@@ -326,22 +332,6 @@ def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matr
     return inside, block
 
 
-def _lift(orb: _Orbits, inside: np.ndarray, m: int, vec: np.ndarray) -> np.ndarray:
-    """A sector-m eigenvector in the full basis: state T^l r gets the
-    amplitude of r times e^{-iql} / sqrt(R_r)."""
-    n = orb.n_sites
-    local = np.cumsum(inside) - 1
-    member = inside[orb.index]
-    rep = orb.index[member]
-    psi = np.zeros(len(orb.index), dtype=complex)
-    psi[member] = (
-        vec[local[rep]]
-        * _sector_phase(m, n, orb.shift[member]).conj()
-        / np.sqrt(orb.period[rep])
-    )
-    return psi
-
-
 def _sector_lowest(block, U, m: int, want: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """The `want` lowest levels of momentum block m, solved as the real
     matrix U^+ block U, with the eigenvectors mapped back through U."""
@@ -367,14 +357,39 @@ def _sector_lowest(block, U, m: int, want: int, rng) -> tuple[np.ndarray, np.nda
     return vals[order], U @ vecs[:, order]
 
 
-def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenvalues and vectors, residual-checked to 1e-7.
+def _gamma_charges(gamma, inside: np.ndarray, m: int, n: int, v: np.ndarray) -> np.ndarray:
+    """<v|Gamma|v> for every column v of a matrix in sector-m momentum
+    coordinates, from Gamma|r, q> = g(r) e^{iqt}|r_G, q>."""
+    own = np.flatnonzero(inside)
+    to = (np.cumsum(inside) - 1)[gamma[0][own]]
+    g = gamma[2][own] * _sector_phase(m, n, gamma[1][own])
+    return np.sum(v[to].conj() * (g[:, None] * v), axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """One level of `lowest_eigs`: its momentum sector m, its Gamma half
+    sigma (None when the sector was not split), whether it is the copy in the
+    mirrored sector N - m, its Gamma charge, and its vector in sector-m
+    momentum coordinates. The mirrored copy shares the vector; in the full
+    space its vector is the bit-reversed one."""
+
+    m: int
+    sigma: int | None
+    mirrored: bool
+    charge: complex
+    vec: np.ndarray
+
+
+def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, list[Level]]:
+    """k lowest eigenvalues and their levels, residual-checked to 1e-7.
 
     Diagonalises one momentum sector q = 2 pi m / N at a time for
     m = 0..N/2, each split into its Gamma = +1 and -1 halves when H commutes
     with Gamma, each half as a real matrix in its A-fixed basis, and counts
-    the levels of 0 < m < N/2 twice, once for the mirrored sector N - m,
-    whose eigenvectors are the bit-reversed ones."""
+    the levels of 0 < m < N/2 twice, once for the mirrored sector N - m.
+    A level's charge is sigma in a half and <v|Gamma|v> in a whole sector;
+    the mirrored copy has the same charge, since P Gamma P = Gamma."""
     if k < 1 or k > 8:
         raise ValidationError("k must be between 1 and 8")
     n = H.n_sites
@@ -384,8 +399,7 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
     gamma = _gamma_partners(orb)
     charges = (1, -1) if _commutes_with_gamma(H) else (None,)
     rng = np.random.default_rng(0)
-    levels = []  # (energy, m, charge, index in half, mirrored)
-    halves = {}
+    levels: list[tuple[float, Level]] = []
     for m in range(n // 2 + 1):
         inside, block = _momentum_block(orb, hops, m)
         mirrored = 0 < m < n // 2
@@ -400,52 +414,17 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
                 raise NoConvergence(
                     f"momentum sector {m}: eigenpair {i} residual {resid[i]:.3g} exceeds 1e-7"
                 )
-            halves[m, sigma] = (inside, v)
+            if sigma is None:
+                charge = _gamma_charges(gamma, inside, m, n, v)
+            else:
+                charge = np.full(len(e), complex(sigma))
             for i, energy in enumerate(e):
-                levels.append((energy, m, sigma, i, False))
-                if mirrored:
-                    levels.append((energy, m, sigma, i, True))
-            # the stable sort keeps the k lowest of all halves; the vectors
-            # of a half with no level among them are dropped on the way
+                for mirror in (False, True) if mirrored else (False,):
+                    levels.append((energy, Level(m, sigma, mirror, complex(charge[i]), v[:, i])))
+            # the stable sort keeps the k lowest of all halves
             levels.sort(key=lambda t: t[0])
             del levels[k:]
-            halves = {t[1:3]: halves[t[1:3]] for t in levels}
-    del hops, partners, gamma, block, U  # freed before the full-space vectors are allocated
-
-    out = np.empty((H.dim, len(levels)), dtype=complex)
-    reverse = None
-    if any(t[4] for t in levels):
-        reverse = _bit_reverse(np.arange(H.dim, dtype=np.int64), n)
-    for col, (_, m, sigma, i, mirror) in enumerate(levels):
-        inside, v = halves[m, sigma]
-        psi = _lift(orb, inside, m, v[:, i])
-        out[:, col] = psi[reverse] if mirror else psi
-    return np.array([t[0] for t in levels]), out
-
-
-def _gamma_phases(n: int) -> np.ndarray:
-    """Diagonal of the entangling part on the ring: -1 per bond whose two
-    bits are both one (site 0 is the most significant bit)."""
-    s = np.arange(2 ** n, dtype=np.int64)
-    return _parity_sign(s & _rotate(s, n)).astype(complex)
-
-
-def symmetry_charge(state: np.ndarray, n: int, kind: str = "gamma") -> complex:
-    """Expectation of the ring symmetry unitary in `state`.
-
-    kind="gamma" is the flip-and-entangle unitary (bond phases times global
-    spin flip); kind="flip" is the bare global spin flip."""
-    dim = 2 ** n
-    if state.shape != (dim,):
-        raise ValidationError("state length does not match the site count")
-    flipped = np.arange(dim)[::-1]  # XOR with all-ones reverses the index
-    if kind == "gamma":
-        d = _gamma_phases(n)
-    elif kind == "flip":
-        d = np.ones(dim, dtype=complex)
-    else:
-        raise ValidationError(f"unknown symmetry kind {kind!r}")
-    return complex(np.vdot(state, d * state[flipped]))
+    return np.array([t[0] for t in levels]), [t[1] for t in levels]
 
 
 @dataclass(frozen=True)
@@ -462,8 +441,7 @@ class SpectrumRow:
 
 def spectrum_row(spec: HamiltonianSpec, k: int = 6) -> SpectrumRow:
     H = build_hamiltonian(spec)
-    vals, vecs = lowest_eigs(H, k=min(k, 8))
-    charge = symmetry_charge(vecs[:, 0], spec.n_sites)
+    vals, levels = lowest_eigs(H, k=min(k, 8))
     return SpectrumRow(
         n_sites=spec.n_sites,
         j_coupling=spec.j_coupling,
@@ -471,7 +449,7 @@ def spectrum_row(spec: HamiltonianSpec, k: int = 6) -> SpectrumRow:
         energies=tuple(float(v) for v in vals),
         gap=float(vals[1] - vals[0]),
         gap2=float(vals[2] - vals[0]) if len(vals) > 2 else float("nan"),
-        charge=charge,
+        charge=levels[0].charge,
     )
 
 

@@ -1,0 +1,31 @@
+"""Cochains from Python functions, the cocycle test and group relabelling,
+for building test inputs and checking results in `chainomaly.grpcoh`'s
+terms. Used only by the tests."""
+
+from __future__ import annotations
+
+import itertools
+
+from chainomaly.grpcoh import FiniteGroup, PhaseCochain, coboundary
+
+
+def cochain_from_function(group: FiniteGroup, degree: int, fn) -> PhaseCochain:
+    """The cochain with value fn(*t) at every degree-tuple t, in table order."""
+    tuples = itertools.product(range(group.order), repeat=degree)
+    return PhaseCochain(group, degree, tuple(fn(*t) for t in tuples))
+
+
+def is_cocycle(f: PhaseCochain) -> bool:
+    return coboundary(f).is_zero()
+
+
+def relabeled(group: FiniteGroup, perm: tuple[int, ...]) -> FiniteGroup:
+    """The group with element i renamed perm[i]; perm must fix the identity."""
+    assert perm[0] == 0, "relabelling must fix the identity"
+    n = group.order
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return FiniteGroup(
+        tuple(tuple(perm[group.mul(inv[a], inv[b])] for b in range(n)) for a in range(n))
+    )

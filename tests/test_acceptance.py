@@ -11,7 +11,6 @@ from chainomaly import cli, opwin, spectra
 from chainomaly import anomaly as anm
 from chainomaly.grpcoh import (
     FiniteGroup,
-    PhaseCochain,
     _cohomology_cached,
     class_of,
     coboundary,
@@ -29,8 +28,9 @@ from chainomaly.qca import (
 )
 
 from conftest import image, random_unitary, single_gate_expr, slot_product
+from helpers_cochain import cochain_from_function
 from helpers_free_fermion import free_fermion_levels
-from helpers_ring import full_matrix
+from helpers_ring import full_matrix, lift_levels
 from helpers_support_algebra import support_dims
 
 
@@ -198,7 +198,7 @@ def test_criterion_6_cocycle_robustness(rng):
         H = cohomology(G, 3)
         base_class = class_of(om, H)
         for _ in range(10):
-            theta = PhaseCochain.from_function(
+            theta = cochain_from_function(
                 G, 2, lambda g, h: Fraction(int(rng.integers(0, 12)), 12)
             )
             vt2 = anm.VTable(beta, G.mul, G.name)
@@ -239,7 +239,8 @@ def test_criterion_8_numerical_hygiene(tmp_path):
         # eigenpair residuals
         for spec in (spectra.HamiltonianSpec(8), spectra.HamiltonianSpec(12)):
             H = spectra.build_hamiltonian(spec)
-            vals, vecs = spectra.lowest_eigs(H, k=4)
+            vals, levels = spectra.lowest_eigs(H, k=4)
+            vecs = lift_levels(spec.n_sites, levels)
             for i in range(4):
                 r = np.linalg.norm(full_matrix(H) @ vecs[:, i] - vals[i] * vecs[:, i])
                 assert r <= 1e-7

@@ -25,7 +25,6 @@ from chainomaly.grpcoh import (
     class_of,
     coboundary,
     cohomology,
-    is_cocycle,
 )
 from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec, Window
 from chainomaly.qca import (
@@ -50,8 +49,16 @@ from conftest import (
     slot_distance,
     slot_product,
 )
+from helpers_cochain import cochain_from_function, is_cocycle
+from helpers_serialize import expr_to_data
 
 S2 = SiteSpec((2,))
+
+
+def lsm_stacked_expr(rep: anm.ProjectiveRep, g: int, n: int) -> QcaExpr:
+    """Action of (g, n) on the doubled chain: the on-site projective layer on
+    the first register, with translation realized as n swap-circuit rounds."""
+    return anm._lsm_with_onsite(rep, g, anm._lsm_translation(rep.dimension, n))
 
 
 # -- verify_action -----------------------------------------------------------------
@@ -168,8 +175,8 @@ def test_stack_neutralize_zero_index_unchanged():
 
 def test_pure_translation_stacks_to_swap_circuit():
     # translation acting on the doubled chain as shift x inverse-shift
-    trivial_rep = anm.ProjectiveRep(FiniteGroup.trivial(), (np.eye(2, dtype=complex),))
-    circ = anm.lsm_stacked_expr(trivial_rep, 0, 1)
+    trivial_rep = anm.ProjectiveRep(FiniteGroup.cyclic(1), (np.eye(2, dtype=complex),))
+    circ = lsm_stacked_expr(trivial_rep, 0, 1)
     assert not circ.has_shifts
     assert qca.gnvw_symbolic(circ).is_zero
     s22 = SiteSpec((2, 2))
@@ -279,7 +286,7 @@ def _action_probe_case(spec: anm.ActionSpec):
 def _lsm_probe_case(rep: anm.ProjectiveRep):
     G0 = rep.group
     beta = {
-        (g, n): anm.restrict_right(anm.lsm_stacked_expr(rep, g, n))
+        (g, n): anm.restrict_right(lsm_stacked_expr(rep, g, n))
         for g in G0.elements()
         for n in range(3)
     }
@@ -372,7 +379,7 @@ def test_omega_rephasing_shifts_by_coboundary(rng):
     omc, _, vt = anm.omega_cocycle(act)
     om = omc.cochain
     for _ in range(3):
-        theta = PhaseCochain.from_function(
+        theta = cochain_from_function(
             G, 2, lambda g, h: Fraction(int(rng.integers(0, 8)), 8)
         )
         vt2 = anm.VTable(vt.beta, G.mul, G.name)
@@ -579,7 +586,7 @@ def test_lsm_obstruction_is_projective_matrix_on_one_site():
     beta = {}
     for g in G0.elements():
         for n in range(3):
-            beta[(g, n)] = anm.restrict_right(anm.lsm_stacked_expr(rep, g, n))
+            beta[(g, n)] = anm.restrict_right(lsm_stacked_expr(rep, g, n))
     g = 2  # the (1,0) element, matrix X
     a, b = (g, 0), (0, 1)
     gate = anm.VTable(beta, lambda a, b: (G0.mul(a[0], b[0]), a[1] + b[1]), str).gate(a, b)
@@ -603,7 +610,7 @@ def test_lsm_stacked_expr_balances_the_whole_action():
             layer = BlockLayer(1, (GateTemplate(0, 1, rep.matrices[g], registers=((0, 0),)),))
             steps = ((layer,) if g else ()) + (ShiftPrimitive(0, n), ShiftPrimitive(1, -n))
             whole = qca.balance_shifts(QcaExpr(sites2, steps))
-            assert qca.expr_to_data(anm.lsm_stacked_expr(rep, g, n)) == qca.expr_to_data(whole)
+            assert expr_to_data(lsm_stacked_expr(rep, g, n)) == expr_to_data(whole)
 
 
 def test_lsm_balances_each_translation_once(monkeypatch):
@@ -709,7 +716,7 @@ def test_k4_action_functorial_restrictions():
     H3 = cohomology(Z2, 3)
 
     def restriction(stride):
-        return PhaseCochain.from_function(
+        return cochain_from_function(
             Z2, 3, lambda a, b, c: rep.omega.at(stride * a, stride * b, stride * c)
         )
 

@@ -1,0 +1,76 @@
+"""The package's public surface: what `chainomaly/__init__.py` re-exports
+resolves, and no public function or method in `src/chainomaly` is kept for
+the tests alone. Test-only code belongs in the `tests/helpers_*.py` modules.
+
+The reference scan works on names: a function counts as used when its name
+appears as a variable, an attribute or an imported name in the program's
+own code (`src/`, `scripts/` and `clibench/`, test directories excluded)
+outside the lines of its own definition. So a re-export from
+`chainomaly/__init__.py` counts: that list is the package's declared API,
+kept to the names a CLI user or a script calls."""
+
+import ast
+import importlib
+from pathlib import Path
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chainomaly"
+PROGRAM = (ROOT / "src", ROOT / "scripts", ROOT / "clibench")
+
+
+def _reexports() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
+
+
+def _public_defs():
+    """(module file, qualified name, def node) for every public top-level
+    function and every public method of a top-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield path, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path, f"{node.name}.{item.name}", item
+
+
+def _references() -> dict[str, list[tuple[Path, int]]]:
+    """name -> (file, line) of every use of the name in the program."""
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for top in PROGRAM:
+        for path in sorted(top.rglob("*.py")):
+            if "tests" in path.relative_to(top).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                else:
+                    continue
+                refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def test_every_reexport_resolves():
+    package = importlib.import_module("chainomaly")
+    names = _reexports()
+    assert names
+    assert [n for n in names if not hasattr(package, n)] == []
+
+
+def test_every_public_function_has_a_caller_in_the_program():
+    refs = _references()
+    assert any(path.name == "cli.py" for path, _ in refs["gap_scan"])  # the scan sees callers
+    unused = []
+    for path, qualname, node in _public_defs():
+        own = range(node.lineno, node.end_lineno + 1)
+        uses = [r for r in refs.get(node.name, []) if not (r[0] == path and r[1] in own)]
+        if not uses:
+            unused.append(f"{path.stem}.{qualname}")
+    assert unused == [], f"only the tests use these; move them to a tests/helpers_*.py: {unused}"

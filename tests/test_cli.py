@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chainomaly import cli, opwin, qca, spectra
+from chainomaly import cli, qca, spectra
 from chainomaly.errors import IoError, ParseError, ValidationError
+
+from helpers_serialize import expr_to_data, matrix_to_pairs
 
 LEVIN_GU = """
 mode: anomaly
@@ -95,7 +97,7 @@ def test_parse_lsm_custom_matrices_roundtrip():
         2: np.array([[0, 1], [1, 0]], dtype=complex),
         3: np.array([[0, -1], [1, 0]], dtype=complex),
     }
-    lits = [opwin.matrix_to_pairs(mats[g]) for g in range(4)]
+    lits = [matrix_to_pairs(mats[g]) for g in range(4)]
     text = {
         "mode": "anomaly",
         "action": {
@@ -108,7 +110,7 @@ def test_parse_lsm_custom_matrices_roundtrip():
     cfg = cli.parse_config(yaml.safe_dump(text))
     for g in range(4):
         assert np.allclose(cfg.lsm_rep.matrices[g], mats[g])
-        assert opwin.matrix_to_pairs(cfg.lsm_rep.matrices[g]) == lits[g]
+        assert matrix_to_pairs(cfg.lsm_rep.matrices[g]) == lits[g]
 
 
 def test_run_levin_gu_report():
@@ -307,9 +309,9 @@ def test_expr_config_roundtrip():
     # the serialized step list parsed back produces the identical step list
     cfg = cli.parse_config(CUSTOM_ONSITE)
     e = cfg.action.expr(1)
-    data = qca.expr_to_data(e)
+    data = expr_to_data(e)
     again = qca.expr_from_data(cfg.action.sites, data)
-    assert qca.expr_to_data(again) == data
+    assert expr_to_data(again) == data
 
 
 def test_shipped_configs_parse(tmp_path):

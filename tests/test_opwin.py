@@ -15,10 +15,10 @@ from chainomaly.opwin import (
     SiteSpec,
     Window,
     matrix_from_pairs,
-    matrix_to_pairs,
 )
 
 from conftest import on_union, random_unitary, slot_distance, slot_product
+from helpers_serialize import matrix_to_pairs
 
 S2 = SiteSpec((2,))
 

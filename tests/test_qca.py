@@ -25,7 +25,6 @@ from chainomaly.qca import (
     balance_shifts,
     compose,
     expr_from_data,
-    expr_to_data,
     gnvw_numeric,
     gnvw_symbolic,
     identity_expr,
@@ -35,6 +34,7 @@ from chainomaly.qca import (
 )
 
 from conftest import image, random_unitary, single_gate_expr, slot_distance, slot_product
+from helpers_serialize import expr_to_data
 from helpers_support_algebra import support_algebra_dim, support_dims, unit_images
 from helpers_trim import trim_batch
 
@@ -239,7 +239,7 @@ def test_compose_equals_validated_expression(rng):
     assert composed.sites == built.sites
     assert len(composed.steps) == len(built.steps) == 4
     assert all(a is b for a, b in zip(composed.steps, built.steps))
-    assert qca.expr_to_data(composed) == qca.expr_to_data(built)
+    assert expr_to_data(composed) == expr_to_data(built)
 
 
 def test_invert_shift():

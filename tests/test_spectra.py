@@ -16,12 +16,11 @@ from chainomaly.spectra import (
     gap_scan,
     lowest_eigs,
     rows_to_csv,
-    symmetry_charge,
     witness_trends,
 )
 
 from helpers_free_fermion import free_fermion_levels
-from helpers_ring import full_matrix, gamma_unitary
+from helpers_ring import full_matrix, gamma_unitary, lift, lift_levels, symmetry_charge
 
 
 def test_spec_validation():
@@ -89,7 +88,8 @@ def test_lanczos_matches_dense_at_n10():
 def test_eig_residuals():
     for spec in (HamiltonianSpec(8), HamiltonianSpec(12)):
         H = build_hamiltonian(spec)
-        vals, vecs = lowest_eigs(H, k=4)
+        vals, levels = lowest_eigs(H, k=4)
+        vecs = lift_levels(spec.n_sites, levels)
         for i in range(4):
             resid = np.linalg.norm(full_matrix(H) @ vecs[:, i] - vals[i] * vecs[:, i])
             assert resid <= 1e-7
@@ -118,8 +118,8 @@ def test_symmetry_charge_bounds(rng):
 
 def test_symmetric_ground_state_unimodular_charge():
     H = build_hamiltonian(HamiltonianSpec(8))
-    _, vecs = lowest_eigs(H, k=1)
-    c = symmetry_charge(vecs[:, 0], 8)
+    _, levels = lowest_eigs(H, k=1)
+    c = symmetry_charge(lift_levels(8, levels)[:, 0], 8)
     assert abs(abs(c) - 1.0) <= 1e-8
 
 
@@ -172,6 +172,15 @@ def test_gap_scan_default_grid_trends():
     assert max(ngaps) <= min(ngaps) * 1.15
 
 
+def test_coupling_without_its_term_joins_the_family():
+    # J without hj (and a without ha) builds the same Hamiltonian as zero,
+    # so it must not split the witness family
+    assert HamiltonianSpec(10, j_coupling=4.0, a_coupling=0.3) == HamiltonianSpec(10)
+    grid = [HamiltonianSpec(8), HamiltonianSpec(10, j_coupling=4.0), HamiltonianSpec(12)]
+    trends = witness_trends(grid, gap_scan(grid, k=3))
+    assert trends == {(("h0", "h1"), 0.0, 0.0): "gapless"}
+
+
 def test_csv_format():
     rows = gap_scan([HamiltonianSpec(6, terms=("h0",))], k=3)
     text = rows_to_csv(rows)
@@ -191,9 +200,9 @@ def test_chiral_deformation_gap_keeps_shrinking():
     for n in (8, 12):
         spec = HamiltonianSpec(n, a_coupling=0.6, terms=("h0", "h1", "ha"))
         H = build_hamiltonian(spec)
-        vals, vecs = lowest_eigs(H, k=2)
+        vals, levels = lowest_eigs(H, k=2)
         gaps[n] = vals[1] - vals[0]
-        assert abs(abs(symmetry_charge(vecs[:, 0], n)) - 1.0) <= 1e-6
+        assert abs(abs(symmetry_charge(lift_levels(n, levels)[:, 0], n)) - 1.0) <= 1e-6
     assert gaps[12] < gaps[8]
 
 
@@ -265,7 +274,8 @@ def test_real_sectors_have_real_blocks(n):
 def test_lifted_eigenvectors_are_orthonormal_eigenvectors(n, terms):
     spec = HamiltonianSpec(n, j_coupling=0.7, a_coupling=0.3, terms=terms)
     H = build_hamiltonian(spec)
-    vals, vecs = lowest_eigs(H, k=8)
+    vals, levels = lowest_eigs(H, k=8)
+    vecs = lift_levels(n, levels)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(8))) <= 1e-10
     resid = np.linalg.norm(full_matrix(H) @ vecs - vecs * vals, axis=0)
     assert resid.max() <= 1e-10
@@ -309,7 +319,7 @@ def test_real_basis_is_unitary_and_fixed_by_the_antiunitary(n):
             for col in U.T:
                 # each column lifted to the full space is fixed by A = PFK and
                 # has Gamma charge sigma
-                psi = spectra._lift(orb, inside, m, col)
+                psi = lift(orb, inside, m, col)
                 assert np.max(np.abs(psi[pf].conj() - psi)) <= 1e-12
                 if sigma is not None:
                     assert np.max(np.abs(G @ psi - sigma * psi)) <= 1e-12
@@ -374,20 +384,35 @@ def test_every_half_level_has_its_charge(spec):
             U = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
             _, v = spectra._sector_lowest(block, U, m, min(4, U.shape[1]), rng)
             for col in v.T:
-                psi = spectra._lift(orb, inside, m, col)
+                psi = lift(orb, inside, m, col)
                 assert abs(symmetry_charge(psi, n) - sigma) <= 1e-12
-    # and so has every returned level
-    _, vecs = lowest_eigs(H, k=8)
-    for psi in vecs.T:
-        c = symmetry_charge(psi, n)
-        assert min(abs(c - 1), abs(c + 1)) <= 1e-12
+    # and so has every returned level, mirrored ones included, exactly
+    _, levels = lowest_eigs(H, k=8)
+    for level, psi in zip(levels, lift_levels(n, levels).T):
+        assert level.charge == level.sigma
+        assert abs(symmetry_charge(psi, n) - level.sigma) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
+@pytest.mark.parametrize("terms", [("h0",), ("h0", "hj"), ("h1", "hj")])
+def test_in_sector_charge_matches_the_full_space_oracle(n, terms):
+    # whole sectors (H does not commute with Gamma): the charge read in
+    # momentum coordinates equals <psi|Gamma|psi> of the lifted vector, for
+    # mirrored copies too; dense halves up to N = 12, Lanczos at N = 14
+    H = build_hamiltonian(HamiltonianSpec(n, j_coupling=0.7, terms=terms))
+    _, levels = lowest_eigs(H, k=8)
+    assert all(level.sigma is None for level in levels)
+    assert any(level.mirrored for level in levels)
+    for level, psi in zip(levels, lift_levels(n, levels).T):
+        assert abs(level.charge - symmetry_charge(psi, n)) <= 1e-12
 
 
 def test_halves_smaller_than_the_request_at_n4():
     # at N = 4 the halves hold 1 to 3 states, fewer than the 8 levels asked
     # for; the lowest 8 still match the dense oracle
     H = build_hamiltonian(HamiltonianSpec(4, j_coupling=0.3, terms=("h0", "h1", "hj")))
-    vals, vecs = lowest_eigs(H, k=8)
+    vals, levels = lowest_eigs(H, k=8)
+    vecs = lift_levels(4, levels)
     dense = np.linalg.eigvalsh(full_matrix(H).toarray())[:8]
     assert np.max(np.abs(vals - dense)) <= 1e-12
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(8))) <= 1e-12
@@ -430,7 +455,8 @@ def test_complex_arnoldi_never_runs(monkeypatch):
     )
     spec = HamiltonianSpec(14, j_coupling=0.8, a_coupling=0.5, terms=("h0", "h1", "hj", "ha"))
     H = build_hamiltonian(spec)
-    vals, vecs = lowest_eigs(H, k=6)
+    vals, levels = lowest_eigs(H, k=6)
+    vecs = lift_levels(14, levels)
     resid = np.linalg.norm(full_matrix(H) @ vecs - vecs * vals, axis=0)
     assert resid.max() <= 1e-7
 
@@ -456,8 +482,9 @@ def test_chiral_term_on_lanczos_matches_full_space_oracle(n, rng):
     else:
         assert min(sizes) > spectra._DENSE_MAX
     M = full_matrix(H)
-    v0 = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)  # no symmetry
+    v0 = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)  # no symmetry
     oracle = np.sort(spla.eigsh(M, k=8, which="SA", v0=v0, maxiter=5000)[0])
-    vals, vecs = lowest_eigs(H, k=8)
+    vals, levels = lowest_eigs(H, k=8)
+    vecs = lift_levels(n, levels)
     assert np.max(np.abs(vals - oracle)) <= 1e-8
     assert np.linalg.norm(M @ vecs - vecs * vals, axis=0).max() <= 1e-7
