@@ -1,6 +1,9 @@
 """Batch front door: parse a YAML config, dispatch a pipeline, emit reports.
 
-Exit codes: 0 success, 1 configuration problem, 2 pipeline failure,
+The whole config format is read here, every field through one set of
+strict readers whose errors name the field's path.
+
+Exit codes: 0 success, 1 configuration problem, 2 pipeline or I/O failure,
 3 internal invariant violation. Reports are byte-stable for identical
 inputs: phases are printed as exact fractions, JSON floats as Python's
 shortest round-trip repr, and CSV floats with 12 significant digits.
@@ -9,26 +12,37 @@ shortest round-trip repr, and CSV floats with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
+from . import _tensors as tz
 from . import anomaly as anm
-from . import opwin, qca, spectra
+from . import qca, spectra
 from .errors import ChainomalyError, IoError, ParseError, ValidationError
 from .grpcoh import FiniteGroup, cohomology
-from .opwin import SiteSpec
+from .opwin import TOL_AUTO, SiteSpec
 
 # libyaml's parser when pyyaml was built with it: the same documents load,
 # several times faster.
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-MODES = ("anomaly", "cohomology", "gnvw", "spectra", "selftest")
+MODES = ("anomaly", "cohomology", "gnvw", "spectra")
 _TOP_KEYS = ("mode", "group", "degree", "action", "spectra", "output")
 _OUTPUT_KEYS = ("json", "csv", "summary")
+_ACTION_KEYS = ("preset", "rep", "site", "map", "steps")
+# the keys besides `kind` that each kind of group and step may hold
+_GROUP_KEYS = {"cyclic": ("n",), "product": ("factors",), "table": ("table",)}
+_STEP_KEYS = {
+    "shift": ("register", "displacement"),
+    "layer": ("period", "templates", "min_site", "max_site"),
+}
 
 
 @dataclass
@@ -46,99 +60,206 @@ class RunConfig:
     out_summary: str | None = None
 
 
-def _need(d, key: str, path: str):
+# -- config readers ----------------------------------------------------------------
+# A reader takes (value, path) and returns the parsed value; every error it
+# raises begins with the path of the offending field.
+
+_REQUIRED = object()
+
+
+def _key_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _at(path: str, make, *args):
+    """make(*args), with `path` prefixed to any ValidationError it raises."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _field(d: dict, key: str, path: str, read, default=_REQUIRED):
+    """d[key] read at path.key; an absent or null field is `default`, and an
+    error when there is none."""
+    if d.get(key) is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"{_key_path(path, key)}: missing required field")
+        return default
+    return read(d[key], _key_path(path, key))
+
+
+def _mapping(d, path: str, keys: tuple[str, ...]) -> dict:
+    """A mapping whose keys must all be in `keys`, so a misspelled setting
+    cannot fall back to its default unnoticed; null is the empty mapping."""
+    if d is None:
+        return {}
     if not isinstance(d, dict):
-        raise ValidationError(f"{path}: expected a mapping, got {d!r}")
-    if key not in d:
-        raise ValidationError(f"{path}.{key}: missing required field")
-    return d[key]
+        raise ValidationError(f"{path or 'config'}: expected a mapping, got {d!r}")
+    for key in d:
+        if key not in keys:
+            raise ValidationError(
+                f"{_key_path(path, key)}: unknown key (expected one of {', '.join(keys)})"
+            )
+    return d
 
 
-def _as_int(v, path: str) -> int:
+def _kind(d, path: str, kinds: dict) -> tuple[str, dict]:
+    """A mapping whose `kind` names the other keys it may hold."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(
+            f"{path}: expected a mapping of kind {' or '.join(kinds)}, got {d!r}"
+        )
+    return kind, _mapping(d, path, ("kind", *kinds[kind]))
+
+
+def _list_of(read, length: int | None = None, nonempty: bool = False):
+    """A reader of a list whose items `read` takes, each at path[i]."""
+
+    def read_list(v, path: str) -> list:
+        if not isinstance(v, list) or (nonempty and not v) or length not in (None, len(v)):
+            shape = f"list of {length}" if length else "nonempty list" if nonempty else "list"
+            raise ValidationError(f"{path}: expected a {shape}, got {v!r}")
+        return [read(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+    return read_list
+
+
+def _as_int(v, path: str, lo=-math.inf, hi=math.inf) -> int:
+    """A YAML integer in [lo, hi]: never a float, a bool or a string."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValidationError(f"{path}: expected an integer, got {v!r}")
+    if not lo <= v <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{path}: expected an integer {bound}, got {v}")
     return v
 
 
 def _as_float(v, path: str) -> float:
-    try:
-        return float(v)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: expected a number, got {v!r}") from exc
+    """A finite YAML int or float; the bound also rejects an int too large
+    to convert."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValidationError(f"{path}: expected a finite number, got {v!r}")
+    return float(v)
 
 
-def _mapping(d, path: str) -> dict:
-    """An optional mapping block: absent is empty, anything else is an error."""
-    if d is None:
-        return {}
-    if not isinstance(d, dict):
-        raise ValidationError(f"{path}: expected a mapping, got {d!r}")
-    return d
+def _as_str(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise ValidationError(f"{path}: expected a string, got {v!r}")
+    return v
 
 
-def _known_keys(d: dict, keys: tuple[str, ...], path: str) -> None:
-    """Reject a key the config schema does not have, so a misspelled
-    setting cannot fall back to its default unnoticed."""
-    prefix = f"{path}." if path else ""
-    for key in d:
-        if key not in keys:
-            raise ValidationError(
-                f"{prefix}{key}: unknown key (expected one of {', '.join(keys)})"
-            )
+_pair = _list_of(_as_float, length=2)
 
 
-def _build_group(d, path: str) -> FiniteGroup:
-    kind = _need(d, "kind", path)
+def _matrix(v, path: str) -> np.ndarray:
+    """A matrix literal: a row-major list of [re, im] pairs, square and
+    unitary within TOL_AUTO."""
+    vals = [complex(*pair) for pair in _list_of(_pair)(v, path)]
+    n = math.isqrt(len(vals))
+    if n * n != len(vals):
+        raise ValidationError(f"{path}: matrix literal length {len(vals)} is not a square")
+    m = np.array(vals, dtype=complex).reshape(n, n)
+    if not tz.is_unitary(m, TOL_AUTO):
+        raise ValidationError(f"{path}: matrix literal is not unitary within 1e-9")
+    return m
+
+
+def _cyclic(v, path: str) -> FiniteGroup:
+    return _at(path, FiniteGroup.cyclic, _as_int(v, path))
+
+
+def _group(v, path: str) -> FiniteGroup:
+    kind, d = _kind(v, path, _GROUP_KEYS)
     if kind == "cyclic":
-        return FiniteGroup.cyclic(_as_int(_need(d, "n", path), f"{path}.n"))
+        return _field(d, "n", path, _cyclic)
     if kind == "product":
-        factors = _need(d, "factors", path)
-        if not isinstance(factors, list) or not factors:
-            raise ValidationError(f"{path}.factors: expected a nonempty list")
-        g = FiniteGroup.cyclic(_as_int(factors[0], f"{path}.factors[0]"))
-        for i, f in enumerate(factors[1:], start=1):
-            g = FiniteGroup.direct_product(
-                g, FiniteGroup.cyclic(_as_int(f, f"{path}.factors[{i}]"))
-            )
-        return g
-    if kind == "table":
-        table = _need(d, "table", path)
-        try:
-            return FiniteGroup(tuple(tuple(row) for row in table))
-        except (ValidationError, TypeError) as exc:
-            raise ValidationError(f"{path}.table: {exc}") from exc
-    raise ValidationError(f"{path}.kind: unknown group kind {kind!r}")
+        factors = _field(d, "factors", path, _list_of(_cyclic, nonempty=True))
+        return functools.reduce(FiniteGroup.direct_product, factors)
+    table = _field(d, "table", path, _list_of(_list_of(_as_int)))
+    return _at(f"{path}.table", FiniteGroup, tuple(map(tuple, table)))
 
 
-def _build_sitespec(d, path: str) -> SiteSpec:
-    regs = _need(d, "registers", path)
-    if not isinstance(regs, list) or not regs:
-        raise ValidationError(f"{path}.registers: expected a nonempty list")
-    return SiteSpec(tuple(_as_int(r, f"{path}.registers") for r in regs))
+def _sites(v, path: str) -> SiteSpec:
+    d = _mapping(v, path, ("registers",))
+    regs = _field(d, "registers", path, _list_of(_as_int, nonempty=True))
+    return _at(path, SiteSpec, tuple(regs))
 
 
-def _build_rep(d, group: FiniteGroup | None, path: str) -> anm.ProjectiveRep:
-    if isinstance(d, str):
-        if d not in anm.PRESET_REPS:
-            raise ValidationError(f"{path}: unknown representation preset {d!r}")
-        return anm.PRESET_REPS[d]()
-    if not isinstance(d, dict):
-        raise ValidationError(f"{path}: expected a mapping or preset name")
-    g = _build_group(_need(d, "group", path), f"{path}.group") if "group" in d else group
-    if g is None:
-        raise ValidationError(f"{path}.group: missing")
-    mats = _need(d, "matrices", path)
-    if not isinstance(mats, list) or len(mats) != g.order:
-        raise ValidationError(
-            f"{path}.matrices: expected {g.order} matrix literals"
+def _template(v, path: str) -> qca.GateTemplate:
+    d = _mapping(v, path, ("anchor", "span", "unitary", "registers"))
+    return _at(
+        path,
+        qca.GateTemplate,
+        _field(d, "anchor", path, _as_int),
+        _field(d, "span", path, _as_int),
+        _field(d, "unitary", path, _matrix),
+        _field(d, "registers", path, _list_of(_list_of(_as_int, length=2)), None),
+    )
+
+
+def _step(v, path: str) -> qca.Step:
+    kind, d = _kind(v, path, _STEP_KEYS)
+    if kind == "shift":
+        return _at(
+            path,
+            qca.ShiftPrimitive,
+            _field(d, "register", path, _as_int),
+            _field(d, "displacement", path, _as_int),
         )
-    parsed = []
-    for i, m in enumerate(mats):
-        try:
-            parsed.append(opwin.matrix_from_pairs(m))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}.matrices[{i}]: {exc}") from exc
-    return anm.ProjectiveRep(g, tuple(parsed))
+    period = _field(d, "period", path, _as_int)
+    lo, hi = (_field(d, key, path, _as_int, None) for key in ("min_site", "max_site"))
+    templates = _field(d, "templates", path, _list_of(_template, nonempty=True))
+    return _at(path, qca.BlockLayer, period, tuple(templates), lo, hi)
+
+
+def _steps(sites: SiteSpec):
+    """A reader of a step list on `sites`; a list that does not fit the
+    SiteSpec is an error at the list's path."""
+    return lambda v, path: _at(path, qca.QcaExpr, sites, tuple(_list_of(_step)(v, path)))
+
+
+def _rep(v, path: str) -> anm.ProjectiveRep:
+    if isinstance(v, str):
+        if v not in anm.PRESET_REPS:
+            raise ValidationError(f"{path}: unknown representation preset {v!r}")
+        return anm.PRESET_REPS[v]()
+    d = _mapping(v, path, ("group", "matrices"))
+    g = _field(d, "group", path, _group)
+    mats = _field(d, "matrices", path, _list_of(_matrix, length=g.order))
+    return _at(path, anm.ProjectiveRep, g, tuple(mats))
+
+
+def _spec(v, path: str) -> spectra.HamiltonianSpec:
+    d = _mapping(v, path, ("N", "J", "a", "terms"))
+    return _at(
+        path,
+        spectra.HamiltonianSpec,
+        _field(d, "N", path, _as_int),
+        _field(d, "J", path, _as_float, 0.0),
+        _field(d, "a", path, _as_float, 0.0),
+        tuple(_field(d, "terms", path, _list_of(_as_str), ("h0", "h1"))),
+    )
+
+
+def _action(raw: dict, action: dict) -> anm.ActionSpec:
+    """A custom action: one step list per group element, each element once."""
+    group = _field(raw, "group", "", _group)
+    sites = _field(action, "site", "action", _sites)
+
+    def entry(v, path: str) -> tuple[int, qca.QcaExpr]:
+        d = _mapping(v, path, ("element", "steps"))
+        return _field(d, "element", path, _as_int), _field(d, "steps", path, _steps(sites))
+
+    entries = _field(action, "map", "action", _list_of(entry))
+    elements = [g for g, _ in entries]
+    if sorted(elements) != list(group.elements()):
+        raise ValidationError(
+            f"action.map: expected each element 0..{group.order - 1} once, got {elements}"
+        )
+    exprs = dict(entries)
+    return anm.ActionSpec(group, sites, tuple(exprs[g] for g in group.elements()))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -147,100 +268,46 @@ def parse_config(text: str) -> RunConfig:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"config is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config: expected a mapping at top level")
-    _known_keys(raw, _TOP_KEYS, "")
+    raw = _mapping(raw, "", _TOP_KEYS)
+    out = _mapping(raw.get("output"), "output", _OUTPUT_KEYS)
+    files = {f"out_{key}": _field(out, key, "output", _as_str, None) for key in _OUTPUT_KEYS}
     mode = raw.get("mode")
     if mode not in MODES:
         raise ValidationError(f"mode: expected one of {MODES}, got {mode!r}")
-    cfg = RunConfig(mode=mode)
-
-    out = _mapping(raw.get("output"), "output")
-    _known_keys(out, _OUTPUT_KEYS, "output")
-    for key in _OUTPUT_KEYS:
-        if out.get(key) is not None and not isinstance(out[key], str):
-            raise ValidationError(f"output.{key}: expected a file name, got {out[key]!r}")
-    cfg.out_json = out.get("json")
-    cfg.out_csv = out.get("csv")
-    cfg.out_summary = out.get("summary")
-
-    if mode == "selftest":
-        return cfg
+    cfg = RunConfig(mode=mode, **files)
 
     if mode == "spectra":
-        block = _mapping(raw.get("spectra"), "spectra")
-        _known_keys(block, ("k", "grid"), "spectra")
-        cfg.spectra_k = _as_int(block.get("k", 6), "spectra.k")
-        grid = block.get("grid")
-        if grid is None:
-            cfg.spectra_grid = spectra.default_grid()
-        else:
-            if not isinstance(grid, list) or not grid:
-                raise ValidationError("spectra.grid: expected a nonempty list")
-            for i, row in enumerate(grid):
-                path = f"spectra.grid[{i}]"
-                n = _as_int(_need(row, "N", path), f"{path}.N")
-                _known_keys(row, ("N", "J", "a", "terms"), path)
-                terms = row.get("terms", ["h0", "h1"])
-                if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-                    raise ValidationError(f"{path}.terms: expected a list of term names")
-                try:
-                    cfg.spectra_grid.append(
-                        spectra.HamiltonianSpec(
-                            n_sites=n,
-                            j_coupling=_as_float(row.get("J", 0.0), f"{path}.J"),
-                            a_coupling=_as_float(row.get("a", 0.0), f"{path}.a"),
-                            terms=tuple(terms),
-                        )
-                    )
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}: {exc}") from exc
+        block = _mapping(raw.get("spectra"), "spectra", ("k", "grid"))
+        # spectrum_row reads the second level; lowest_eigs returns at most 8
+        cfg.spectra_k = _field(block, "k", "spectra", functools.partial(_as_int, lo=2, hi=8), 6)
+        grid = _field(block, "grid", "spectra", _list_of(_spec, nonempty=True), None)
+        cfg.spectra_grid = spectra.default_grid() if grid is None else grid
         return cfg
 
     if mode == "cohomology":
-        cfg.group = _build_group(_need(raw, "group", "config"), "group")
-        cfg.degree = _as_int(raw.get("degree", 3), "degree")
+        cfg.group = _field(raw, "group", "", _group)
+        cfg.degree = _field(raw, "degree", "", functools.partial(_as_int, lo=1), 3)
         return cfg
 
-    action = raw.get("action")
-    if isinstance(action, dict):
-        _known_keys(action, ("preset", "rep", "site", "map", "steps"), "action")
+    action = _field(raw, "action", "", functools.partial(_mapping, keys=_ACTION_KEYS))
     if mode == "gnvw":
-        if not isinstance(action, dict) or "site" not in action or "steps" not in action:
-            raise ValidationError("action: gnvw mode needs action.site and action.steps")
-        sites = _build_sitespec(action["site"], "action.site")
-        cfg.gnvw_expr = qca.expr_from_data(sites, action["steps"], "action.steps")
+        sites = _field(action, "site", "action", _sites)
+        cfg.gnvw_expr = _field(action, "steps", "action", _steps(sites))
         return cfg
 
     # anomaly mode
-    if not isinstance(action, dict):
-        raise ValidationError("action: expected a mapping")
-    preset = action.get("preset")
+    preset = _field(action, "preset", "action", _as_str, None)
+    if preset == "lsm":
+        cfg.lsm_rep = _field(action, "rep", "action", _rep, None) or anm.PRESET_REPS["pauli"]()
+        cfg.group = cfg.lsm_rep.group
+        return cfg
     if preset in anm.PRESET_ACTIONS:
         cfg.action = anm.PRESET_ACTIONS[preset]()
-        cfg.group = cfg.action.group
-    elif preset == "lsm":
-        cfg.lsm_rep = _build_rep(action.get("rep", "pauli"), None, "action.rep")
-        cfg.group = cfg.lsm_rep.group
     elif preset is not None:
         raise ValidationError(f"action.preset: unknown preset {preset!r}")
     else:
-        cfg.group = _build_group(_need(raw, "group", "config"), "group")
-        sites = _build_sitespec(_need(action, "site", "action"), "action.site")
-        entries = _need(action, "map", "action")
-        if not isinstance(entries, list):
-            raise ValidationError("action.map: expected a list")
-        exprs: dict[int, qca.QcaExpr] = {}
-        for i, entry in enumerate(entries):
-            path = f"action.map[{i}]"
-            g = _as_int(_need(entry, "element", path), f"{path}.element")
-            exprs[g] = qca.expr_from_data(sites, _need(entry, "steps", path), f"{path}.steps")
-        missing = [g for g in cfg.group.elements() if g not in exprs]
-        if missing:
-            raise ValidationError(f"action.map: missing elements {missing}")
-        cfg.action = anm.ActionSpec(
-            cfg.group, sites, tuple(exprs[g] for g in cfg.group.elements())
-        )
+        cfg.action = _action(raw, action)
+    cfg.group = cfg.action.group
     return cfg
 
 
@@ -254,12 +321,6 @@ class RunResult:
 
 
 def run(cfg: RunConfig) -> RunResult:
-    if cfg.mode == "selftest":
-        ok, lines = selftest()
-        return RunResult(
-            report={"mode": "selftest", "passed": ok, "checks": lines},
-            summary="\n".join(lines),
-        )
     if cfg.mode == "cohomology":
         H = cohomology(cfg.group, cfg.degree)
         report = {
@@ -440,7 +501,10 @@ def main(argv=None) -> int:
             ok, lines = selftest()
             print("\n".join(lines))
             return 0 if ok else 3
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IoError(f"cannot read config {args.config}: {exc}") from exc
         cfg = parse_config(text)
         _output_paths(cfg, args.out)  # fail before a long run, not after
         result = run(cfg)

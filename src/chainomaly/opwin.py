@@ -1,4 +1,4 @@
-"""Sites, windows, tolerances and matrix literals for qudit chains.
+"""Sites, windows and tolerances for qudit chains.
 
 A SiteSpec lists the register dimensions of one site; a Window is a finite
 interval of integer sites. The tensor convention is global and fixed: the
@@ -11,12 +11,10 @@ slot engine in `chainomaly.qca`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _tensors as tz
 from .errors import ValidationError
 
 # Tolerance hierarchy: exact algebraic identities, automorphism and
@@ -97,25 +95,3 @@ class Window:
 
     def __str__(self):
         return "[]" if self.is_empty else f"[{self.lo},{self.hi}]"
-
-
-# -- matrix literal format (shared with the CLI config) ----------------------
-
-def matrix_from_pairs(pairs) -> np.ndarray:
-    """Row-major list of [re, im] pairs -> square unitary complex matrix."""
-    if not isinstance(pairs, (list, tuple)) or not all(
-        isinstance(p, (list, tuple))
-        and len(p) == 2
-        and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in p)
-        for p in pairs
-    ):
-        raise ValidationError("matrix literal is not a flat list of numeric [re, im] pairs")
-    vals = [complex(p[0], p[1]) for p in pairs]
-    n = math.isqrt(len(vals))
-    if n * n != len(vals):
-        raise ValidationError(f"matrix literal length {len(vals)} is not a square")
-    m = np.array(vals, dtype=complex).reshape(n, n)
-    if not tz.is_unitary(m, TOL_AUTO):
-        raise ValidationError("matrix literal is not unitary within 1e-9")
-    return m
-

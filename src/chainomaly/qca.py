@@ -33,7 +33,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _tensors as tz
-from . import opwin
 from .errors import (
     IndexMismatch,
     InvariantViolation,
@@ -670,60 +669,3 @@ def _verify_same_action(e1: QcaExpr, e2: QcaExpr):
             raise InvariantViolation(
                 f"shift neutralization changed the action at site {j}"
             )
-
-
-# -- serialization ----------------------------------------------------------------
-
-def _at(path: str, make, *args):
-    """make(*args), with `path` prefixed to any ValidationError it raises."""
-    try:
-        return make(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _ints(data, path: str, *keys: str) -> list[int]:
-    """The required integer fields of a serialized mapping."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a mapping, got {data!r}")
-    out = []
-    for key in keys:
-        if key not in data:
-            raise ValidationError(f"{path}.{key}: missing required field")
-        try:
-            out.append(int(data[key]))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}.{key}: expected an integer, got {data[key]!r}") from exc
-    return out
-
-
-def step_from_data(data, path: str = "step") -> Step:
-    """Parse one serialized step; every error names its place under `path`."""
-    _ints(data, path)  # a mapping, before any field is read
-    kind = data.get("kind")
-    if kind == "shift":
-        return _at(path, ShiftPrimitive, *_ints(data, path, "register", "displacement"))
-    if kind != "layer":
-        raise ValidationError(f"{path}: unknown step kind {kind!r}")
-    (period,) = _ints(data, path, "period")
-    if not isinstance(data.get("templates"), list):
-        raise ValidationError(f"{path}.templates: expected a list of gate templates")
-    templates = []
-    for j, t in enumerate(data["templates"]):
-        tpath = f"{path}.templates[{j}]"
-        anchor, span = _ints(t, tpath, "anchor", "span")
-        unitary = _at(f"{tpath}.unitary", opwin.matrix_from_pairs, t.get("unitary"))
-        templates.append(_at(tpath, GateTemplate, anchor, span, unitary, t.get("registers")))
-    lo, hi = (
-        None if data.get(k) is None else _ints(data, path, k)[0] for k in ("min_site", "max_site")
-    )
-    return _at(path, BlockLayer, period, tuple(templates), lo, hi)
-
-
-def expr_from_data(sites: SiteSpec, data, path: str = "steps") -> QcaExpr:
-    """Parse a serialized step list; errors name `path[i]` for a bad step and
-    `path` for a step list that does not fit the SiteSpec."""
-    if not isinstance(data, list):
-        raise ValidationError(f"{path}: expected a list of steps")
-    steps = tuple(step_from_data(s, f"{path}[{i}]") for i, s in enumerate(data))
-    return _at(path, QcaExpr, sites, steps)

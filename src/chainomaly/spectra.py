@@ -441,7 +441,7 @@ class SpectrumRow:
 
 def spectrum_row(spec: HamiltonianSpec, k: int = 6) -> SpectrumRow:
     H = build_hamiltonian(spec)
-    vals, levels = lowest_eigs(H, k=min(k, 8))
+    vals, levels = lowest_eigs(H, k=k)
     return SpectrumRow(
         n_sites=spec.n_sites,
         j_coupling=spec.j_coupling,

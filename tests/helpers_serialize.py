@@ -1,7 +1,7 @@
-"""Serialisation of step lists and matrices to the config data format, the
-inverse of `chainomaly.qca.expr_from_data` and
-`chainomaly.opwin.matrix_from_pairs`. Used only by the tests, for round
-trips and to compare expressions as data."""
+"""Serialisation of step lists and matrices to the config data format that
+`chainomaly.cli.parse_config` reads (a step list under `action.steps`, a
+matrix literal as row-major [re, im] pairs). Used only by the tests, for
+round trips through the config reader and to compare expressions as data."""
 
 from __future__ import annotations
 

@@ -1,11 +1,14 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chainomaly import cli, qca, spectra
+import yaml
+
+from chainomaly import cli, spectra
 from chainomaly.errors import IoError, ParseError, ValidationError
 
 from helpers_serialize import expr_to_data, matrix_to_pairs
@@ -105,8 +108,6 @@ def test_parse_lsm_custom_matrices_roundtrip():
             "rep": {"group": {"kind": "product", "factors": [2, 2]}, "matrices": lits},
         },
     }
-    import yaml
-
     cfg = cli.parse_config(yaml.safe_dump(text))
     for g in range(4):
         assert np.allclose(cfg.lsm_rep.matrices[g], mats[g])
@@ -241,6 +242,16 @@ def test_row_nested_matrix_literal_is_a_config_error(tmp_path, capsys):
 
 
 GNVW_SITE = "mode: gnvw\naction:\n  site: {registers: [2]}\n  steps: "
+GATE = "{anchor: 0, span: 1, unitary: [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}"
+ONSITE_MAP = (
+    "mode: anomaly\ngroup: {kind: cyclic, n: 2}\naction:\n  site: {registers: [2]}\n  map: "
+)
+LSM_REP = "mode: anomaly\naction:\n  preset: lsm\n  rep: "
+
+
+def one_layer(head="period: 1", gate=GATE):
+    """A gnvw config whose one step is a layer of one gate."""
+    return GNVW_SITE + "[{kind: layer, " + head + ", templates: [" + gate + "]}]\n"
 
 
 @pytest.mark.parametrize(
@@ -259,6 +270,38 @@ GNVW_SITE = "mode: gnvw\naction:\n  site: {registers: [2]}\n  steps: "
         ("mode: selftest\noutput: {json: 5}\n", "output.json"),
         (GNVW_SITE + "[{kind: layer, period: 1, min_site: a, templates: []}]\n",
          "action.steps[0].min_site"),
+        # integers are YAML integers: never a float, a bool or a string
+        (GNVW_SITE + "[{kind: shift, register: 0, displacement: 1.5}]\n",
+         "action.steps[0].displacement"),
+        (one_layer("period: 1.7"), "action.steps[0].period"),
+        (one_layer(gate=GATE.replace("anchor: 0", "anchor: '0'")),
+         "action.steps[0].templates[0].anchor"),
+        (one_layer(gate=GATE.replace("span: 1", "span: true")), "action.steps[0].templates[0].span"),
+        (one_layer(gate=GATE.replace("}", ", registers: [[0.5, 0]]}")),
+         "action.steps[0].templates[0].registers[0][0]"),
+        ("mode: cohomology\ngroup: {kind: table, table: [[0, 1], [1, 0.5]]}\n", "group.table[1][1]"),
+        # a kind or a preset is a name, never a list
+        (GNVW_SITE + "[{kind: [shift], register: 0, displacement: 1}]\n", "action.steps[0]"),
+        ("mode: anomaly\naction: {preset: [lsm]}\n", "action.preset"),
+        # a layer has at least one gate
+        (GNVW_SITE + "[{kind: layer, period: 1, templates: []}]\n", "action.steps[0].templates"),
+        # numbers are finite
+        ("mode: spectra\nspectra: {grid: [{N: 6, J: .nan, terms: [h0, hj]}]}\n", "spectra.grid[0].J"),
+        # each map element appears exactly once
+        (ONSITE_MAP + "[{element: 0, steps: []}, {element: 1, steps: []}, {element: 5, steps: []}]\n",
+         "action.map"),
+        (ONSITE_MAP + "[{element: 0, steps: []}, {element: 0, steps: []}, {element: 1, steps: []}]\n",
+         "action.map"),
+        # a library refusal names the field it came from
+        ("mode: gnvw\naction:\n  site: {registers: [1]}\n  steps: []\n", "action.site"),
+        ("mode: cohomology\ngroup: {kind: cyclic, n: 0}\n", "group.n"),
+        ("mode: cohomology\ngroup: {kind: product, factors: [2, 0]}\n", "group.factors[1]"),
+        ("mode: cohomology\ngroup: {kind: cyclic, n: 2}\ndegree: 0\n", "degree"),
+        (LSM_REP + "{group: {kind: cyclic, n: 2}, matrices: [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], "
+         "[1.0, 0.0]], [[1.0, 0.0]]]}\n", "action.rep"),
+        # spectrum_row reads the second level, and lowest_eigs gives at most 8
+        ("mode: spectra\nspectra: {k: 1, grid: [{N: 4, terms: [h0]}]}\n", "spectra.k"),
+        ("mode: spectra\nspectra: {k: 9, grid: [{N: 4, terms: [h0]}]}\n", "spectra.k"),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):
@@ -278,6 +321,17 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):
         ("mode: spectra\nspectra: {k: 2, gird: []}\n", "spectra.gird"),
         ("mode: spectra\nspectra: {grid: [{N: 6, j: 1.0}]}\n", "spectra.grid[0].j"),
         ("mode: anomaly\naction: {preset: lsm, reps: pauli}\n", "action.reps"),
+        (one_layer("period: 1, min_sit: 0"), "action.steps[0].min_sit"),
+        (GNVW_SITE + "[{kind: shift, register: 0, displacement: 1, period: 2}]\n",
+         "action.steps[0].period"),
+        (one_layer(gate=GATE.replace("}", ", regsiters: [[0, 0]]}")),
+         "action.steps[0].templates[0].regsiters"),
+        ("mode: cohomology\ngroup: {kind: cyclic, n: 2, m: 3}\n", "group.m"),
+        ("mode: gnvw\naction:\n  site: {registers: [2], regs: [3]}\n  steps: []\n", "action.site.regs"),
+        (ONSITE_MAP + "[{element: 0, steps: [], note: x}, {element: 1, steps: []}]\n",
+         "action.map[0].note"),
+        (LSM_REP + "{group: {kind: cyclic, n: 1}, matrices: [[[1.0, 0.0]]], name: x}\n",
+         "action.rep.name"),
     ],
 )
 def test_unknown_key_is_a_config_error(tmp_path, capsys, text, path):
@@ -285,6 +339,15 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys, text, path):
     cfg_path.write_text(text)
     assert cli.main(["run", str(cfg_path)]) == 1
     assert f"error: {path}: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"mode: \xff\n"])
+def test_unreadable_config_is_an_io_error(tmp_path, capsys, content):
+    cfg_path = tmp_path / "c.yaml"
+    if content is not None:
+        cfg_path.write_bytes(content)
+    assert cli.main(["run", str(cfg_path)]) == IoError.exit_code
+    assert f"error: cannot read config {cfg_path}:" in capsys.readouterr().err
 
 
 def test_missing_out_directory_fails_before_the_pipeline(tmp_path, capsys, monkeypatch):
@@ -308,10 +371,19 @@ def test_selftest_passes():
 def test_expr_config_roundtrip():
     # the serialized step list parsed back produces the identical step list
     cfg = cli.parse_config(CUSTOM_ONSITE)
-    e = cfg.action.expr(1)
-    data = expr_to_data(e)
-    again = qca.expr_from_data(cfg.action.sites, data)
+    data = expr_to_data(cfg.action.expr(1))
+    text = {"mode": "gnvw", "action": {"site": {"registers": [2]}, "steps": data}}
+    again = cli.parse_config(yaml.safe_dump(text)).gnvw_expr
     assert expr_to_data(again) == data
+
+
+def test_readme_config_examples_parse():
+    # the stricter reader and the documented format cannot drift apart
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
+    assert examples
+    for text in examples:
+        assert cli.parse_config(text).mode in cli.MODES
 
 
 def test_shipped_configs_parse(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chainomaly import _tensors as tz
 from chainomaly import qca
+from chainomaly.cli import _matrix
 from chainomaly.errors import ValidationError, WindowCapExceeded
 from chainomaly.opwin import (
     PAULI_X,
@@ -14,7 +15,6 @@ from chainomaly.opwin import (
     PAULI_Z,
     SiteSpec,
     Window,
-    matrix_from_pairs,
 )
 
 from conftest import on_union, random_unitary, slot_distance, slot_product
@@ -208,9 +208,9 @@ def test_matrix_unit():
 
 def test_matrix_literal_roundtrip():
     pairs = matrix_to_pairs(PAULI_Y)
-    back = matrix_from_pairs(pairs)
+    back = _matrix(pairs, "m")
     assert np.allclose(back, PAULI_Y)
     with pytest.raises(ValidationError):
-        matrix_from_pairs([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
+        _matrix([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], "m")
     with pytest.raises(ValidationError):
-        matrix_from_pairs([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # not square
+        _matrix([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "m")  # not square

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainomaly import _tensors as tz
-from chainomaly import qca
+from chainomaly import cli, qca
 from chainomaly.anomaly import levin_gu_action
 from chainomaly.errors import (
     NonZeroIndex,
@@ -24,7 +25,6 @@ from chainomaly.qca import (
     action_distance_on_units,
     balance_shifts,
     compose,
-    expr_from_data,
     gnvw_numeric,
     gnvw_symbolic,
     identity_expr,
@@ -497,7 +497,8 @@ def test_expr_serialization_roundtrip(rng):
         ),
     )
     data = expr_to_data(e)
-    back = expr_from_data(e.sites, data)
+    text = {"mode": "gnvw", "action": {"site": {"registers": [2, 2]}, "steps": data}}
+    back = cli.parse_config(yaml.safe_dump(text)).gnvw_expr
     assert expr_to_data(back) == data
     units = matrix_unit_batch(4)
     assert action_distance_on_units(e, back, Window(0, 0), units) <= 1e-12
