@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -48,7 +49,10 @@ class FiniteGroup:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        t = tuple(tuple(int(x) for x in row) for row in self.table)
+        try:
+            t = tuple(tuple(operator.index(x) for x in row) for row in self.table)
+        except TypeError as exc:
+            raise ValidationError("multiplication table entries must be integers") from exc
         object.__setattr__(self, "table", t)
         n = len(t)
         if any(len(row) != n for row in t):

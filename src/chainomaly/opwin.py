@@ -11,6 +11,7 @@ slot engine in `chainomaly.qca`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,12 @@ class SiteSpec:
     registers: tuple[int, ...]
 
     def __post_init__(self):
-        regs = tuple(int(m) for m in self.registers)
+        try:
+            regs = tuple(operator.index(m) for m in self.registers)
+        except TypeError as exc:
+            raise ValidationError(
+                f"register dimensions must be integers, got {self.registers}"
+            ) from exc
         object.__setattr__(self, "registers", regs)
         if not regs:
             raise ValidationError("SiteSpec needs at least one register")

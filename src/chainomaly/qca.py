@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -124,7 +125,7 @@ class GateTemplate:
             raise ValidationError("gate span must be >= 1")
         if self.registers is not None:
             try:
-                regs = tuple((int(a), int(b)) for a, b in self.registers)
+                regs = tuple((operator.index(a), operator.index(b)) for a, b in self.registers)
             except (TypeError, ValueError) as exc:
                 raise ValidationError("registers must be [offset, register] pairs") from exc
             object.__setattr__(self, "registers", regs)
@@ -178,6 +179,8 @@ class BlockLayer:
         object.__setattr__(self, "templates", tuple(self.templates))
         if self.period < 1:
             raise ValidationError("layer period must be >= 1")
+        if not self.templates:
+            raise ValidationError("a layer needs at least one gate template")
 
 
 @dataclass(frozen=True)

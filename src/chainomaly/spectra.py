@@ -32,6 +32,20 @@ symmetry-broken pair, in-sector Gamma doublets) are solved apart instead
 of being resolved out of one near-degenerate Lanczos run. Other
 Hamiltonians keep one whole-sector basis per momentum.
 
+Only the k lowest levels are kept, so `lowest_eigs` spends ARPACK only on
+halves where one of them can land. It solves the unmirrored sectors m = 0
+and N/2 first, then m = 1..N/2-1. Once k levels are held, their k-th level
+tau is a running cut, and a Lanczos half first gets a cheap probe: the
+lowest Ritz vector x to tolerance 1e-3, its Rayleigh quotient theta and its
+residual r = |A x - theta x|. Some eigenvalue lies in [theta - r,
+theta + r], and theta is at least the half's lowest level, so the half is
+skipped when theta - r > tau + 1e-9 max(1, |tau|). The skip is exact as
+long as the probe lands on the half's lowest level, which the tests check
+against dense and free-fermion oracles; a half that ties with tau to
+rounding is always solved in full. Dense halves are never probed. Each
+half's start vector is seeded by its own labels (m, half), so a half's
+bits do not depend on which other halves were skipped.
+
 Each returned level is labelled by its sector m, its half and whether it
 is the mirrored copy, and keeps its vector in sector-m momentum
 coordinates; none is lifted to the full space. Its Gamma charge is read
@@ -47,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -332,10 +347,12 @@ def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matr
     return inside, block
 
 
-def _sector_lowest(block, U, m: int, want: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The `want` lowest levels of momentum block m, solved as the real
-    matrix U^+ block U, with the eigenvectors mapped back through U."""
-    real = U.conj().T @ block @ U
+def _real_block(block, U, m: int) -> sp.csr_matrix:
+    """U^+ block U as a real CSR matrix with sorted indices. Entries that
+    cancel in exact arithmetic leave a rounding residue of at most 1e-14
+    times the block's scale; it is dropped, and ARPACK runs faster on sorted
+    indices, which the product does not leave."""
+    real = U.conj().T.tocsr() @ (block @ U)
     scale = max(1.0, np.abs(block.data).max(initial=0.0))
     imag = np.abs(real.data.imag).max(initial=0.0)
     if not imag <= 1e-10 * scale:
@@ -343,13 +360,33 @@ def _sector_lowest(block, U, m: int, want: int, rng) -> tuple[np.ndarray, np.nda
             f"momentum sector {m}: block is not real in the A-fixed basis, "
             f"imaginary part {imag:.3g}"
         )
-    real = real.real.tocsr()  # eigsh runs 1.5-2.7 times slower on CSC
+    data = real.data.real
+    data = np.where(np.abs(data) > 1e-14 * scale, data, 0.0)
+    real = sp.csr_matrix((data, real.indices, real.indptr), shape=real.shape)
+    real.eliminate_zeros()
+    real.sort_indices()
+    return real
+
+
+def _sector_lowest(block, U, m: int, half: int, want: int, tau) -> tuple | None:
+    """The `want` lowest levels of half `half` of momentum block m, solved as
+    the real matrix U^+ block U, with the eigenvectors mapped back through U;
+    None when a probe shows that the half's lowest level lies above tau, the
+    running k-th level (None while fewer than k levels are held)."""
+    real = _real_block(block, U, m)
     d = real.shape[0]
     if d <= _DENSE_MAX:
-        vals, vecs = np.linalg.eigh(real.toarray())
-        return vals[:want], U @ vecs[:, :want]
-    v0 = rng.standard_normal(d)
+        vals, vecs = sla.eigh(real.toarray(), subset_by_index=[0, want - 1], driver="evr")
+        return vals, U @ vecs
+    v0 = np.random.default_rng([m, half]).standard_normal(d)
     try:
+        if tau is not None:
+            # an eigenvalue lies within r of theta, and theta >= the lowest
+            x = spla.eigsh(real, k=1, which="SA", v0=v0, tol=1e-3, maxiter=2000)[1][:, 0]
+            ax = real @ x
+            theta = x @ ax
+            if theta - np.linalg.norm(ax - theta * x) > tau + 1e-9 * max(1.0, abs(tau)):
+                return None
         vals, vecs = spla.eigsh(real, k=want, which="SA", v0=v0, maxiter=2000)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
@@ -372,7 +409,9 @@ class Level:
     sigma (None when the sector was not split), whether it is the copy in the
     mirrored sector N - m, its Gamma charge, and its vector in sector-m
     momentum coordinates. The mirrored copy shares the vector; in the full
-    space its vector is the bit-reversed one."""
+    space its vector is the bit-reversed one. When copies of a level tie at
+    the k-th place, the ones kept are those first in (m, half, mirrored)
+    order: their labels are a tie-break, not physics."""
 
     m: int
     sigma: int | None
@@ -384,12 +423,15 @@ class Level:
 def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, list[Level]]:
     """k lowest eigenvalues and their levels, residual-checked to 1e-7.
 
-    Diagonalises one momentum sector q = 2 pi m / N at a time for
-    m = 0..N/2, each split into its Gamma = +1 and -1 halves when H commutes
-    with Gamma, each half as a real matrix in its A-fixed basis, and counts
-    the levels of 0 < m < N/2 twice, once for the mirrored sector N - m.
-    A level's charge is sigma in a half and <v|Gamma|v> in a whole sector;
-    the mirrored copy has the same charge, since P Gamma P = Gamma."""
+    Diagonalises one momentum sector q = 2 pi m / N at a time, m = 0 and
+    N/2 first and then m = 1..N/2-1, each split into its Gamma = +1 and -1
+    halves when H commutes with Gamma, each half as a real matrix in its
+    A-fixed basis, and counts the levels of 0 < m < N/2 twice, once for the
+    mirrored sector N - m. Once k levels are held, a Lanczos half whose
+    probed lowest level lies above the k-th is skipped. Levels tying at the
+    cut are kept in the order of (energy, m, half, mirrored). A level's
+    charge is sigma in a half and <v|Gamma|v> in a whole sector; the
+    mirrored copy has the same charge, since P Gamma P = Gamma."""
     if k < 1 or k > 8:
         raise ValidationError("k must be between 1 and 8")
     n = H.n_sites
@@ -398,16 +440,19 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, list[Level]]
     partners = _partners(orb)
     gamma = _gamma_partners(orb)
     charges = (1, -1) if _commutes_with_gamma(H) else (None,)
-    rng = np.random.default_rng(0)
-    levels: list[tuple[float, Level]] = []
-    for m in range(n // 2 + 1):
+    held: list[tuple[tuple, Level]] = []
+    for m in (0, n // 2, *range(1, n // 2)):
         inside, block = _momentum_block(orb, hops, m)
         mirrored = 0 < m < n // 2
-        for sigma in charges:
+        for half, sigma in enumerate(charges):
             U = _sector_basis(partners, gamma, inside, m, n, sigma)
             # each level of a mirrored sector fills two of the k places
             want = min((k + 1) // 2 if mirrored else k, U.shape[1])
-            e, v = _sector_lowest(block, U, m, want, rng)
+            tau = held[-1][0][0] if len(held) == k else None
+            solved = _sector_lowest(block, U, m, half, want, tau)
+            if solved is None:
+                continue
+            e, v = solved
             resid = np.linalg.norm(block @ v - v * e, axis=0)
             if resid.max() > 1e-7:
                 i = int(np.argmax(resid))
@@ -420,11 +465,11 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, list[Level]]
                 charge = np.full(len(e), complex(sigma))
             for i, energy in enumerate(e):
                 for mirror in (False, True) if mirrored else (False,):
-                    levels.append((energy, Level(m, sigma, mirror, complex(charge[i]), v[:, i])))
-            # the stable sort keeps the k lowest of all halves
-            levels.sort(key=lambda t: t[0])
-            del levels[k:]
-    return np.array([t[0] for t in levels]), [t[1] for t in levels]
+                    level = Level(m, sigma, mirror, complex(charge[i]), v[:, i])
+                    held.append(((float(energy), m, half, mirror), level))
+            held.sort(key=lambda t: t[0])
+            del held[k:]
+    return np.array([t[0][0] for t in held]), [t[1] for t in held]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from chainomaly.errors import (
     MatrixCap,
     NotACocycle,
     SnapFailure,
+    ValidationError,
 )
 from chainomaly.grpcoh import (
     ClassCoords,
@@ -110,6 +111,13 @@ def test_group_laws_checked():
     assert Z2Z2.order == 4
     assert Z2Z2.mul(1, 2) == 3  # (0,1)*(1,0) = (1,1)
     assert all(Z2Z2.mul(g, Z2Z2.inv(g)) == 0 for g in Z2Z2.elements())
+
+
+def test_group_table_entries_must_be_integers():
+    # numpy integers are integers; a float entry is refused, not truncated
+    assert FiniteGroup(np.array([[0, 1], [1, 0]])).table == ((0, 1), (1, 0))
+    with pytest.raises(ValidationError, match="must be integers"):
+        FiniteGroup(((0, 1), (1, 0.5)))
 
 
 # -- coboundaries -------------------------------------------------------------

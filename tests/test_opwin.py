@@ -52,6 +52,13 @@ def test_sitespec_validation():
         SiteSpec(())
 
 
+def test_sitespec_rejects_a_float_dimension():
+    # numpy integers are integers; a float is refused, not cast to a qubit
+    assert SiteSpec((np.int64(2), 3)).registers == (2, 3)
+    with pytest.raises(ValidationError, match="must be integers"):
+        SiteSpec((2.7,))
+
+
 # -- embedding -----------------------------------------------------------------
 
 def test_embed_z_tensors_identity():

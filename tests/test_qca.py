@@ -71,6 +71,19 @@ def test_layer_overlap_rejected():
         QcaExpr(S2, (BlockLayer(1, (GateTemplate(0, 2, SWAP4),)),))
 
 
+def test_template_registers_must_be_integers():
+    # numpy integers are integers; a float is refused, not cast to slot 0
+    t = GateTemplate(0, 1, PAULI_X, registers=((np.int64(0), np.int32(0)),))
+    assert t.registers == ((0, 0),)
+    with pytest.raises(ValidationError, match="pairs"):
+        GateTemplate(0, 1, PAULI_X, registers=((0.5, 0),))
+
+
+def test_layer_without_templates_rejected():
+    with pytest.raises(ValidationError, match="at least one gate template"):
+        BlockLayer(1, ())
+
+
 def test_nonunitary_gate_rejected():
     bad = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(ValidationError):

@@ -214,10 +214,69 @@ def test_paramagnet_first_excited_level_is_n_fold(n):
     assert np.max(np.abs(vals - np.array([-n] + [-n + 2] * 5))) <= 1e-9
 
 
-@pytest.mark.parametrize("n", [12, 14, 16, 18])
+@pytest.mark.parametrize("n", [12, 14, 16, 18, 20])
 def test_free_fermion_oracle_agrees_with_sectors(n):
     vals, _ = lowest_eigs(build_hamiltonian(HamiltonianSpec(n)), k=6)
     assert np.max(np.abs(vals - np.array(free_fermion_levels(n, nlow=6)))) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [14, 16, 18, 20])
+def test_skipped_halves_lose_no_ising_level(n):
+    # Lanczos halves whose probed lowest level lies above the running k-th
+    # level are skipped; the free-fermion oracle shows none of them held one
+    H = build_hamiltonian(HamiltonianSpec(n, j_coupling=4.0, terms=("h0", "h1", "hj")))
+    vals, _ = lowest_eigs(H, k=6)
+    oracle = free_fermion_levels(n, j_coupling=4.0, nlow=6)
+    assert np.max(np.abs(vals - np.array(oracle))) <= 1e-8
+
+
+def _count_eigsh(monkeypatch) -> list[int]:
+    """The k of every eigsh call that lowest_eigs makes from now on."""
+    calls, eigsh = [], spla.eigsh
+
+    def counted(A, k=6, **kwargs):
+        calls.append(k)
+        return eigsh(A, k=k, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"terms": ("h0", "h1")},
+        {"j_coupling": 4.0, "terms": ("h0", "h1", "hj")},
+        {"j_coupling": 0.7, "a_coupling": 0.5, "terms": ("h0", "h1", "hj", "ha")},
+    ],
+    ids=["h01", "ising4", "chiral"],
+)
+def test_every_probed_half_keeps_the_dense_levels(monkeypatch, n, spec):
+    # with no dense halves, every half after the first is probed before it
+    # is solved or skipped; the kept levels are the lowest of the spectrum,
+    # read from all N momentum blocks solved densely (full-space eigvalsh of
+    # the complex 4096 x 4096 chiral matrix is too slow for the suite)
+    monkeypatch.setattr(spectra, "_DENSE_MAX", 0)
+    calls = _count_eigsh(monkeypatch)
+    H = build_hamiltonian(HamiltonianSpec(n, **spec))
+    vals, _ = lowest_eigs(H, k=6)
+    assert calls.count(1) == 2 * (n // 2 + 1) - 1
+    orb = spectra._Orbits.of(n)
+    hops = spectra._hops(H, orb)
+    blocks = [spectra._momentum_block(orb, hops, m)[1].toarray() for m in range(n)]
+    dense = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:6]
+    assert np.max(np.abs(vals - dense)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_halves_above_the_cut_are_not_solved(monkeypatch, n):
+    # of the N + 2 halves only the four at m = 0 and N/2 and the one that
+    # ties with the k-th level (m = N/2 - 1, Gamma = +1) get a full solve
+    calls = _count_eigsh(monkeypatch)
+    lowest_eigs(build_hamiltonian(HamiltonianSpec(n)), k=6)
+    assert len(calls) == 2 * (n // 2 + 1) + 4
+    assert sum(k > 1 for k in calls) == 5
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -377,12 +436,11 @@ def test_every_half_level_has_its_charge(spec):
     orb = spectra._Orbits.of(n)
     hops = spectra._hops(H, orb)
     partners, gamma = spectra._partners(orb), spectra._gamma_partners(orb)
-    rng = np.random.default_rng(0)
     for m in range(n // 2 + 1):
         inside, block = spectra._momentum_block(orb, hops, m)
-        for sigma in (1, -1):
+        for half, sigma in enumerate((1, -1)):
             U = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
-            _, v = spectra._sector_lowest(block, U, m, min(4, U.shape[1]), rng)
+            _, v = spectra._sector_lowest(block, U, m, half, min(4, U.shape[1]), None)
             for col in v.T:
                 psi = lift(orb, inside, m, col)
                 assert abs(symmetry_charge(psi, n) - sigma) <= 1e-12
