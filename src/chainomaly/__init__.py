@@ -20,7 +20,6 @@ from .grpcoh import (
     FiniteGroup,
     PhaseCochain,
     class_of,
-    coboundary,
     cohomology,
     slant_z,
 )
@@ -36,7 +35,6 @@ from .anomaly import (
     pauli_projective_rep,
     projective_cocycle,
     restrict_right,
-    stack_neutralize,
     verify_action,
 )
 from .spectra import (

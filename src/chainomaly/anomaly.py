@@ -1,14 +1,16 @@
 """End-to-end anomaly pipeline for group actions on spin chains.
 
 Given a finite group acting by circuit-plus-shift automorphisms, the
-pipeline checks the action is a homomorphism, neutralizes any shift content
-by stacking with a copy carrying the inverse shifts, restricts each
-automorphism to the right half-chain by gate truncation, extracts the local
-unitaries measuring the failure of the restriction to be a homomorphism,
-evaluates the resulting degree-3 phase cocycle in float turns, and
-classifies it exactly from its rounded Bockstein, which does not depend on
-the gauge the extraction picks. A nonzero class rules out symmetric gapped
-ground states for every invariant finite-range Hamiltonian.
+pipeline checks the action is a homomorphism, restricts each automorphism
+to the right half-chain by gate truncation, extracts the local unitaries
+measuring the failure of the restriction to be a homomorphism, evaluates
+the resulting degree-3 phase cocycle in float turns, and classifies it
+exactly from its rounded Bockstein, which does not depend on the gauge the
+extraction picks. A nonzero class rules out symmetric gapped ground states
+for every invariant finite-range Hamiltonian. The shift index is a
+homomorphism into the torsion-free group of positive rationals, so every
+element of a finite group has index 0: its shift content is balanced into
+a swap circuit, and nothing is stacked.
 
 Each V(g, h) implements beta_g beta_h beta_gh^-1 and is extracted, when the
 associator first needs it, on the slots that expression moves. One sweep
@@ -25,6 +27,7 @@ slots the expression is conjugation by V, and V is read column by column
 off the images of the column units, v_i v_0^+.
 
 For a projective on-site representation combined with translation, the
+chain is stacked with a copy that the translation shifts oppositely, and the
 mixed anomaly is computed lazily on the translation-slant argument set and
 reduced to a degree-2 class on the on-site group, to compare with the class
 of the projective multiplier. Reports print each cocycle exactly, as its
@@ -180,7 +183,6 @@ class ClassifiedCocycle:
 class AnomalyReport:
     group: FiniteGroup
     gnvw: dict[int, qca.PrimeLog]
-    stacked: bool
     omega: PhaseCochain
     cohomology: CohomologyGroup
     coords: ClassCoords
@@ -199,7 +201,7 @@ class AnomalyReport:
                 G.name(g): {str(p): e for p, e in pl.exponents}
                 for g, pl in sorted(self.gnvw.items())
             },
-            "stacked": self.stacked,
+            "stacked": False,
             "omega": omega_rows,
             "invariant_factors": list(self.cohomology.invariant_factors),
             "class": list(self.coords.residues),
@@ -210,7 +212,7 @@ class AnomalyReport:
     def summary_text(self) -> str:
         lines = [
             f"group order: {self.group.order}",
-            f"stacked: {self.stacked}",
+            "stacked: False",
             f"H^3 = {self.cohomology.pretty()}",
             f"class: {list(self.coords.residues)}",
         ]
@@ -268,7 +270,7 @@ class MixedAnomalyReport:
         return "\n".join(lines)
 
 
-# -- action verification and neutralization -----------------------------------
+# -- action verification and restriction ---------------------------------------
 
 def verify_action(spec: ActionSpec) -> dict:
     """Check map(identity) = id and map(g) map(h) = map(gh) on the column
@@ -299,44 +301,6 @@ def verify_action(spec: ActionSpec) -> dict:
             )
     worst = max(res, *dist.values())
     return {"max_residual": worst, "pairs_checked": G.order ** 2, "probe_radius": r + 1}
-
-
-def _lift_step_to_double(step, nregs0: int):
-    """Reinterpret a step of the original system inside the doubled SiteSpec
-    (original registers keep their indices; the copy occupies the rest)."""
-    if isinstance(step, ShiftPrimitive):
-        return step
-    templates = []
-    for t in step.templates:
-        regs = t.registers
-        if regs is None:
-            regs = tuple((off, r) for off in range(t.span) for r in range(nregs0))
-        templates.append(replace(t, registers=regs))
-    return replace(step, templates=tuple(templates))
-
-
-def stack_neutralize(spec: ActionSpec) -> ActionSpec:
-    """If some element carries shift content, act on a doubled chain where the
-    copy is shifted oppositely, then replace all shifts by swap circuits."""
-    indices = [gnvw_symbolic(e) for e in spec.exprs]
-    if all(ix.is_zero for ix in indices):
-        return spec
-    R0 = spec.sites.nregisters
-    sites2 = spec.sites.stacked(spec.sites)
-    new_exprs = []
-    for e in spec.exprs:
-        steps = [_lift_step_to_double(s, R0) for s in e.steps]
-        net: dict[int, int] = {}
-        for s in e.steps:
-            if isinstance(s, ShiftPrimitive):
-                net[s.register] = net.get(s.register, 0) + s.displacement
-        for r, n in sorted(net.items()):
-            if n:
-                steps.append(ShiftPrimitive(R0 + r, -n))
-        new_exprs.append(balance_shifts(QcaExpr(sites2, tuple(steps))))
-    out = ActionSpec(spec.group, sites2, tuple(new_exprs), name=spec.name)
-    verify_action(out)
-    return out
 
 
 def restrict_right(expr: QcaExpr) -> QcaExpr:
@@ -544,12 +508,12 @@ def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, dict, VTable]:
 
 
 def anomaly_class(spec: ActionSpec) -> AnomalyReport:
-    """Full pipeline: verify, neutralize, restrict, extract, classify."""
+    """Full pipeline: verify, restrict, extract, classify. A homomorphic
+    action of a finite group has shift index 0 on every element, so its
+    report is never stacked."""
     ver = verify_action(spec)
     gnvw = {g: gnvw_symbolic(spec.expr(g)) for g in spec.group.elements()}
-    spec2 = stack_neutralize(spec)
-    stacked = spec2 is not spec
-    om, omega_diagnostics, vtable = omega_cocycle(spec2)
+    om, omega_diagnostics, vtable = omega_cocycle(spec)
     verdict = "NonAnomalous" if om.coords.is_trivial else "Anomalous"
     diagnostics = {
         "homomorphism_residual": ver["max_residual"],
@@ -558,7 +522,7 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
             (d["scalar_residual"] for d in omega_diagnostics.values()), default=0.0
         ),
         "v_windows": {
-            f"{spec.group.name(g)},{spec.group.name(h)}": str(_site_span(spec2.sites, slots))
+            f"{spec.group.name(g)},{spec.group.name(h)}": str(_site_span(spec.sites, slots))
             for (g, h), (slots, _) in sorted(vtable.entries.items())
         },
     }
@@ -569,7 +533,6 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
     return AnomalyReport(
         group=spec.group,
         gnvw=gnvw,
-        stacked=stacked,
         omega=om.cochain,
         cohomology=cohomology(spec.group, 3),
         coords=om.coords,
@@ -620,8 +583,8 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     the degree-3 cocycle against the translation generator, compared with the
     class of the projective multiplier."""
     G0 = rep.group
-    max_n = 2
-    translations = [_lsm_translation(rep.dimension, n) for n in range(max_n + 1)]
+    # the slant reads elements (g, 0) and (g, 1) only, products included
+    translations = [_lsm_translation(rep.dimension, n) for n in (0, 1)]
     beta: dict[tuple[int, int], QcaExpr] = {
         (g, n): restrict_right(_lsm_with_onsite(rep, g, t))
         for g in G0.elements()

@@ -35,19 +35,11 @@ class WindowCapExceeded(PipelineError):
     pass
 
 
-class DegreeCap(PipelineError):
-    pass
-
-
 class MatrixCap(PipelineError):
     pass
 
 
 class NotACocycle(PipelineError):
-    pass
-
-
-class EvaluatorDomain(PipelineError):
     pass
 
 

@@ -26,8 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DegreeCap,
-    EvaluatorDomain,
     InvariantViolation,
     MatrixCap,
     NotACocycle,
@@ -37,7 +35,6 @@ from .errors import (
 from .opwin import TOL_PHASE
 from .qca import _factorize
 
-MAX_DEGREE = 3
 MATRIX_CAP = 16 ** 5  # bound on |G|^(n+2)
 
 
@@ -200,14 +197,6 @@ class PhaseCochain:
 
     def __sub__(self, other: "PhaseCochain") -> "PhaseCochain":
         return self + (-other)
-
-
-def coboundary(f: PhaseCochain) -> PhaseCochain:
-    """Alternating-sum coboundary, one degree up, exact."""
-    if f.degree > MAX_DEGREE:
-        raise DegreeCap(f"coboundary capped at degree {MAX_DEGREE}")
-    sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
-    return PhaseCochain(f.group, f.degree + 1, tuple(sums))
 
 
 def snap_fraction(turns: float, den_cap: int) -> tuple[Fraction, float]:
@@ -449,17 +438,12 @@ def slant_z(omega_eval, group0: FiniteGroup) -> list:
     `omega_eval` takes three (g, n) pairs with n in {0, 1} and returns a
     phase: an exact Fraction or float turns. In additive notation the result
     is w(e,1; g,0; g',0) + w(g,0; g',0; e,1) - w(g,0; e,1; g',0), one value
-    per pair (g, g') in _tuple_index order, of the evaluator's type.
+    per pair (g, g') in _tuple_index order, of the evaluator's type. The
+    evaluator must be defined on every tuple asked for; an exception it
+    raises propagates unchanged.
     """
-    e = 0
-
-    def ev(*args):
-        try:
-            return omega_eval(*args)
-        except KeyError as exc:
-            raise EvaluatorDomain(f"evaluator undefined at {args}") from exc
-
+    w, e = omega_eval, 0
     return [
-        ev((e, 1), (g, 0), (gp, 0)) + ev((g, 0), (gp, 0), (e, 1)) - ev((g, 0), (e, 1), (gp, 0))
+        w((e, 1), (g, 0), (gp, 0)) + w((g, 0), (gp, 0), (e, 1)) - w((g, 0), (e, 1), (gp, 0))
         for g, gp in _all_tuples(group0.order, 2)
     ]

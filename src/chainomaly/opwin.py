@@ -60,9 +60,6 @@ class SiteSpec:
     def nregisters(self) -> int:
         return len(self.registers)
 
-    def stacked(self, other: "SiteSpec") -> "SiteSpec":
-        return SiteSpec(self.registers + other.registers)
-
 
 @dataclass(frozen=True)
 class Window:
@@ -92,9 +89,6 @@ class Window:
     @property
     def length(self) -> int:
         return 0 if self.is_empty else self.hi - self.lo + 1
-
-    def sites(self) -> range:
-        return range(self.lo, self.hi + 1) if not self.is_empty else range(0)
 
     def contains_site(self, j: int) -> bool:
         return not self.is_empty and self.lo <= j <= self.hi

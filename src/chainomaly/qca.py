@@ -15,7 +15,7 @@ and a gate whose matrix is exactly the swap of two equal-dimension slots,
 only relabel slots: the factors are reordered and no entry changes. Every
 other gate is conjugated on the union of its slots and the batch's, and then
 the gate's slots on which the batch acts as identity are trimmed. So swap
-circuits (stacked shift neutralizations) cost no matrix products, and the
+circuits (balanced shifts) cost no matrix products, and the
 matrices stay small however deep the circuit. An operator is the identity on
 a slot exactly when, cut into blocks by that slot's index, its off-diagonal
 blocks vanish and its diagonal blocks agree. Two automorphisms are compared

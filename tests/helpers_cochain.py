@@ -1,12 +1,29 @@
-"""Cochains from Python functions, the cocycle test and group relabelling,
-for building test inputs and checking results in `chainomaly.grpcoh`'s
-terms. Used only by the tests."""
+"""Cochains from Python functions, the exact coboundary, the cocycle test
+and group relabelling, for building test inputs and checking results in
+`chainomaly.grpcoh`'s terms. Used only by the tests."""
 
 from __future__ import annotations
 
 import itertools
 
-from chainomaly.grpcoh import FiniteGroup, PhaseCochain, coboundary
+import numpy as np
+
+from chainomaly.errors import PipelineError
+from chainomaly.grpcoh import FiniteGroup, PhaseCochain, _face_sums
+
+MAX_DEGREE = 3
+
+
+class DegreeCap(PipelineError):
+    pass
+
+
+def coboundary(f: PhaseCochain) -> PhaseCochain:
+    """Alternating-sum coboundary, one degree up, exact."""
+    if f.degree > MAX_DEGREE:
+        raise DegreeCap(f"coboundary capped at degree {MAX_DEGREE}")
+    sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
+    return PhaseCochain(f.group, f.degree + 1, tuple(sums))
 
 
 def cochain_from_function(group: FiniteGroup, degree: int, fn) -> PhaseCochain:

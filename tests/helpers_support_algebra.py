@@ -62,7 +62,7 @@ def support_algebra_dim(
         {
             j
             for w, _ in gens
-            for j in w.sites()
+            for j in range(w.lo, w.hi + 1)
             if part.contains_site(j)
         }
     )
@@ -78,7 +78,7 @@ def support_algebra_dim(
             if abs(mat[0, 0]) > 1e-12:
                 coeffs.append(np.eye(Dp, dtype=complex).reshape(1, Dp, Dp))
             continue
-        wsites = list(w.sites())
+        wsites = list(range(w.lo, w.hi + 1))
         n = len(wsites)
         ov = [i for i, j in enumerate(wsites) if part.contains_site(j)]
         out = [i for i in range(n) if i not in ov]

@@ -13,7 +13,6 @@ from chainomaly.grpcoh import (
     FiniteGroup,
     _cohomology_cached,
     class_of,
-    coboundary,
     cohomology,
 )
 from chainomaly.opwin import SiteSpec
@@ -28,7 +27,7 @@ from chainomaly.qca import (
 )
 
 from conftest import image, random_unitary, single_gate_expr, slot_product
-from helpers_cochain import cochain_from_function
+from helpers_cochain import coboundary, cochain_from_function
 from helpers_free_fermion import free_fermion_levels
 from helpers_ring import full_matrix, lift_levels
 from helpers_support_algebra import support_dims

@@ -23,7 +23,6 @@ from chainomaly.grpcoh import (
     FiniteGroup,
     PhaseCochain,
     class_of,
-    coboundary,
     cohomology,
 )
 from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec, Window
@@ -49,7 +48,7 @@ from conftest import (
     slot_distance,
     slot_product,
 )
-from helpers_cochain import cochain_from_function, is_cocycle
+from helpers_cochain import coboundary, cochain_from_function, is_cocycle
 from helpers_serialize import expr_to_data
 
 S2 = SiteSpec((2,))
@@ -166,11 +165,71 @@ def test_verify_rejects_a_diagonal_gate_that_squares_to_z():
         anm.verify_action(act)
 
 
-# -- stacking and restriction ---------------------------------------------------------
+# -- shift content and restriction -----------------------------------------------------
 
-def test_stack_neutralize_zero_index_unchanged():
-    act = anm.levin_gu_action()
-    assert anm.stack_neutralize(act) is act
+def _power_action(group: FiniteGroup, sites: SiteSpec, steps) -> anm.ActionSpec:
+    """Element k acts by `steps` repeated k times."""
+    return anm.ActionSpec(
+        group, sites, tuple(QcaExpr(sites, tuple(steps) * k) for k in group.elements())
+    )
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize(
+    "registers, shifts",
+    [((2,), ((0, 1),)), ((3,), ((0, 1),)), ((2, 3), ((0, 1), (1, -1)))],
+    ids=["qubit", "qutrit", "opposite_2_3"],
+)
+def test_anomaly_class_refuses_nonzero_index(order, registers, shifts):
+    # the shift index is a homomorphism into the torsion-free positive
+    # rationals, so a finite group cannot act with a nonzero index: some
+    # product of k-fold shifts breaks the group law
+    sites = SiteSpec(registers)
+    act = _power_action(FiniteGroup.cyclic(order), sites, [ShiftPrimitive(r, n) for r, n in shifts])
+    assert not qca.gnvw_symbolic(act.expr(1)).is_zero
+    with pytest.raises(NotAHomomorphism, match=r"pair \(\d+, \d+\) violates"):
+        anm.anomaly_class(act)
+
+
+SWAP2 = tz.factor_swap_matrix((2, 2), 0, 1)
+
+
+def _swap_and_shift(a: int, b: int) -> list:
+    """Swap registers a and b on every site, then shift a by +1 and b by -1."""
+    swap = BlockLayer(1, (GateTemplate(0, 1, SWAP2, registers=((0, a), (0, b))),))
+    return [swap, ShiftPrimitive(a, 1), ShiftPrimitive(b, -1)]
+
+
+def _levin_gu_on_register_0() -> list:
+    """The Levin-Gu generator's layers acting on register 0 alone."""
+    cz = ((0, 0), (1, 0))
+    return [
+        BlockLayer(1, (GateTemplate(0, 1, PAULI_X, registers=((0, 0),)),)),
+        BlockLayer(2, (GateTemplate(0, 2, anm.CZ_GATE, registers=cz),)),
+        BlockLayer(2, (GateTemplate(1, 2, anm.CZ_GATE, registers=cz),)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "registers, steps, residues",
+    [
+        # the generator maps qubit (j, 0) to (j - 1, 1) and (j, 1) to (j + 1, 0):
+        # it permutes equal-dimension factors in pairs, so grouping each pair
+        # into one site makes it on-site, and its class is 0
+        ((2, 2), _swap_and_shift(0, 1), (0,)),
+        # Levin-Gu on register 0 and the swap-and-shift on registers 1 and 2
+        # act on disjoint registers, so their classes add: 1 + 0 = 1
+        ((2, 2, 2), _levin_gu_on_register_0() + _swap_and_shift(1, 2), (1,)),
+    ],
+    ids=["swap_shift", "levin_gu_and_swap_shift"],
+)
+def test_anomaly_class_balances_zero_index_shifts(registers, steps, residues):
+    sites = SiteSpec(registers)
+    gen = QcaExpr(sites, tuple(steps))
+    act = anm.ActionSpec(FiniteGroup.cyclic(2), sites, (identity_expr(sites), gen))
+    rep = anm.anomaly_class(act)
+    assert rep.coords.residues == residues
+    assert rep.as_json_dict()["stacked"] is False
 
 
 def test_pure_translation_stacks_to_swap_circuit():
@@ -448,7 +507,7 @@ def test_anomaly_class_levin_gu():
     assert rep.verdict == "Anomalous"
     assert rep.cohomology.invariant_factors == (2,)
     assert rep.coords.residues == (1,)
-    assert not rep.stacked
+    assert rep.as_json_dict()["stacked"] is False
     assert all(pl.is_zero for pl in rep.gnvw.values())
 
 
@@ -486,12 +545,8 @@ def _lift_levin_gu_with_trivial_factor() -> anm.ActionSpec:
     # the same action on the first register of a doubled chain, identity on
     # the second: stacking with a trivially acting factor
     s22 = SiteSpec((2, 2))
-    act = anm.levin_gu_action()
-    steps = []
-    for step in act.expr(1).steps:
-        steps.append(anm._lift_step_to_double(step, 1))
-    gamma2 = QcaExpr(s22, tuple(steps))
-    return anm.ActionSpec(act.group, s22, (identity_expr(s22), gamma2))
+    gamma2 = QcaExpr(s22, tuple(_levin_gu_on_register_0()))
+    return anm.ActionSpec(FiniteGroup.cyclic(2), s22, (identity_expr(s22), gamma2))
 
 
 def test_stacking_with_trivial_factor_preserves_class():
@@ -623,7 +678,7 @@ def test_lsm_balances_each_translation_once(monkeypatch):
     monkeypatch.setattr(anm, "balance_shifts", counting)
     out = anm.lsm_pipeline(anm.clock_shift_rep(3))
     assert out.classes_equal
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -739,19 +794,6 @@ def test_inner_action_not_anomalous(rng):
     rep = anm.anomaly_class(act)
     assert rep.verdict == "NonAnomalous"
     assert rep.omega.is_zero()
-
-
-def test_stack_neutralize_rejects_fake_shift_action():
-    # finite order forces zero shift content, so a generator mapped to a bare
-    # shift cannot be a homomorphism; the doubled rebuild (lift, opposite
-    # copy shifts, swap circuitization) runs and then detects the defect
-    act = anm.ActionSpec(
-        FiniteGroup.cyclic(2),
-        S2,
-        (identity_expr(S2), QcaExpr(S2, (ShiftPrimitive(0, 1),))),
-    )
-    with pytest.raises(NotAHomomorphism):
-        anm.stack_neutralize(act)
 
 
 # -- gauge-invariant classification ----------------------------------------------------------

@@ -38,7 +38,7 @@ def expect(mat, dims, keep):
 def test_window_algebra():
     assert Window(3, 1).is_empty  # normalizes to the canonical empty window
     assert Window(3, 1) == Window.empty() and str(Window.empty()) == "[]"
-    assert Window(-1, 2).length == 4 and list(Window(-1, 2).sites()) == [-1, 0, 1, 2]
+    assert Window(-1, 2).length == 4
     assert Window(0, 2).contains_site(2) and not Window(0, 2).contains_site(3)
     assert not Window.empty().contains_site(0)
     assert str(Window.site(5)) == "[5,5]"
