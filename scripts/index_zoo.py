@@ -15,6 +15,7 @@ from chainomaly.qca import (
     balance_shifts,
     gnvw_numeric,
     gnvw_symbolic,
+    index_text,
 )
 
 SWAP4 = np.array(
@@ -25,7 +26,7 @@ SWAP4 = np.array(
 def show(name, expr):
     sym = gnvw_symbolic(expr)
     num = gnvw_numeric(expr)
-    print(f"{name:38s} index = {sym}   (numeric agrees: {num == sym})")
+    print(f"{name:38s} index = {index_text(sym)}   (numeric agrees: {num == sym})")
 
 
 def main():
@@ -42,7 +43,7 @@ def main():
         QcaExpr(s2, (BlockLayer(2, (GateTemplate(-1, 2, SWAP4),)),)),
     )
     opposed = QcaExpr(s22, (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1)))
-    print(f"{'opposed register shifts':38s} index = {gnvw_symbolic(opposed)}")
+    print(f"{'opposed register shifts':38s} index = {index_text(gnvw_symbolic(opposed))}")
     circuit = balance_shifts(opposed)
     show("  ... as a two-layer swap circuit", circuit)
     print(

@@ -1,11 +1,10 @@
 """Anomaly indices, exact group cohomology, and spectral witnesses for
 symmetry actions on quantum spin chains."""
 
-from .opwin import SiteSpec, Window
+from .opwin import SiteSpec
 from .qca import (
     BlockLayer,
     GateTemplate,
-    PrimeLog,
     QcaExpr,
     ShiftPrimitive,
     balance_shifts,

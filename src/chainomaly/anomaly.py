@@ -9,7 +9,7 @@ exactly from its rounded Bockstein, which does not depend on the gauge the
 extraction picks. A nonzero class rules out symmetric gapped ground states
 for every invariant finite-range Hamiltonian. The shift index is a
 homomorphism into the torsion-free group of positive rationals, so every
-element of a finite group has index 0: its shift content is balanced into
+element of a finite group has index 1: its shift content is balanced into
 a swap circuit, and nothing is stacked.
 
 Each V(g, h) implements beta_g beta_h beta_gh^-1 and is extracted, when the
@@ -46,7 +46,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _tensors as tz
-from . import qca
 from .errors import (
     CocycleViolation,
     NotACocycle,
@@ -76,7 +75,6 @@ from .opwin import (
     TOL_AUTO,
     TOL_PHASE,
     SiteSpec,
-    Window,
 )
 from .qca import (
     BlockLayer,
@@ -86,7 +84,6 @@ from .qca import (
     balance_shifts,
     column_units,
     compose,
-    gnvw_symbolic,
     identity_expr,
     invert,
     radius,
@@ -182,7 +179,6 @@ class ClassifiedCocycle:
 @dataclass(eq=False)
 class AnomalyReport:
     group: FiniteGroup
-    gnvw: dict[int, qca.PrimeLog]
     omega: PhaseCochain
     cohomology: CohomologyGroup
     coords: ClassCoords
@@ -197,10 +193,7 @@ class AnomalyReport:
             err = self.omega_diagnostics[t].get("snap_error")
             omega_rows.append(row if err is None else {**row, "snap_error": float(err)})
         return {
-            "gnvw": {
-                G.name(g): {str(p): e for p, e in pl.exponents}
-                for g, pl in sorted(self.gnvw.items())
-            },
+            "gnvw": {G.name(g): {} for g in G.elements()},
             "stacked": False,
             "omega": omega_rows,
             "invariant_factors": list(self.cohomology.invariant_factors),
@@ -285,7 +278,7 @@ def verify_action(spec: ActionSpec) -> dict:
     res = 0.0
     dist = dict.fromkeys(itertools.product(G.elements(), repeat=2), 0.0)
     for j in range(-(r + 1), r + 1):
-        slots = _slots_of_window(sites, Window.site(j))
+        slots = _slots_of_window(sites, range(j, j + 1))
         image = [_run_batch(e, slots, units) for e in spec.exprs]
         res = max(res, _image_distance(sites, image[0], (slots, units)))
         for g, h in dist:
@@ -497,7 +490,7 @@ def omega_from_vtable(
 
 
 def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, dict, VTable]:
-    """Restrict the (zero-index) action to the right half-chain and evaluate
+    """Restrict the (index-1) action to the right half-chain and evaluate
     the degree-3 phase cocycle, extracting each V(g, h) when the associator
     first needs it. Returns what omega_from_vtable returns, and the V table."""
     G = spec.group
@@ -509,10 +502,10 @@ def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, dict, VTable]:
 
 def anomaly_class(spec: ActionSpec) -> AnomalyReport:
     """Full pipeline: verify, restrict, extract, classify. A homomorphic
-    action of a finite group has shift index 0 on every element, so its
-    report is never stacked."""
+    action of a finite group has shift index 1 on every element, so its
+    report is never stacked and lists an empty set of prime exponents for
+    every element."""
     ver = verify_action(spec)
-    gnvw = {g: gnvw_symbolic(spec.expr(g)) for g in spec.group.elements()}
     om, omega_diagnostics, vtable = omega_cocycle(spec)
     verdict = "NonAnomalous" if om.coords.is_trivial else "Anomalous"
     diagnostics = {
@@ -522,7 +515,7 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
             (d["scalar_residual"] for d in omega_diagnostics.values()), default=0.0
         ),
         "v_windows": {
-            f"{spec.group.name(g)},{spec.group.name(h)}": str(_site_span(spec.sites, slots))
+            f"{spec.group.name(g)},{spec.group.name(h)}": _site_span(spec.sites, slots)
             for (g, h), (slots, _) in sorted(vtable.entries.items())
         },
     }
@@ -532,7 +525,6 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
         diagnostics["max_snap_error"] = max(om.snap_errors)
     return AnomalyReport(
         group=spec.group,
-        gnvw=gnvw,
         omega=om.cochain,
         cohomology=cohomology(spec.group, 3),
         coords=om.coords,

@@ -192,12 +192,6 @@ class PhaseCochain:
             tuple(a + b for a, b in zip(self.values, other.values)),
         )
 
-    def __neg__(self) -> "PhaseCochain":
-        return PhaseCochain(self.group, self.degree, tuple(-v for v in self.values))
-
-    def __sub__(self, other: "PhaseCochain") -> "PhaseCochain":
-        return self + (-other)
-
 
 def snap_fraction(turns: float, den_cap: int) -> tuple[Fraction, float]:
     """Snap a phase given in turns (angle / 2 pi) to an exact rational with
@@ -343,16 +337,6 @@ class ClassCoords:
     @property
     def is_trivial(self) -> bool:
         return all(r == 0 for r in self.residues)
-
-    def __add__(self, other: "ClassCoords") -> "ClassCoords":
-        if self.factors != other.factors:
-            raise ValidationError("coordinates of different groups")
-        return ClassCoords(
-            tuple(a + b for a, b in zip(self.residues, other.residues)), self.factors
-        )
-
-    def __neg__(self) -> "ClassCoords":
-        return ClassCoords(tuple(-r for r in self.residues), self.factors)
 
 
 @lru_cache(maxsize=64)

@@ -1,8 +1,8 @@
-"""Sites, windows and tolerances for qudit chains.
+"""Sites and tolerances for qudit chains.
 
-A SiteSpec lists the register dimensions of one site; a Window is a finite
-interval of integer sites. The tensor convention is global and fixed: the
-leftmost site is the most significant factor, and within one site the
+A SiteSpec lists the register dimensions of one site; a run of sites is a
+plain `range` of site positions. The tensor convention is global and fixed:
+the leftmost site is the most significant factor, and within one site the
 registers of the SiteSpec appear in listed order with register 0 most
 significant. Operators themselves are (slots, matrix) pairs handled by the
 slot engine in `chainomaly.qca`.
@@ -59,39 +59,3 @@ class SiteSpec:
     @property
     def nregisters(self) -> int:
         return len(self.registers)
-
-
-@dataclass(frozen=True)
-class Window:
-    """Closed interval of sites [lo, hi]; lo > hi encodes the empty window
-    (canonically (0, -1))."""
-
-    lo: int = 0
-    hi: int = -1
-
-    def __post_init__(self):
-        if self.lo > self.hi and (self.lo, self.hi) != (0, -1):
-            object.__setattr__(self, "lo", 0)
-            object.__setattr__(self, "hi", -1)
-
-    @classmethod
-    def empty(cls) -> "Window":
-        return cls(0, -1)
-
-    @classmethod
-    def site(cls, j: int) -> "Window":
-        return cls(j, j)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
-
-    @property
-    def length(self) -> int:
-        return 0 if self.is_empty else self.hi - self.lo + 1
-
-    def contains_site(self, j: int) -> bool:
-        return not self.is_empty and self.lo <= j <= self.hi
-
-    def __str__(self):
-        return "[]" if self.is_empty else f"[{self.lo},{self.hi}]"

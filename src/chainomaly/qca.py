@@ -3,9 +3,10 @@
 An expression is an ordered list of steps, each a translation-invariant
 layer of disjoint gates or a shift of one on-site register. Steps act on
 operators in list order: the image of A is step_n(...step_1(A)...). The
-composition index (integer combinations of log-primes of register
-dimensions) is computed symbolically from the shift content and can be
-cross-checked numerically as a ratio of Hilbert-Schmidt overlaps across a cut.
+shift index, a positive rational (the product of m^displacement over the
+register shifts, m the register dimension), is computed symbolically from the
+shift content and can be cross-checked numerically as a ratio of
+Hilbert-Schmidt overlaps across a cut. Runs of sites are `range`s.
 
 An operator is a pair (slots, matrix): each (site, register) pair is one
 tensor slot, numbered site * nregisters + register, and the matrix acts on
@@ -48,7 +49,6 @@ from .opwin import (
     TOL_ALGEBRA,
     TOL_AUTO,
     SiteSpec,
-    Window,
 )
 
 
@@ -65,44 +65,17 @@ def _factorize(m: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimeLog:
-    """Integer combination of log-primes, stored as (prime, exponent) pairs."""
+def prime_exponents(index: Fraction) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of a positive rational, primes ascending:
+    12 is [(2, 2), (3, 1)] and 1 is []."""
+    pairs = _factorize(index.numerator)
+    pairs.update((p, -e) for p, e in _factorize(index.denominator).items())
+    return sorted(pairs.items())
 
-    exponents: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        acc: dict[int, int] = {}
-        for p, e in self.exponents:
-            acc[p] = acc.get(p, 0) + e
-        norm = tuple(sorted((p, e) for p, e in acc.items() if e != 0))
-        object.__setattr__(self, "exponents", norm)
-
-    @classmethod
-    def zero(cls) -> "PrimeLog":
-        return cls(())
-
-    @classmethod
-    def of_dimension(cls, m: int, k: int = 1) -> "PrimeLog":
-        return cls(tuple((p, e * k) for p, e in _factorize(m).items()))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.exponents
-
-    def __add__(self, other: "PrimeLog") -> "PrimeLog":
-        return PrimeLog(self.exponents + other.exponents)
-
-    def __neg__(self) -> "PrimeLog":
-        return PrimeLog(tuple((p, -e) for p, e in self.exponents))
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{e}*log{p}" for p, e in self.exponents)
+def index_text(index: Fraction) -> str:
+    """A positive rational as its sum of exponent*log(prime) terms, "0" for 1."""
+    return " + ".join(f"{e}*log{p}" for p, e in prime_exponents(index)) or "0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,17 +402,17 @@ def _run_batch(expr: QcaExpr, slots, mats):
     return slots, mats
 
 
-def _slots_of_window(sites: SiteSpec, window: Window) -> tuple[int, ...]:
+def _slots_of_window(sites: SiteSpec, window: range) -> tuple[int, ...]:
+    """Every slot of the sites in `window`, a range of step 1."""
     R = sites.nregisters
-    if window.is_empty:
-        return ()
-    return tuple(range(window.lo * R, (window.hi + 1) * R))
+    return tuple(range(window.start * R, window.stop * R))
 
 
-def _site_span(sites: SiteSpec, slots) -> Window:
-    """The smallest window of sites that holds the given slots."""
+def _site_span(sites: SiteSpec, slots) -> str:
+    """The smallest closed interval of sites that holds the given slots, as
+    "[lo,hi]" ("[]" for no slots)."""
     R = sites.nregisters
-    return Window(min(slots) // R, max(slots) // R) if slots else Window.empty()
+    return f"[{min(slots) // R},{max(slots) // R}]" if slots else "[]"
 
 
 def _on_union(sites: SiteSpec, parts) -> tuple[tuple[int, ...], list[np.ndarray]]:
@@ -477,14 +450,13 @@ def column_units(dim: int) -> np.ndarray:
 
 # -- index computations --------------------------------------------------------
 
-def gnvw_symbolic(expr: QcaExpr) -> PrimeLog:
-    """Shift content of the expression: each register shift contributes its
-    displacement times the prime exponents of the register dimension."""
-    total = PrimeLog.zero()
+def gnvw_symbolic(expr: QcaExpr) -> Fraction:
+    """Shift content of the expression: the product of m^displacement over
+    its register shifts, m the dimension of the shifted register."""
+    total = Fraction(1)
     for step in expr.steps:
         if isinstance(step, ShiftPrimitive):
-            m = expr.sites.registers[step.register]
-            total = total + PrimeLog.of_dimension(m, step.displacement)
+            total *= Fraction(expr.sites.registers[step.register]) ** step.displacement
     return total
 
 
@@ -494,20 +466,20 @@ def gnvw_symbolic(expr: QcaExpr) -> PrimeLog:
 _NUMERIC_UNIT_CAP = 64
 
 
-def _overlap(expr: QcaExpr, inputs: Window, outputs: Window) -> float:
+def _overlap(expr: QcaExpr, inputs: range, outputs: range) -> float:
     """eta(X -> Y) = sum_i ||E_Y(alpha(u_i))||_tau^2 over the tau-orthonormal
     matrix units u_i = sqrt(D)|a><b| of X, with E_Y the normalised partial
     trace onto the slots of Y and ||x||_tau^2 = tr(x^dag x) / dim x."""
     sites = expr.sites
-    D = sites.dim ** inputs.length
+    D = sites.dim ** len(inputs)
     units = math.sqrt(D) * matrix_unit_batch(D)
     slots, mats = _run_batch(expr, _slots_of_window(sites, inputs), units)
-    keep = [i for i, s in enumerate(slots) if outputs.contains_site(s // sites.nregisters)]
+    keep = [i for i, s in enumerate(slots) if s // sites.nregisters in outputs]
     reduced = tz.partial_trace_keep_batch(mats, _slot_dims(sites, slots), keep)
     return float(np.sum(np.abs(reduced) ** 2)) / reduced.shape[-1]
 
 
-def gnvw_numeric(expr: QcaExpr) -> PrimeLog:
+def gnvw_numeric(expr: QcaExpr) -> Fraction:
     """Numeric cross-check of the shift content across the cut between sites
     -1 and 0, as the ratio of Hilbert-Schmidt overlaps
     ind^2 = eta([-r, -1] -> [0, 2r-1]) / eta([0, r-1] -> [-2r, -1])
@@ -520,8 +492,8 @@ def gnvw_numeric(expr: QcaExpr) -> PrimeLog:
             f"numeric index at radius {r} and site dimension {d} needs a "
             f"{d ** (2 * r)}-element unit batch; cap is {_NUMERIC_UNIT_CAP}"
         )
-    eta_lr = _overlap(expr, Window(-r, -1), Window(0, 2 * r - 1))
-    eta_rl = _overlap(expr, Window(0, r - 1), Window(-2 * r, -1))
+    eta_lr = _overlap(expr, range(-r, 0), range(0, 2 * r))
+    eta_rl = _overlap(expr, range(0, r), range(-2 * r, 0))
     measured = eta_lr / eta_rl
     ratio = Fraction(measured).limit_denominator(d ** (2 * r))
     ns, ds = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
@@ -533,12 +505,12 @@ def gnvw_numeric(expr: QcaExpr) -> PrimeLog:
         raise NonSquareRatio(
             f"overlap ratio {eta_lr:.12g}/{eta_rl:.12g} is not the square of a rational"
         )
-    result = PrimeLog.of_dimension(ns, 1) + PrimeLog.of_dimension(ds, -1)
+    result = Fraction(ns, ds)
     expected = gnvw_symbolic(expr)
     if result != expected:
         raise IndexMismatch(
-            f"numeric index {result} (overlaps {eta_lr:.12g}/{eta_rl:.12g}) "
-            f"disagrees with symbolic {expected}"
+            f"numeric index {index_text(result)} (overlaps {eta_lr:.12g}/{eta_rl:.12g}) "
+            f"disagrees with symbolic {index_text(expected)}"
         )
     return result
 
@@ -592,8 +564,9 @@ def balance_shifts(expr: QcaExpr) -> QcaExpr:
     greedily in step order."""
     if not expr.has_shifts:
         return expr
-    if not gnvw_symbolic(expr).is_zero:
-        raise NonZeroIndex(f"nonzero index {gnvw_symbolic(expr)}: not a circuit")
+    index = gnvw_symbolic(expr)
+    if index != 1:
+        raise NonZeroIndex(f"nonzero index {index_text(index)}: not a circuit")
     sites = expr.sites
     layers: list[Step] = []
     carried: list[ShiftPrimitive] = []
@@ -643,17 +616,6 @@ def balance_shifts(expr: QcaExpr) -> QcaExpr:
     return out
 
 
-def action_distance_on_units(
-    e1: QcaExpr, e2: QcaExpr, window: Window, mats: np.ndarray
-) -> float:
-    """Largest Frobenius distance between the images of a unit batch under two
-    expressions (an upper bound for the operator-norm distance), computed at
-    slot granularity so big common windows are never materialized."""
-    slots = _slots_of_window(e1.sites, window)
-    a, b = (_run_batch(e, slots, mats) for e in (e1, e2))
-    return _image_distance(e1.sites, a, b)
-
-
 def _image_distance(sites: SiteSpec, a, b) -> float:
     """Largest Frobenius distance between matching members of two batches
     (slots, matrices), compared on the union of their slots."""
@@ -664,11 +626,15 @@ def _image_distance(sites: SiteSpec, a, b) -> float:
 
 
 def _verify_same_action(e1: QcaExpr, e2: QcaExpr):
-    d = e1.sites.dim
+    """Raise InvariantViolation unless e1 and e2 agree, within TOL_AUTO, on
+    the column units of every site of a window past both light cones."""
+    sites = e1.sites
     rr = max(radius(e1), radius(e2), 1) + 1
-    units = column_units(d)
+    units = column_units(sites.dim)
     for j in range(-rr, rr + 1):
-        if action_distance_on_units(e1, e2, Window.site(j), units) > TOL_AUTO:
+        slots = _slots_of_window(sites, range(j, j + 1))
+        a, b = (_run_batch(e, slots, units) for e in (e1, e2))
+        if _image_distance(sites, a, b) > TOL_AUTO:
             raise InvariantViolation(
                 f"shift neutralization changed the action at site {j}"
             )

@@ -1,6 +1,7 @@
-"""Cochains from Python functions, the exact coboundary, the cocycle test
-and group relabelling, for building test inputs and checking results in
-`chainomaly.grpcoh`'s terms. Used only by the tests."""
+"""Cochains from Python functions, the exact coboundary, the cocycle test,
+cochain and class-coordinate arithmetic, and group relabelling, for building
+test inputs and checking results in `chainomaly.grpcoh`'s terms. Used only
+by the tests."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import itertools
 import numpy as np
 
 from chainomaly.errors import PipelineError
-from chainomaly.grpcoh import FiniteGroup, PhaseCochain, _face_sums
+from chainomaly.grpcoh import ClassCoords, FiniteGroup, PhaseCochain, _face_sums
 
 MAX_DEGREE = 3
 
@@ -34,6 +35,23 @@ def cochain_from_function(group: FiniteGroup, degree: int, fn) -> PhaseCochain:
 
 def is_cocycle(f: PhaseCochain) -> bool:
     return coboundary(f).is_zero()
+
+
+def cochain_neg(f: PhaseCochain) -> PhaseCochain:
+    return PhaseCochain(f.group, f.degree, tuple(-v for v in f.values))
+
+
+def cochain_sub(f: PhaseCochain, g: PhaseCochain) -> PhaseCochain:
+    return f + cochain_neg(g)
+
+
+def coords_add(a: ClassCoords, b: ClassCoords) -> ClassCoords:
+    assert a.factors == b.factors, "coordinates of different groups"
+    return ClassCoords(tuple(x + y for x, y in zip(a.residues, b.residues)), a.factors)
+
+
+def coords_neg(a: ClassCoords) -> ClassCoords:
+    return ClassCoords(tuple(-r for r in a.residues), a.factors)
 
 
 def relabeled(group: FiniteGroup, perm: tuple[int, ...]) -> FiniteGroup:

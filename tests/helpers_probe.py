@@ -1,5 +1,6 @@
 """The whole-expression extraction probe, kept as an independent oracle for
-the inverse-image probe in `chainomaly.anomaly.VTable.active_slots`.
+the inverse-image probe in `chainomaly.anomaly.VTable.active_slots`, and the
+distance between two expressions' images of a unit batch.
 
 Sites 0, 1, 2, ... are swept until the radius + 1 sites after the last moved
 site (after site -1 if none moved) are fixed; every slot of a swept site has
@@ -13,6 +14,13 @@ import numpy as np
 from chainomaly import qca
 from chainomaly.opwin import TOL_AUTO
 from chainomaly.qca import QcaExpr, matrix_unit_batch, radius
+
+
+def action_distance(e1: QcaExpr, e2: QcaExpr, window: range, mats: np.ndarray) -> float:
+    """Largest Frobenius distance between the images under e1 and e2 of a
+    unit batch on the sites of `window`."""
+    slots = qca._slots_of_window(e1.sites, window)
+    return qca._image_distance(e1.sites, *(qca._run_batch(e, slots, mats) for e in (e1, e2)))
 
 
 def moves(expr: QcaExpr, slot: int, tol: float = TOL_AUTO) -> bool:

@@ -16,17 +16,18 @@ import numpy as np
 from chainomaly import _tensors as tz
 from chainomaly import qca
 from chainomaly.errors import InvariantViolation, WindowCapExceeded
-from chainomaly.opwin import DEFAULT_DIM_CAP, SiteSpec, Window
+from chainomaly.opwin import DEFAULT_DIM_CAP, SiteSpec
 from chainomaly.qca import QcaExpr, matrix_unit_batch, radius
 
 
-def unit_images(expr: QcaExpr, window: Window) -> list[tuple[Window, np.ndarray]]:
-    """Images of all matrix units on `window`, as (window, matrix) pairs on
-    one common window of whole sites."""
+def unit_images(expr: QcaExpr, window: range) -> list[tuple[range, np.ndarray]]:
+    """Images of all matrix units on the sites in `window`, as (sites,
+    matrix) pairs on one common range of whole sites."""
     sites = expr.sites
-    units = matrix_unit_batch(sites.dim ** window.length)
+    R = sites.nregisters
+    units = matrix_unit_batch(sites.dim ** len(window))
     slots, mats = qca._run_batch(expr, qca._slots_of_window(sites, window), units)
-    span = qca._site_span(sites, slots)
+    span = range(min(slots) // R, max(slots) // R + 1) if slots else range(0)
     full = qca._slots_of_window(sites, span)
     big = tz.embed_factors_batch(mats, qca._slot_dims(sites, full), [full.index(s) for s in slots])
     return [(span, m) for m in big]
@@ -38,22 +39,22 @@ def support_dims(expr: QcaExpr) -> tuple[int, int]:
     index squared is dim_r / dim_l."""
     r = max(radius(expr), 1)
     sites = expr.sites
-    dim_r = support_algebra_dim(sites, unit_images(expr, Window(-2 * r, -1)), Window(0, 3 * r))
-    dim_l = support_algebra_dim(sites, unit_images(expr, Window(0, 2 * r - 1)), Window(-3 * r, -1))
+    dim_r = support_algebra_dim(sites, unit_images(expr, range(-2 * r, 0)), range(0, 3 * r + 1))
+    dim_l = support_algebra_dim(sites, unit_images(expr, range(0, 2 * r)), range(-3 * r, 0))
     return dim_r, dim_l
 
 
 def support_algebra_dim(
     sites: SiteSpec,
     gens,
-    part: Window,
+    part: range,
     rank_tol: float = 1e-9,
     dim_cap: int | None = None,
 ) -> int:
     """Dimension of the algebra generated by the part-side coefficients of the
     generators, expanded in a Hilbert-Schmidt product basis of the complement
-    and closed under multiplication. Each generator is a (window, matrix)
-    pair, the matrix acting on all sites of the window."""
+    and closed under multiplication. Each generator is a (sites, matrix)
+    pair, `sites` a range and the matrix acting on all of them."""
     gens = list(gens)
     if not gens:
         return 0
@@ -62,8 +63,8 @@ def support_algebra_dim(
         {
             j
             for w, _ in gens
-            for j in range(w.lo, w.hi + 1)
-            if part.contains_site(j)
+            for j in w
+            if j in part
         }
     )
     dims_p = [d] * len(peff)
@@ -74,13 +75,13 @@ def support_algebra_dim(
 
     coeffs: list[np.ndarray] = []
     for w, mat in gens:
-        if w.is_empty:
+        if not w:
             if abs(mat[0, 0]) > 1e-12:
                 coeffs.append(np.eye(Dp, dtype=complex).reshape(1, Dp, Dp))
             continue
-        wsites = list(range(w.lo, w.hi + 1))
+        wsites = list(w)
         n = len(wsites)
-        ov = [i for i, j in enumerate(wsites) if part.contains_site(j)]
+        ov = [i for i, j in enumerate(wsites) if j in part]
         out = [i for i in range(n) if i not in ov]
         dims = [d] * n
         arr = mat.reshape(dims + dims)

@@ -25,13 +25,12 @@ from chainomaly.grpcoh import (
     class_of,
     cohomology,
 )
-from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec, Window
+from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec
 from chainomaly.qca import (
     BlockLayer,
     GateTemplate,
     QcaExpr,
     ShiftPrimitive,
-    action_distance_on_units,
     column_units,
     compose,
     identity_expr,
@@ -48,7 +47,14 @@ from conftest import (
     slot_distance,
     slot_product,
 )
-from helpers_cochain import coboundary, cochain_from_function, is_cocycle
+from helpers_cochain import (
+    coboundary,
+    cochain_from_function,
+    cochain_neg,
+    cochain_sub,
+    coords_add,
+    is_cocycle,
+)
 from helpers_serialize import expr_to_data
 
 S2 = SiteSpec((2,))
@@ -72,7 +78,8 @@ def naive_homomorphism_residual(spec: anm.ActionSpec) -> float:
 
     def dist(e1, e2):
         return max(
-            action_distance_on_units(e1, e2, Window.site(j), units) for j in range(-(r + 1), r + 1)
+            helpers_probe.action_distance(e1, e2, range(j, j + 1), units)
+            for j in range(-(r + 1), r + 1)
         )
 
     worst = dist(spec.expr(0), identity_expr(spec.sites))
@@ -186,7 +193,7 @@ def test_anomaly_class_refuses_nonzero_index(order, registers, shifts):
     # product of k-fold shifts breaks the group law
     sites = SiteSpec(registers)
     act = _power_action(FiniteGroup.cyclic(order), sites, [ShiftPrimitive(r, n) for r, n in shifts])
-    assert not qca.gnvw_symbolic(act.expr(1)).is_zero
+    assert qca.gnvw_symbolic(act.expr(1)) != 1
     with pytest.raises(NotAHomomorphism, match=r"pair \(\d+, \d+\) violates"):
         anm.anomaly_class(act)
 
@@ -237,12 +244,12 @@ def test_pure_translation_stacks_to_swap_circuit():
     trivial_rep = anm.ProjectiveRep(FiniteGroup.cyclic(1), (np.eye(2, dtype=complex),))
     circ = lsm_stacked_expr(trivial_rep, 0, 1)
     assert not circ.has_shifts
-    assert qca.gnvw_symbolic(circ).is_zero
+    assert qca.gnvw_symbolic(circ) == 1
     s22 = SiteSpec((2, 2))
     raw = QcaExpr(s22, (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1)))
     units = matrix_unit_batch(4)
     for j in (-1, 0, 1):
-        assert action_distance_on_units(circ, raw, Window.site(j), units) <= 1e-9
+        assert helpers_probe.action_distance(circ, raw, range(j, j + 1), units) <= 1e-9
 
 
 def test_restrict_right_truncates_gates():
@@ -410,7 +417,7 @@ def test_vtable_invariant_levin_gu():
         target = compose(beta[g], compose(beta[h], invert(beta[G.mul(g, h)])))
         conj = single_gate_expr(S2, *gate)
         for j in (0, 1, 2):
-            assert action_distance_on_units(target, conj, Window.site(j), units) <= 1e-9
+            assert helpers_probe.action_distance(target, conj, range(j, j + 1), units) <= 1e-9
 
 
 # -- the degree-3 cocycle -------------------------------------------------------------------
@@ -446,9 +453,9 @@ def test_omega_rephasing_shifts_by_coboundary(rng):
             phase = np.exp(2j * np.pi * float(theta.at(g, h)))
             vt2.entries[(g, h)] = (slots, phase * mat)
         om2 = anm.omega_from_vtable(G, vt2)[0].cochain
-        diff = om2 - om
+        diff = cochain_sub(om2, om)
         # with the alternating-sum orientation the shift is d(-theta)
-        assert diff.values == coboundary(-theta).values
+        assert diff.values == coboundary(cochain_neg(theta)).values
         H = cohomology(G, 3)
         assert class_of(om2, H).residues == class_of(om, H).residues
 
@@ -508,7 +515,7 @@ def test_anomaly_class_levin_gu():
     assert rep.cohomology.invariant_factors == (2,)
     assert rep.coords.residues == (1,)
     assert rep.as_json_dict()["stacked"] is False
-    assert all(pl.is_zero for pl in rep.gnvw.values())
+    assert rep.as_json_dict()["gnvw"] == {"1": {}, "-1": {}}
 
 
 def test_anomaly_class_onsite_control():
@@ -645,7 +652,7 @@ def test_lsm_obstruction_is_projective_matrix_on_one_site():
     g = 2  # the (1,0) element, matrix X
     a, b = (g, 0), (0, 1)
     gate = anm.VTable(beta, lambda a, b: (G0.mul(a[0], b[0]), a[1] + b[1]), str).gate(a, b)
-    assert qca._site_span(SiteSpec((2, 2)), gate[0]) == Window(0, 0)
+    assert qca._site_span(SiteSpec((2, 2)), gate[0]) == "[0,0]"
     expected = np.kron(PAULI_X, np.eye(2))
     # same gauge rule applied to the expected matrix
     flat = expected.reshape(-1)
@@ -716,7 +723,7 @@ def test_lsm_clock_shift_order_three():
     assert out.classes_equal
     assert out.cohomology.invariant_factors == (3,)
     assert not out.slant_class.is_trivial
-    triple = out.slant_class + out.slant_class + out.slant_class
+    triple = coords_add(coords_add(out.slant_class, out.slant_class), out.slant_class)
     assert triple.is_trivial
 
 

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,22 @@ def test_run_gnvw_mode():
     result = cli.run(cfg)
     assert result.report["symbolic"] == {"2": 1}
     assert result.report["agree"] is True
+
+
+def test_gnvw_opposed_shifts_report_pinned(tmp_path):
+    # a qubit shifted right and a qutrit shifted left: index 2/3
+    cfg_path = tmp_path / "gnvw.yaml"
+    cfg_path.write_text(
+        "mode: gnvw\naction:\n  site: {registers: [2, 3]}\n  steps:\n"
+        "    - {kind: shift, register: 0, displacement: 1}\n"
+        "    - {kind: shift, register: 1, displacement: -1}\n"
+        "output: {json: report.json, summary: summary.txt}\n"
+    )
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["symbolic"] == report["numeric"] == {"2": 1, "3": -1}
+    summary = (tmp_path / "summary.txt").read_text()
+    assert summary == "index = 1*log2 + -1*log3 (numeric agrees)\n"
 
 
 def test_run_spectra_mode():
@@ -442,3 +460,29 @@ def test_custom_circuit_config_matches_preset():
     assert [r["phase"] for r in custom["omega"]] == [
         r["phase"] for r in preset["omega"]
     ]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.slow
+def test_benchmark_configs_run(tmp_path):
+    """Every seed-1 config of every benchmark workload, as the benchmark
+    writes it, runs through the CLI front door with exit 0, so a change
+    that breaks the benchmark's inputs fails here."""
+    configs = []
+    for workload in ("classify", "translation", "cohomology", "spectra"):
+        subprocess.run(
+            [sys.executable, str(ROOT / "clibench" / "run.py"), "--workload", workload,
+             "--seed", "1", "--dump-configs", str(tmp_path / workload)],
+            check=True, capture_output=True, cwd=ROOT, timeout=120,
+        )
+        written = sorted((tmp_path / workload).glob("*.yaml"))
+        assert written, workload
+        configs += written
+    codes = {}
+    for cfg in configs:
+        out = tmp_path / "out" / cfg.parent.name / cfg.stem
+        out.mkdir(parents=True)
+        codes[f"{cfg.parent.name}/{cfg.name}"] = cli.main(["run", str(cfg), "--out", str(out)])
+    assert {name: code for name, code in codes.items() if code} == {}

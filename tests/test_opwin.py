@@ -14,7 +14,6 @@ from chainomaly.opwin import (
     PAULI_Y,
     PAULI_Z,
     SiteSpec,
-    Window,
 )
 
 from conftest import on_union, random_unitary, slot_distance, slot_product
@@ -31,17 +30,6 @@ def rand_mat(rng, n, d=2):
 def expect(mat, dims, keep):
     """Normalized partial trace onto the factors `keep`."""
     return tz.partial_trace_keep_batch(mat[None], dims, keep)[0]
-
-
-# -- windows ---------------------------------------------------------------
-
-def test_window_algebra():
-    assert Window(3, 1).is_empty  # normalizes to the canonical empty window
-    assert Window(3, 1) == Window.empty() and str(Window.empty()) == "[]"
-    assert Window(-1, 2).length == 4
-    assert Window(0, 2).contains_site(2) and not Window(0, 2).contains_site(3)
-    assert not Window.empty().contains_site(0)
-    assert str(Window.site(5)) == "[5,5]"
 
 
 def test_sitespec_validation():

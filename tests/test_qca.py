@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,25 +16,26 @@ from chainomaly.errors import (
     ValidationError,
     WindowCapExceeded,
 )
-from chainomaly.opwin import PAULI_X, PAULI_Z, TOL_ALGEBRA, SiteSpec, Window
+from chainomaly.opwin import PAULI_X, PAULI_Z, TOL_ALGEBRA, SiteSpec
 from chainomaly.qca import (
     BlockLayer,
     GateTemplate,
-    PrimeLog,
     QcaExpr,
     ShiftPrimitive,
-    action_distance_on_units,
     balance_shifts,
     compose,
     gnvw_numeric,
     gnvw_symbolic,
     identity_expr,
+    index_text,
     invert,
     matrix_unit_batch,
+    prime_exponents,
     radius,
 )
 
 from conftest import image, random_unitary, single_gate_expr, slot_distance, slot_product
+from helpers_probe import action_distance
 from helpers_serialize import expr_to_data
 from helpers_support_algebra import support_algebra_dim, support_dims, unit_images
 from helpers_trim import trim_batch
@@ -54,8 +56,8 @@ def random_two_site_layer(rng, d=2, anchor=0):
 
 
 def random_probe(rng, sites, window):
-    """A random operator on all slots of `window`, as (slots, matrix)."""
-    n = sites.dim ** window.length
+    """A random operator on all slots of the sites in `window`, as (slots, matrix)."""
+    n = sites.dim ** len(window)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return qca._slots_of_window(sites, window), m
 
@@ -148,7 +150,7 @@ def test_apply_is_isometric(seed):
             ShiftPrimitive(0, int(rng.choice([-1, 1]))),
         ),
     )
-    a = random_probe(rng, S2, Window(0, 1))
+    a = random_probe(rng, S2, range(0, 2))
     out = image(e, a)
     assert abs(norm(out) - norm(a)) <= 1e-9 * max(1.0, norm(a))
 
@@ -156,7 +158,7 @@ def test_apply_is_isometric(seed):
 def test_apply_window_growth_bounded():
     rng = np.random.default_rng(5)
     e = QcaExpr(S2, (random_two_site_layer(rng),) * 2)
-    a = random_probe(rng, S2, Window(0, 0))
+    a = random_probe(rng, S2, range(0, 1))
     slots, _ = image(e, a)
     assert all(-radius(e) <= s <= radius(e) for s in slots)
 
@@ -165,7 +167,7 @@ def test_apply_cap(monkeypatch):
     rng = np.random.default_rng(6)
     layers = tuple(random_two_site_layer(rng, anchor=k % 2) for k in range(12))
     e = QcaExpr(S2, layers)
-    a = random_probe(rng, S2, Window(0, 1))
+    a = random_probe(rng, S2, range(0, 2))
     monkeypatch.setattr(qca, "DEFAULT_DIM_CAP", 64)
     with pytest.raises(WindowCapExceeded):
         image(e, a)
@@ -231,7 +233,7 @@ def test_compose_invert_gives_identity(rng):
     units = matrix_unit_batch(2)
     for j in (-1, 0, 2):
         assert (
-            action_distance_on_units(ei, identity_expr(S2), Window.site(j), units)
+            action_distance(ei, identity_expr(S2), range(j, j + 1), units)
             <= 1e-9
         )
 
@@ -266,7 +268,7 @@ def test_levin_gu_is_involution():
     units = matrix_unit_batch(2)
     for j in (-2, -1, 0, 1, 2):
         assert (
-            action_distance_on_units(gg, identity_expr(S2), Window.site(j), units)
+            action_distance(gg, identity_expr(S2), range(j, j + 1), units)
             <= 1e-9
         )
 
@@ -275,7 +277,7 @@ def test_compose_order_convention(rng):
     # compose(e1, e2) maps A to e1(e2(A))
     e1 = QcaExpr(S2, (random_two_site_layer(rng),))
     e2 = shift_expr(S2, 0, 1)
-    a = random_probe(rng, S2, Window(0, 0))
+    a = random_probe(rng, S2, range(0, 1))
     lhs = image(compose(e1, e2), a)
     rhs = image(e1, image(e2, a))
     assert slot_distance(S2, lhs, rhs) <= 1e-12 * max(1.0, norm(a))
@@ -284,20 +286,20 @@ def test_compose_order_convention(rng):
 # -- symbolic index ------------------------------------------------------------------
 
 def test_gnvw_symbolic_shift():
-    assert gnvw_symbolic(shift_expr(S2, 0, 1)).as_dict() == {2: 1}
+    assert gnvw_symbolic(shift_expr(S2, 0, 1)) == 2
     s6 = SiteSpec((6,))
-    assert gnvw_symbolic(shift_expr(s6, 0, -1)).as_dict() == {2: -1, 3: -1}
+    assert gnvw_symbolic(shift_expr(s6, 0, -1)) == Fraction(1, 6)
 
 
 def test_gnvw_symbolic_layers_zero(rng):
     e = QcaExpr(S2, (random_two_site_layer(rng),))
-    assert gnvw_symbolic(e).is_zero
+    assert gnvw_symbolic(e) == 1
 
 
 def test_gnvw_symbolic_opposite_shifts_cancel():
     s22 = SiteSpec((2, 2))
     e = QcaExpr(s22, (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1)))
-    assert gnvw_symbolic(e).is_zero
+    assert gnvw_symbolic(e) == 1
 
 
 @given(seed=st.integers(0, 10 ** 6))
@@ -314,33 +316,33 @@ def test_gnvw_symbolic_homomorphism(seed):
         return QcaExpr(s23, tuple(steps))
 
     e1, e2 = rand_expr(), rand_expr()
-    assert gnvw_symbolic(compose(e1, e2)) == gnvw_symbolic(e1) + gnvw_symbolic(e2)
-    assert gnvw_symbolic(invert(e1)) == -gnvw_symbolic(e1)
+    assert gnvw_symbolic(compose(e1, e2)) == gnvw_symbolic(e1) * gnvw_symbolic(e2)
+    assert gnvw_symbolic(invert(e1)) == 1 / gnvw_symbolic(e1)
 
 
-def test_primelog_arithmetic():
-    a = PrimeLog.of_dimension(12)  # 2^2 * 3
-    assert a.as_dict() == {2: 2, 3: 1}
-    assert (a + (-a)).is_zero
-    assert str(PrimeLog.zero()) == "0"
+def test_index_prime_exponents_and_text():
+    assert prime_exponents(Fraction(12)) == [(2, 2), (3, 1)]  # 2^2 * 3
+    assert prime_exponents(Fraction(1)) == []
+    assert index_text(Fraction(1)) == "0"
+    assert index_text(Fraction(2, 3)) == "1*log2 + -1*log3"
 
 
 # -- support algebras ------------------------------------------------------------------
 
 def test_support_algebra_zz():
-    zz = (Window(0, 1), np.kron(PAULI_Z, PAULI_Z))
-    assert support_algebra_dim(S2, [zz], Window(0, 0)) == 2
+    zz = (range(0, 2), np.kron(PAULI_Z, PAULI_Z))
+    assert support_algebra_dim(S2, [zz], range(0, 1)) == 2
 
 
 def test_support_algebra_swap_moves_full_matrix_algebra():
     swap_layer = QcaExpr(S2, (BlockLayer(2, (GateTemplate(-1, 2, SWAP4),)),))
-    images = unit_images(swap_layer, Window(-1, -1))
-    assert support_algebra_dim(S2, images, Window(0, 0)) == 4
+    images = unit_images(swap_layer, range(-1, 0))
+    assert support_algebra_dim(S2, images, range(0, 1)) == 4
 
 
 def test_support_algebra_identity():
-    iden = (Window(0, 0), np.eye(2, dtype=complex))
-    assert support_algebra_dim(S2, [iden], Window(3, 5)) == 1
+    iden = (range(0, 1), np.eye(2, dtype=complex))
+    assert support_algebra_dim(S2, [iden], range(3, 6)) == 1
 
 
 # -- numeric index ----------------------------------------------------------------------
@@ -348,16 +350,16 @@ def test_support_algebra_identity():
 def test_gnvw_numeric_shift_dimensions():
     e = shift_expr(S2, 0, 1)
     assert support_dims(e) == (4, 1)
-    assert gnvw_numeric(e).as_dict() == {2: 1}
+    assert gnvw_numeric(e) == 2
 
 
 def test_gnvw_numeric_swap_layer_zero():
     swap_layer = QcaExpr(S2, (BlockLayer(2, (GateTemplate(-1, 2, SWAP4),)),))
-    assert gnvw_numeric(swap_layer).is_zero
+    assert gnvw_numeric(swap_layer) == 1
 
 
 def test_gnvw_numeric_levin_gu_zero():
-    assert gnvw_numeric(levin_gu_action().expr(1)).is_zero
+    assert gnvw_numeric(levin_gu_action().expr(1)) == 1
 
 
 @settings(max_examples=10)
@@ -376,33 +378,33 @@ def overlaps(e):
     """(eta_lr, eta_rl) on the windows gnvw_numeric uses."""
     r = max(radius(e), 1)
     return (
-        qca._overlap(e, Window(-r, -1), Window(0, 2 * r - 1)),
-        qca._overlap(e, Window(0, r - 1), Window(-2 * r, -1)),
+        qca._overlap(e, range(-r, 0), range(0, 2 * r)),
+        qca._overlap(e, range(0, r), range(-2 * r, 0)),
     )
 
 
 @pytest.mark.parametrize(
     "expr, etas, index",
     [
-        (shift_expr(S2, 0, 1), (4, 1), {2: 1}),
-        (levin_gu_action().expr(1), (1, 1), {}),
-        (shift_expr(SiteSpec((3,)), 0, -1), (1, 9), {3: -1}),
+        (shift_expr(S2, 0, 1), (4, 1), 2),
+        (levin_gu_action().expr(1), (1, 1), 1),
+        (shift_expr(SiteSpec((3,)), 0, -1), (1, 9), Fraction(1, 3)),
     ],
     ids=["qubit_right_shift", "levin_gu", "qutrit_left_shift"],
 )
 def test_gnvw_overlaps_pinned(expr, etas, index):
     assert overlaps(expr) == pytest.approx(etas, abs=1e-12)
-    assert gnvw_numeric(expr).as_dict() == index
+    assert gnvw_numeric(expr) == index
 
 
 def test_overlap_ratio_of_opposed_shifts():
     # qubit right, qutrit left: the index 2/3 has no integer overlap ratio
     e = QcaExpr(SiteSpec((2, 3)), (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1)))
-    lr = qca._overlap(e, Window(-1, -1), Window(0, 1))
-    rl = qca._overlap(e, Window(0, 0), Window(-2, -1))
+    lr = qca._overlap(e, range(-1, 0), range(0, 2))
+    rl = qca._overlap(e, range(0, 1), range(-2, 0))
     assert (lr, rl) == pytest.approx((4, 9), abs=1e-12)
     # radius 1, so the d = 6 unit batch has 36 units, within the cap
-    assert gnvw_numeric(e).as_dict() == {2: 1, 3: -1}
+    assert gnvw_numeric(e) == Fraction(2, 3)
 
 
 @settings(max_examples=10)
@@ -435,7 +437,7 @@ def test_balance_shift_pair_becomes_two_swap_layers():
     assert spans == [1, 2]  # on-site register swap, then the staggered swap
     units = matrix_unit_batch(4)
     for j in (-2, -1, 0, 1, 2):
-        assert action_distance_on_units(e, out, Window.site(j), units) <= 1e-9
+        assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
 
 
 def test_balance_layer_only_unchanged(rng):
@@ -444,7 +446,7 @@ def test_balance_layer_only_unchanged(rng):
 
 
 def test_balance_lone_shift_rejected():
-    with pytest.raises(NonZeroIndex):
+    with pytest.raises(NonZeroIndex, match=r"^nonzero index 1\*log2: not a circuit$"):
         balance_shifts(shift_expr(S2, 0, 1))
 
 
@@ -454,7 +456,7 @@ def test_balance_unpairable_mixed_dimensions():
         s,
         (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1), ShiftPrimitive(2, -1)),
     )
-    assert gnvw_symbolic(e).is_zero
+    assert gnvw_symbolic(e) == 1
     with pytest.raises(UnpairableShifts):
         balance_shifts(e)
 
@@ -466,7 +468,7 @@ def test_balance_multi_displacement():
     assert not out.has_shifts
     units = matrix_unit_batch(4)
     for j in (-3, 0, 3):
-        assert action_distance_on_units(e, out, Window.site(j), units) <= 1e-9
+        assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
 
 
 def test_balance_commutes_past_uniform_onsite_layer():
@@ -481,7 +483,7 @@ def test_balance_commutes_past_uniform_onsite_layer():
     assert not out.has_shifts
     units = matrix_unit_batch(4)
     for j in (-2, 0, 2):
-        assert action_distance_on_units(e, out, Window.site(j), units) <= 1e-9
+        assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
 
 
 def test_balance_blocked_by_noncommuting_layer(rng):
@@ -514,17 +516,17 @@ def test_expr_serialization_roundtrip(rng):
     back = cli.parse_config(yaml.safe_dump(text)).gnvw_expr
     assert expr_to_data(back) == data
     units = matrix_unit_batch(4)
-    assert action_distance_on_units(e, back, Window(0, 0), units) <= 1e-12
+    assert action_distance(e, back, range(0, 1), units) <= 1e-12
 
 
 def test_single_gate_expr(rng):
     u = random_unitary(4, rng)
     gate = ((2, 3), u)
     e = single_gate_expr(S2, *gate)
-    probe = random_probe(rng, S2, Window(2, 3))
+    probe = random_probe(rng, S2, range(2, 4))
     expected = slot_product(S2, gate, probe, ((2, 3), u.conj().T))
     assert slot_distance(S2, image(e, probe), expected) <= 1e-9 * max(1.0, norm(probe))
-    far = random_probe(rng, S2, Window(5, 5))
+    far = random_probe(rng, S2, range(5, 6))
     assert slot_distance(S2, image(e, far), far) <= 1e-12 * max(1.0, norm(far))
 
 
@@ -570,7 +572,7 @@ def test_balance_same_register_cancellation():
     units = matrix_unit_batch(2)
     for j in (-1, 0, 1):
         assert (
-            action_distance_on_units(out, identity_expr(S2), Window.site(j), units)
+            action_distance(out, identity_expr(S2), range(j, j + 1), units)
             <= 1e-9
         )
 
@@ -590,7 +592,7 @@ def _dense_layer_apply(expr, op, margin):
     """Independent oracle: embed into one big window and conjugate by every
     layer gate inside it, gate by gate (layer-only expressions)."""
     R = expr.sites.nregisters
-    big = Window(min(op[0]) // R - margin, max(op[0]) // R + margin)
+    big = range(min(op[0]) // R - margin, max(op[0]) // R + margin + 1)
     full = qca._slots_of_window(expr.sites, big)
     dims = [expr.sites.registers[s % R] for s in full]
     # an owned contiguous copy: it is updated in place through reshaped views
@@ -599,20 +601,20 @@ def _dense_layer_apply(expr, op, margin):
     for step in expr.steps:
         assert isinstance(step, BlockLayer)
         for tmpl in step.templates:
-            k = (big.lo - tmpl.anchor) // step.period - 1
+            k = (big.start - tmpl.anchor) // step.period - 1
             while True:
                 base = tmpl.anchor + k * step.period
                 lo, hi = tmpl.window_at(base)
                 k += 1
-                if hi > big.hi:
+                if hi >= big.stop:
                     break
-                if lo < big.lo:
+                if lo < big.start:
                     continue
                 if step.min_site is not None and lo < step.min_site:
                     continue
                 if step.max_site is not None and hi > step.max_site:
                     continue
-                pos = [s - big.lo * R for s in tmpl.slots_at(base, R)]
+                pos = [s - big.start * R for s in tmpl.slots_at(base, R)]
                 _conj_on_factors(mat, buf, dims, pos, tmpl.unitary)
     return full, mat
 
@@ -630,7 +632,7 @@ def test_engine_matches_dense_conjugation(seed):
             u = random_unitary(2, rng)
             steps.append(BlockLayer(1, (GateTemplate(0, 1, u),)))
     e = QcaExpr(S2, tuple(steps))
-    a = random_probe(rng, S2, Window(0, int(rng.integers(0, 2))))
+    a = random_probe(rng, S2, range(0, int(rng.integers(0, 2)) + 1))
     fast = image(e, a)
     slow = _dense_layer_apply(e, a, radius(e) + 2)
     with pytest.MonkeyPatch.context() as mp:
@@ -646,7 +648,7 @@ def test_engine_matches_dense_with_truncated_layers(seed):
     from dataclasses import replace
 
     e = QcaExpr(S2, (replace(layer, min_site=0),))
-    a = random_probe(rng, S2, Window(-1, 1))
+    a = random_probe(rng, S2, range(-1, 2))
     fast = image(e, a)
     slow = _dense_layer_apply(e, a, radius(e) + 2)
     with pytest.MonkeyPatch.context() as mp:
@@ -738,7 +740,7 @@ def test_non_swap_gates_take_the_matrix_path(monkeypatch, registers, gate):
     e = single_gate_expr(sites, (0, 1), gate)
     assert e.steps[0].templates[0].factor_swap(sites) is None
     calls = _count_conj(monkeypatch)
-    a = random_probe(rng, sites, Window(0, 0))
+    a = random_probe(rng, sites, range(0, 1))
     image(e, a)
     assert calls == [(0, 1)]
 
