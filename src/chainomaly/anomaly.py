@@ -91,6 +91,7 @@ from .qca import (
 from .qca import (
     _image_distance,
     _on_union,
+    _probe_sites,
     _run_batch,
     _site_span,
     _slot_dims,
@@ -140,6 +141,8 @@ class ProjectiveRep:
         if len(mats) != self.group.order:
             raise ValidationError("one matrix per group element required")
         m0 = mats[0].shape[0]
+        if m0 < 2:
+            raise ValidationError(f"representation dimension must be >= 2, got {m0}")
         for m in mats:
             if m.shape != (m0, m0):
                 raise ValidationError("representation matrices differ in shape")
@@ -265,19 +268,21 @@ class MixedAnomalyReport:
 
 # -- action verification and restriction ---------------------------------------
 
-def verify_action(spec: ActionSpec) -> dict:
+def verify_action(spec: ActionSpec) -> float:
     """Check map(identity) = id and map(g) map(h) = map(gh) on the column
-    units of every site in a probe window of width 2*radius + 2; they generate
-    the site's algebra. At each probe site every element's image of the units
-    is computed once; map(g) map(h) is map(g) run on the image under h,
-    compared with the image under gh."""
+    units of every probe site, which generate the site's algebra; return the
+    largest residual. The probe sites, -(r + 1) .. r for the largest radius r
+    (at least 1), widen to one period P of the layers and, with a truncated
+    layer, to every site within 2r + P of a bound (qca._probe_sites), so they
+    decide the whole chain. Each element's image of a site's units is
+    computed once; map(g) map(h) is map(g) run on the image under h."""
     G = spec.group
     sites = spec.sites
     r = max(max((radius(e) for e in spec.exprs), default=0), 1)
     units = column_units(sites.dim)
     res = 0.0
     dist = dict.fromkeys(itertools.product(G.elements(), repeat=2), 0.0)
-    for j in range(-(r + 1), r + 1):
+    for j in _probe_sites(spec.exprs, range(-(r + 1), r + 1), 2 * r):
         slots = _slots_of_window(sites, range(j, j + 1))
         image = [_run_batch(e, slots, units) for e in spec.exprs]
         res = max(res, _image_distance(sites, image[0], (slots, units)))
@@ -292,8 +297,7 @@ def verify_action(spec: ActionSpec) -> dict:
                 f"pair ({G.name(g)}, {G.name(h)}) violates the homomorphism "
                 f"property (residual {d:.3g})"
             )
-    worst = max(res, *dist.values())
-    return {"max_residual": worst, "pairs_checked": G.order ** 2, "probe_radius": r + 1}
+    return max(res, *dist.values())
 
 
 def restrict_right(expr: QcaExpr) -> QcaExpr:
@@ -505,11 +509,11 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
     action of a finite group has shift index 1 on every element, so its
     report is never stacked and lists an empty set of prime exponents for
     every element."""
-    ver = verify_action(spec)
+    residual = verify_action(spec)
     om, omega_diagnostics, vtable = omega_cocycle(spec)
     verdict = "NonAnomalous" if om.coords.is_trivial else "Anomalous"
     diagnostics = {
-        "homomorphism_residual": ver["max_residual"],
+        "homomorphism_residual": residual,
         "max_v_residual": max(vtable.residuals.values(), default=0.0),
         "max_scalar_residual": max(
             (d["scalar_residual"] for d in omega_diagnostics.values()), default=0.0
@@ -666,23 +670,6 @@ def pauli_projective_rep() -> ProjectiveRep:
     for a in range(2):
         for b in range(2):
             mats.append(np.linalg.matrix_power(PAULI_X, a) @ np.linalg.matrix_power(PAULI_Z, b))
-    return ProjectiveRep(G, tuple(mats))
-
-
-def clock_shift_rep(p: int) -> ProjectiveRep:
-    """Weyl pair representation of Z/p x Z/p: clock^a shift^b."""
-    G = FiniteGroup.direct_product(FiniteGroup.cyclic(p), FiniteGroup.cyclic(p))
-    w = np.exp(2j * np.pi / p)
-    clock = np.diag([w ** k for k in range(p)])
-    shift = np.zeros((p, p), dtype=complex)
-    for k in range(p):
-        shift[(k + 1) % p, k] = 1.0
-    mats = []
-    for a in range(p):
-        for b in range(p):
-            mats.append(
-                np.linalg.matrix_power(clock, a) @ np.linalg.matrix_power(shift, b)
-            )
     return ProjectiveRep(G, tuple(mats))
 
 

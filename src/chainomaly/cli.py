@@ -320,6 +320,12 @@ class RunResult:
     csv_text: str | None = None
 
 
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) when it is not finite: a NaN or an infinity
+    has no JSON token."""
+    return x if math.isfinite(x) else None
+
+
 def run(cfg: RunConfig) -> RunResult:
     if cfg.mode == "cohomology":
         H = cohomology(cfg.group, cfg.degree)
@@ -351,10 +357,10 @@ def run(cfg: RunConfig) -> RunResult:
                     "N": r.n_sites,
                     "J": r.j_coupling,
                     "a": r.a_coupling,
-                    "energies": [float(e) for e in r.energies],
-                    "gap": r.gap,
-                    "gap2": r.gap2,
-                    "charge": [r.charge.real, r.charge.imag],
+                    "energies": [_finite(e) for e in r.energies],
+                    "gap": _finite(r.gap),
+                    "gap2": _finite(r.gap2),
+                    "charge": [_finite(r.charge.real), _finite(r.charge.imag)],
                     **({"error": r.error} if r.error else {}),
                 }
                 for r in rows
@@ -405,7 +411,7 @@ def _output_paths(cfg: RunConfig, out_dir: str | None) -> dict[str, Path]:
 def emit_report(result: RunResult, cfg: RunConfig, out_dir: str | None) -> list[str]:
     """Write requested files; returns the paths written."""
     texts = {
-        "json": json.dumps(result.report, sort_keys=True, indent=2) + "\n",
+        "json": json.dumps(result.report, sort_keys=True, indent=2, allow_nan=False) + "\n",
         "csv": result.csv_text,
         "summary": result.summary + "\n",
     }
@@ -415,68 +421,6 @@ def emit_report(result: RunResult, cfg: RunConfig, out_dir: str | None) -> list[
             path.write_text(texts[key], encoding="utf-8")
             written.append(str(path))
     return written
-
-
-# -- built-in selftest ------------------------------------------------------------
-
-def selftest() -> tuple[bool, list[str]]:
-    """Small battery of the main invariants; independent of pytest."""
-    from fractions import Fraction
-
-    checks: list[tuple[str, bool]] = []
-
-    def check(name: str, fn):
-        try:
-            ok = bool(fn())
-        except Exception as exc:  # report, do not crash
-            checks.append((f"{name} ({type(exc).__name__}: {exc})", False))
-            return
-        checks.append((name, ok))
-
-    def lg_anomalous():
-        rep = anm.anomaly_class(anm.levin_gu_action())
-        return (
-            rep.verdict == "Anomalous"
-            and rep.omega.at(1, 1, 1) == Fraction(1, 2)
-            and rep.cohomology.invariant_factors == (2,)
-        )
-
-    def onsite_trivial():
-        rep = anm.anomaly_class(anm.onsite_flip_action())
-        return rep.verdict == "NonAnomalous" and rep.omega.is_zero()
-
-    def cohomology_kernel():
-        G2 = FiniteGroup.cyclic(2)
-        return (
-            cohomology(G2, 3).invariant_factors == (2,)
-            and cohomology(G2, 2).is_trivial
-        )
-
-    def gnvw_agree():
-        sites = SiteSpec((2,))
-        shift = qca.QcaExpr(sites, (qca.ShiftPrimitive(0, 1),))
-        return qca.gnvw_numeric(shift) == 2
-
-    def spectra_control():
-        spec = spectra.HamiltonianSpec(6, terms=("h0",))
-        vals, _ = spectra.lowest_eigs(spectra.build_hamiltonian(spec), k=2)
-        return abs(vals[0] + 6) < 1e-9 and abs(vals[1] + 4) < 1e-9
-
-    def snap_roundtrip():
-        from .grpcoh import snap_fraction
-
-        frac, err = snap_fraction(1 / 3 + 2e-9, 12)
-        return frac == Fraction(1, 3) and err < 1e-8
-
-    check("levin-gu pipeline anomalous with phase 1/2", lg_anomalous)
-    check("on-site control non-anomalous", onsite_trivial)
-    check("cohomology kernel H^3(Z/2) = Z/2, H^2(Z/2) trivial", cohomology_kernel)
-    check("shift index numeric agrees with symbolic", gnvw_agree)
-    check("paramagnet spectrum exact", spectra_control)
-    check("phase snapping", snap_roundtrip)
-
-    lines = [f"{'PASS' if ok else 'FAIL'}: {name}" for name, ok in checks]
-    return all(ok for _, ok in checks), lines
 
 
 # -- entry point -------------------------------------------------------------------
@@ -490,17 +434,12 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run a config file")
     runp.add_argument("config", help="path to a YAML config")
     runp.add_argument("--out", default=None, help="output directory")
-    sub.add_parser("selftest", help="run the built-in invariant battery")
     args = parser.parse_args(argv)
 
     if args.command is None:
         parser.print_help()
         return 1
     try:
-        if args.command == "selftest":
-            ok, lines = selftest()
-            print("\n".join(lines))
-            return 0 if ok else 3
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

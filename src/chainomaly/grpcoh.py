@@ -72,8 +72,6 @@ class FiniteGroup:
             if len(nm) != n:
                 raise ValidationError("names length does not match order")
             object.__setattr__(self, "names", nm)
-        inv = tuple(next(b for b in range(n) if t[a][b] == 0) for a in range(n))
-        object.__setattr__(self, "_inv", inv)
 
     @property
     def order(self) -> int:
@@ -81,9 +79,6 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
 
     def elements(self) -> range:
         return range(self.order)
@@ -179,9 +174,6 @@ class PhaseCochain:
 
     def at(self, *t: int) -> Fraction:
         return self.values[_tuple_index(t, self.group.order)]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
     def __add__(self, other: "PhaseCochain") -> "PhaseCochain":
         if (self.group, self.degree) != (other.group, other.degree):

@@ -27,9 +27,7 @@ TOL_PHASE = 1e-6
 # Matrices larger than this are refused (12 sites at d=2).
 DEFAULT_DIM_CAP = 4096
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 

@@ -625,13 +625,30 @@ def _image_distance(sites: SiteSpec, a, b) -> float:
     return float(np.max(per_unit))
 
 
+def _probe_sites(exprs, window: range, reach: int) -> range:
+    """`window`, widened so that comparing automorphisms built from `exprs`
+    on its sites decides the whole chain, when a site's image depends only
+    on the gates within `reach` of it. Every step repeats under translation
+    by P, the lcm of the layer periods, and only sites within `reach` of a
+    `min_site`/`max_site` bound see the truncation. So it takes P sites, and
+    with bounds every site from the lowest - reach - P to the highest + reach + P."""
+    layers = [s for e in exprs for s in e.steps if isinstance(s, BlockLayer)]
+    period = math.lcm(*(layer.period for layer in layers))
+    bounds = [b for layer in layers for b in (layer.min_site, layer.max_site) if b is not None]
+    lo, hi = window.start, max(window.stop, window.start + period)
+    if bounds:
+        lo = min(lo, min(bounds) - reach - period)
+        hi = max(hi, max(bounds) + reach + period + 1)
+    return range(lo, hi)
+
+
 def _verify_same_action(e1: QcaExpr, e2: QcaExpr):
     """Raise InvariantViolation unless e1 and e2 agree, within TOL_AUTO, on
-    the column units of every site of a window past both light cones."""
+    the column units of every probe site around a window past both light cones."""
     sites = e1.sites
     rr = max(radius(e1), radius(e2), 1) + 1
     units = column_units(sites.dim)
-    for j in range(-rr, rr + 1):
+    for j in _probe_sites((e1, e2), range(-rr, rr + 1), rr):
         slots = _slots_of_window(sites, range(j, j + 1))
         a, b = (_run_batch(e, slots, units) for e in (e1, e2))
         if _image_distance(sites, a, b) > TOL_AUTO:

@@ -1,4 +1,4 @@
-"""Cochains from Python functions, the exact coboundary, the cocycle test,
+"""Cochains from Python functions, the exact coboundary, the zero and cocycle tests,
 cochain and class-coordinate arithmetic, and group relabelling, for building
 test inputs and checking results in `chainomaly.grpcoh`'s terms. Used only
 by the tests."""
@@ -33,8 +33,12 @@ def cochain_from_function(group: FiniteGroup, degree: int, fn) -> PhaseCochain:
     return PhaseCochain(group, degree, tuple(fn(*t) for t in tuples))
 
 
+def is_zero(f: PhaseCochain) -> bool:
+    return all(v == 0 for v in f.values)
+
+
 def is_cocycle(f: PhaseCochain) -> bool:
-    return coboundary(f).is_zero()
+    return is_zero(coboundary(f))
 
 
 def cochain_neg(f: PhaseCochain) -> PhaseCochain:

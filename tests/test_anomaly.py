@@ -54,7 +54,9 @@ from helpers_cochain import (
     cochain_sub,
     coords_add,
     is_cocycle,
+    is_zero,
 )
+from helpers_reps import clock_shift_rep
 from helpers_serialize import expr_to_data
 
 S2 = SiteSpec((2,))
@@ -120,12 +122,11 @@ def s3_permutation_action() -> anm.ActionSpec:
 
 
 def test_verify_levin_gu():
-    diag = anm.verify_action(anm.levin_gu_action())
-    assert diag["max_residual"] <= 1e-9
+    assert anm.verify_action(anm.levin_gu_action()) <= 1e-9
 
 
 def test_verify_onsite():
-    assert anm.verify_action(anm.onsite_flip_action())["max_residual"] <= 1e-9
+    assert anm.verify_action(anm.onsite_flip_action()) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -141,7 +142,7 @@ def test_verify_onsite():
 def test_verify_matches_pairwise_reference(make):
     # images reused per element give exactly the pairwise compose residual
     spec = make()
-    assert anm.verify_action(spec)["max_residual"] == naive_homomorphism_residual(spec)
+    assert anm.verify_action(spec) == naive_homomorphism_residual(spec)
 
 
 def test_verify_rejects_broken_identity():
@@ -170,6 +171,37 @@ def test_verify_rejects_a_diagonal_gate_that_squares_to_z():
     act = anm.ActionSpec(FiniteGroup.cyclic(2), S2, (identity_expr(S2), gate))
     with pytest.raises(NotAHomomorphism, match=r"pair \(1, 1\) violates"):
         anm.verify_action(act)
+
+
+def _z2_action(*layers: BlockLayer) -> anm.ActionSpec:
+    """Z/2 whose generator is the given layers, in order, on qubits."""
+    gen = QcaExpr(S2, layers)
+    return anm.ActionSpec(FiniteGroup.cyclic(2), S2, (identity_expr(S2), gen))
+
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # X at sites 0 mod 10 and diag(1, i) at 5 mod 10: squared, it is
+        # conjugation by Z on the sites 5 mod 10 only
+        lambda: _z2_action(
+            BlockLayer(10, (GateTemplate(0, 1, PAULI_X), GateTemplate(5, 1, np.diag([1, 1j]))))
+        ),
+        # X everywhere, then a Hadamard on the sites >= 3 only
+        lambda: _z2_action(
+            BlockLayer(1, (GateTemplate(0, 1, PAULI_X),)),
+            BlockLayer(1, (GateTemplate(0, 1, HADAMARD),), min_site=3),
+        ),
+    ],
+    ids=["period-10", "min-site-3"],
+)
+def test_verify_probes_a_full_period_and_every_bound(make):
+    # neither defect lies on the sites -2 .. 1 of the radius-1 window
+    with pytest.raises(NotAHomomorphism, match=r"pair \(1, 1\) violates"):
+        anm.verify_action(make())
 
 
 # -- shift content and restriction -----------------------------------------------------
@@ -367,7 +399,7 @@ def probe_case(name: str, seed: int = 0):
         "levin-gu": lambda: _action_probe_case(anm.levin_gu_action()),
         "k4-conj-twosite": lambda: _action_probe_case(k4_conjugated_twosite(seed)),
         "lsm-pauli": lambda: _lsm_probe_case(anm.pauli_projective_rep()),
-        "lsm-clock-shift3": lambda: _lsm_probe_case(anm.clock_shift_rep(3)),
+        "lsm-clock-shift3": lambda: _lsm_probe_case(clock_shift_rep(3)),
     }[name]()
 
 
@@ -436,7 +468,7 @@ def test_omega_levin_gu_values():
 
 def test_omega_onsite_trivial():
     om, _, _ = anm.omega_cocycle(anm.onsite_flip_action())
-    assert om.cochain.is_zero()
+    assert is_zero(om.cochain)
 
 
 def test_omega_rephasing_shifts_by_coboundary(rng):
@@ -504,7 +536,7 @@ def test_non_scalar_associator_names_the_tuple():
 def test_omega_pentagon_exact():
     om, _, _ = anm.omega_cocycle(anm.levin_gu_action())
     assert is_cocycle(om.cochain)
-    assert coboundary(om.cochain).is_zero()
+    assert is_zero(coboundary(om.cochain))
 
 
 # -- full pipeline --------------------------------------------------------------------------
@@ -579,7 +611,7 @@ def test_pauli_multiplier_values():
 
 def test_linear_rep_trivial_multiplier():
     rho = anm.projective_cocycle(anm.linear_flip_rep()).cochain
-    assert rho.is_zero()
+    assert is_zero(rho)
 
 
 def test_pauli_multiplier_class_nonzero():
@@ -683,14 +715,14 @@ def test_lsm_balances_each_translation_once(monkeypatch):
         return qca.balance_shifts(expr, *args, **kw)
 
     monkeypatch.setattr(anm, "balance_shifts", counting)
-    out = anm.lsm_pipeline(anm.clock_shift_rep(3))
+    out = anm.lsm_pipeline(clock_shift_rep(3))
     assert out.classes_equal
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
     "make_rep",
-    [anm.pauli_projective_rep, lambda: anm.clock_shift_rep(3)],
+    [anm.pauli_projective_rep, lambda: clock_shift_rep(3)],
     ids=["pauli", "clock_shift3"],
 )
 def test_lsm_report_same_with_swaps_conjugated_as_matrices(monkeypatch, make_rep):
@@ -719,7 +751,7 @@ def test_lsm_report_same_with_swaps_conjugated_as_matrices(monkeypatch, make_rep
 
 @pytest.mark.slow
 def test_lsm_clock_shift_order_three():
-    out = anm.lsm_pipeline(anm.clock_shift_rep(3))
+    out = anm.lsm_pipeline(clock_shift_rep(3))
     assert out.classes_equal
     assert out.cohomology.invariant_factors == (3,)
     assert not out.slant_class.is_trivial
@@ -756,7 +788,7 @@ def test_onsite_projective_action_not_anomalous():
     # without translation even a projective on-site action has trivial index:
     # the multiplier phases cancel inside the conjugations
     rep = anm.anomaly_class(_onsite_action(anm.pauli_projective_rep()))
-    assert rep.omega.is_zero()
+    assert is_zero(rep.omega)
     assert rep.verdict == "NonAnomalous"
     assert rep.cohomology.invariant_factors == (2, 2, 2)
 
@@ -800,7 +832,7 @@ def test_inner_action_not_anomalous(rng):
     )
     rep = anm.anomaly_class(act)
     assert rep.verdict == "NonAnomalous"
-    assert rep.omega.is_zero()
+    assert is_zero(rep.omega)
 
 
 # -- gauge-invariant classification ----------------------------------------------------------
@@ -892,7 +924,7 @@ def test_real_phases_on_v_leave_the_class(seed):
     assert om.coords.residues == (0, 1, 0)
 
 
-@pytest.mark.parametrize("make_rep", [anm.pauli_projective_rep, lambda: anm.clock_shift_rep(3)])
+@pytest.mark.parametrize("make_rep", [anm.pauli_projective_rep, lambda: clock_shift_rep(3)])
 @given(seed=st.integers(0, 10 ** 6))
 def test_real_phases_on_rep_matrices_leave_the_class(make_rep, seed):
     # the multiplier moves by a real coboundary; the oracle is the class of

@@ -4,10 +4,12 @@ the tests alone. Test-only code belongs in the `tests/helpers_*.py` modules.
 
 The reference scan works on names: a function counts as used when its name
 appears as a variable, an attribute or an imported name in the program's
-own code (`src/`, `scripts/` and `clibench/`, test directories excluded)
-outside the lines of its own definition. A re-export from
-`chainomaly/__init__.py` does not count: that list declares the package's
-API, and a name in it still needs a caller in the program."""
+own code (`src/` and `clibench/`, test directories excluded) outside the
+lines of its own definition. An attribute of a name imported from outside
+`chainomaly` does not count, so `np.linalg.inv` is no use of a method
+`inv`. Nor does a re-export from `chainomaly/__init__.py`: that list
+declares the package's API, and a name in it still needs a caller in the
+program."""
 
 import ast
 import importlib
@@ -16,7 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chainomaly"
-PROGRAM = (ROOT / "src", ROOT / "scripts", ROOT / "clibench")
+PROGRAM = (ROOT / "src", ROOT / "clibench")
 
 
 def _reexports() -> list[str]:
@@ -37,6 +39,27 @@ def _public_defs():
                         yield path, f"{node.name}.{item.name}", item
 
 
+def _foreign_imports(tree: ast.Module) -> set[str]:
+    """The names a module binds by importing from outside `chainomaly`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            foreign = [a for a in node.names if a.name.split(".")[0] != "chainomaly"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            foreign = [] if (node.module or "").split(".")[0] == "chainomaly" else node.names
+        else:
+            continue
+        names.update(a.asname or a.name.split(".")[0] for a in foreign)
+    return names
+
+
+def _root(node: ast.Attribute) -> str | None:
+    """The name an attribute chain such as `np.linalg.inv` starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _references() -> dict[str, list[tuple[Path, int]]]:
     """name -> (file, line) of every use of the name in the program."""
     refs: dict[str, list[tuple[Path, int]]] = {}
@@ -44,10 +67,14 @@ def _references() -> dict[str, list[tuple[Path, int]]]:
         for path in sorted(top.rglob("*.py")):
             if "tests" in path.relative_to(top).parts or path == PACKAGE / "__init__.py":
                 continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            foreign = _foreign_imports(tree)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     name = node.id
                 elif isinstance(node, ast.Attribute):
+                    if _root(node) in foreign:
+                        continue
                     name = node.attr
                 elif isinstance(node, ast.alias):
                     name = node.name.rpartition(".")[2]

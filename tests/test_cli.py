@@ -182,6 +182,34 @@ def test_emit_report_and_determinism(tmp_path):
     assert json.loads(blob1)["verdict"] == "Anomalous"
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_spectra_report_is_strict_json(tmp_path):
+    # k = 2 leaves gap2 unmeasured, and N = 24 is refused by the size cap:
+    # both are null in the JSON and nan in the summary and the CSV
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(
+        "mode: spectra\nspectra: {k: 2, grid: [{N: 6}, {N: 24}]}\n"
+        "output: {json: r.json, csv: r.csv, summary: s.txt}\n"
+    )
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "r.json").read_text(), parse_constant=_no_constant)["rows"]
+    assert rows[0]["gap"] > 0 and rows[0]["gap2"] is None
+    assert rows[1]["error"].startswith("SizeCap")
+    assert (rows[1]["gap"], rows[1]["gap2"], rows[1]["charge"]) == (None, None, [None, 0.0])
+    assert "gap2=nan" in (tmp_path / "s.txt").read_text()
+    assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[7] == "nan"
+
+
+def test_emit_report_refuses_a_stray_nan(tmp_path):
+    cfg = cli.parse_config("mode: cohomology\ngroup: {kind: cyclic, n: 2}\noutput: {json: r.json}\n")
+    result = cli.RunResult(report={"x": float("nan")}, summary="")
+    with pytest.raises(ValueError):
+        cli.emit_report(result, cfg, str(tmp_path))
+
+
 def test_emit_report_missing_directory(tmp_path):
     cfg = cli.parse_config(LEVIN_GU)
     cfg.out_json = "nosuchdir/r.json"
@@ -208,6 +236,61 @@ def test_main_exit_codes(tmp_path, capsys):
     cfg_path.write_text(broken)
     assert cli.main(["run", str(cfg_path)]) == 2
     capsys.readouterr()
+
+
+def z2_qubit_action(*steps: str) -> str:
+    """An anomaly config: Z/2 on qubits whose generator is the given steps."""
+    return (
+        "mode: anomaly\ngroup: {kind: cyclic, n: 2}\naction:\n  site: {registers: [2]}\n"
+        "  map:\n    - {element: 0, steps: []}\n"
+        f"    - {{element: 1, steps: [{', '.join(steps)}]}}\n"
+        "output: {json: r.json}\n"
+    )
+
+
+def one_site_gate(anchor: int, pairs: str) -> str:
+    return f"{{anchor: {anchor}, span: 1, unitary: {pairs}}}"
+
+
+X_PAIRS = "[[0, 0], [1, 0], [1, 0], [0, 0]]"
+Z_PAIRS = "[[1, 0], [0, 0], [0, 0], [-1, 0]]"
+S_PAIRS = "[[1, 0], [0, 0], [0, 0], [0, 1]]"
+R2 = 0.7071067811865476  # 1/sqrt(2)
+H_PAIRS = f"[[{R2}, 0], [{R2}, 0], [{R2}, 0], [{-R2}, 0]]"
+X_LAYER = f"{{kind: layer, period: 1, templates: [{one_site_gate(0, X_PAIRS)}]}}"
+H_LAYER_FROM_3 = f"{{kind: layer, period: 1, min_site: 3, templates: [{one_site_gate(0, H_PAIRS)}]}}"
+
+
+def period_ten_layer(pairs_at_5: str) -> str:
+    gates = f"{one_site_gate(0, X_PAIRS)}, {one_site_gate(5, pairs_at_5)}"
+    return f"{{kind: layer, period: 10, templates: [{gates}]}}"
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        # squared: conjugation by Z on the sites 5 mod 10 only
+        [period_ten_layer(S_PAIRS)],
+        # squared: (H X)^2 on the sites >= 3 only
+        [X_LAYER, H_LAYER_FROM_3],
+    ],
+    ids=["period-10", "min-site-3"],
+)
+def test_non_homomorphism_off_the_radius_window_exits_2(tmp_path, capsys, steps):
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(z2_qubit_action(*steps))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "error: pair (1, 1) violates the homomorphism property" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_period_ten_homomorphism_classifies(tmp_path, capsys):
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(z2_qubit_action(period_ten_layer(Z_PAIRS)))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert "verdict: NonAnomalous" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["class"] == [0] and report["diagnostics"]["homomorphism_residual"] == 0.0
 
 
 @pytest.mark.parametrize("fault", ["block", "gamma"])
@@ -283,9 +366,9 @@ def one_layer(head="period: 1", gate=GATE):
          "action: {site: {registers: [2]}, map: [5]}\n", "action.map[0]"),
         ("mode: spectra\nspectra: {grid: [5]}\n", "spectra.grid[0]"),
         ("mode: spectra\nspectra: {grid: [{N: 6, terms: h0}]}\n", "spectra.grid[0].terms"),
-        ("mode: selftest\ncaps: 5\n", "caps"),
-        ("mode: selftest\noutput: 5\n", "output"),
-        ("mode: selftest\noutput: {json: 5}\n", "output.json"),
+        ("mode: cohomology\ncaps: 5\n", "caps"),
+        ("mode: cohomology\noutput: 5\n", "output"),
+        ("mode: cohomology\noutput: {json: 5}\n", "output.json"),
         (GNVW_SITE + "[{kind: layer, period: 1, min_site: a, templates: []}]\n",
          "action.steps[0].min_site"),
         # integers are YAML integers: never a float, a bool or a string
@@ -317,6 +400,8 @@ def one_layer(head="period: 1", gate=GATE):
         ("mode: cohomology\ngroup: {kind: cyclic, n: 2}\ndegree: 0\n", "degree"),
         (LSM_REP + "{group: {kind: cyclic, n: 2}, matrices: [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], "
          "[1.0, 0.0]], [[1.0, 0.0]]]}\n", "action.rep"),
+        # a one-dimensional representation has no register to act on
+        (LSM_REP + "{group: {kind: cyclic, n: 1}, matrices: [[[1, 0]]]}\n", "action.rep"),
         # spectrum_row reads the second level, and lowest_eigs gives at most 8
         ("mode: spectra\nspectra: {k: 1, grid: [{N: 4, terms: [h0]}]}\n", "spectra.k"),
         ("mode: spectra\nspectra: {k: 9, grid: [{N: 4, terms: [h0]}]}\n", "spectra.k"),
@@ -332,10 +417,10 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):
 @pytest.mark.parametrize(
     "text, path",
     [
-        ("mode: selftest\nbogus: 1\n", "bogus"),
+        ("mode: cohomology\nbogus: 1\n", "bogus"),
         (LEVIN_GU + "caps: {den_cap: 48, window_cap: 4096, max_hint: 8}\n", "caps"),
         (LEVIN_GU + "caps: {threads: 4}\n", "caps"),
-        ("mode: selftest\noutput: {jsn: r.json}\n", "output.jsn"),
+        ("mode: cohomology\noutput: {jsn: r.json}\n", "output.jsn"),
         ("mode: spectra\nspectra: {k: 2, gird: []}\n", "spectra.gird"),
         ("mode: spectra\nspectra: {grid: [{N: 6, j: 1.0}]}\n", "spectra.grid[0].j"),
         ("mode: anomaly\naction: {preset: lsm, reps: pauli}\n", "action.reps"),
@@ -378,12 +463,6 @@ def test_missing_out_directory_fails_before_the_pipeline(tmp_path, capsys, monke
     missing = tmp_path / "nosuchdir"
     assert cli.main(["run", str(cfg_path), "--out", str(missing)]) == IoError.exit_code
     assert f"error: output directory does not exist: {missing}" in capsys.readouterr().err
-
-
-def test_selftest_passes():
-    ok, lines = cli.selftest()
-    assert ok
-    assert all(line.startswith("PASS") for line in lines)
 
 
 def test_expr_config_roundtrip():

@@ -9,17 +9,13 @@ from chainomaly import _tensors as tz
 from chainomaly import qca
 from chainomaly.cli import _matrix
 from chainomaly.errors import ValidationError, WindowCapExceeded
-from chainomaly.opwin import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SiteSpec,
-)
+from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec
 
 from conftest import on_union, random_unitary, slot_distance, slot_product
 from helpers_serialize import matrix_to_pairs
 
 S2 = SiteSpec((2,))
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def rand_mat(rng, n, d=2):

@@ -11,6 +11,7 @@ from chainomaly import _tensors as tz
 from chainomaly import cli, qca
 from chainomaly.anomaly import levin_gu_action
 from chainomaly.errors import (
+    InvariantViolation,
     NonZeroIndex,
     UnpairableShifts,
     ValidationError,
@@ -575,6 +576,27 @@ def test_balance_same_register_cancellation():
             action_distance(out, identity_expr(S2), range(j, j + 1), units)
             <= 1e-9
         )
+
+
+def test_probe_sites_widen_to_a_period_and_past_every_bound():
+    x = GateTemplate(0, 1, PAULI_X)
+    flip = QcaExpr(S2, (BlockLayer(1, (x,)), BlockLayer(2, (x,))))
+    assert qca._probe_sites([flip], range(-2, 2), 2) == range(-2, 2)
+    ten = QcaExpr(S2, (BlockLayer(10, (x,)),))
+    assert qca._probe_sites([flip, ten], range(-2, 2), 2) == range(-2, 8)
+    bounded = QcaExpr(S2, (BlockLayer(2, (x,), min_site=-5, max_site=4),))
+    assert qca._probe_sites([bounded], range(-2, 2), 3) == range(-10, 10)
+
+
+def test_same_action_check_sees_a_long_period():
+    # the two layers differ on the sites 5 mod 10 only, outside -2 .. 2
+    def layer(at_5):
+        gates = (GateTemplate(0, 1, PAULI_X), GateTemplate(5, 1, at_5))
+        return QcaExpr(S2, (BlockLayer(10, gates),))
+
+    qca._verify_same_action(layer(PAULI_Z), layer(PAULI_Z))
+    with pytest.raises(InvariantViolation, match="at site 5"):
+        qca._verify_same_action(layer(PAULI_Z), layer(np.eye(2)))
 
 
 def _conj_on_factors(mat, buf, dims, pos, u):
