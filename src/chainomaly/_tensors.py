@@ -12,11 +12,6 @@ import math
 import numpy as np
 
 
-def embed_factors(mat: np.ndarray, dims_all, positions) -> np.ndarray:
-    """embed_factors_batch for a single matrix."""
-    return embed_factors_batch(mat[None], dims_all, positions)[0]
-
-
 def embed_factors_batch(mats: np.ndarray, dims_all, positions) -> np.ndarray:
     """Embed each matrix of `mats` (shape (B, d, d), acting on the factors
     listed in `positions`, in that order) into the full factor list
@@ -102,20 +97,3 @@ def is_unitary(mat: np.ndarray, tol: float) -> bool:
     d = mat.shape[0]
     return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(d))) <= tol)
 
-
-def operator_schmidt_rank_one(mat: np.ndarray, dims, part, tol=1e-9) -> bool:
-    """True if `mat` factorizes as (operator on `part`) x (operator on the
-    rest) across the given factor bipartition."""
-    n = len(dims)
-    part = list(part)
-    rest = [i for i in range(n) if i not in part]
-    if not part or not rest:
-        return True
-    order = part + rest
-    t = mat.reshape(list(dims) + list(dims))
-    t = t.transpose([o for o in order] + [n + o for o in order])
-    dp = math.prod([dims[i] for i in part])
-    dr = math.prod([dims[i] for i in rest])
-    t = t.reshape(dp, dr, dp, dr).transpose(0, 2, 1, 3).reshape(dp * dp, dr * dr)
-    s = np.linalg.svd(t, compute_uv=False)
-    return bool(s.size <= 1 or s[1] <= tol * s[0])

@@ -27,6 +27,9 @@ TOL_PHASE = 1e-6
 # Matrices larger than this are refused (12 sites at d=2).
 DEFAULT_DIM_CAP = 4096
 
+# A whole-chain check that needs more probe sites than this is refused.
+PROBE_SITE_CAP = 256
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 

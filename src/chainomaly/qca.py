@@ -46,6 +46,7 @@ from .errors import (
 )
 from .opwin import (
     DEFAULT_DIM_CAP,
+    PROBE_SITE_CAP,
     TOL_ALGEBRA,
     TOL_AUTO,
     SiteSpec,
@@ -358,17 +359,8 @@ def _trim_batch(sites, slots, mats, candidates):
 
 
 def _conj_gate_batch(sites, slots, mats, gslots, gmat):
-    new_slots = tuple(sorted(set(slots) | set(gslots)))
-    dims = _slot_dims(sites, new_slots)
-    D = math.prod(dims)
-    if D > DEFAULT_DIM_CAP:
-        raise WindowCapExceeded(f"transient dimension {D} exceeds cap {DEFAULT_DIM_CAP}")
-    if new_slots != tuple(slots):
-        pos = [new_slots.index(s) for s in slots]
-        mats = tz.embed_factors_batch(mats, dims, pos)
-    gpos = [new_slots.index(s) for s in gslots]
-    G = tz.embed_factors(np.asarray(gmat, dtype=complex), dims, gpos)
-    mats = G @ mats @ G.conj().T
+    new_slots, (mats, G) = _on_union(sites, [(slots, mats), (gslots, gmat[None])])
+    mats = G[0] @ mats @ G[0].conj().T
     return _trim_batch(sites, new_slots, mats, gslots)
 
 
@@ -490,7 +482,7 @@ def gnvw_numeric(expr: QcaExpr) -> Fraction:
     if d ** (2 * r) > _NUMERIC_UNIT_CAP:
         raise WindowCapExceeded(
             f"numeric index at radius {r} and site dimension {d} needs a "
-            f"{d ** (2 * r)}-element unit batch; cap is {_NUMERIC_UNIT_CAP}"
+            f"{d}^{2 * r}-element unit batch; cap is {_NUMERIC_UNIT_CAP}"
         )
     eta_lr = _overlap(expr, range(-r, 0), range(0, 2 * r))
     eta_rl = _overlap(expr, range(0, r), range(-2 * r, 0))
@@ -517,30 +509,6 @@ def gnvw_numeric(expr: QcaExpr) -> Fraction:
 
 # -- shift neutralization --------------------------------------------------------
 
-def _template_touches_register(t: GateTemplate, reg: int, nregs: int) -> bool:
-    if t.registers is None:
-        return True
-    return any(r == reg for _, r in t.registers)
-
-
-def _layer_commutes_with_unit_shift(layer: BlockLayer, reg: int, sites: SiteSpec) -> bool:
-    R = sites.nregisters
-    if all(not _template_touches_register(t, reg, R) for t in layer.templates):
-        return True
-    # uniform on-site layers that factorize across the shifted register
-    if layer.period != 1 or len(layer.templates) != 1:
-        return False
-    if layer.min_site is not None or layer.max_site is not None:
-        return False
-    t = layer.templates[0]
-    if t.span != 1:
-        return False
-    slots = t.slots_at(0, R)
-    dims = [sites.registers[s % R] for s in slots]
-    part = [i for i, s in enumerate(slots) if s % R == reg]
-    return tz.operator_schmidt_rank_one(t.unitary, dims, part, tol=TOL_ALGEBRA)
-
-
 def _pair_swap_steps(sites: SiteSpec, reg_plus: int, reg_minus: int) -> tuple[Step, Step]:
     """Two layers equal to (shift reg_plus right one site) * (shift reg_minus
     left one site): an on-site register swap followed by a staggered swap."""
@@ -558,59 +526,64 @@ def _pair_swap_steps(sites: SiteSpec, reg_plus: int, reg_minus: int) -> tuple[St
     return s_layer, st_layer
 
 
+def _conjugate_layer(layer: BlockLayer, back: list[int], sites: SiteSpec) -> BlockLayer:
+    """S^-1 layer S for the shift S that moves each register r by back[r]
+    sites: every gate slot on register r moves back[r] sites left, and each
+    unitary's factors are reordered into slot order. A template that moves
+    no slot is kept as it is."""
+    R = sites.nregisters
+    templates = []
+    for t in layer.templates:
+        regs = t.registers
+        if regs is None:
+            regs = tuple((off, r) for off in range(t.span) for r in range(R))
+        moved = [(off - back[r], r) for off, r in regs]
+        if moved == list(regs):
+            templates.append(t)
+            continue
+        if layer.min_site is not None or layer.max_site is not None:
+            raise UnpairableShifts("a truncated layer acts on a register with a pending shift")
+        order = sorted(range(len(moved)), key=moved.__getitem__)
+        dims = [sites.registers[r] for _, r in regs]
+        unitary = tz.permute_factors_batch(t.unitary[None], dims, order)[0]
+        lo = moved[order[0]][0]
+        hi = max(off for off, _ in moved)
+        new_regs = tuple((moved[i][0] - lo, moved[i][1]) for i in order)
+        templates.append(GateTemplate(t.anchor + lo, hi - lo + 1, unitary, new_regs))
+    return replace(layer, templates=tuple(templates))
+
+
 def balance_shifts(expr: QcaExpr) -> QcaExpr:
-    """Replace all shift steps by swap circuits. Requires zero total index;
-    unit shifts of equal-dimension registers with opposite signs are paired
-    greedily in step order."""
+    """Replace all shift steps by swap circuits. Requires zero total index.
+    Each shift is moved past the layers after it: a layer L that follows a
+    net displacement S becomes S^-1 L S. The unit shifts of the final net
+    displacement are then paired, right with left, between equal-dimension
+    registers, and each pair becomes two swap layers at the end."""
     if not expr.has_shifts:
         return expr
     index = gnvw_symbolic(expr)
     if index != 1:
         raise NonZeroIndex(f"nonzero index {index_text(index)}: not a circuit")
     sites = expr.sites
-    layers: list[Step] = []
-    carried: list[ShiftPrimitive] = []
+    net = [0] * sites.nregisters
+    steps: list[Step] = []
     for step in expr.steps:
         if isinstance(step, ShiftPrimitive):
-            sign = 1 if step.displacement > 0 else -1
-            carried.extend(
-                ShiftPrimitive(step.register, sign) for _ in range(abs(step.displacement))
-            )
+            net[step.register] += step.displacement
         else:
-            for sh in carried:
-                if not _layer_commutes_with_unit_shift(step, sh.register, sites):
-                    raise UnpairableShifts(
-                        "cannot normalize step order: a shift does not commute "
-                        "with a later layer"
-                    )
-            layers.append(step)
-    # greedy pairing of opposite unit shifts on equal-dimension registers
-    unpaired: list[ShiftPrimitive] = []
-    pairs: list[tuple[int, int]] = []
-    for sh in carried:
-        mate = None
-        for i, other in enumerate(unpaired):
-            if (
-                other.displacement == -sh.displacement
-                and sites.registers[other.register] == sites.registers[sh.register]
-            ):
-                mate = i
-                break
-        if mate is None:
-            unpaired.append(sh)
-        else:
-            other = unpaired.pop(mate)
-            plus, minus = (sh, other) if sh.displacement > 0 else (other, sh)
-            pairs.append((plus.register, minus.register))
+            steps.append(_conjugate_layer(step, net, sites))
+    unpaired = 0
+    for m in sorted(set(sites.registers)):
+        regs = [r for r, dim in enumerate(sites.registers) if dim == m]
+        plus = [r for r in regs for _ in range(net[r])]
+        minus = [r for r in regs for _ in range(-net[r])]
+        unpaired += abs(len(plus) - len(minus))
+        for reg_plus, reg_minus in zip(plus, minus):
+            steps.extend(_pair_swap_steps(sites, reg_plus, reg_minus))
     if unpaired:
         raise UnpairableShifts(
-            f"{len(unpaired)} unit shifts have no equal-dimension partner"
+            f"{unpaired} unit shifts have no equal-dimension partner"
         )
-    steps = list(layers)
-    for reg_plus, reg_minus in pairs:
-        if reg_plus == reg_minus:
-            continue  # opposite shifts of one register cancel outright
-        steps.extend(_pair_swap_steps(sites, reg_plus, reg_minus))
     out = QcaExpr(sites, tuple(steps))
     _verify_same_action(expr, out)
     return out
@@ -631,7 +604,8 @@ def _probe_sites(exprs, window: range, reach: int) -> range:
     on the gates within `reach` of it. Every step repeats under translation
     by P, the lcm of the layer periods, and only sites within `reach` of a
     `min_site`/`max_site` bound see the truncation. So it takes P sites, and
-    with bounds every site from the lowest - reach - P to the highest + reach + P."""
+    with bounds every site from the lowest - reach - P to the highest + reach + P.
+    More than PROBE_SITE_CAP sites raise WindowCapExceeded."""
     layers = [s for e in exprs for s in e.steps if isinstance(s, BlockLayer)]
     period = math.lcm(*(layer.period for layer in layers))
     bounds = [b for layer in layers for b in (layer.min_site, layer.max_site) if b is not None]
@@ -639,6 +613,8 @@ def _probe_sites(exprs, window: range, reach: int) -> range:
     if bounds:
         lo = min(lo, min(bounds) - reach - period)
         hi = max(hi, max(bounds) + reach + period + 1)
+    if hi - lo > PROBE_SITE_CAP:
+        raise WindowCapExceeded(f"{hi - lo} probe sites exceed cap {PROBE_SITE_CAP}")
     return range(lo, hi)
 
 

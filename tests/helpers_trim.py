@@ -3,7 +3,8 @@ oracle for the slot engine's one-pass test in `chainomaly.qca._trim_batch`.
 
 A batch acts as identity on a factor exactly when it equals its normalised
 partial trace over that factor tensored with the identity there. Used only
-by the tests as an oracle."""
+by the tests as an oracle, with `embed_factors`, the one-matrix form of the
+embedding."""
 
 from __future__ import annotations
 
@@ -11,6 +12,11 @@ import numpy as np
 
 from chainomaly import _tensors as tz
 from chainomaly import qca
+
+
+def embed_factors(mat: np.ndarray, dims_all, positions) -> np.ndarray:
+    """tz.embed_factors_batch for a single matrix."""
+    return tz.embed_factors_batch(mat[None], dims_all, positions)[0]
 
 
 def factor_is_trivial_batch(mats: np.ndarray, dims, idx, tol) -> bool:

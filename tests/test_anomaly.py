@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,41 @@ def test_verify_probes_a_full_period_and_every_bound(make):
         anm.verify_action(make())
 
 
+def _swap_then_shift(k: int) -> anm.ActionSpec:
+    """Z/2 on two qubit registers by _swap_and_shift(0, 1, k), a
+    homomorphism of radius k."""
+    s22 = SiteSpec((2, 2))
+    gen = QcaExpr(s22, tuple(_swap_and_shift(0, 1, k)))
+    return anm.ActionSpec(FiniteGroup.cyclic(2), s22, (identity_expr(s22), gen))
+
+
+@pytest.mark.parametrize(
+    "make, sites",
+    [
+        (lambda: _swap_then_shift(1000), 2002),
+        # X layers of coprime periods 97 and 89 repeat only every 8633 sites
+        (
+            lambda: _z2_action(
+                BlockLayer(97, (GateTemplate(0, 1, PAULI_X),)),
+                BlockLayer(89, (GateTemplate(0, 1, PAULI_X),)),
+            ),
+            8633,
+        ),
+    ],
+    ids=["shift-1000", "periods-97-89"],
+)
+def test_verify_refuses_too_many_probe_sites(make, sites):
+    act = make()
+    start = time.perf_counter()
+    with pytest.raises(WindowCapExceeded, match=rf"^{sites} probe sites exceed cap 256$"):
+        anm.verify_action(act)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_accepts_a_wide_window_under_the_cap():
+    assert anm.verify_action(_swap_then_shift(100)) <= 1e-9
+
+
 # -- shift content and restriction -----------------------------------------------------
 
 def _power_action(group: FiniteGroup, sites: SiteSpec, steps) -> anm.ActionSpec:
@@ -233,10 +269,10 @@ def test_anomaly_class_refuses_nonzero_index(order, registers, shifts):
 SWAP2 = tz.factor_swap_matrix((2, 2), 0, 1)
 
 
-def _swap_and_shift(a: int, b: int) -> list:
-    """Swap registers a and b on every site, then shift a by +1 and b by -1."""
+def _swap_and_shift(a: int, b: int, k: int = 1) -> list:
+    """Swap registers a and b on every site, then shift a by +k and b by -k."""
     swap = BlockLayer(1, (GateTemplate(0, 1, SWAP2, registers=((0, a), (0, b))),))
-    return [swap, ShiftPrimitive(a, 1), ShiftPrimitive(b, -1)]
+    return [swap, ShiftPrimitive(a, k), ShiftPrimitive(b, -k)]
 
 
 def _levin_gu_on_register_0() -> list:
@@ -269,6 +305,23 @@ def test_anomaly_class_balances_zero_index_shifts(registers, steps, residues):
     rep = anm.anomaly_class(act)
     assert rep.coords.residues == residues
     assert rep.as_json_dict()["stacked"] is False
+
+
+def _conjugated_levin_gu(k: int) -> list:
+    """Levin-Gu on register 0 of two qubit registers, conjugated by the
+    shift of register 0 by +k and register 1 by -k."""
+    pair = [ShiftPrimitive(0, k), ShiftPrimitive(1, -k)]
+    return pair + _levin_gu_on_register_0() + [ShiftPrimitive(0, -k), ShiftPrimitive(1, k)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_anomaly_class_of_conjugated_levin_gu(k):
+    # the shifts pass the brickwork layers by conjugation; the class is
+    # Levin-Gu's, as conjugation does not change it
+    sites = SiteSpec((2, 2))
+    gen = QcaExpr(sites, tuple(_conjugated_levin_gu(k)))
+    act = anm.ActionSpec(FiniteGroup.cyclic(2), sites, (identity_expr(sites), gen))
+    assert anm.anomaly_class(act).coords.residues == (1,)
 
 
 def test_pure_translation_stacks_to_swap_circuit():

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,92 @@ def test_period_ten_homomorphism_classifies(tmp_path, capsys):
     assert "verdict: NonAnomalous" in capsys.readouterr().out
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["class"] == [0] and report["diagnostics"]["homomorphism_residual"] == 0.0
+
+
+def z2_two_qubit_action(steps: list[dict]) -> str:
+    """An anomaly config: Z/2 on two qubit registers whose generator is the
+    given steps, as config data."""
+    return yaml.safe_dump({
+        "mode": "anomaly",
+        "group": {"kind": "cyclic", "n": 2},
+        "action": {
+            "site": {"registers": [2, 2]},
+            "map": [{"element": 0, "steps": []}, {"element": 1, "steps": steps}],
+        },
+        "output": {"json": "r.json"},
+    })
+
+
+def shift_data(register: int, displacement: int) -> dict:
+    return {"kind": "shift", "register": register, "displacement": displacement}
+
+
+def layer_data(period: int, anchor: int, span: int, unitary, registers) -> dict:
+    template = {"anchor": anchor, "span": span, "unitary": matrix_to_pairs(unitary)}
+    return {"kind": "layer", "period": period, "templates": [{**template, "registers": registers}]}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_conjugated_levin_gu_classifies(tmp_path, capsys, k):
+    # Levin-Gu on register 0, conjugated by the shift of register 0 by +k
+    # and register 1 by -k
+    cz = np.diag([1, 1, 1, -1])
+    steps = [
+        shift_data(0, k), shift_data(1, -k),
+        layer_data(1, 0, 1, np.array([[0, 1], [1, 0]]), [[0, 0]]),
+        layer_data(2, 0, 2, cz, [[0, 0], [1, 0]]),
+        layer_data(2, 1, 2, cz, [[0, 0], [1, 0]]),
+        shift_data(0, -k), shift_data(1, k),
+    ]
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(z2_two_qubit_action(steps))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert "verdict: Anomalous" in capsys.readouterr().out
+    assert json.loads((tmp_path / "r.json").read_text())["class"] == [1]
+
+
+@pytest.mark.parametrize(
+    "text, sites",
+    [
+        # swap the registers on every site, then shift them by +1000 and -1000
+        (
+            z2_two_qubit_action([
+                layer_data(1, 0, 1, np.eye(4)[[0, 2, 1, 3]], [[0, 0], [0, 1]]),
+                shift_data(0, 1000), shift_data(1, -1000),
+            ]),
+            2002,
+        ),
+        # X layers of coprime periods 97 and 89
+        (
+            z2_qubit_action(
+                f"{{kind: layer, period: 97, templates: [{one_site_gate(0, X_PAIRS)}]}}",
+                f"{{kind: layer, period: 89, templates: [{one_site_gate(0, X_PAIRS)}]}}",
+            ),
+            8633,
+        ),
+    ],
+    ids=["shift-1000", "periods-97-89"],
+)
+def test_too_many_probe_sites_exits_2(tmp_path, capsys, text, sites):
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(text)
+    start = time.perf_counter()
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {sites} probe sites exceed cap 256\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_gnvw_large_displacement_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(
+        "mode: gnvw\naction:\n  site: {registers: [2]}\n  steps:\n"
+        "    - {kind: shift, register: 0, displacement: 10000}\n"
+    )
+    assert cli.main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric index at radius 10000 and site dimension 2 needs a ")
+    assert err.endswith("2^20000-element unit batch; cap is 64\n")
 
 
 @pytest.mark.parametrize("fault", ["block", "gamma"])

@@ -13,6 +13,7 @@ from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec
 
 from conftest import on_union, random_unitary, slot_distance, slot_product
 from helpers_serialize import matrix_to_pairs
+from helpers_trim import embed_factors
 
 S2 = SiteSpec((2,))
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,12 +47,12 @@ def test_sitespec_rejects_a_float_dimension():
 # -- embedding -----------------------------------------------------------------
 
 def test_embed_z_tensors_identity():
-    e = tz.embed_factors(PAULI_Z, [2, 2], [0])
+    e = embed_factors(PAULI_Z, [2, 2], [0])
     assert np.allclose(e, np.diag([1, 1, -1, -1]))
 
 
 def test_embed_identity_any_window():
-    e = tz.embed_factors(np.eye(2), [2] * 5, [2])
+    e = embed_factors(np.eye(2), [2] * 5, [2])
     assert np.allclose(e, np.eye(2 ** 5))
 
 
@@ -59,13 +60,13 @@ def test_embed_nested_matches_direct(rng):
     # two-step embedding equals the one-step embedding, entry for entry:
     # a on factor 1 of [0, 1], then [0, 1] on factors 1, 2 of four
     a = rand_mat(rng, 1)
-    two_step = tz.embed_factors(tz.embed_factors(a, [2, 2], [0]), [2] * 4, [1, 2])
-    one_step = tz.embed_factors(a, [2] * 4, [1])
+    two_step = embed_factors(embed_factors(a, [2, 2], [0]), [2] * 4, [1, 2])
+    one_step = embed_factors(a, [2] * 4, [1])
     assert np.allclose(two_step, one_step, atol=1e-12)
 
 
 def test_embed_scalar():
-    e = tz.embed_factors(np.array([[2.5]]), [2, 2], [])
+    e = embed_factors(np.array([[2.5]]), [2, 2], [])
     assert np.allclose(e, 2.5 * np.eye(4))
 
 
@@ -84,7 +85,7 @@ def test_embed_preserves_norm(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 3))
     a = rand_mat(rng, n)
-    big = tz.embed_factors(a, [2] * 4, list(range(1, 1 + n)))
+    big = embed_factors(a, [2] * 4, list(range(1, 1 + n)))
     norm_a = tz.operator_norm(a)
     assert abs(tz.operator_norm(big) - norm_a) <= 1e-12 * max(1.0, norm_a)
 
@@ -141,7 +142,7 @@ def test_expectation_partner_traceless():
 
 
 def test_expectation_identity_factor():
-    out = expect(tz.embed_factors(PAULI_Z, [2, 2], [0]), [2, 2], [0])
+    out = expect(embed_factors(PAULI_Z, [2, 2], [0]), [2, 2], [0])
     assert np.allclose(out, PAULI_Z)
 
 
@@ -155,14 +156,14 @@ def test_expectation_properties(seed):
     norm_a = tz.operator_norm(a)
     ea = expect(a, dims, keep)
     # idempotent and contractive
-    again = expect(tz.embed_factors(ea, dims, keep), dims, keep)
+    again = expect(embed_factors(ea, dims, keep), dims, keep)
     assert tz.operator_norm(again - ea) <= 1e-12 * norm_a
     assert tz.operator_norm(ea) <= norm_a + 1e-12
     # unital
     assert tz.operator_norm(expect(np.eye(2 ** n), dims, keep) - np.eye(2 ** k)) <= 1e-12
     # bimodule law for operators supported inside keep
     b = rand_mat(rng, k)
-    lhs = expect(tz.embed_factors(b, dims, keep) @ a, dims, keep)
+    lhs = expect(embed_factors(b, dims, keep) @ a, dims, keep)
     assert tz.operator_norm(lhs - b @ ea) <= 1e-12 * max(1.0, tz.operator_norm(b) * norm_a)
 
 
@@ -184,7 +185,7 @@ def test_distance_across_windows():
 # -- misc -------------------------------------------------------------------------
 
 def test_trim_drops_identity_sites():
-    z = tz.embed_factors(PAULI_Z, [2, 2, 2], [1])
+    z = embed_factors(PAULI_Z, [2, 2, 2], [1])
     slots, t = qca._trim_batch(S2, (0, 1, 2), z[None], (0, 1, 2))
     assert slots == (1,)
     assert np.allclose(t[0], PAULI_Z)

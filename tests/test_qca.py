@@ -39,7 +39,7 @@ from conftest import image, random_unitary, single_gate_expr, slot_distance, slo
 from helpers_probe import action_distance
 from helpers_serialize import expr_to_data
 from helpers_support_algebra import support_algebra_dim, support_dims, unit_images
-from helpers_trim import trim_batch
+from helpers_trim import embed_factors, trim_batch
 
 S2 = SiteSpec((2,))
 SWAP4 = np.array(
@@ -194,7 +194,7 @@ def test_trim_matches_partial_trace_oracle(seed, registers):
     for i in range(n):
         if kinds[i] == "diagonal":
             diag = np.diag(rng.normal(size=dims[i]) + 1j * rng.normal(size=dims[i]))
-            mats = mats @ tz.embed_factors(diag, dims, [i])
+            mats = mats @ embed_factors(diag, dims, [i])
     candidates = [s for s in slots + (6,) if rng.random() < 0.7]
     got_slots, got = qca._trim_batch(sites, slots, mats, candidates)
     want_slots, want = trim_batch(sites, slots, mats, candidates)
@@ -487,16 +487,57 @@ def test_balance_commutes_past_uniform_onsite_layer():
         assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
 
 
-def test_balance_blocked_by_noncommuting_layer(rng):
-    # a generic entangling layer does not commute past a pending shift
+def test_balance_conjugates_a_noncommuting_layer(rng):
+    # a generic entangling layer after a pending shift is conjugated by it
     s22 = SiteSpec((2, 2))
     layer = BlockLayer(2, (GateTemplate(0, 2, random_unitary(16, rng)),))
     e = QcaExpr(
         s22,
         (ShiftPrimitive(0, 1), layer, ShiftPrimitive(1, -1)),
     )
+    out = balance_shifts(e)
+    assert not out.has_shifts
+    units = matrix_unit_batch(4)
+    for j in range(-3, 4):
+        assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
+
+
+def test_balance_refuses_a_truncated_layer_on_a_shifted_register(rng):
+    s22 = SiteSpec((2, 2))
+    layer = BlockLayer(2, (GateTemplate(0, 2, random_unitary(16, rng)),), min_site=0)
+    e = QcaExpr(s22, (ShiftPrimitive(0, 1), layer, ShiftPrimitive(1, -1)))
     with pytest.raises(UnpairableShifts):
         balance_shifts(e)
+
+
+def _random_layer(rng, sites: SiteSpec) -> BlockLayer:
+    """One template of span 1 or 2 on one or two random slots, repeated
+    with a period at least its span."""
+    R = sites.nregisters
+    span = int(rng.integers(1, 3))
+    slots = [(off, r) for off in range(span) for r in range(R)]
+    n = int(rng.integers(1, 3))
+    regs = tuple(sorted(slots[i] for i in rng.choice(len(slots), n, replace=False)))
+    dim = math.prod(sites.registers[r] for _, r in regs)
+    tmpl = GateTemplate(int(rng.integers(0, 2)), span, random_unitary(dim, rng), regs)
+    return BlockLayer(span + int(rng.integers(0, 2)), (tmpl,))
+
+
+@given(seed=st.integers(0, 10 ** 6), registers=st.sampled_from([(2, 2), (2, 2, 2)]))
+def test_balance_shift_pair_among_random_layers(seed, registers):
+    # one opposite pair of unit shifts, each placed anywhere among the layers
+    rng = np.random.default_rng(seed)
+    sites = SiteSpec(registers)
+    steps = [_random_layer(rng, sites) for _ in range(int(rng.integers(1, 4)))]
+    for reg, sign in ((int(rng.integers(0, len(registers))), 1),
+                      (int(rng.integers(0, len(registers))), -1)):
+        steps.insert(int(rng.integers(0, len(steps) + 1)), ShiftPrimitive(reg, sign))
+    e = QcaExpr(sites, tuple(steps))
+    out = balance_shifts(e)
+    assert not out.has_shifts
+    units = qca.column_units(sites.dim)
+    for j in range(-3, 4):
+        assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
 
 
 # -- serialization -----------------------------------------------------------------------
@@ -618,7 +659,7 @@ def _dense_layer_apply(expr, op, margin):
     full = qca._slots_of_window(expr.sites, big)
     dims = [expr.sites.registers[s % R] for s in full]
     # an owned contiguous copy: it is updated in place through reshaped views
-    mat = np.array(tz.embed_factors(op[1], dims, [full.index(s) for s in op[0]]), dtype=complex)
+    mat = np.array(embed_factors(op[1], dims, [full.index(s) for s in op[0]]), dtype=complex)
     buf = np.empty_like(mat)
     for step in expr.steps:
         assert isinstance(step, BlockLayer)
