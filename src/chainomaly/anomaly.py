@@ -41,7 +41,6 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -271,18 +270,16 @@ class MixedAnomalyReport:
 def verify_action(spec: ActionSpec) -> float:
     """Check map(identity) = id and map(g) map(h) = map(gh) on the column
     units of every probe site, which generate the site's algebra; return the
-    largest residual. The probe sites, -(r + 1) .. r for the largest radius r
-    (at least 1), widen to one period P of the layers and, with a truncated
-    layer, to every site within 2r + P of a bound (qca._probe_sites), so they
+    largest residual. The probe sites are one period of the layers and, with
+    a truncated layer, the zone around its bounds (qca._probe_sites): they
     decide the whole chain. Each element's image of a site's units is
     computed once; map(g) map(h) is map(g) run on the image under h."""
     G = spec.group
     sites = spec.sites
-    r = max(max((radius(e) for e in spec.exprs), default=0), 1)
     units = column_units(sites.dim)
     res = 0.0
     dist = dict.fromkeys(itertools.product(G.elements(), repeat=2), 0.0)
-    for j in _probe_sites(spec.exprs, range(-(r + 1), r + 1), 2 * r):
+    for j in _probe_sites(spec.exprs):
         slots = _slots_of_window(sites, range(j, j + 1))
         image = [_run_batch(e, slots, units) for e in spec.exprs]
         res = max(res, _image_distance(sites, image[0], (slots, units)))
@@ -453,17 +450,16 @@ def _omega_at(table: VTable, a, b, c) -> tuple[float, float]:
     return float(np.angle(lam)) / (2 * math.pi), resid
 
 
-def _classify(H: CohomologyGroup, turns, what: str, entries=None, build=list) -> ClassifiedCocycle:
-    """Classify float turns, one per tuple. The measured phases are `entries`
-    (default: the turns), and `build` maps their snapped values to the
-    cochain; its exact class must equal the rounded one."""
+def _classify(H: CohomologyGroup, turns, what: str) -> ClassifiedCocycle:
+    """Classify float turns, one per tuple: snap them to the cochain, whose
+    exact class must equal the rounded one."""
     coords = bockstein_class(turns, H, what)
     den = default_den_cap(H.group.order)
     try:
-        snaps = [snap_fraction(x, den) for x in (turns if entries is None else entries)]
+        snaps = [snap_fraction(x, den) for x in turns]
     except SnapFailure:
         return ClassifiedCocycle(H.representative(coords), coords, None)
-    cochain = PhaseCochain(H.group, H.degree, tuple(build([f for f, _ in snaps])))
+    cochain = PhaseCochain(H.group, H.degree, tuple(f for f, _ in snaps))
     try:
         exact = class_of(cochain, H)
     except NotACocycle:
@@ -594,22 +590,15 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
         return f"({G0.name(a[0])}, {a[1]})"
 
     table = VTable(beta, mulz, namez)
-    omega_turns: dict[tuple, float] = {}
     scalar_residuals: list[float] = []
 
     def omega_eval(a, b, c) -> float:
         x, resid = _omega_at(table, a, b, c)
-        omega_turns[(a, b, c)] = x
         scalar_residuals.append(resid)
         return x
 
-    def snapped_slant(fracs) -> list[Fraction]:
-        exact = dict(zip(omega_turns, fracs))
-        return slant_z(lambda *t: exact[t], G0)
-
     H2 = cohomology(G0, 2)
-    slant_turns = slant_z(omega_eval, G0)
-    slant = _classify(H2, slant_turns, "slant", list(omega_turns.values()), snapped_slant)
+    slant = _classify(H2, slant_z(omega_eval, G0), "slant")
     rho = projective_cocycle(rep)
     equal = slant.coords.residues == rho.coords.residues
     verdict = "NonAnomalous" if slant.coords.is_trivial else "Anomalous"

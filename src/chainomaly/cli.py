@@ -36,7 +36,14 @@ _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 MODES = ("anomaly", "cohomology", "gnvw", "spectra")
 _TOP_KEYS = ("mode", "group", "degree", "action", "spectra", "output")
 _OUTPUT_KEYS = ("json", "csv", "summary")
-_ACTION_KEYS = ("preset", "rep", "site", "map", "steps")
+# the keys of each form of action: a gnvw step list, the lsm preset, any
+# other preset, and a custom map
+_ACTION_KEYS = {
+    "gnvw": ("site", "steps"),
+    "lsm": ("preset", "rep"),
+    "preset": ("preset",),
+    "custom": ("site", "map"),
+}
 # the keys besides `kind` that each kind of group and step may hold
 _GROUP_KEYS = {"cyclic": ("n",), "product": ("factors",), "table": ("table",)}
 _STEP_KEYS = {
@@ -269,11 +276,13 @@ def parse_config(text: str) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ParseError(f"config is not valid YAML: {exc}") from exc
     raw = _mapping(raw, "", _TOP_KEYS)
-    out = _mapping(raw.get("output"), "output", _OUTPUT_KEYS)
-    files = {f"out_{key}": _field(out, key, "output", _as_str, None) for key in _OUTPUT_KEYS}
     mode = raw.get("mode")
     if mode not in MODES:
         raise ValidationError(f"mode: expected one of {MODES}, got {mode!r}")
+    # only spectra mode has a table to write as CSV
+    keys = _OUTPUT_KEYS if mode == "spectra" else ("json", "summary")
+    out = _mapping(raw.get("output"), "output", keys)
+    files = {f"out_{key}": _field(out, key, "output", _as_str, None) for key in _OUTPUT_KEYS}
     cfg = RunConfig(mode=mode, **files)
 
     if mode == "spectra":
@@ -289,15 +298,20 @@ def parse_config(text: str) -> RunConfig:
         cfg.degree = _field(raw, "degree", "", functools.partial(_as_int, lo=1), 3)
         return cfg
 
-    action = _field(raw, "action", "", functools.partial(_mapping, keys=_ACTION_KEYS))
-    if mode == "gnvw":
+    # the keys an action may hold depend on its form, read off its preset
+    action = raw.get("action")
+    preset = action.get("preset") if isinstance(action, dict) else None
+    form = "custom" if preset is None else "lsm" if preset == "lsm" else "preset"
+    form = "gnvw" if mode == "gnvw" else form
+    action = _field(raw, "action", "", functools.partial(_mapping, keys=_ACTION_KEYS[form]))
+    if form == "gnvw":
         sites = _field(action, "site", "action", _sites)
         cfg.gnvw_expr = _field(action, "steps", "action", _steps(sites))
         return cfg
 
     # anomaly mode
     preset = _field(action, "preset", "action", _as_str, None)
-    if preset == "lsm":
+    if form == "lsm":
         cfg.lsm_rep = _field(action, "rep", "action", _rep, None) or anm.PRESET_REPS["pauli"]()
         cfg.group = cfg.lsm_rep.group
         return cfg
@@ -417,9 +431,8 @@ def emit_report(result: RunResult, cfg: RunConfig, out_dir: str | None) -> list[
     }
     written = []
     for key, path in _output_paths(cfg, out_dir).items():
-        if texts[key] is not None:
-            path.write_text(texts[key], encoding="utf-8")
-            written.append(str(path))
+        path.write_text(texts[key], encoding="utf-8")
+        written.append(str(path))
     return written
 
 

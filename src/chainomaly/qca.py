@@ -509,19 +509,16 @@ def gnvw_numeric(expr: QcaExpr) -> Fraction:
 
 # -- shift neutralization --------------------------------------------------------
 
-def _pair_swap_steps(sites: SiteSpec, reg_plus: int, reg_minus: int) -> tuple[Step, Step]:
-    """Two layers equal to (shift reg_plus right one site) * (shift reg_minus
-    left one site): an on-site register swap followed by a staggered swap."""
+def _pair_swap_steps(sites: SiteSpec, plus: int, minus: int, k: int) -> tuple[Step, Step]:
+    """Two layers equal to (shift `plus` right k sites) * (shift `minus` left
+    k sites): an on-site register swap, then one swap of (j, minus) with
+    (j + k, plus) at every site j, a gate of span k + 1."""
     regs = sites.registers
-    m = regs[reg_plus]
-    swap_onsite = tz.factor_swap_matrix(list(regs), reg_plus, reg_minus)
+    swap_onsite = tz.factor_swap_matrix(list(regs), plus, minus)
     s_layer = BlockLayer(period=1, templates=(GateTemplate(0, 1, swap_onsite),))
-    swap_pair = tz.factor_swap_matrix([m, m], 0, 1)
+    swap_pair = tz.factor_swap_matrix([regs[plus]] * 2, 0, 1)
     st_layer = BlockLayer(
-        period=1,
-        templates=(
-            GateTemplate(0, 2, swap_pair, registers=((0, reg_minus), (1, reg_plus))),
-        ),
+        period=1, templates=(GateTemplate(0, k + 1, swap_pair, ((0, minus), (k, plus))),)
     )
     return s_layer, st_layer
 
@@ -558,7 +555,8 @@ def balance_shifts(expr: QcaExpr) -> QcaExpr:
     Each shift is moved past the layers after it: a layer L that follows a
     net displacement S becomes S^-1 L S. The unit shifts of the final net
     displacement are then paired, right with left, between equal-dimension
-    registers, and each pair becomes two swap layers at the end."""
+    registers, and each run of k equal pairs becomes one two-layer swap
+    circuit of span k + 1 at the end."""
     if not expr.has_shifts:
         return expr
     index = gnvw_symbolic(expr)
@@ -578,8 +576,8 @@ def balance_shifts(expr: QcaExpr) -> QcaExpr:
         plus = [r for r in regs for _ in range(net[r])]
         minus = [r for r in regs for _ in range(-net[r])]
         unpaired += abs(len(plus) - len(minus))
-        for reg_plus, reg_minus in zip(plus, minus):
-            steps.extend(_pair_swap_steps(sites, reg_plus, reg_minus))
+        for pair, run in itertools.groupby(zip(plus, minus)):
+            steps.extend(_pair_swap_steps(sites, *pair, len(list(run))))
     if unpaired:
         raise UnpairableShifts(
             f"{unpaired} unit shifts have no equal-dimension partner"
@@ -598,19 +596,20 @@ def _image_distance(sites: SiteSpec, a, b) -> float:
     return float(np.max(per_unit))
 
 
-def _probe_sites(exprs, window: range, reach: int) -> range:
-    """`window`, widened so that comparing automorphisms built from `exprs`
-    on its sites decides the whole chain, when a site's image depends only
-    on the gates within `reach` of it. Every step repeats under translation
-    by P, the lcm of the layer periods, and only sites within `reach` of a
-    `min_site`/`max_site` bound see the truncation. So it takes P sites, and
-    with bounds every site from the lowest - reach - P to the highest + reach + P.
-    More than PROBE_SITE_CAP sites raise WindowCapExceeded."""
+def _probe_sites(exprs) -> range:
+    """Sites on which comparing automorphisms built from `exprs` decides the
+    whole chain. Every step commutes with translation by P, the lcm of the
+    layer periods, so the check at j + P is the translate of the check at j
+    and sites 0 .. P - 1 decide it. A `min_site`/`max_site` bound breaks
+    that only within reach 2r + 1 of it (r the largest radius), so with
+    bounds the sites also run from the lowest - reach - P to the highest +
+    reach + P. More than PROBE_SITE_CAP sites raise WindowCapExceeded."""
     layers = [s for e in exprs for s in e.steps if isinstance(s, BlockLayer)]
     period = math.lcm(*(layer.period for layer in layers))
     bounds = [b for layer in layers for b in (layer.min_site, layer.max_site) if b is not None]
-    lo, hi = window.start, max(window.stop, window.start + period)
+    lo, hi = 0, period
     if bounds:
+        reach = 2 * max(radius(e) for e in exprs) + 1
         lo = min(lo, min(bounds) - reach - period)
         hi = max(hi, max(bounds) + reach + period + 1)
     if hi - lo > PROBE_SITE_CAP:
@@ -620,11 +619,10 @@ def _probe_sites(exprs, window: range, reach: int) -> range:
 
 def _verify_same_action(e1: QcaExpr, e2: QcaExpr):
     """Raise InvariantViolation unless e1 and e2 agree, within TOL_AUTO, on
-    the column units of every probe site around a window past both light cones."""
+    the column units of every probe site (`_probe_sites`)."""
     sites = e1.sites
-    rr = max(radius(e1), radius(e2), 1) + 1
     units = column_units(sites.dim)
-    for j in _probe_sites((e1, e2), range(-rr, rr + 1), rr):
+    for j in _probe_sites((e1, e2)):
         slots = _slots_of_window(sites, range(j, j + 1))
         a, b = (_run_batch(e, slots, units) for e in (e1, e2))
         if _image_distance(sites, a, b) > TOL_AUTO:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -216,7 +217,14 @@ def _swap_then_shift(k: int) -> anm.ActionSpec:
 @pytest.mark.parametrize(
     "make, sites",
     [
-        (lambda: _swap_then_shift(1000), 2002),
+        # an X layer cut to -200 .. 200: the zone within reach 1 and a
+        # period of its bounds runs from -202 to 202
+        (
+            lambda: _z2_action(
+                BlockLayer(1, (GateTemplate(0, 1, PAULI_X),), min_site=-200, max_site=200)
+            ),
+            405,
+        ),
         # X layers of coprime periods 97 and 89 repeat only every 8633 sites
         (
             lambda: _z2_action(
@@ -226,7 +234,7 @@ def _swap_then_shift(k: int) -> anm.ActionSpec:
             8633,
         ),
     ],
-    ids=["shift-1000", "periods-97-89"],
+    ids=["bounded-400", "periods-97-89"],
 )
 def test_verify_refuses_too_many_probe_sites(make, sites):
     act = make()
@@ -236,8 +244,67 @@ def test_verify_refuses_too_many_probe_sites(make, sites):
     assert time.perf_counter() - start < 1.0
 
 
-def test_verify_accepts_a_wide_window_under_the_cap():
-    assert anm.verify_action(_swap_then_shift(100)) <= 1e-9
+@pytest.mark.parametrize("k", [100, 1000])
+def test_verify_decides_a_long_shift_on_one_site(k):
+    # the layers have period 1, so one probe site decides the chain
+    act = _swap_then_shift(k)
+    start = time.perf_counter()
+    assert anm.verify_action(act) <= 1e-9
+    assert time.perf_counter() - start < 0.1
+
+
+def test_swap_then_shift_by_100_classifies_fast():
+    # the balanced shift is one swap circuit of span 101, not 200 unit layers
+    start = time.perf_counter()
+    assert anm.anomaly_class(_swap_then_shift(100)).coords.residues == (0,)
+    assert time.perf_counter() - start < 1.0
+
+
+def _random_onsite_layer(rng, sites: SiteSpec, involution: bool) -> BlockLayer:
+    """One one-site gate of period 1 to 4 at a random anchor: a random
+    unitary, or a random involution V diag(+-1) V^+."""
+    u = random_unitary(sites.dim, rng)
+    if involution:
+        u = (u * rng.choice([1.0, -1.0], size=sites.dim)) @ u.conj().T
+    period = int(rng.integers(1, 5))
+    return BlockLayer(period, (GateTemplate(int(rng.integers(0, period)), 1, u),))
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    registers=st.sampled_from([(2,), (2, 2)]),
+    involution=st.booleans(),
+    shifts=st.booleans(),
+)
+def test_verify_on_one_period_agrees_with_a_wide_brute_force(seed, registers, involution, shifts):
+    # the brute force checks every element pair on sites -3P - 2r .. 3P + 2r
+    rng = np.random.default_rng(seed)
+    sites = SiteSpec(registers)
+    steps = [_random_onsite_layer(rng, sites, involution) for _ in range(int(rng.integers(1, 4)))]
+    if shifts:
+        for sign in (1, -1):
+            reg = int(rng.integers(0, len(registers)))
+            steps.insert(int(rng.integers(0, len(steps) + 1)), ShiftPrimitive(reg, sign))
+    G = FiniteGroup.cyclic(2)
+    act = anm.ActionSpec(G, sites, (identity_expr(sites), QcaExpr(sites, tuple(steps))))
+    P = math.lcm(*(s.period for s in steps if isinstance(s, BlockLayer)))
+    r = qca.radius(act.expr(1))
+    units = column_units(sites.dim)
+    pairs = [(identity_expr(sites), act.expr(0))] + [
+        (compose(act.expr(g), act.expr(h)), act.expr(G.mul(g, h)))
+        for g, h in itertools.product(G.elements(), repeat=2)
+    ]
+    brute = 0.0
+    for j in range(-3 * P - 2 * r, 3 * P + 2 * r + 1):
+        brute = max(brute, *(helpers_probe.action_distance(a, b, range(j, j + 1), units)
+                             for a, b in pairs))
+        if brute > 1e-9:
+            break
+    if brute > 1e-9:
+        with pytest.raises(NotAHomomorphism):
+            anm.verify_action(act)
+    else:
+        assert anm.verify_action(act) == pytest.approx(brute, abs=1e-12)
 
 
 # -- shift content and restriction -----------------------------------------------------

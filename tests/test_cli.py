@@ -339,13 +339,13 @@ def test_conjugated_levin_gu_classifies(tmp_path, capsys, k):
 @pytest.mark.parametrize(
     "text, sites",
     [
-        # swap the registers on every site, then shift them by +1000 and -1000
+        # an X layer cut to -200 .. 200
         (
-            z2_two_qubit_action([
-                layer_data(1, 0, 1, np.eye(4)[[0, 2, 1, 3]], [[0, 0], [0, 1]]),
-                shift_data(0, 1000), shift_data(1, -1000),
-            ]),
-            2002,
+            z2_qubit_action(
+                "{kind: layer, period: 1, min_site: -200, max_site: 200, "
+                f"templates: [{one_site_gate(0, X_PAIRS)}]}}"
+            ),
+            405,
         ),
         # X layers of coprime periods 97 and 89
         (
@@ -356,7 +356,7 @@ def test_conjugated_levin_gu_classifies(tmp_path, capsys, k):
             8633,
         ),
     ],
-    ids=["shift-1000", "periods-97-89"],
+    ids=["bounded-400", "periods-97-89"],
 )
 def test_too_many_probe_sites_exits_2(tmp_path, capsys, text, sites):
     cfg_path = tmp_path / "c.yaml"
@@ -522,6 +522,19 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):
          "action.map[0].note"),
         (LSM_REP + "{group: {kind: cyclic, n: 1}, matrices: [[[1.0, 0.0]]], name: x}\n",
          "action.rep.name"),
+        # each form of action has its own keys
+        ("mode: anomaly\naction: {preset: onsite, rep: pauli}\n", "action.rep"),
+        ("mode: anomaly\naction: {preset: onsite, site: {registers: [3]}}\n", "action.site"),
+        (LEVIN_GU + "  steps: []\n", "action.steps"),
+        (LSM_REP + "pauli\n  map: []\n", "action.map"),
+        (GNVW_SITE + "[]\n  preset: lsm\n", "action.preset"),
+        (GNVW_SITE + "[]\n  map: []\n", "action.map"),
+        (ONSITE_MAP + "[]\n  steps: []\n", "action.steps"),
+        (ONSITE_MAP + "[]\n  rep: pauli\n", "action.rep"),
+        # only spectra mode writes a CSV report
+        ("mode: cohomology\ngroup: {kind: cyclic, n: 2}\noutput: {json: r.json, csv: r.csv}\n",
+         "output.csv"),
+        (LEVIN_GU + "output: {csv: r.csv}\n", "output.csv"),
     ],
 )
 def test_unknown_key_is_a_config_error(tmp_path, capsys, text, path):

@@ -427,18 +427,38 @@ def test_overlap_ratio_matches_support_algebra_oracle(seed):
 
 # -- shift neutralization ------------------------------------------------------------------
 
-def test_balance_shift_pair_becomes_two_swap_layers():
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_balance_shift_pair_becomes_two_swap_layers(k):
     s22 = SiteSpec((2, 2))
-    e = QcaExpr(s22, (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1)))
+    e = QcaExpr(s22, (ShiftPrimitive(0, k), ShiftPrimitive(1, -k)))
     out = balance_shifts(e)
-    assert not out.has_shifts
-    assert len(out.steps) == 2
     assert all(isinstance(s, BlockLayer) for s in out.steps)
-    spans = [s.templates[0].span for s in out.steps]
-    assert spans == [1, 2]  # on-site register swap, then the staggered swap
+    # the on-site register swap, then one swap of span k + 1
+    assert [s.templates[0].span for s in out.steps] == [1, k + 1]
     units = matrix_unit_batch(4)
-    for j in (-2, -1, 0, 1, 2):
+    for j in range(-2 * k, 2 * k + 1):
         assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
+
+
+def test_balance_one_circuit_per_register_pair():
+    # net (+2, -1, -1) pairs register 0 once with 1 and once with 2
+    s222 = SiteSpec((2, 2, 2))
+    e = QcaExpr(s222, (ShiftPrimitive(0, 2), ShiftPrimitive(1, -1), ShiftPrimitive(2, -1)))
+    out = balance_shifts(e)
+    assert [s.templates[0].span for s in out.steps] == [1, 2, 1, 2]
+    units = qca.column_units(8)
+    for j in range(-4, 5):
+        assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
+
+
+def test_unit_pair_swap_steps_are_the_staggered_swap():
+    # the on-site register swap, then (j, 1) swapped with (j + 1, 0), bit for bit
+    onsite, staggered = qca._pair_swap_steps(SiteSpec((2, 2)), 0, 1, 1)
+    for layer, anchor, span, regs in ((onsite, 0, 1, None), (staggered, 0, 2, ((0, 1), (1, 0)))):
+        assert (layer.period, layer.min_site, layer.max_site) == (1, None, None)
+        (t,) = layer.templates
+        assert (t.anchor, t.span, t.registers) == (anchor, span, regs)
+        assert t.unitary.dtype == complex and np.array_equal(t.unitary, SWAP4)
 
 
 def test_balance_layer_only_unchanged(rng):
@@ -460,16 +480,6 @@ def test_balance_unpairable_mixed_dimensions():
     assert gnvw_symbolic(e) == 1
     with pytest.raises(UnpairableShifts):
         balance_shifts(e)
-
-
-def test_balance_multi_displacement():
-    s22 = SiteSpec((2, 2))
-    e = QcaExpr(s22, (ShiftPrimitive(0, 2), ShiftPrimitive(1, -2)))
-    out = balance_shifts(e)
-    assert not out.has_shifts
-    units = matrix_unit_batch(4)
-    for j in (-3, 0, 3):
-        assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
 
 
 def test_balance_commutes_past_uniform_onsite_layer():
@@ -622,11 +632,15 @@ def test_balance_same_register_cancellation():
 def test_probe_sites_widen_to_a_period_and_past_every_bound():
     x = GateTemplate(0, 1, PAULI_X)
     flip = QcaExpr(S2, (BlockLayer(1, (x,)), BlockLayer(2, (x,))))
-    assert qca._probe_sites([flip], range(-2, 2), 2) == range(-2, 2)
+    assert qca._probe_sites([flip]) == range(0, 2)
     ten = QcaExpr(S2, (BlockLayer(10, (x,)),))
-    assert qca._probe_sites([flip, ten], range(-2, 2), 2) == range(-2, 8)
+    assert qca._probe_sites([flip, ten]) == range(0, 10)
+    # radius 0: reach 1 and a period of 2 past each bound
     bounded = QcaExpr(S2, (BlockLayer(2, (x,), min_site=-5, max_site=4),))
-    assert qca._probe_sites([bounded], range(-2, 2), 3) == range(-10, 10)
+    assert qca._probe_sites([bounded]) == range(-8, 8)
+    # the shift by 3 makes the radius 3 and the reach 7
+    shifted = QcaExpr(S2, bounded.steps + (ShiftPrimitive(0, 3),))
+    assert qca._probe_sites([shifted]) == range(-14, 14)
 
 
 def test_same_action_check_sees_a_long_period():
