@@ -13,9 +13,12 @@ element of a finite group has index 1: its shift content is balanced into
 a swap circuit, and nothing is stacked.
 
 Each V(g, h) implements beta_g beta_h beta_gh^-1 and is extracted, when the
-associator first needs it, on the slots that expression moves. One sweep
-finds them: sites 0, 1, 2, ... are probed until the r + 1 sites after the
-last moved one are fixed, r being the expression's radius (at least 1).
+associator first needs it, on the slots that expression moves. Its layers
+that are directly followed by their exact inverse are cancelled first, and
+an expression with no layer left is implemented by V = 1 unprobed. One
+sweep finds the moved slots: sites 0, 1, 2, ... are probed until the r + 1
+sites after the last moved one are fixed, r being the radius of the
+cancelled expression (at least 1).
 That is exact for a right restriction of a homomorphic action, which moves
 nothing left of the cut and nothing at a site >= r. An automorphism of a
 full matrix algebra is fixed by its images of the column units |i><0|,
@@ -81,6 +84,7 @@ from .qca import (
     QcaExpr,
     ShiftPrimitive,
     balance_shifts,
+    cancel_inverse_pairs,
     column_units,
     compose,
     identity_expr,
@@ -354,8 +358,11 @@ class VTable:
         return self.images[x, slot]
 
     def expression(self, a, b) -> QcaExpr:
-        """beta_a beta_b beta_ab^-1, whose implementing unitary is V(a, b)."""
-        return compose(self.beta[a], compose(self.beta[b], self.inverse(self.mul(a, b))))
+        """beta_a beta_b beta_ab^-1, whose implementing unitary is V(a, b),
+        with every layer that its exact inverse directly follows cancelled:
+        for an action conjugated by W, the W^-1 W junctions go."""
+        inverse_ab = self.inverse(self.mul(a, b))
+        return cancel_inverse_pairs(compose(self.beta[a], compose(self.beta[b], inverse_ab)))
 
     def active_slots(self, a, b, r: int) -> list[int]:
         """The slots that beta_a beta_b beta_ab^-1 moves, probed site by site
@@ -392,7 +399,8 @@ def _extract(table: VTable, a, b) -> tuple[SlotOperator, float]:
     of V: a column of the first image gives v_0 up to a phase, and each image
     times v_0 gives the other columns."""
     expr = table.expression(a, b)
-    active = tuple(table.active_slots(a, b, max(radius(expr), 1)))
+    # an expression whose layers all cancelled is the identity: V = 1, unprobed
+    active = tuple(table.active_slots(a, b, max(radius(expr), 1))) if expr.steps else ()
     if not active:
         return ((), np.ones((1, 1), dtype=complex)), 0.0
 

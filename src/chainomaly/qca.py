@@ -14,8 +14,9 @@ the listed slots in ascending order (identity elsewhere). The slot engine
 `_run_batch` maps a batch of such matrices through an expression. A shift,
 and a gate whose matrix is exactly the swap of two equal-dimension slots,
 only relabel slots: the factors are reordered and no entry changes. Every
-other gate is conjugated on the union of its slots and the batch's, and then
-the gate's slots on which the batch acts as identity are trimmed. So swap
+other gate is conjugated on the union of its slots and the batch's, by an
+embedding its template keeps per union shape, and then the gate's slots on
+which the batch acts as identity are trimmed. So swap
 circuits (balanced shifts) cost no matrix products, and the
 matrices stay small however deep the circuit. An operator is the identity on
 a slot exactly when, cut into blocks by that slot's index, its off-diagonal
@@ -90,6 +91,7 @@ class GateTemplate:
     unitary: np.ndarray
     registers: tuple[tuple[int, int], ...] | None = None
     _swaps: dict = field(default_factory=dict, init=False, repr=False)  # factor_swap memo
+    _embeds: dict = field(default_factory=dict, init=False, repr=False)  # embedded memo
 
     def __post_init__(self):
         m = np.array(self.unitary, dtype=complex)
@@ -124,6 +126,28 @@ class GateTemplate:
                 self.unitary, _slot_dims(sites, self.slots_at(0, sites.nregisters))
             )
         return self._swaps[sites]
+
+    def embedded(self, dims: tuple[int, ...], positions: tuple[int, ...]):
+        """The unitary tensored with identity onto factors of dimensions
+        `dims`, acting on the factors at `positions` in `slots_at` order, and
+        its conjugate transpose. Kept per (dims, positions) up to dimension
+        _EMBED_MEMO_DIM, so the translates of a gate share one embedding."""
+        key = (dims, positions)
+        pair = self._embeds.get(key)
+        if pair is None:
+            g = tz.embed_factors_batch(self.unitary[None], dims, positions)[0]
+            pair = (g, g.conj().T)
+            for m in pair:
+                m.setflags(write=False)
+            if math.prod(dims) <= _EMBED_MEMO_DIM:
+                self._embeds[key] = pair
+        return pair
+
+
+# Largest operator dimension whose gate embeddings a template keeps: each kept
+# pair holds 2 * 16 * D^2 bytes, 128 KiB at D = 64, while a kept embedding at
+# the 4096 cap would hold half a gigabyte.
+_EMBED_MEMO_DIM = 64
 
 
 def _factor_swap(u: np.ndarray, dims) -> tuple[int, int] | None:
@@ -233,16 +257,50 @@ def identity_expr(sites: SiteSpec) -> QcaExpr:
     return QcaExpr(sites, ())
 
 
+def _validated(sites: SiteSpec, steps: tuple[Step, ...]) -> QcaExpr:
+    """A QcaExpr of steps that already passed validation against `sites`."""
+    out = object.__new__(QcaExpr)
+    object.__setattr__(out, "sites", sites)
+    object.__setattr__(out, "steps", steps)
+    return out
+
+
 def compose(e1: QcaExpr, e2: QcaExpr) -> QcaExpr:
-    """The automorphism e1(e2(A)): the steps of e2 act first, then those of e1.
-    Every step already passed validation against the shared SiteSpec, so it
-    is not validated again."""
+    """The automorphism e1(e2(A)): the steps of e2 act first, then those of e1."""
     if e1.sites != e2.sites:
         raise ValidationError("composition across different SiteSpecs")
-    out = object.__new__(QcaExpr)
-    object.__setattr__(out, "sites", e1.sites)
-    object.__setattr__(out, "steps", e2.steps + e1.steps)
-    return out
+    return _validated(e1.sites, e2.steps + e1.steps)
+
+
+def _undoes(first: Step, second: Step) -> bool:
+    """Whether layer `second` is exactly the inverse of layer `first`: the
+    same period, bounds, anchors, spans and registers, with each unitary
+    equal entry for entry to the conjugate transpose of the other. Shifts
+    are never paired."""
+    if not (isinstance(first, BlockLayer) and isinstance(second, BlockLayer)):
+        return False
+    if (first.period, first.min_site, first.max_site, len(first.templates)) != (
+        second.period, second.min_site, second.max_site, len(second.templates)
+    ):
+        return False
+    return all(
+        (s.anchor, s.span, s.registers) == (t.anchor, t.span, t.registers)
+        and np.array_equal(t.unitary, s.unitary.conj().T)
+        for s, t in zip(first.templates, second.templates)
+    )
+
+
+def cancel_inverse_pairs(e: QcaExpr) -> QcaExpr:
+    """The same automorphism without every layer that is directly followed by
+    its exact inverse (`_undoes`). One stack pass also removes nested pairs,
+    as in L M M^-1 L^-1."""
+    kept: list[Step] = []
+    for step in e.steps:
+        if kept and _undoes(kept[-1], step):
+            kept.pop()
+        else:
+            kept.append(step)
+    return e if len(kept) == len(e.steps) else _validated(e.sites, tuple(kept))
 
 
 def invert(e: QcaExpr) -> QcaExpr:
@@ -285,35 +343,32 @@ def _slot_dims(sites: SiteSpec, slots) -> list[int]:
     return [sites.registers[s % R] for s in slots]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _layer_gates(layer: BlockLayer, sites: SiteSpec, slots):
     """All gates of the layer whose slots intersect `slots`, as (gate slots,
-    unitary, the two slots it swaps or None), in slot order."""
-    if not slots:
-        return []
+    template, the two slots it swaps or None), in slot order. A template
+    placed at `base` holds slot s at its place (offset, register) exactly
+    when s is on that register at site base + offset, so the candidate bases
+    are site - offset over the batch's slots and the template's places, kept
+    when congruent to the anchor modulo the period."""
     R = sites.nregisters
-    lo_site = min(slots) // R
-    hi_site = max(slots) // R
-    sset = set(slots)
     out = []
     for t in layer.templates:
         pair = t.factor_swap(sites)
-        k_lo = _ceil_div(lo_site - t.span + 1 - t.anchor, layer.period)
-        k_hi = (hi_site - t.anchor) // layer.period
-        for k in range(k_lo, k_hi + 1):
-            base = t.anchor + k * layer.period
+        bases = set()
+        for place in t.slots_at(0, R):
+            off, r = divmod(place, R)
+            bases.update(s // R - off for s in slots if s % R == r)
+        for base in bases:
+            if (base - t.anchor) % layer.period:
+                continue
             wlo, whi = t.window_at(base)
             if layer.min_site is not None and wlo < layer.min_site:
                 continue
             if layer.max_site is not None and whi > layer.max_site:
                 continue
             gslots = t.slots_at(base, R)
-            if sset.intersection(gslots):
-                swap = None if pair is None else (gslots[pair[0]], gslots[pair[1]])
-                out.append((gslots, t.unitary, swap))
+            swap = None if pair is None else (gslots[pair[0]], gslots[pair[1]])
+            out.append((gslots, t, swap))
     out.sort(key=lambda g: g[0])
     return out
 
@@ -358,10 +413,15 @@ def _trim_batch(sites, slots, mats, candidates):
     return tuple(slots), mats
 
 
-def _conj_gate_batch(sites, slots, mats, gslots, gmat):
-    new_slots, (mats, G) = _on_union(sites, [(slots, mats), (gslots, gmat[None])])
-    mats = G[0] @ mats @ G[0].conj().T
-    return _trim_batch(sites, new_slots, mats, gslots)
+def _conj_gate_batch(sites, slots, mats, gslots, gate: GateTemplate):
+    """Conjugate the batch by the template `gate` placed on `gslots` (in its
+    slots_at order), on the union of their slots, then trim the gate's
+    slots."""
+    union, dims = _union(sites, (slots, gslots))
+    if tuple(slots) != union:
+        mats = tz.embed_factors_batch(mats, dims, [union.index(s) for s in slots])
+    G, G_dag = gate.embedded(tuple(dims), tuple(union.index(s) for s in gslots))
+    return _trim_batch(sites, union, G @ mats @ G_dag, gslots)
 
 
 def _relabel_batch(sites, slots, mats, rename: dict[int, int]):
@@ -385,9 +445,9 @@ def _run_batch(expr: QcaExpr, slots, mats):
             rename = {s: s + n for s in slots if s % R == step.register}
             slots, mats = _relabel_batch(sites, slots, mats, rename)
             continue
-        for gslots, gmat, swap in _layer_gates(step, sites, slots):
+        for gslots, gate, swap in _layer_gates(step, sites, slots):
             if swap is None:
-                slots, mats = _conj_gate_batch(sites, slots, mats, gslots, gmat)
+                slots, mats = _conj_gate_batch(sites, slots, mats, gslots, gate)
             else:
                 x, y = swap
                 slots, mats = _relabel_batch(sites, slots, mats, {x: y, y: x})
@@ -407,14 +467,21 @@ def _site_span(sites: SiteSpec, slots) -> str:
     return f"[{min(slots) // R},{max(slots) // R}]" if slots else "[]"
 
 
-def _on_union(sites: SiteSpec, parts) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """Embed every (slots, batch) part on the sorted union of all their slots,
-    refusing a union whose dimension exceeds the cap."""
-    union = tuple(sorted(set().union(*(slots for slots, _ in parts))))
+def _union(sites: SiteSpec, slot_lists) -> tuple[tuple[int, ...], list[int]]:
+    """The sorted union of the slot lists and its slot dimensions, refusing a
+    union whose dimension exceeds the cap."""
+    union = tuple(sorted(set().union(*slot_lists)))
     dims = _slot_dims(sites, union)
     D = math.prod(dims)
     if D > DEFAULT_DIM_CAP:
         raise WindowCapExceeded(f"operator dimension {D} exceeds cap {DEFAULT_DIM_CAP}")
+    return union, dims
+
+
+def _on_union(sites: SiteSpec, parts) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """Embed every (slots, batch) part on the sorted union of all their slots,
+    refusing a union whose dimension exceeds the cap."""
+    union, dims = _union(sites, (slots for slots, _ in parts))
     return union, [
         mats if tuple(slots) == union
         else tz.embed_factors_batch(mats, dims, [union.index(s) for s in slots])

@@ -92,22 +92,30 @@ def naive_homomorphism_residual(spec: anm.ActionSpec) -> float:
     return worst
 
 
-def k4_conjugated_twosite(seed: int) -> anm.ActionSpec:
-    """The Klein-four action (identity, flip, flip-entangle, both) conjugated
-    by a seeded real orthogonal two-site layer."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
-    w = q * np.sign(np.diag(r))
-    w_layer = BlockLayer(2, (GateTemplate(0, 2, w),))
-    w_inverse = BlockLayer(2, (GateTemplate(0, 2, w.T),))
+def k4_action() -> anm.ActionSpec:
+    """The Klein-four action by identity, flip, flip-entangle and both."""
     gamma = anm.levin_gu_action().expr(1)
     flip = anm.onsite_flip_action().expr(1)
-    exprs = [identity_expr(S2)] + [
-        QcaExpr(S2, (w_inverse,) + e.steps + (w_layer,))
-        for e in (flip, gamma, compose(gamma, flip))
-    ]
     K4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
-    return anm.ActionSpec(K4, S2, tuple(exprs))
+    return anm.ActionSpec(K4, S2, (identity_expr(S2), flip, gamma, compose(gamma, flip)))
+
+
+def k4_conjugated(seed: int, span: int) -> anm.ActionSpec:
+    """k4_action conjugated by a seeded real orthogonal layer of gates on
+    `span` sites."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2 ** span, 2 ** span)))
+    w = q * np.sign(np.diag(r))
+    w_layer, w_inverse = (BlockLayer(span, (GateTemplate(0, span, m),)) for m in (w, w.T))
+    base = k4_action()
+    exprs = [base.expr(0)] + [
+        QcaExpr(S2, (w_inverse,) + e.steps + (w_layer,)) for e in base.exprs[1:]
+    ]
+    return anm.ActionSpec(base.group, S2, tuple(exprs))
+
+
+def k4_conjugated_twosite(seed: int) -> anm.ActionSpec:
+    return k4_conjugated(seed, 2)
 
 
 def s3_permutation_action() -> anm.ActionSpec:
@@ -258,6 +266,14 @@ def test_swap_then_shift_by_100_classifies_fast():
     start = time.perf_counter()
     assert anm.anomaly_class(_swap_then_shift(100)).coords.residues == (0,)
     assert time.perf_counter() - start < 1.0
+
+
+def test_swap_then_shift_by_1000_classifies_fast():
+    # each gate lookup finds the translates of the span-1001 swap gate from
+    # the batch's slots, not by walking the 1001 translates that could reach
+    start = time.perf_counter()
+    assert anm.anomaly_class(_swap_then_shift(1000)).coords.residues == (0,)
+    assert time.perf_counter() - start < 2.0
 
 
 def _random_onsite_layer(rng, sites: SiteSpec, involution: bool) -> BlockLayer:
@@ -851,14 +867,14 @@ def test_lsm_report_same_with_swaps_conjugated_as_matrices(monkeypatch, make_rep
     swaps = []
     real = qca._conj_gate_batch
 
-    def recording(sites, slots, mats, gslots, gmat):
+    def recording(sites, slots, mats, gslots, gate):
         dims = qca._slot_dims(sites, gslots)
         if any(
-            dims[i] == dims[j] and np.array_equal(gmat, tz.factor_swap_matrix(dims, i, j))
+            dims[i] == dims[j] and np.array_equal(gate.unitary, tz.factor_swap_matrix(dims, i, j))
             for i, j in itertools.combinations(range(len(dims)), 2)
         ):
             swaps.append(gslots)
-        return real(sites, slots, mats, gslots, gmat)
+        return real(sites, slots, mats, gslots, gate)
 
     monkeypatch.setattr(qca, "_conj_gate_batch", recording)
     fast = anm.lsm_pipeline(make_rep()).as_json_dict()
@@ -1055,3 +1071,68 @@ def test_real_phases_on_rep_matrices_leave_the_class(make_rep, seed):
     moved = anm.projective_cocycle(_rephased(rep, phases))
     assert moved.coords == base.coords
     assert not moved.coords.is_trivial
+
+
+# -- fewer gate conjugations in V extraction --------------------------------------------------
+
+@pytest.mark.parametrize(
+    "make", [anm.levin_gu_action, lambda: k4_conjugated_twosite(11)], ids=["levin-gu", "k4-conj-twosite"]
+)
+def test_pairs_with_the_identity_run_no_batch(monkeypatch, make):
+    # beta_e beta_g beta_g^-1 and beta_g beta_e beta_g^-1 cancel to no step
+    spec = make()
+    G = spec.group
+    table = anm.VTable({g: anm.restrict_right(spec.expr(g)) for g in G.elements()}, G.mul, G.name)
+    runs = []
+    real = anm._run_batch
+
+    def recording(*args):
+        runs.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(anm, "_run_batch", recording)
+    for g in G.elements():
+        for pair in ((0, g), (g, 0)):
+            slots, mat = table.gate(*pair)
+            assert slots == () and np.array_equal(mat, np.ones((1, 1)))
+            assert table.residuals[pair] == 0.0
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "make, window",
+    [
+        (lambda: k4_conjugated(5, 1), "[0,0]"),
+        (lambda: k4_conjugated(11, 2), "[0,1]"),
+        (lambda: k4_conjugated(4, 2), "[0,1]"),
+    ],
+    ids=["onsite-5", "twosite-11", "twosite-4"],
+)
+def test_conjugated_k4_keeps_the_unconjugated_report(make, window):
+    base = anm.anomaly_class(k4_action()).as_json_dict()
+    got = anm.anomaly_class(make()).as_json_dict()
+    assert got["class"] == base["class"] == [0, 1, 0]
+    assert got["omega"] == base["omega"]
+    # V is extracted on the same pairs; a two-site W widens it by one site
+    want = {
+        pair: "[]" if span == "[]" else window
+        for pair, span in base["diagnostics"]["v_windows"].items()
+    }
+    assert got["diagnostics"]["v_windows"] == want
+
+
+def test_conjugated_k4_conjugation_count(monkeypatch):
+    # a deterministic work count: the W W^-1 junctions of every
+    # beta_a beta_b beta_ab^-1 cancel, 10 of the 16 composites are empty and
+    # the probe guard shrinks with the radius. Without cancellation the
+    # extraction conjugates 2160 gates; with it, 1246
+    calls = []
+    real = qca._conj_gate_batch
+
+    def counting(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(qca, "_conj_gate_batch", counting)
+    assert anm.anomaly_class(k4_conjugated_twosite(11)).coords.residues == (0, 1, 0)
+    assert len(calls) <= 1300

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -665,3 +666,77 @@ def test_benchmark_configs_run(tmp_path):
         out.mkdir(parents=True)
         codes[f"{cfg.parent.name}/{cfg.name}"] = cli.main(["run", str(cfg), "--out", str(out)])
     assert {name: code for name, code in codes.items() if code} == {}
+
+
+# -- a type-III anomaly of Z2^3 ------------------------------------------------------------------
+
+PAULI_X_DATA = matrix_to_pairs(np.array([[0, 1], [1, 0]]))
+
+
+def type_iii_steps(g: int) -> list[dict]:
+    """The edge action of omega(a, b, c) = (-1)^(a1 b2 c3) on three qubit
+    registers, for the element g = 4 g1 + 2 g2 + g3: X on register i - 1 for
+    each g_i = 1, then, if g1 = 1, two brickwork layers of the diagonal gate
+    (-1)^((g2 + a2)(a3 + b3)) on the slots a2, a3 of a site and b3 of the
+    next."""
+    bits = ((g >> 2) & 1, (g >> 1) & 1, g & 1)
+    flips = [
+        {"anchor": 0, "span": 1, "unitary": PAULI_X_DATA, "registers": [[0, i]]}
+        for i, bit in enumerate(bits) if bit
+    ]
+    steps = [{"kind": "layer", "period": 1, "templates": flips}] if flips else []
+    if bits[0]:
+        phases = [
+            (-1) ** (((bits[1] + a2) % 2) * ((a3 + b3) % 2))
+            for a2 in (0, 1) for a3 in (0, 1) for b3 in (0, 1)
+        ]
+        gate = {"span": 2, "unitary": matrix_to_pairs(np.diag(phases)),
+                "registers": [[0, 1], [0, 2], [1, 2]]}
+        steps += [
+            {"kind": "layer", "period": 2, "templates": [{"anchor": anchor, **gate}]}
+            for anchor in (0, 1)
+        ]
+    return steps
+
+
+def test_type_iii_anomaly_of_z2_cubed(tmp_path, capsys):
+    # H^3(Z2^3, U(1)) = Z2^7. The oracle is the alternating sum
+    # Omega(a, b, c) = sum over permutations s of sgn(s) omega(s(a, b, c))
+    # mod 1, in which every coboundary term of an abelian group cancels
+    config = {
+        "mode": "anomaly",
+        "group": {"kind": "product", "factors": [2, 2, 2]},
+        "action": {
+            "site": {"registers": [2, 2, 2]},
+            "map": [{"element": g, "steps": type_iii_steps(g)} for g in range(8)],
+        },
+        "output": {"json": "r.json"},
+    }
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert "verdict: Anomalous" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["invariant_factors"] == [2] * 7
+    assert report["class"] == [0, 0, 0, 1, 1, 1, 1]
+    assert set(report["diagnostics"]["v_windows"].values()) <= {"[]", "[0,0]"}
+    # element 4 a1 + 2 a2 + a3 is named ((a1,a2),a3)
+    index = {f"(({g >> 2},{(g >> 1) & 1}),{g & 1})": g for g in range(8)}
+    omega = {
+        tuple(index[x] for x in row["args"]): Fraction(row["phase"]) for row in report["omega"]
+    }
+
+    def alternating_sum(a, b, c):
+        signs = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (1, 0, 2): -1, (0, 2, 1): -1, (2, 1, 0): -1}
+        args = (a, b, c)
+        return sum(s * omega[tuple(args[i] for i in p)] for p, s in signs.items()) % 1
+
+    e1, e2, e3 = 4, 2, 1
+    assert alternating_sum(e1, e2, e3) == Fraction(1, 2)
+    assert alternating_sum(e1, e1, e2) == 0
+    # restricted to <g>, (-1)^(a1 b2 c3) is (-1)^(g1 g2 g3 xyz), and (-1)^(xyz)
+    # generates H^3(Z2, U(1)) = Z2: so the restriction is trivial on the six
+    # cyclic subgroups off the diagonal and not on <(1, 1, 1)>. The class of
+    # the restriction to <g> is 2 (omega(g, 1, g) + omega(g, g, g)) mod 2
+    restricted = [2 * (omega[g, 0, g] + omega[g, g, g]) % 2 for g in range(1, 8)]
+    assert restricted == [0, 0, 0, 0, 0, 0, 1]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from chainomaly.qca import (
 )
 
 from conftest import image, random_unitary, single_gate_expr, slot_distance, slot_product
+from helpers_layer_gates import layer_gates_by_translates
 from helpers_probe import action_distance
 from helpers_serialize import expr_to_data
 from helpers_support_algebra import support_algebra_dim, support_dims, unit_images
@@ -722,8 +724,6 @@ def test_engine_matches_dense_conjugation(seed):
 def test_engine_matches_dense_with_truncated_layers(seed):
     rng = np.random.default_rng(seed)
     layer = random_two_site_layer(rng, anchor=int(rng.integers(-1, 2)))
-    from dataclasses import replace
-
     e = QcaExpr(S2, (replace(layer, min_site=0),))
     a = random_probe(rng, S2, range(-1, 2))
     fast = image(e, a)
@@ -740,9 +740,9 @@ def _count_conj(monkeypatch):
     calls = []
     real = qca._conj_gate_batch
 
-    def counting(sites, slots, mats, gslots, gmat):
+    def counting(sites, slots, mats, gslots, gate):
         calls.append(gslots)
-        return real(sites, slots, mats, gslots, gmat)
+        return real(sites, slots, mats, gslots, gate)
 
     monkeypatch.setattr(qca, "_conj_gate_batch", counting)
     return calls
@@ -790,7 +790,8 @@ def test_swap_relabel_matches_permutation_oracle(seed, registers, held):
     assert np.array_equal(on_swap_union(got_slots, got), want)
 
     # the matrix path agrees up to its trim, which averages d equal blocks
-    old_slots, old = qca._conj_gate_batch(sites, support, mats, (x, y), swap)
+    gate = expr.steps[0].templates[0]
+    old_slots, old = qca._conj_gate_batch(sites, support, mats, (x, y), gate)
     assert old_slots == got_slots
     assert np.max(np.abs(old - got)) <= 1e-15
 
@@ -848,3 +849,127 @@ def test_gnvw_numeric_same_with_swaps_conjugated_as_matrices(monkeypatch, regist
     assert calls == []
     monkeypatch.setattr(GateTemplate, "factor_swap", lambda self, sites: None)
     assert (overlaps(expr), gnvw_numeric(expr)) == fast
+
+
+# -- exact inverse pairs cancel -------------------------------------------------------------
+
+def _inverse_layer(layer: BlockLayer) -> BlockLayer:
+    return invert(QcaExpr(S2, (layer,))).steps[0]
+
+
+def test_a_layer_then_its_inverse_cancels(rng):
+    a, layer, b = (random_two_site_layer(rng, anchor=k % 2) for k in range(3))
+    e = QcaExpr(S2, (a, layer, _inverse_layer(layer), b))
+    assert qca.cancel_inverse_pairs(e).steps == (a, b)
+    # the inverse first and the layer second is a pair too
+    e = QcaExpr(S2, (_inverse_layer(layer), layer))
+    assert qca.cancel_inverse_pairs(e).steps == ()
+
+
+def test_nested_inverse_pairs_cancel(rng):
+    outer, inner, last = (random_two_site_layer(rng) for _ in range(3))
+    steps = (outer, inner, _inverse_layer(inner), _inverse_layer(outer))
+    assert qca.cancel_inverse_pairs(QcaExpr(S2, steps)).steps == ()
+    assert qca.cancel_inverse_pairs(QcaExpr(S2, steps + (last,))).steps == (last,)
+
+
+def _one_ulp_off(layer: BlockLayer) -> BlockLayer:
+    t = layer.templates[0]
+    u = t.unitary.copy()
+    u[0, 0] = np.nextafter(u[0, 0].real, 2.0) + 1j * u[0, 0].imag
+    return replace(layer, templates=(replace(t, unitary=u),))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _one_ulp_off,
+        lambda layer: replace(layer, min_site=0),
+        lambda layer: replace(layer, max_site=9),
+        lambda layer: replace(layer, templates=(replace(layer.templates[0], anchor=1),)),
+    ],
+    ids=["one-ulp", "min-site", "max-site", "anchor"],
+)
+def test_a_near_inverse_is_kept(rng, change):
+    layer = random_two_site_layer(rng)
+    e = QcaExpr(S2, (layer, change(_inverse_layer(layer))))
+    assert qca.cancel_inverse_pairs(e) is e
+
+
+def test_shifts_are_never_cancelled(rng):
+    sites = SiteSpec((2, 2))
+    layer = BlockLayer(1, (GateTemplate(0, 1, random_unitary(4, rng)),))
+    inverse = invert(QcaExpr(sites, (layer,))).steps[0]
+    for steps in [
+        (ShiftPrimitive(0, 1), ShiftPrimitive(0, -1)),
+        (layer, ShiftPrimitive(1, 2), ShiftPrimitive(1, -2), inverse),
+    ]:
+        e = QcaExpr(sites, steps)
+        assert qca.cancel_inverse_pairs(e) is e
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    registers=st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]),
+)
+def test_cancelled_circuit_acts_like_the_uncancelled_one(seed, registers):
+    # random layers, some truncated, with inverse pairs inserted at random
+    # places, some nested; cancelling removes every inserted pair
+    rng = np.random.default_rng(seed)
+    sites = SiteSpec(registers)
+
+    def layer():
+        out = _random_layer(rng, sites)
+        bounds = rng.integers(-3, 4, size=2)
+        keep = rng.integers(0, 2, size=2)
+        return replace(
+            out,
+            min_site=int(bounds[0]) if keep[0] else None,
+            max_site=int(bounds[0] + abs(bounds[1]) + 2) if keep[1] else None,
+        )
+
+    base = [layer() for _ in range(int(rng.integers(1, 4)))]
+    steps = list(base)
+    for _ in range(int(rng.integers(1, 4))):
+        extra = layer()
+        at = int(rng.integers(0, len(steps) + 1))
+        steps[at:at] = [extra, invert(QcaExpr(sites, (extra,))).steps[0]]
+    e = QcaExpr(sites, tuple(steps))
+    cancelled = qca.cancel_inverse_pairs(e)
+    assert cancelled.steps == tuple(base)
+    units = qca.column_units(sites.dim)
+    for j in qca._probe_sites((e,)):
+        assert action_distance(e, cancelled, range(j, j + 1), units) <= 1e-12
+
+
+# -- the gates of a layer that meet a batch --------------------------------------------------
+
+@st.composite
+def _layer_and_slots(draw):
+    # gates of dimension at most 512, the largest np.eye drawn
+    registers = draw(st.sampled_from([(2,), (2, 2), (3, 2), (2, 2, 2)]))
+    sites = SiteSpec(registers)
+    R = sites.nregisters
+    templates = []
+    for _ in range(draw(st.integers(1, 2))):
+        span = draw(st.integers(1, 3))
+        places = [(off, r) for off in range(span) for r in range(R)]
+        chosen = draw(st.one_of(st.none(), st.sets(st.sampled_from(places), min_size=1)))
+        regs = None if chosen is None else tuple(sorted(chosen))
+        dim = math.prod(
+            sites.registers[r] for _, r in (places if regs is None else regs)
+        )
+        anchor = draw(st.integers(-5, 5))
+        templates.append(GateTemplate(anchor, span, np.eye(dim), regs))
+    bound = st.one_of(st.none(), st.integers(-8, 8))
+    layer = BlockLayer(draw(st.integers(1, 5)), tuple(templates), draw(bound), draw(bound))
+    slots = draw(st.sets(st.integers(-10 * R, 10 * R - 1), max_size=6))
+    return sites, layer, tuple(sorted(slots))
+
+
+@settings(max_examples=60)
+@given(case=_layer_and_slots())
+def test_layer_gates_match_the_walk_over_translates(case):
+    sites, layer, slots = case
+    got = [(gslots, t) for gslots, t, _ in qca._layer_gates(layer, sites, slots)]
+    assert got == layer_gates_by_translates(layer, sites, slots)
