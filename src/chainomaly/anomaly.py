@@ -13,21 +13,22 @@ element of a finite group has index 1: its shift content is balanced into
 a swap circuit, and nothing is stacked.
 
 Each V(g, h) implements beta_g beta_h beta_gh^-1 and is extracted, when the
-associator first needs it, on the slots that expression moves. Its layers
-that are directly followed by their exact inverse are cancelled first, and
-an expression with no layer left is implemented by V = 1 unprobed. One
-sweep finds the moved slots: sites 0, 1, 2, ... are probed until the r + 1
-sites after the last moved one are fixed, r being the radius of the
-cancelled expression (at least 1).
-That is exact for a right restriction of a homomorphic action, which moves
-nothing left of the cut and nothing at a site >= r. An automorphism of a
-full matrix algebra is fixed by its images of the column units |i><0|,
-which generate the algebra, so these units are the one probe batch. A slot
-is moved unless beta_h beta_gh^-1 maps its column units to their images
-under beta_g^-1; the V table keeps those inverse images, computed once per
-element and slot, so each probed slot costs one run of beta_h. On the moved
-slots the expression is conjugation by V, and V is read column by column
-off the images of the column units, v_i v_0^+.
+associator first needs it, on the slots that expression moves. Its runs of
+adjacent same-placement layers whose gate-wise product is a scalar are
+dropped first, and an expression with no layer left is implemented by V = 1
+unprobed. One sweep finds the moved slots. A right restriction of a
+homomorphic action moves nothing left of the cut and nothing at a site >= r,
+r being the radius of the remaining expression (at least 1), so sites 0 ..
+r - 1 are probed, and only when a slot at site r - 1 or beyond moves does
+the sweep go on until the r + 1 sites after the last moved one are fixed.
+An automorphism of a full matrix algebra is fixed by its images of the
+column units |i><0|, which generate the algebra, so these units are the one
+probe batch. A slot is moved unless beta_h beta_gh^-1 maps its column units
+to their images under beta_g^-1; the V table keeps those inverse images,
+computed once per element and site for all registers of the site together,
+so each probed site costs one run of beta_h. On the moved slots the
+expression is conjugation by V, and V is read column by column off the
+images of the column units, v_i v_0^+.
 
 For a projective on-site representation combined with translation, the
 chain is stacked with a copy that the translation shifts oppositely, and the
@@ -84,12 +85,13 @@ from .qca import (
     QcaExpr,
     ShiftPrimitive,
     balance_shifts,
-    cancel_inverse_pairs,
+    cancel_scalar_runs,
     column_units,
     compose,
     identity_expr,
     invert,
     radius,
+    site_units,
 )
 from .qca import (
     _image_distance,
@@ -99,6 +101,7 @@ from .qca import (
     _site_span,
     _slot_dims,
     _slots_of_window,
+    _unit_distances,
 )
 
 # A local operator (slots, matrix): the matrix acts on the listed tensor
@@ -325,8 +328,8 @@ class VTable:
     (slots, matrix) in `entries`, with its residual in `residuals`. `mul` is
     the group law and `name` labels elements in error messages. The table
     also keeps, computed when first needed, each element's inverse and, per
-    element x and slot s, I_x(s): the column units |i><0| of slot s run
-    through the inverse of beta_x."""
+    element x and site j, I_x(j): the column units of every register of site
+    j (`site_units`) run through the inverse of beta_x in one batch."""
 
     beta: dict
     mul: Callable
@@ -350,40 +353,47 @@ class VTable:
             self.inverses[x] = invert(self.beta[x])
         return self.inverses[x]
 
-    def image(self, x, slot: int):
-        if (x, slot) not in self.images:
+    def image(self, x, site: int):
+        if (x, site) not in self.images:
             sites = self.beta[x].sites
-            units = column_units(sites.registers[slot % sites.nregisters])
-            self.images[x, slot] = _run_batch(self.inverse(x), (slot,), units)
-        return self.images[x, slot]
+            window = _slots_of_window(sites, range(site, site + 1))
+            self.images[x, site] = _run_batch(self.inverse(x), window, site_units(sites))
+        return self.images[x, site]
 
     def expression(self, a, b) -> QcaExpr:
-        """beta_a beta_b beta_ab^-1, whose implementing unitary is V(a, b),
-        with every layer that its exact inverse directly follows cancelled:
-        for an action conjugated by W, the W^-1 W junctions go."""
+        """beta_a beta_b beta_ab^-1 without its scalar layer runs
+        (`cancel_scalar_runs`): for an action conjugated by W the W^-1 W
+        junctions go, and for on-site projective matrices so does
+        rho(a) rho(b) rho(ab)^-1."""
         inverse_ab = self.inverse(self.mul(a, b))
-        return cancel_inverse_pairs(compose(self.beta[a], compose(self.beta[b], inverse_ab)))
+        return cancel_scalar_runs(compose(self.beta[a], compose(self.beta[b], inverse_ab)))
 
     def active_slots(self, a, b, r: int) -> list[int]:
         """The slots that beta_a beta_b beta_ab^-1 moves, probed site by site
-        from the cut until the r + 1 sites after the last moved site (after
-        site -1 if none moved) are fixed. It fixes A exactly when
-        beta_b beta_ab^-1 (A) = beta_a^-1 (A), since conjugating both sides by
-        beta_a preserves their distance; so each slot costs one run of beta_b.
+        from the cut. A right restriction of a homomorphic action moves only
+        slots in its light cone, sites 0 .. r - 1, so the sweep stops at site
+        r unless a slot at site r - 1 or beyond moved; then it goes on until
+        the r + 1 sites after the last moved site are fixed. The composite
+        fixes A exactly when beta_b beta_ab^-1 (A) = beta_a^-1 (A), since
+        conjugating both sides by beta_a preserves their distance; so each
+        site costs one run of beta_b, on the units of all its registers at
+        once, and a slot is moved when one of its register's units is.
         Raises WindowCapExceeded once the moved slots exceed MAX_V_DIM."""
         sites = self.beta[a].sites
         R = sites.nregisters
+        ends = np.cumsum(sites.registers)
         ab = self.mul(a, b)
         active: list[int] = []
         D, last, site = 1, -1, 0
-        while site <= last + r + 1:
-            for slot in range(site * R, (site + 1) * R):
-                image = _run_batch(self.beta[b], *self.image(ab, slot))
-                if _image_distance(sites, image, self.image(a, slot)) <= TOL_AUTO:
+        while site <= last + r + 1 and (site < r or last >= r - 1):
+            image = _run_batch(self.beta[b], *self.image(ab, site))
+            dist = _unit_distances(sites, image, self.image(a, site))
+            for reg, d in enumerate(np.split(dist, ends[:-1])):
+                if d.max() <= TOL_AUTO:
                     continue
-                active.append(slot)
+                active.append(site * R + reg)
                 last = site
-                D *= sites.registers[slot % R]
+                D *= sites.registers[reg]
                 if D > MAX_V_DIM:
                     raise WindowCapExceeded(
                         f"candidate support dimension {D} exceeds the extraction cap {MAX_V_DIM}"
@@ -581,8 +591,11 @@ def _lsm_with_onsite(rep: ProjectiveRep, g: int, translation: QcaExpr) -> QcaExp
 def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     """Mixed anomaly of (projective on-site) x (translation): the slant of
     the degree-3 cocycle against the translation generator, compared with the
-    class of the projective multiplier."""
+    class of the projective multiplier. The multiplier comes first, so
+    matrices that are not projective raise NotProjective naming the pair
+    before any V is extracted."""
     G0 = rep.group
+    rho = projective_cocycle(rep)
     # the slant reads elements (g, 0) and (g, 1) only, products included
     translations = [_lsm_translation(rep.dimension, n) for n in (0, 1)]
     beta: dict[tuple[int, int], QcaExpr] = {
@@ -607,7 +620,6 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
 
     H2 = cohomology(G0, 2)
     slant = _classify(H2, slant_z(omega_eval, G0), "slant")
-    rho = projective_cocycle(rep)
     equal = slant.coords.residues == rho.coords.residues
     verdict = "NonAnomalous" if slant.coords.is_trivial else "Anomalous"
     diag = {

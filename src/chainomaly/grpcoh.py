@@ -147,8 +147,8 @@ def _face_index(group: FiniteGroup, m: int) -> np.ndarray:
 
 def _face_sums(group: FiniteGroup, degree: int, values) -> np.ndarray:
     """Alternating face sums sum_i (-1)^i f(d_i t) over every (degree+1)-tuple
-    t, for a degree-cochain f given by its flat values: exact Fractions in an
-    object array, float turns, or integers."""
+    t, for a degree-cochain f given by its flat values: float turns, integers,
+    or exact numbers in an object array."""
     terms = np.asarray(values)[_face_index(group, degree + 1)]
     return terms[0::2].sum(axis=0) - terms[1::2].sum(axis=0)
 
@@ -379,11 +379,16 @@ def class_of(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
     """Exact class coordinates of a phase cocycle."""
     if f.group != H.group or f.degree != H.degree:
         raise ValidationError("cochain does not match the cohomology group")
-    # integer Bockstein: coboundary of the rational lift
-    sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
-    if any(s.denominator != 1 for s in sums):
+    # integer Bockstein: coboundary of the rational lift, as integer face sums
+    # over the common denominator, each of at most degree + 2 terms below it;
+    # Python ints where those sums could overflow int64
+    den = math.lcm(*(v.denominator for v in f.values))
+    nums = [v.numerator * (den // v.denominator) for v in f.values]
+    exact = den * (f.degree + 2) < 2 ** 63
+    sums = _face_sums(f.group, f.degree, np.array(nums, dtype=np.int64 if exact else object))
+    if (sums % den).any():
         raise NotACocycle("input is not a cocycle")
-    c = np.array([s.numerator for s in sums], dtype=np.int64)
+    c = (sums // den).astype(np.int64)
     return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
 
 

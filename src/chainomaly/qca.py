@@ -272,34 +272,50 @@ def compose(e1: QcaExpr, e2: QcaExpr) -> QcaExpr:
     return _validated(e1.sites, e2.steps + e1.steps)
 
 
-def _undoes(first: Step, second: Step) -> bool:
-    """Whether layer `second` is exactly the inverse of layer `first`: the
-    same period, bounds, anchors, spans and registers, with each unitary
-    equal entry for entry to the conjugate transpose of the other. Shifts
-    are never paired."""
-    if not (isinstance(first, BlockLayer) and isinstance(second, BlockLayer)):
-        return False
-    if (first.period, first.min_site, first.max_site, len(first.templates)) != (
-        second.period, second.min_site, second.max_site, len(second.templates)
-    ):
-        return False
-    return all(
-        (s.anchor, s.span, s.registers) == (t.anchor, t.span, t.registers)
-        and np.array_equal(t.unitary, s.unitary.conj().T)
-        for s, t in zip(first.templates, second.templates)
+def _placement(step: Step):
+    """What a layer's gates sit on: period, bounds, and each template's
+    anchor, span and registers. None for a shift."""
+    if not isinstance(step, BlockLayer):
+        return None
+    return (
+        step.period, step.min_site, step.max_site,
+        tuple((t.anchor, t.span, t.registers) for t in step.templates),
     )
 
 
-def cancel_inverse_pairs(e: QcaExpr) -> QcaExpr:
-    """The same automorphism without every layer that is directly followed by
-    its exact inverse (`_undoes`). One stack pass also removes nested pairs,
-    as in L M M^-1 L^-1."""
+def _is_scalar(m: np.ndarray) -> bool:
+    return bool(np.abs(m - m[0, 0] * np.eye(len(m))).max() <= TOL_ALGEBRA)
+
+
+def cancel_scalar_runs(e: QcaExpr) -> QcaExpr:
+    """The same automorphism without every run of two or more adjacent layers
+    that share one placement (`_placement`) and whose gate-wise product is,
+    template by template, a multiple of the identity within TOL_ALGEBRA:
+    such a run conjugates every operator trivially. A layer followed by its
+    exact inverse is the shortest such run. One stack pass also removes
+    nested runs, as in L M M^-1 L^-1; products are formed only where a layer
+    has the placement of the stack top, and the layers that stay are the
+    input's own. Shifts are never dropped."""
     kept: list[Step] = []
+    # per kept step: its placement and, for each start k of the same-placement
+    # run ending at it, the gate-wise products of the layers k .. it
+    runs: list[tuple] = []
     for step in e.steps:
-        if kept and _undoes(kept[-1], step):
-            kept.pop()
-        else:
-            kept.append(step)
+        key = _placement(step)
+        prods: list[list[np.ndarray]] = []
+        if key is not None:
+            gates = [t.unitary for t in step.templates]
+            if kept and runs[-1][0] == key:
+                prods = [[g @ p for g, p in zip(gates, ps)] for ps in runs[-1][1]]
+                scalar = [k for k, ps in enumerate(prods) if all(map(_is_scalar, ps))]
+                if scalar:
+                    # the shortest scalar run ending here goes
+                    cut = len(kept) - len(prods) + scalar[-1]
+                    del kept[cut:], runs[cut:]
+                    continue
+            prods.append(gates)
+        kept.append(step)
+        runs.append((key, prods))
     return e if len(kept) == len(e.steps) else _validated(e.sites, tuple(kept))
 
 
@@ -498,6 +514,17 @@ def matrix_unit_batch(dim: int) -> np.ndarray:
     return out
 
 
+def site_units(sites: SiteSpec) -> np.ndarray:
+    """The column units of every register of one site, register 0's first,
+    each tensored with the identity on the site's other registers: one batch
+    on the site's slots, in which register r holds the dims[r] units after
+    those of registers 0 .. r - 1."""
+    dims = list(sites.registers)
+    return np.concatenate([
+        tz.embed_factors_batch(column_units(d), dims, [r]) for r, d in enumerate(dims)
+    ])
+
+
 def column_units(dim: int) -> np.ndarray:
     """The dim column units |i><0| as a batch, unit i at index i. They
     generate the full matrix algebra, |i><j| = |i><0| (|j><0|)^+, so two
@@ -654,13 +681,16 @@ def balance_shifts(expr: QcaExpr) -> QcaExpr:
     return out
 
 
-def _image_distance(sites: SiteSpec, a, b) -> float:
-    """Largest Frobenius distance between matching members of two batches
-    (slots, matrices), compared on the union of their slots."""
+def _unit_distances(sites: SiteSpec, a, b) -> np.ndarray:
+    """Frobenius distance between each pair of matching members of two
+    batches (slots, matrices), compared on the union of their slots."""
     _, (m1, m2) = _on_union(sites, [a, b])
-    diff = m1 - m2
-    per_unit = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(1, 2)))
-    return float(np.max(per_unit))
+    return np.sqrt(np.sum(np.abs(m1 - m2) ** 2, axis=(1, 2)))
+
+
+def _image_distance(sites: SiteSpec, a, b) -> float:
+    """Largest Frobenius distance between matching members of two batches."""
+    return float(np.max(_unit_distances(sites, a, b)))
 
 
 def _probe_sites(exprs) -> range:

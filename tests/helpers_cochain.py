@@ -1,7 +1,7 @@
 """Cochains from Python functions, the exact coboundary, the zero and cocycle tests,
-cochain and class-coordinate arithmetic, and group relabelling, for building
-test inputs and checking results in `chainomaly.grpcoh`'s terms. Used only
-by the tests."""
+cochain and class-coordinate arithmetic, group relabelling, and the class of a
+phase cocycle summed in Fractions, for building test inputs and checking
+results in `chainomaly.grpcoh`'s terms. Used only by the tests."""
 
 from __future__ import annotations
 
@@ -9,8 +9,14 @@ import itertools
 
 import numpy as np
 
-from chainomaly.errors import PipelineError
-from chainomaly.grpcoh import ClassCoords, FiniteGroup, PhaseCochain, _face_sums
+from chainomaly.errors import NotACocycle, PipelineError
+from chainomaly.grpcoh import (
+    ClassCoords,
+    CohomologyGroup,
+    FiniteGroup,
+    PhaseCochain,
+    _face_sums,
+)
 
 MAX_DEGREE = 3
 
@@ -25,6 +31,16 @@ def coboundary(f: PhaseCochain) -> PhaseCochain:
         raise DegreeCap(f"coboundary capped at degree {MAX_DEGREE}")
     sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
     return PhaseCochain(f.group, f.degree + 1, tuple(sums))
+
+
+def class_of_by_fractions(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
+    """`grpcoh.class_of` with its integer Bockstein summed as exact Fractions
+    in an object array, an oracle for the integer face sums."""
+    sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
+    if any(s.denominator != 1 for s in sums):
+        raise NotACocycle("input is not a cocycle")
+    c = np.array([s.numerator for s in sums], dtype=np.int64)
+    return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
 
 
 def cochain_from_function(group: FiniteGroup, degree: int, fn) -> PhaseCochain:

@@ -528,27 +528,88 @@ def _lsm_probe_case(rep: anm.ProjectiveRep):
     return table, [(a, b) for a in beta for b in beta if a[1] + b[1] <= 2]
 
 
+def type_iii_action() -> anm.ActionSpec:
+    """The edge action of omega(a, b, c) = (-1)^(a1 b2 c3) on three qubit
+    registers, element g = 4 g1 + 2 g2 + g3: X on register i - 1 for each
+    g_i = 1, then, if g1 = 1, two brickwork layers of the diagonal gate
+    (-1)^((g2 + a2)(a3 + b3)) on the slots a2, a3 of a site and b3 of the
+    next."""
+    sites = SiteSpec((2, 2, 2))
+    Z2 = FiniteGroup.cyclic(2)
+    G = FiniteGroup.direct_product(FiniteGroup.direct_product(Z2, Z2), Z2)
+    exprs = []
+    for g in G.elements():
+        bits = ((g >> 2) & 1, (g >> 1) & 1, g & 1)
+        flips = tuple(GateTemplate(0, 1, PAULI_X, ((0, i),)) for i, bit in enumerate(bits) if bit)
+        steps = [BlockLayer(1, flips)] if flips else []
+        if bits[0]:
+            phases = [
+                (-1) ** (((bits[1] + a2) % 2) * ((a3 + b3) % 2))
+                for a2 in (0, 1) for a3 in (0, 1) for b3 in (0, 1)
+            ]
+            gate = np.diag(phases).astype(complex)
+            steps += [
+                BlockLayer(2, (GateTemplate(anchor, 2, gate, ((0, 1), (0, 2), (1, 2))),))
+                for anchor in (0, 1)
+            ]
+        exprs.append(QcaExpr(sites, tuple(steps)))
+    return anm.ActionSpec(G, sites, tuple(exprs))
+
+
+def k4_on_qubit_and_qutrit(seed: int) -> anm.ActionSpec:
+    """K4 on sites of a qubit and a qutrit register: identity, the flip with
+    a qutrit reflection, Levin-Gu on the qubits, and their product, all
+    conjugated by a seeded real orthogonal gate on both registers of a
+    site."""
+    sites = SiteSpec((2, 3))
+    flip_reflect = BlockLayer(1, (
+        GateTemplate(0, 1, PAULI_X, ((0, 0),)),
+        GateTemplate(0, 1, np.eye(3)[[0, 2, 1]], ((0, 1),)),
+    ))
+    cz = [BlockLayer(2, (GateTemplate(a, 2, anm.CZ_GATE, ((0, 0), (1, 0))),)) for a in (0, 1)]
+    flip = BlockLayer(1, (GateTemplate(0, 1, PAULI_X, ((0, 0),)),))
+    one, gamma = QcaExpr(sites, (flip_reflect,)), QcaExpr(sites, (flip, *cz))
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(6, 6)))
+    w = q * np.sign(np.diag(r))
+    w_layer, w_inverse = (BlockLayer(1, (GateTemplate(0, 1, m),)) for m in (w, w.T))
+    exprs = [identity_expr(sites)] + [
+        QcaExpr(sites, (w_inverse,) + e.steps + (w_layer,))
+        for e in (one, gamma, compose(gamma, one))
+    ]
+    return anm.ActionSpec(K4, sites, tuple(exprs))
+
+
 @functools.cache
 def probe_case(name: str, seed: int = 0):
     """(one V table shared by every example, its pairs (a, b))."""
     return {
         "levin-gu": lambda: _action_probe_case(anm.levin_gu_action()),
         "k4-conj-twosite": lambda: _action_probe_case(k4_conjugated_twosite(seed)),
+        "type-iii": lambda: _action_probe_case(type_iii_action()),
+        "k4-qubit-qutrit": lambda: _action_probe_case(k4_on_qubit_and_qutrit(seed)),
         "lsm-pauli": lambda: _lsm_probe_case(anm.pauli_projective_rep()),
         "lsm-clock-shift3": lambda: _lsm_probe_case(clock_shift_rep(3)),
     }[name]()
 
 
-@settings(max_examples=80)
+SEEDED_PROBE_CASES = ("k4-conj-twosite", "k4-qubit-qutrit")
+
+
+@settings(max_examples=100)
 @given(
-    name=st.sampled_from(["levin-gu", "k4-conj-twosite", "lsm-pauli", "lsm-clock-shift3"]),
+    name=st.sampled_from([
+        "levin-gu", "k4-conj-twosite", "type-iii", "k4-qubit-qutrit", "lsm-pauli",
+        "lsm-clock-shift3",
+    ]),
     seed=st.integers(0, 3),
     pick=st.integers(0, 10**6),
 )
 def test_table_probe_matches_whole_expression_probe(name, seed, pick):
-    # one beta run per slot against the cached inverse images moves the same
-    # slots as running the whole of beta_a beta_b beta_ab^-1, swept alike
-    table, pairs = probe_case(name, seed if name == "k4-conj-twosite" else 0)
+    # one beta run per site against the cached inverse images moves the same
+    # slots as running the whole of beta_a beta_b beta_ab^-1 on each slot,
+    # swept alike
+    table, pairs = probe_case(name, seed if name in SEEDED_PROBE_CASES else 0)
     a, b = pairs[pick % len(pairs)]
     beta = table.beta
     expr = compose(beta[a], compose(beta[b], invert(beta[table.mul(a, b)])))
@@ -556,7 +617,7 @@ def test_table_probe_matches_whole_expression_probe(name, seed, pick):
     assert table.active_slots(a, b, r) == helpers_probe.active_slots(expr)
 
 
-@pytest.mark.parametrize("case", ["k4", "lsm-clock-shift3"])
+@pytest.mark.parametrize("case", ["k4", "lsm-clock-shift3", "type-iii", "k4-qubit-qutrit"])
 def test_moved_slots_lie_in_the_light_cone(case):
     # a right restriction of a homomorphic action moves nothing left of the
     # cut and nothing at a site >= r, so one sweep from site 0 finds every
@@ -764,6 +825,19 @@ def test_not_projective_detected():
     rep = anm.ProjectiveRep(G, mats)
     with pytest.raises(NotProjective, match=r"matrices at \(1, 1\) are not projective"):
         anm.projective_cocycle(rep)
+
+
+def non_projective_rep() -> anm.ProjectiveRep:
+    """Z2 x Z2 by I, X, Z, H: X Z and H differ by more than a phase."""
+    G = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return anm.ProjectiveRep(G, (np.eye(2), PAULI_X, PAULI_Z, hadamard))
+
+
+def test_lsm_refuses_a_non_projective_rep_by_name():
+    # refused before any V is extracted, not by the extraction cap
+    with pytest.raises(NotProjective, match=r"^matrices at \(\(0,1\), \(1,0\)\) are not projective"):
+        anm.lsm_pipeline(non_projective_rep())
 
 
 def test_unsnapped_phases_keep_their_class(monkeypatch):
@@ -1124,8 +1198,10 @@ def test_conjugated_k4_keeps_the_unconjugated_report(make, window):
 def test_conjugated_k4_conjugation_count(monkeypatch):
     # a deterministic work count: the W W^-1 junctions of every
     # beta_a beta_b beta_ab^-1 cancel, 10 of the 16 composites are empty and
-    # the probe guard shrinks with the radius. Without cancellation the
-    # extraction conjugates 2160 gates; with it, 1246
+    # the sweep stops at the light cone. Without cancellation the extraction
+    # conjugates 2160 gates; with cancellation and the r + 1 site guard after
+    # every composite, 1246; with the sweep stopped at the light cone and
+    # the registers of a site probed together, 974
     calls = []
     real = qca._conj_gate_batch
 
@@ -1135,4 +1211,48 @@ def test_conjugated_k4_conjugation_count(monkeypatch):
 
     monkeypatch.setattr(qca, "_conj_gate_batch", counting)
     assert anm.anomaly_class(k4_conjugated_twosite(11)).coords.residues == (0, 1, 0)
-    assert len(calls) <= 1300
+    assert len(calls) <= 1000
+
+
+def _count_sweeps_and_runs(monkeypatch) -> dict:
+    counts = {"sweeps": 0, "runs": 0}
+    sweep, run = anm.VTable.active_slots, anm._run_batch
+
+    def counting_sweep(*args):
+        counts["sweeps"] += 1
+        return sweep(*args)
+
+    def counting_run(*args):
+        counts["runs"] += 1
+        return run(*args)
+
+    monkeypatch.setattr(anm.VTable, "active_slots", counting_sweep)
+    monkeypatch.setattr(anm, "_run_batch", counting_run)
+    return counts
+
+
+def test_clock_shift_lsm_work_count(monkeypatch):
+    # rho(g) rho(h) rho(gh)^-1 and T T^-1 drop as scalar runs, the sweep
+    # stops at the light cone and a site's two registers share one run:
+    # 72 sweeps and 493 runs of the slot engine in this module, against 196
+    # and 1651 with only exact inverse pairs cancelled and the r + 1 site
+    # guard after every composite
+    counts = _count_sweeps_and_runs(monkeypatch)
+    out = anm.lsm_pipeline(clock_shift_rep(3))
+    assert out.classes_equal and not out.slant_class.is_trivial
+    assert counts["sweeps"] <= 80
+    assert counts["runs"] <= 600
+
+
+def test_onsite_pauli_k4_runs_no_sweep(monkeypatch):
+    # every composite of an on-site projective action is a scalar run
+    pauli = anm.pauli_projective_rep().matrices
+    exprs = tuple(
+        QcaExpr(S2, (BlockLayer(1, (GateTemplate(0, 1, m),)),) if g else ())
+        for g, m in enumerate(pauli)
+    )
+    counts = _count_sweeps_and_runs(monkeypatch)
+    report = anm.anomaly_class(anm.ActionSpec(K4, S2, exprs))
+    assert report.coords.is_trivial
+    assert counts["sweeps"] == 0
+    assert set(report.diagnostics["v_windows"].values()) == {"[]"}

@@ -668,6 +668,28 @@ def test_benchmark_configs_run(tmp_path):
     assert {name: code for name, code in codes.items() if code} == {}
 
 
+def test_lsm_with_a_non_projective_rep_exits_2_naming_the_pair(tmp_path, capsys):
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    mats = [np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1]), hadamard]
+    config = {
+        "mode": "anomaly",
+        "action": {
+            "preset": "lsm",
+            "rep": {
+                "group": {"kind": "product", "factors": [2, 2]},
+                "matrices": [matrix_to_pairs(m) for m in mats],
+            },
+        },
+        "output": {"json": "r.json"},
+    }
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "matrices at ((0,1), (1,0)) are not projective" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 # -- a type-III anomaly of Z2^3 ------------------------------------------------------------------
 
 PAULI_X_DATA = matrix_to_pairs(np.array([[0, 1], [1, 0]]))

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from chainomaly.grpcoh import (
 
 from helpers_cochain import (
     DegreeCap,
+    class_of_by_fractions,
     coboundary,
     cochain_from_function,
     coords_add,
@@ -341,6 +343,65 @@ def test_class_of_additive(seed):
     assert is_cocycle(g)
     total = class_of(f + g, H)
     assert total.residues == coords_add(class_of(f, H), class_of(g, H)).residues
+
+
+def _outcome(fn, f, H):
+    try:
+        return fn(f, H)
+    except NotACocycle:
+        return "not a cocycle"
+
+
+# primes just below 2^31 and 2^37: denominators whose lcm is above 2^63
+BIG_PRIMES = (2 ** 31 - 1, 2 ** 37 - 25)
+
+
+@pytest.mark.parametrize("group,degree", [(Z2, 3), (Z2Z2, 2), (Z2Z2, 3), (Z6, 2), (S3, 3)])
+@given(
+    seed=st.integers(0, 10 ** 6),
+    den=st.sampled_from([2, 12, 2 ** 61 - 1, BIG_PRIMES]),
+    cocycle=st.booleans(),
+)
+def test_class_of_matches_the_fraction_sums(group, degree, seed, den, cocycle):
+    # cocycles: a random class representative plus the coboundary of a
+    # cochain whose values have denominator `den` (or, for a pair, one of the
+    # two, so that the lcm is their product); otherwise a random cochain
+    rng = np.random.default_rng(seed)
+    H = cohomology(group, degree)
+    dens = den if isinstance(den, tuple) else (den,)
+    n = group.order
+    if cocycle:
+        coords = ClassCoords(
+            tuple(int(rng.integers(0, f)) for f in H.invariant_factors), H.invariant_factors
+        )
+        psi = PhaseCochain(group, degree - 1, tuple(
+            Fraction(int(rng.integers(0, 2 ** 62)), int(rng.choice(dens)))
+            for _ in range(n ** (degree - 1))
+        ))
+        f = H.representative(coords) + coboundary(psi)
+    else:
+        f = PhaseCochain(group, degree, tuple(
+            Fraction(int(rng.integers(0, 2 ** 62)), int(rng.choice(dens)))
+            for _ in range(n ** degree)
+        ))
+    got = _outcome(class_of, f, H)
+    assert got == _outcome(class_of_by_fractions, f, H)
+    if cocycle:
+        assert got == coords
+
+
+def test_class_of_sums_past_int64():
+    # values of denominators 2^31 - 1 and 2^37 - 25 put the common
+    # denominator above 2^63 - 1; the coboundary of such a cochain still
+    # has class zero, and a lone such value is not a cocycle
+    H = cohomology(Z2Z2, 2)
+    psi = PhaseCochain(Z2Z2, 1, (0, Fraction(5, BIG_PRIMES[0]), Fraction(7, BIG_PRIMES[1]), 0))
+    f = coboundary(psi)
+    assert math.lcm(*(v.denominator for v in f.values)) > 2 ** 63
+    assert class_of(f, H).is_trivial
+    bad = PhaseCochain(Z2Z2, 2, (Fraction(1, BIG_PRIMES[0] * BIG_PRIMES[1]),) + (0,) * 15)
+    with pytest.raises(NotACocycle):
+        class_of(bad, H)
 
 
 def test_class_coords_arithmetic():

@@ -851,7 +851,7 @@ def test_gnvw_numeric_same_with_swaps_conjugated_as_matrices(monkeypatch, regist
     assert (overlaps(expr), gnvw_numeric(expr)) == fast
 
 
-# -- exact inverse pairs cancel -------------------------------------------------------------
+# -- scalar layer runs are dropped ------------------------------------------------------------
 
 def _inverse_layer(layer: BlockLayer) -> BlockLayer:
     return invert(QcaExpr(S2, (layer,))).steps[0]
@@ -860,17 +860,17 @@ def _inverse_layer(layer: BlockLayer) -> BlockLayer:
 def test_a_layer_then_its_inverse_cancels(rng):
     a, layer, b = (random_two_site_layer(rng, anchor=k % 2) for k in range(3))
     e = QcaExpr(S2, (a, layer, _inverse_layer(layer), b))
-    assert qca.cancel_inverse_pairs(e).steps == (a, b)
+    assert qca.cancel_scalar_runs(e).steps == (a, b)
     # the inverse first and the layer second is a pair too
     e = QcaExpr(S2, (_inverse_layer(layer), layer))
-    assert qca.cancel_inverse_pairs(e).steps == ()
+    assert qca.cancel_scalar_runs(e).steps == ()
 
 
 def test_nested_inverse_pairs_cancel(rng):
     outer, inner, last = (random_two_site_layer(rng) for _ in range(3))
     steps = (outer, inner, _inverse_layer(inner), _inverse_layer(outer))
-    assert qca.cancel_inverse_pairs(QcaExpr(S2, steps)).steps == ()
-    assert qca.cancel_inverse_pairs(QcaExpr(S2, steps + (last,))).steps == (last,)
+    assert qca.cancel_scalar_runs(QcaExpr(S2, steps)).steps == ()
+    assert qca.cancel_scalar_runs(QcaExpr(S2, steps + (last,))).steps == (last,)
 
 
 def _one_ulp_off(layer: BlockLayer) -> BlockLayer:
@@ -880,20 +880,35 @@ def _one_ulp_off(layer: BlockLayer) -> BlockLayer:
     return replace(layer, templates=(replace(t, unitary=u),))
 
 
+def _phase_off(layer: BlockLayer) -> BlockLayer:
+    # still exactly unitary: the first column turned by the phase 1e-9
+    t = layer.templates[0]
+    u = t.unitary.copy()
+    u[:, 0] *= np.exp(1e-9j)
+    return replace(layer, templates=(replace(t, unitary=u),))
+
+
+def test_an_inverse_off_by_one_ulp_is_dropped(rng):
+    # one ulp keeps the product within TOL_ALGEBRA of the identity
+    layer = random_two_site_layer(rng)
+    e = QcaExpr(S2, (layer, _one_ulp_off(_inverse_layer(layer))))
+    assert qca.cancel_scalar_runs(e).steps == ()
+
+
 @pytest.mark.parametrize(
     "change",
     [
-        _one_ulp_off,
+        _phase_off,
         lambda layer: replace(layer, min_site=0),
         lambda layer: replace(layer, max_site=9),
         lambda layer: replace(layer, templates=(replace(layer.templates[0], anchor=1),)),
     ],
-    ids=["one-ulp", "min-site", "max-site", "anchor"],
+    ids=["phase-1e-9", "min-site", "max-site", "anchor"],
 )
 def test_a_near_inverse_is_kept(rng, change):
     layer = random_two_site_layer(rng)
     e = QcaExpr(S2, (layer, change(_inverse_layer(layer))))
-    assert qca.cancel_inverse_pairs(e) is e
+    assert qca.cancel_scalar_runs(e) is e
 
 
 def test_shifts_are_never_cancelled(rng):
@@ -905,7 +920,30 @@ def test_shifts_are_never_cancelled(rng):
         (layer, ShiftPrimitive(1, 2), ShiftPrimitive(1, -2), inverse),
     ]:
         e = QcaExpr(sites, steps)
-        assert qca.cancel_inverse_pairs(e) is e
+        assert qca.cancel_scalar_runs(e) is e
+
+
+def test_a_lone_scalar_layer_is_kept():
+    # runs start at two layers: no pushed layer is tested on its own
+    e = QcaExpr(S2, (BlockLayer(1, (GateTemplate(0, 1, 1j * np.eye(2)),)),))
+    assert qca.cancel_scalar_runs(e) is e
+
+
+def _bounded_random_layer(rng, sites: SiteSpec) -> BlockLayer:
+    out = _random_layer(rng, sites)
+    bounds = rng.integers(-3, 4, size=2)
+    keep = rng.integers(0, 2, size=2)
+    return replace(
+        out,
+        min_site=int(bounds[0]) if keep[0] else None,
+        max_site=int(bounds[0] + abs(bounds[1]) + 2) if keep[1] else None,
+    )
+
+
+def _assert_same_action(e: QcaExpr, cancelled: QcaExpr):
+    units = qca.column_units(e.sites.dim)
+    for j in qca._probe_sites((e,)):
+        assert action_distance(e, cancelled, range(j, j + 1), units) <= 1e-12
 
 
 @given(
@@ -917,29 +955,48 @@ def test_cancelled_circuit_acts_like_the_uncancelled_one(seed, registers):
     # places, some nested; cancelling removes every inserted pair
     rng = np.random.default_rng(seed)
     sites = SiteSpec(registers)
-
-    def layer():
-        out = _random_layer(rng, sites)
-        bounds = rng.integers(-3, 4, size=2)
-        keep = rng.integers(0, 2, size=2)
-        return replace(
-            out,
-            min_site=int(bounds[0]) if keep[0] else None,
-            max_site=int(bounds[0] + abs(bounds[1]) + 2) if keep[1] else None,
-        )
-
-    base = [layer() for _ in range(int(rng.integers(1, 4)))]
+    base = [_bounded_random_layer(rng, sites) for _ in range(int(rng.integers(1, 4)))]
     steps = list(base)
     for _ in range(int(rng.integers(1, 4))):
-        extra = layer()
+        extra = _bounded_random_layer(rng, sites)
         at = int(rng.integers(0, len(steps) + 1))
         steps[at:at] = [extra, invert(QcaExpr(sites, (extra,))).steps[0]]
     e = QcaExpr(sites, tuple(steps))
-    cancelled = qca.cancel_inverse_pairs(e)
+    cancelled = qca.cancel_scalar_runs(e)
     assert cancelled.steps == tuple(base)
-    units = qca.column_units(sites.dim)
-    for j in qca._probe_sites((e,)):
-        assert action_distance(e, cancelled, range(j, j + 1), units) <= 1e-12
+    _assert_same_action(e, cancelled)
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    registers=st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]),
+)
+def test_scalar_runs_vanish(seed, registers):
+    # runs of 2 or 3 random layers on one placement, closed by e^(i phi)
+    # times the inverse of their gate-wise product, inserted among random
+    # layers; each run is dropped whole and the action does not move
+    rng = np.random.default_rng(seed)
+    sites = SiteSpec(registers)
+    base = [_bounded_random_layer(rng, sites) for _ in range(int(rng.integers(1, 4)))]
+    steps = list(base)
+    for _ in range(int(rng.integers(1, 3))):
+        first = _bounded_random_layer(rng, sites)
+        t = first.templates[0]
+        run = [first] + [
+            replace(first, templates=(replace(t, unitary=random_unitary(len(t.unitary), rng)),))
+            for _ in range(int(rng.integers(1, 3)))
+        ]
+        product = np.eye(len(t.unitary))
+        for layer in run:
+            product = layer.templates[0].unitary @ product
+        closing = np.exp(2j * np.pi * rng.uniform()) * product.conj().T
+        run.append(replace(first, templates=(replace(t, unitary=closing),)))
+        at = int(rng.integers(0, len(steps) + 1))
+        steps[at:at] = run
+    e = QcaExpr(sites, tuple(steps))
+    cancelled = qca.cancel_scalar_runs(e)
+    assert cancelled.steps == tuple(base)
+    _assert_same_action(e, cancelled)
 
 
 # -- the gates of a layer that meet a batch --------------------------------------------------
