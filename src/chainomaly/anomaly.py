@@ -21,14 +21,17 @@ homomorphic action moves nothing left of the cut and nothing at a site >= r,
 r being the radius of the remaining expression (at least 1), so sites 0 ..
 r - 1 are probed, and only when a slot at site r - 1 or beyond moves does
 the sweep go on until the r + 1 sites after the last moved one are fixed.
-An automorphism of a full matrix algebra is fixed by its images of the
-column units |i><0|, which generate the algebra, so these units are the one
-probe batch. A slot is moved unless beta_h beta_gh^-1 maps its column units
-to their images under beta_g^-1; the V table keeps those inverse images,
-computed once per element and site for all registers of the site together,
-so each probed site costs one run of beta_h. On the moved slots the
-expression is conjugation by V, and V is read column by column off the
-images of the column units, v_i v_0^+.
+An automorphism is fixed on a site by its images of the column units
+|i><0| of each register, tensored with the identity on the site's other
+registers, which generate the site's algebra. They are a site's one probe
+batch (qca.site_probe): the homomorphism check, the shift-balance self-check
+and the V sweep all compare two images of it, register by register
+(qca.register_distances). A slot is moved unless beta_h beta_gh^-1 maps its
+register's units to their images under beta_g^-1; the V table keeps those
+inverse images, computed once per element and site, so each probed site
+costs one run of beta_h. On the moved slots the expression is conjugation by
+V, and V is read column by column off the images of the column units of its
+support, v_i v_0^+.
 
 For a projective on-site representation combined with translation, the
 chain is stacked with a copy that the translation shifts oppositely, and the
@@ -91,17 +94,15 @@ from .qca import (
     identity_expr,
     invert,
     radius,
-    site_units,
+    register_distances,
+    site_probe,
 )
 from .qca import (
-    _image_distance,
     _on_union,
     _probe_sites,
     _run_batch,
     _site_span,
     _slot_dims,
-    _slots_of_window,
-    _unit_distances,
 )
 
 # A local operator (slots, matrix): the matrix acts on the listed tensor
@@ -122,7 +123,6 @@ class ActionSpec:
     group: FiniteGroup
     sites: SiteSpec
     exprs: tuple[QcaExpr, ...]
-    name: str = ""
 
     def __post_init__(self):
         if len(self.exprs) != self.group.order:
@@ -275,33 +275,35 @@ class MixedAnomalyReport:
 # -- action verification and restriction ---------------------------------------
 
 def verify_action(spec: ActionSpec) -> float:
-    """Check map(identity) = id and map(g) map(h) = map(gh) on the column
-    units of every probe site, which generate the site's algebra; return the
-    largest residual. The probe sites are one period of the layers and, with
-    a truncated layer, the zone around its bounds (qca._probe_sites): they
-    decide the whole chain. Each element's image of a site's units is
-    computed once; map(g) map(h) is map(g) run on the image under h."""
+    """Check map(identity) = id and map(g) map(h) = map(gh) on the probe
+    batch of every probe site, the column units of each register of the site
+    (qca.site_probe), which generate its algebra; return the largest
+    residual. The probe sites are one period of the layers and, with a
+    truncated layer, the zone around its bounds (qca._probe_sites): they
+    decide the whole chain. Each element's image of a site's batch is
+    computed once; map(g) map(h) is map(g) run on the image under h. A
+    failure names the site and register where its residual is largest."""
     G = spec.group
     sites = spec.sites
-    units = column_units(sites.dim)
-    res = 0.0
-    dist = dict.fromkeys(itertools.product(G.elements(), repeat=2), 0.0)
+    # per check, None for the identity element and (g, h) for a pair: the
+    # largest residual and the first site and register that reach it
+    worst = dict.fromkeys([None, *itertools.product(G.elements(), repeat=2)], (0.0, 0, 0))
     for j in _probe_sites(spec.exprs):
-        slots = _slots_of_window(sites, range(j, j + 1))
-        image = [_run_batch(e, slots, units) for e in spec.exprs]
-        res = max(res, _image_distance(sites, image[0], (slots, units)))
-        for g, h in dist:
-            gh = _run_batch(spec.expr(g), *image[h])
-            dist[g, h] = max(dist[g, h], _image_distance(sites, gh, image[G.mul(g, h)]))
-    if res > TOL_AUTO:
-        raise NotAHomomorphism(f"identity element acts nontrivially (residual {res:.3g})")
-    for (g, h), d in dist.items():
+        probe = site_probe(sites, j)
+        image = [_run_batch(e, *probe) for e in spec.exprs]
+        for key in worst:
+            a, b = (image[0], probe) if key is None else (
+                _run_batch(spec.expr(key[0]), *image[key[1]]), image[G.mul(*key)])
+            dist = register_distances(sites, a, b)
+            reg = int(np.argmax(dist))
+            if dist[reg] > worst[key][0]:
+                worst[key] = (float(dist[reg]), j, reg)
+    for key, (d, j, reg) in worst.items():
         if d > TOL_AUTO:
-            raise NotAHomomorphism(
-                f"pair ({G.name(g)}, {G.name(h)}) violates the homomorphism "
-                f"property (residual {d:.3g})"
-            )
-    return max(res, *dist.values())
+            what = "identity element acts nontrivially" if key is None else (
+                f"pair ({G.name(key[0])}, {G.name(key[1])}) violates the homomorphism property")
+            raise NotAHomomorphism(f"{what} at site {j}, register {reg} (residual {d:.3g})")
+    return max(d for d, _, _ in worst.values())
 
 
 def restrict_right(expr: QcaExpr) -> QcaExpr:
@@ -325,17 +327,20 @@ MAX_V_DIM = 64
 class VTable:
     """The obstruction unitaries V(a, b) of the restricted action `beta`
     (element -> expression), each extracted on first use and kept as
-    (slots, matrix) in `entries`, with its residual in `residuals`. `mul` is
-    the group law and `name` labels elements in error messages. The table
-    also keeps, computed when first needed, each element's inverse and, per
-    element x and site j, I_x(j): the column units of every register of site
-    j (`site_units`) run through the inverse of beta_x in one batch."""
+    (slots, matrix) in `entries`, with its residual in `residuals`, and the
+    associator omega(a, b, c) of those unitaries, whose scalar residual each
+    evaluation records in `scalar_residuals`. `mul` is the group law and
+    `name` labels elements in error messages. The table also keeps,
+    computed when first needed, each element's inverse and, per element x
+    and site j, I_x(j): the probe batch of site j (`site_probe`, the column
+    units of each of its registers) run through the inverse of beta_x."""
 
     beta: dict
     mul: Callable
     name: Callable
     entries: dict[tuple, SlotOperator] = field(default_factory=dict)
     residuals: dict[tuple, float] = field(default_factory=dict)
+    scalar_residuals: dict[tuple, float] = field(default_factory=dict)
     inverses: dict = field(default_factory=dict)
     images: dict = field(default_factory=dict)
 
@@ -354,10 +359,10 @@ class VTable:
         return self.inverses[x]
 
     def image(self, x, site: int):
+        """I_x(site): the site's probe batch run through beta_x^-1."""
         if (x, site) not in self.images:
-            sites = self.beta[x].sites
-            window = _slots_of_window(sites, range(site, site + 1))
-            self.images[x, site] = _run_batch(self.inverse(x), window, site_units(sites))
+            probe = site_probe(self.beta[x].sites, site)
+            self.images[x, site] = _run_batch(self.inverse(x), *probe)
         return self.images[x, site]
 
     def expression(self, a, b) -> QcaExpr:
@@ -376,21 +381,18 @@ class VTable:
         the r + 1 sites after the last moved site are fixed. The composite
         fixes A exactly when beta_b beta_ab^-1 (A) = beta_a^-1 (A), since
         conjugating both sides by beta_a preserves their distance; so each
-        site costs one run of beta_b, on the units of all its registers at
-        once, and a slot is moved when one of its register's units is.
+        site costs one run of beta_b on its probe batch, and a slot is moved
+        when its register's distance (`register_distances`) exceeds TOL_AUTO.
         Raises WindowCapExceeded once the moved slots exceed MAX_V_DIM."""
         sites = self.beta[a].sites
         R = sites.nregisters
-        ends = np.cumsum(sites.registers)
         ab = self.mul(a, b)
         active: list[int] = []
         D, last, site = 1, -1, 0
         while site <= last + r + 1 and (site < r or last >= r - 1):
             image = _run_batch(self.beta[b], *self.image(ab, site))
-            dist = _unit_distances(sites, image, self.image(a, site))
-            for reg, d in enumerate(np.split(dist, ends[:-1])):
-                if d.max() <= TOL_AUTO:
-                    continue
+            dist = register_distances(sites, image, self.image(a, site))
+            for reg in np.flatnonzero(dist > TOL_AUTO).tolist():
                 active.append(site * R + reg)
                 last = site
                 D *= sites.registers[reg]
@@ -400,6 +402,24 @@ class VTable:
                     )
             site += 1
         return active
+
+    def omega(self, a, b, c) -> float:
+        """The associator V(a,b) V(ab,c) V(a,bc)^+ beta_a(V(b,c))^+ as float
+        turns (angle over 2 pi); its scalar residual goes to
+        `scalar_residuals`."""
+        V, beta_a = self.gate, self.beta[a]
+        ab, bc = self.mul(a, b), self.mul(b, c)
+        try:
+            bc_slots, vbc = V(b, c)
+            parts = [(slots, m[None]) for slots, m in (V(a, b), V(ab, c), V(a, bc))]
+            parts.append(_run_batch(beta_a, bc_slots, vbc[None]))
+            _, (vab, vabc, va_bc, beta_vbc) = _on_union(beta_a.sites, parts)
+            P = (vab[0] @ vabc[0]) @ (va_bc[0].conj().T @ beta_vbc[0].conj().T)
+            lam, self.scalar_residuals[a, b, c] = _scalar_phase(P, TOL_PHASE)
+        except NotScalar as exc:
+            name = self.name
+            raise NotScalar(f"omega({name(a)}, {name(b)}, {name(c)}): {exc}") from exc
+        return float(np.angle(lam)) / (2 * math.pi)
 
 
 def _extract(table: VTable, a, b) -> tuple[SlotOperator, float]:
@@ -450,24 +470,6 @@ def _scalar_phase(M: np.ndarray, scalar_tol: float) -> tuple[complex, float]:
     return lam / abs(lam), resid
 
 
-def _omega_at(table: VTable, a, b, c) -> tuple[float, float]:
-    """The associator V(a,b) V(ab,c) V(a,bc)^+ beta_a(V(b,c))^+ of the V table
-    as float turns (angle over 2 pi), with its scalar residual."""
-    V, beta_a = table.gate, table.beta[a]
-    ab, bc = table.mul(a, b), table.mul(b, c)
-    try:
-        bc_slots, vbc = V(b, c)
-        parts = [(slots, m[None]) for slots, m in (V(a, b), V(ab, c), V(a, bc))]
-        parts.append(_run_batch(beta_a, bc_slots, vbc[None]))
-        _, (vab, vabc, va_bc, beta_vbc) = _on_union(beta_a.sites, parts)
-        P = (vab[0] @ vabc[0]) @ (va_bc[0].conj().T @ beta_vbc[0].conj().T)
-        lam, resid = _scalar_phase(P, TOL_PHASE)
-    except NotScalar as exc:
-        name = table.name
-        raise NotScalar(f"omega({name(a)}, {name(b)}, {name(c)}): {exc}") from exc
-    return float(np.angle(lam)) / (2 * math.pi), resid
-
-
 def _classify(H: CohomologyGroup, turns, what: str) -> ClassifiedCocycle:
     """Classify float turns, one per tuple: snap them to the cochain, whose
     exact class must equal the rounded one."""
@@ -496,11 +498,9 @@ def omega_from_vtable(
     """Evaluate the associator of the V table on every tuple and classify it.
     Returns the classified cocycle and, per tuple, its scalar residual and
     (when the phases snap) its snap error."""
-    turns, diagnostics = [], {}
-    for t in itertools.product(range(group.order), repeat=3):
-        x, resid = _omega_at(vtable, *t)
-        turns.append(x)
-        diagnostics[t] = {"scalar_residual": resid}
+    tuples = list(itertools.product(range(group.order), repeat=3))
+    turns = [vtable.omega(*t) for t in tuples]
+    diagnostics = {t: {"scalar_residual": vtable.scalar_residuals[t]} for t in tuples}
     om = _classify(cohomology(group, 3), turns, "omega")
     for diag, err in zip(diagnostics.values(), om.snap_errors or ()):
         diag["snap_error"] = err
@@ -611,19 +611,12 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
         return f"({G0.name(a[0])}, {a[1]})"
 
     table = VTable(beta, mulz, namez)
-    scalar_residuals: list[float] = []
-
-    def omega_eval(a, b, c) -> float:
-        x, resid = _omega_at(table, a, b, c)
-        scalar_residuals.append(resid)
-        return x
-
     H2 = cohomology(G0, 2)
-    slant = _classify(H2, slant_z(omega_eval, G0), "slant")
+    slant = _classify(H2, slant_z(table.omega, G0), "slant")
     equal = slant.coords.residues == rho.coords.residues
     verdict = "NonAnomalous" if slant.coords.is_trivial else "Anomalous"
     diag = {
-        "max_scalar_residual": max(scalar_residuals, default=0.0),
+        "max_scalar_residual": max(table.scalar_residuals.values(), default=0.0),
         "max_v_residual": max(table.residuals.values(), default=0.0),
         "v_count": len(table.entries),
     }
@@ -660,7 +653,7 @@ def levin_gu_action() -> ActionSpec:
     cz_odd = BlockLayer(2, (GateTemplate(1, 2, CZ_GATE),))
     gamma = QcaExpr(sites, (x_layer, cz_even, cz_odd))
     G = FiniteGroup.cyclic(2, names=("1", "-1"))
-    return ActionSpec(G, sites, (identity_expr(sites), gamma), name="levin-gu-z2")
+    return ActionSpec(G, sites, (identity_expr(sites), gamma))
 
 
 def onsite_flip_action() -> ActionSpec:
@@ -669,7 +662,7 @@ def onsite_flip_action() -> ActionSpec:
     x_layer = BlockLayer(1, (GateTemplate(0, 1, PAULI_X),))
     flip = QcaExpr(sites, (x_layer,))
     G = FiniteGroup.cyclic(2, names=("1", "-1"))
-    return ActionSpec(G, sites, (identity_expr(sites), flip), name="onsite")
+    return ActionSpec(G, sites, (identity_expr(sites), flip))
 
 
 def pauli_projective_rep() -> ProjectiveRep:

@@ -21,8 +21,11 @@ circuits (balanced shifts) cost no matrix products, and the
 matrices stay small however deep the circuit. An operator is the identity on
 a slot exactly when, cut into blocks by that slot's index, its off-diagonal
 blocks vanish and its diagonal blocks agree. Two automorphisms are compared
-on the column units |i><0| of a site (`column_units`), which generate its
-algebra; the overlap index sums over all matrix units, an orthonormal basis.
+on one probe batch per site (`site_probe`): the column units |i><0| of each
+register, tensored with the identity on the site's other registers, which
+generate the site's algebra; `register_distances` reads the largest distance
+per register. The overlap index sums over all matrix units, an orthonormal
+basis.
 """
 
 from __future__ import annotations
@@ -525,6 +528,12 @@ def site_units(sites: SiteSpec) -> np.ndarray:
     ])
 
 
+def site_probe(sites: SiteSpec, site: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The probe batch of one site: its slots and the column units of each of
+    its registers (`site_units`), which generate the site's algebra."""
+    return _slots_of_window(sites, range(site, site + 1)), site_units(sites)
+
+
 def column_units(dim: int) -> np.ndarray:
     """The dim column units |i><0| as a batch, unit i at index i. They
     generate the full matrix algebra, |i><j| = |i><0| (|j><0|)^+, so two
@@ -681,26 +690,24 @@ def balance_shifts(expr: QcaExpr) -> QcaExpr:
     return out
 
 
-def _unit_distances(sites: SiteSpec, a, b) -> np.ndarray:
-    """Frobenius distance between each pair of matching members of two
-    batches (slots, matrices), compared on the union of their slots."""
+def register_distances(sites: SiteSpec, a, b) -> np.ndarray:
+    """Per register, the largest Frobenius distance between matching units of
+    two images (slots, matrices) of one `site_probe` batch, compared on the
+    union of their slots."""
     _, (m1, m2) = _on_union(sites, [a, b])
-    return np.sqrt(np.sum(np.abs(m1 - m2) ** 2, axis=(1, 2)))
-
-
-def _image_distance(sites: SiteSpec, a, b) -> float:
-    """Largest Frobenius distance between matching members of two batches."""
-    return float(np.max(_unit_distances(sites, a, b)))
+    dist = np.sqrt(np.sum(np.abs(m1 - m2) ** 2, axis=(1, 2)))
+    return np.maximum.reduceat(dist, np.cumsum((0,) + sites.registers[:-1]))
 
 
 def _probe_sites(exprs) -> range:
-    """Sites on which comparing automorphisms built from `exprs` decides the
-    whole chain. Every step commutes with translation by P, the lcm of the
-    layer periods, so the check at j + P is the translate of the check at j
-    and sites 0 .. P - 1 decide it. A `min_site`/`max_site` bound breaks
-    that only within reach 2r + 1 of it (r the largest radius), so with
-    bounds the sites also run from the lowest - reach - P to the highest +
-    reach + P. More than PROBE_SITE_CAP sites raise WindowCapExceeded."""
+    """Sites whose probe batches (`site_probe`) decide whether automorphisms
+    built from `exprs` agree on the whole chain. Every step commutes with
+    translation by P, the lcm of the layer periods, so the check at j + P is
+    the translate of the check at j and sites 0 .. P - 1 decide it. A
+    `min_site`/`max_site` bound breaks that only within reach 2r + 1 of it
+    (r the largest radius), so with bounds the sites also run from the
+    lowest - reach - P to the highest + reach + P. More than PROBE_SITE_CAP
+    sites raise WindowCapExceeded."""
     layers = [s for e in exprs for s in e.steps if isinstance(s, BlockLayer)]
     period = math.lcm(*(layer.period for layer in layers))
     bounds = [b for layer in layers for b in (layer.min_site, layer.max_site) if b is not None]
@@ -716,13 +723,11 @@ def _probe_sites(exprs) -> range:
 
 def _verify_same_action(e1: QcaExpr, e2: QcaExpr):
     """Raise InvariantViolation unless e1 and e2 agree, within TOL_AUTO, on
-    the column units of every probe site (`_probe_sites`)."""
+    the probe batch of every probe site (`site_probe`, `_probe_sites`)."""
     sites = e1.sites
-    units = column_units(sites.dim)
     for j in _probe_sites((e1, e2)):
-        slots = _slots_of_window(sites, range(j, j + 1))
-        a, b = (_run_batch(e, slots, units) for e in (e1, e2))
-        if _image_distance(sites, a, b) > TOL_AUTO:
+        probe = site_probe(sites, j)
+        if register_distances(sites, *(_run_batch(e, *probe) for e in (e1, e2))).max() > TOL_AUTO:
             raise InvariantViolation(
                 f"shift neutralization changed the action at site {j}"
             )

@@ -18,9 +18,12 @@ from chainomaly.qca import QcaExpr, matrix_unit_batch, radius
 
 def action_distance(e1: QcaExpr, e2: QcaExpr, window: range, mats: np.ndarray) -> float:
     """Largest Frobenius distance between the images under e1 and e2 of a
-    unit batch on the sites of `window`."""
+    unit batch on the sites of `window`, compared on the union of their
+    slots."""
     slots = qca._slots_of_window(e1.sites, window)
-    return qca._image_distance(e1.sites, *(qca._run_batch(e, slots, mats) for e in (e1, e2)))
+    images = (qca._run_batch(e, slots, mats) for e in (e1, e2))
+    _, (m1, m2) = qca._on_union(e1.sites, list(images))
+    return float(np.max(np.sqrt(np.sum(np.abs(m1 - m2) ** 2, axis=(1, 2)))))
 
 
 def moves(expr: QcaExpr, slot: int, tol: float = TOL_AUTO) -> bool:

@@ -183,6 +183,42 @@ def test_verify_rejects_a_diagonal_gate_that_squares_to_z():
         anm.verify_action(act)
 
 
+def test_a_failed_homomorphism_check_names_its_site_and_register():
+    shift = QcaExpr(S2, (ShiftPrimitive(0, 1),))
+    act = anm.ActionSpec(FiniteGroup.cyclic(2), S2, (identity_expr(S2), shift))
+    with pytest.raises(NotAHomomorphism) as err:
+        anm.verify_action(act)
+    assert str(err.value) == (
+        "pair (1, 1) violates the homomorphism property at site 0, register 0 (residual 2)"
+    )
+    # on a qubit and a qutrit register, a qutrit 3-cycle at the odd sites
+    # does not square to the identity
+    s23 = SiteSpec((2, 3))
+    cycle = np.eye(3)[:, [1, 2, 0]]
+    gen = QcaExpr(s23, (BlockLayer(2, (GateTemplate(1, 1, cycle, ((0, 1),)),)),))
+    act = anm.ActionSpec(FiniteGroup.cyclic(2), s23, (identity_expr(s23), gen))
+    with pytest.raises(NotAHomomorphism, match=r"^pair \(1, 1\) .* at site 1, register 1 \("):
+        anm.verify_action(act)
+    act = anm.ActionSpec(FiniteGroup.cyclic(2), s23, (gen, identity_expr(s23)))
+    with pytest.raises(
+        NotAHomomorphism, match=r"^identity element acts nontrivially at site 1, register 1 \("
+    ):
+        anm.verify_action(act)
+
+
+def test_verify_runs_register_units_only(monkeypatch):
+    # a (2, 2, 2) site is probed with 2 + 2 + 2 register units, not 8
+    sizes, run = [], anm._run_batch
+
+    def counting_run(expr, slots, mats):
+        sizes.append(len(mats))
+        return run(expr, slots, mats)
+
+    monkeypatch.setattr(anm, "_run_batch", counting_run)
+    anm.verify_action(type_iii_action())
+    assert sizes and set(sizes) == {6}
+
+
 def _z2_action(*layers: BlockLayer) -> anm.ActionSpec:
     """Z/2 whose generator is the given layers, in order, on qubits."""
     gen = QcaExpr(S2, layers)
@@ -288,12 +324,13 @@ def _random_onsite_layer(rng, sites: SiteSpec, involution: bool) -> BlockLayer:
 
 @given(
     seed=st.integers(0, 10 ** 6),
-    registers=st.sampled_from([(2,), (2, 2)]),
+    registers=st.sampled_from([(2,), (2, 2), (2, 3)]),
     involution=st.booleans(),
     shifts=st.booleans(),
 )
 def test_verify_on_one_period_agrees_with_a_wide_brute_force(seed, registers, involution, shifts):
-    # the brute force checks every element pair on sites -3P - 2r .. 3P + 2r
+    # the brute force checks every element pair on sites -3P - 2r .. 3P + 2r,
+    # with the column units of the whole site, the other generating set
     rng = np.random.default_rng(seed)
     sites = SiteSpec(registers)
     steps = [_random_onsite_layer(rng, sites, involution) for _ in range(int(rng.integers(1, 4)))]

@@ -286,6 +286,15 @@ def test_non_homomorphism_off_the_radius_window_exits_2(tmp_path, capsys, steps)
     assert not (tmp_path / "r.json").exists()
 
 
+def test_non_homomorphism_error_names_the_site(tmp_path, capsys):
+    # squared, the generator is conjugation by Z on the sites 5 mod 10 only
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(z2_qubit_action(period_ten_layer(S_PAIRS)))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "violates the homomorphism property at site 5, register 0 (residual 2)" in err
+
+
 def test_period_ten_homomorphism_classifies(tmp_path, capsys):
     cfg_path = tmp_path / "c.yaml"
     cfg_path.write_text(z2_qubit_action(period_ten_layer(Z_PAIRS)))

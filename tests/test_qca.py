@@ -656,6 +656,18 @@ def test_same_action_check_sees_a_long_period():
         qca._verify_same_action(layer(PAULI_Z), layer(np.eye(2)))
 
 
+def test_register_distances_are_read_per_register():
+    # a site of a qubit and a qutrit is probed with 2 + 3 units, not 6; a
+    # shift of the qutrit moves its units only, each to a distance of at
+    # most sqrt(2 * 6), the norm of u x 1 - 1 x u for tr u = 0
+    sites = SiteSpec((2, 3))
+    probe = qca.site_probe(sites, 4)
+    assert probe[0] == (8, 9) and probe[1].shape == (5, 6, 6)
+    moved = qca._run_batch(QcaExpr(sites, (ShiftPrimitive(1, 1),)), *probe)
+    dist = qca.register_distances(sites, probe, moved)
+    assert dist.tolist() == [0.0, pytest.approx(math.sqrt(12))]
+
+
 def _conj_on_factors(mat, buf, dims, pos, u):
     """mat <- u mat u^+ in place, for u acting on the consecutive factors
     `pos` of `dims`, contracted on those factors only; `buf` is scratch of
