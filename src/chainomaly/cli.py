@@ -6,7 +6,11 @@ strict readers whose errors name the field's path.
 Exit codes: 0 success, 1 configuration problem, 2 pipeline or I/O failure,
 3 internal invariant violation. Reports are byte-stable for identical
 inputs: phases are printed as exact fractions, JSON floats as Python's
-shortest round-trip repr, and CSV floats with 12 significant digits.
+shortest round-trip repr, and CSV floats with 12 significant digits. One
+exception: in a spectra row whose levels are exactly degenerate, the last
+digits of the energies, and so which tied copies are kept, may differ
+between runs. This is seen on rows solved by Lanczos (the field term h0
+alone at N = 14), and inside one long process also on a dense one.
 """
 
 from __future__ import annotations

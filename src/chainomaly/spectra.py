@@ -32,6 +32,16 @@ symmetry-broken pair, in-sector Gamma doublets) are solved apart instead
 of being resolved out of one near-degenerate Lanczos run. Other
 Hamiltonians keep one whole-sector basis per momentum.
 
+The tables are kept lean, since the 2^N-state ones set the memory of the
+largest rings. The orbit tables over all states hold an int32
+representative index and an int8 shift. H on the representatives is one
+hop table with int32 indices, sorted once by (target, source), so each
+sector's CSR block is read off it in order, its phases taken from a table
+of the N values e^{iql}. Each real block R = U^+ B U is formed from B's
+rows at the lead state of each Gamma column only: B U = U R, and the rows
+of U at the leads are block diagonal with 1 x 1 and 2 x 2 blocks, so they
+are inverted in closed form.
+
 Only the k lowest levels are kept, so `lowest_eigs` spends ARPACK only on
 halves where one of them can land. It solves the unmirrored sectors m = 0
 and N/2 first, then m = 1..N/2-1. Once k levels are held, their k-th level
@@ -162,7 +172,11 @@ def _rotate(s: np.ndarray, n: int) -> np.ndarray:
 class _Orbits:
     """Translation orbits of all 2^n basis states. Each state s equals
     T^shift[s] applied to the representative reps[index[s]], the least state
-    of its orbit; period[i] is the orbit length of reps[i]."""
+    of its orbit; period[i] is the orbit length of reps[i].
+
+    The two tables over all 2^n states are the narrow ones: `index` is int32
+    and `shift` int8. `of` builds them by rotating one int32 state array in
+    place, and finds the periods on the representatives only."""
 
     n_sites: int
     reps: np.ndarray
@@ -172,20 +186,31 @@ class _Orbits:
 
     @classmethod
     def of(cls, n: int) -> "_Orbits":
-        s = np.arange(1 << n, dtype=np.int64)
-        rep, shift = s.copy(), np.zeros_like(s)
-        period = np.full_like(s, n)
-        cur = s
+        size, mask = 1 << n, (1 << n) - 1
+        rep = np.arange(size, dtype=np.int32)
+        cur, carry = rep.copy(), np.empty_like(rep)
+        shift = np.zeros(size, dtype=np.int8)
+        lower = np.empty(size, dtype=bool)
         for r in range(1, n):
-            cur = _rotate(cur, n)
-            lower = cur < rep
-            rep[lower] = cur[lower]
+            # cur = T^-r s, rotated in place
+            np.right_shift(cur, n - 1, out=carry)
+            np.left_shift(cur, 1, out=cur)
+            np.bitwise_and(cur, mask, out=cur)
+            np.bitwise_or(cur, carry, out=cur)
+            np.less(cur, rep, out=lower)
+            np.copyto(rep, cur, where=lower)
             shift[lower] = r
-            period[(cur == s) & (period == n)] = r
-        reps = np.flatnonzero(rep == s)
-        index = np.full_like(s, -1)
-        index[reps] = np.arange(len(reps))
-        return cls(n, reps, index[rep], shift, period[reps])
+        del carry, lower
+        # a state is the least of its orbit exactly when no rotation lowers it
+        reps = np.flatnonzero(shift == 0)
+        cur[reps] = np.arange(len(reps), dtype=np.int32)
+        index = cur[rep]
+        # the orbit length divides n; the least divisor d with T^-d r = r wins
+        period = np.full(len(reps), n)
+        for d in range(n - 1, 0, -1):
+            if n % d == 0:
+                period[(((reps << d) & mask) | (reps >> (n - d))) == reps] = d
+        return cls(n, reps, index, shift, period)
 
 
 def _bit_reverse(s: np.ndarray, n: int) -> np.ndarray:
@@ -200,7 +225,9 @@ def _hops(H: SparseOperator, orb: _Orbits):
     """H on the representatives, for every sector at once: for each nonzero
     amplitude, the source and target representative, the shift l with
     target state = T^l (target representative), and h * sqrt(R_a / R_b).
-    Sector q weights each entry by e^{iql}."""
+    Sector q weights each entry by e^{iql}. The table is sorted once by
+    (target, source), so every sector's CSR block is read off it in order;
+    both indices are int32."""
     by_flip: dict[int, list[tuple[complex, int]]] = {}
     for c, x, z in H.terms:
         by_flip.setdefault(x, []).append((c, z))
@@ -213,17 +240,23 @@ def _hops(H: SparseOperator, orb: _Orbits):
         rows.append(orb.index[tgt])
         shifts.append(orb.shift[tgt])
         vals.append(amp[src])
-    cols, rows = np.concatenate(cols), np.concatenate(rows)
-    vals = np.concatenate(vals) * np.sqrt(orb.period[cols] / orb.period[rows])
-    return cols, rows, np.concatenate(shifts), vals
+    cols, rows = np.concatenate(cols).astype(np.int32), np.concatenate(rows)
+    order = np.lexsort((cols, rows))
+    cols, rows = cols[order], rows[order]
+    vals = np.concatenate(vals)[order] * np.sqrt(orb.period[cols] / orb.period[rows])
+    return cols, rows, np.concatenate(shifts)[order], vals
 
 
 def _sector_phase(m: int, n: int, shifts: np.ndarray) -> np.ndarray:
     """e^{iql} for q = 2 pi m / N and every shift l. It is exactly +-1 in the
-    sectors q = 0 and q = pi, whose blocks are then real without Y terms."""
+    sectors q = 0 and q = pi, whose blocks are then real without Y terms.
+    The N values for l = 0..N-1 are tabulated and read at l mod N."""
+    steps = np.arange(n)
     if 2 * m % n == 0:
-        return 1.0 - 2.0 * ((2 * m // n * shifts) % 2)
-    return np.exp(2j * np.pi * m / n * shifts)
+        table = 1.0 - 2.0 * ((2 * m // n * steps) % 2)
+    else:
+        table = np.exp(2j * np.pi * m / n * steps)
+    return table[shifts % n]
 
 
 def _partners(orb: _Orbits) -> tuple[np.ndarray, np.ndarray]:
@@ -264,11 +297,17 @@ def _commutes_with_gamma(H: SparseOperator) -> bool:
     return table == image
 
 
-def _sector_basis(partners, gamma, inside: np.ndarray, m: int, n: int, sigma) -> sp.csr_matrix:
-    """Unitary U from the real coordinates of the Gamma = sigma half of
-    sector m to its momentum coordinates, so that U^+ B U is real for every
-    block B that commutes with A and Gamma; sigma None takes the whole
-    sector. Every column is A-fixed and has at most four entries.
+def _sector_basis(
+    partners, gamma, inside: np.ndarray, m: int, n: int, sigma
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """(U, lead, weight): the unitary U from the real coordinates of the
+    Gamma = sigma half of sector m to its momentum coordinates, so that
+    U^+ B U is real for every block B that commutes with A and Gamma; sigma
+    None takes the whole sector. Every column is A-fixed and has at most
+    four entries. lead[j] is the first state of Gamma column j, where the
+    column's coefficient c_j is real, and weight[j] = 1 / c_j^2 is 1 for a
+    lone state and 2 for a pair; `_real_block` reads the block there. For
+    sigma None every state leads its own column with weight 1.
 
     The half is spanned by the Gamma columns |r> when r_G = r and g_r = sigma,
     and (|r> + sigma g_r |r_G>)/sqrt(2) for each pair r < r_G, where
@@ -321,13 +360,14 @@ def _sector_basis(partners, gamma, inside: np.ndarray, m: int, n: int, sigma) ->
     first = np.where(fixed, np.sqrt(w), np.where(lower, h, h * wo))
     second = np.where(lower, 1j * h, -1j * h * wo)
     two = ~fixed[c]
-    return sp.csr_matrix(
+    U = sp.csr_matrix(
         (
             np.concatenate([first[c] * coef[member], (second[c] * coef[member])[two]]),
             (np.concatenate([member, member[two]]), np.concatenate([u[c], u[c][two] + 1])),
         ),
         shape=(d, len(lead)),
     )
+    return U, lead, np.where(lone[lead], 1.0, 2.0)
 
 
 def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -336,23 +376,35 @@ def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matr
     n = orb.n_sites
     cols, rows, shifts, vals = hops
     inside = (m * orb.period) % n == 0
-    local = np.cumsum(inside) - 1
+    local = np.cumsum(inside, dtype=np.int32) - 1
     keep = inside[cols] & inside[rows]
     d = int(local[-1]) + 1
+    indptr = np.zeros(d + 1, dtype=np.int32)
+    np.cumsum(np.bincount(local[rows[keep]], minlength=d), out=indptr[1:])
     block = sp.csr_matrix(
-        (vals[keep] * _sector_phase(m, n, shifts[keep]),
-         (local[rows[keep]], local[cols[keep]])),
+        (vals[keep] * _sector_phase(m, n, shifts[keep]), local[cols[keep]], indptr),
         shape=(d, d),
     )
+    block.sum_duplicates()
     return inside, block
 
 
-def _real_block(block, U, m: int) -> sp.csr_matrix:
-    """U^+ block U as a real CSR matrix with sorted indices. Entries that
-    cancel in exact arithmetic leave a rounding residue of at most 1e-14
-    times the block's scale; it is dropped, and ARPACK runs faster on sorted
-    indices, which the product does not leave."""
-    real = U.conj().T.tocsr() @ (block @ U)
+def _real_block(block, basis, m: int) -> sp.csr_matrix:
+    """R = U^+ block U as a real CSR matrix with sorted indices, read at the
+    lead rows: for `basis` = (U, lead, weight), R = U_L^+ (weight B_L) U,
+    where U_L and B_L are the rows of U and of the block at the lead states.
+    This is exact because block U = U R, and U_L, the A-fixed combinations
+    of the Gamma columns at their real lead coefficients, is block diagonal
+    with 1 x 1 and 2 x 2 blocks up to the order of its rows and columns, so
+    U_L^-1 = U_L^+ diag(weight). A split sector's product thus runs over
+    half of its rows. Entries that cancel in exact arithmetic leave a
+    rounding residue of at most 1e-14 times the block's scale; it is
+    dropped, and ARPACK runs faster on sorted indices, which the product
+    does not leave."""
+    U, lead, weight = basis
+    left = U[lead]  # a copy, scaled in place
+    left.data *= np.repeat(weight, np.diff(left.indptr))
+    real = left.conj().T.tocsr() @ (block[lead] @ U)
     scale = max(1.0, np.abs(block.data).max(initial=0.0))
     imag = np.abs(real.data.imag).max(initial=0.0)
     if not imag <= 1e-10 * scale:
@@ -368,12 +420,13 @@ def _real_block(block, U, m: int) -> sp.csr_matrix:
     return real
 
 
-def _sector_lowest(block, U, m: int, half: int, want: int, tau) -> tuple | None:
+def _sector_lowest(block, basis, m: int, half: int, want: int, tau) -> tuple | None:
     """The `want` lowest levels of half `half` of momentum block m, solved as
     the real matrix U^+ block U, with the eigenvectors mapped back through U;
     None when a probe shows that the half's lowest level lies above tau, the
     running k-th level (None while fewer than k levels are held)."""
-    real = _real_block(block, U, m)
+    U = basis[0]
+    real = _real_block(block, basis, m)
     d = real.shape[0]
     if d <= _DENSE_MAX:
         vals, vecs = sla.eigh(real.toarray(), subset_by_index=[0, want - 1], driver="evr")
@@ -408,10 +461,12 @@ class Level:
     """One level of `lowest_eigs`: its momentum sector m, its Gamma half
     sigma (None when the sector was not split), whether it is the copy in the
     mirrored sector N - m, its Gamma charge, and its vector in sector-m
-    momentum coordinates. The mirrored copy shares the vector; in the full
-    space its vector is the bit-reversed one. When copies of a level tie at
-    the k-th place, the ones kept are those first in (m, half, mirrored)
-    order: their labels are a tie-break, not physics."""
+    momentum coordinates. The vector is the level's own copy, so a held
+    level does not keep its sector's whole block of eigenvectors alive; the
+    mirrored copy shares it, and in the full space its vector is the
+    bit-reversed one. When copies of a level tie at the k-th place, the ones
+    kept are those first in (m, half, mirrored) order: their labels are a
+    tie-break, not physics."""
 
     m: int
     sigma: int | None
@@ -445,11 +500,11 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, list[Level]]
         inside, block = _momentum_block(orb, hops, m)
         mirrored = 0 < m < n // 2
         for half, sigma in enumerate(charges):
-            U = _sector_basis(partners, gamma, inside, m, n, sigma)
+            basis = _sector_basis(partners, gamma, inside, m, n, sigma)
             # each level of a mirrored sector fills two of the k places
-            want = min((k + 1) // 2 if mirrored else k, U.shape[1])
+            want = min((k + 1) // 2 if mirrored else k, basis[0].shape[1])
             tau = held[-1][0][0] if len(held) == k else None
-            solved = _sector_lowest(block, U, m, half, want, tau)
+            solved = _sector_lowest(block, basis, m, half, want, tau)
             if solved is None:
                 continue
             e, v = solved
@@ -464,8 +519,9 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, list[Level]]
             else:
                 charge = np.full(len(e), complex(sigma))
             for i, energy in enumerate(e):
+                vec = v[:, i].copy()
                 for mirror in (False, True) if mirrored else (False,):
-                    level = Level(m, sigma, mirror, complex(charge[i]), v[:, i])
+                    level = Level(m, sigma, mirror, complex(charge[i]), vec)
                     held.append(((float(energy), m, half, mirror), level))
             held.sort(key=lambda t: t[0])
             del held[k:]

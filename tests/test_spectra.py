@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,23 +285,37 @@ def test_halves_above_the_cut_are_not_solved(monkeypatch, n):
 def test_momentum_sectors_partition_the_spectrum(n, j, a):
     orb = spectra._Orbits.of(n)
     partners, gamma = spectra._partners(orb), spectra._gamma_partners(orb)
-    for terms in (("h0", "h1"), ("h0", "h1", "hj", "ha")):
+    for terms in (("h0",), ("h0", "h1"), ("h0", "h1", "hj", "ha")):
         H = build_hamiltonian(HamiltonianSpec(n, j_coupling=j, a_coupling=a, terms=terms))
         full = np.linalg.eigvalsh(full_matrix(H).toarray())
         hops = spectra._hops(H, orb)
-        levels, halves = {}, []
+        # h0 alone does not commute with Gamma, so only its whole sectors hold
+        sigmas = (None,) if terms == ("h0",) else (None, 1, -1)
+        levels, halves = {}, {sigma: [] for sigma in sigmas}
         for m in range(n):
             inside, block = spectra._momentum_block(orb, hops, m)
             levels[m] = np.linalg.eigvalsh(block.toarray())
-            for sigma in (1, -1):
-                # the Gamma = sigma half, real in its A-fixed basis
-                U = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
+            for sigma in sigmas:
+                # the Gamma = sigma half (the whole sector for None), real in
+                # its A-fixed basis
+                basis = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
+                U, lead, weight = basis
                 real = (U.conj().T @ block @ U).toarray()
                 assert np.max(np.abs(real.imag)) <= 1e-12
-                halves.append(np.linalg.eigvalsh(real.real))
+                # the same block, read at the lead rows only
+                lean = spectra._real_block(block, basis, m).toarray()
+                assert np.max(np.abs(lean - real.real), initial=0.0) <= 1e-12
+                if sigma is None:
+                    # every state is its own Gamma column
+                    assert np.array_equal(lead, np.arange(block.shape[0]))
+                    assert (weight == 1).all()
+                halves[sigma].append(np.linalg.eigvalsh(real.real))
         union = np.sort(np.concatenate(list(levels.values())))
         assert np.max(np.abs(union - full)) <= 1e-10
-        assert np.max(np.abs(np.sort(np.concatenate(halves)) - full)) <= 1e-10
+        assert np.max(np.abs(np.sort(np.concatenate(halves[None])) - full)) <= 1e-10
+        if terms != ("h0",):
+            split = np.sort(np.concatenate(halves[1] + halves[-1]))
+            assert np.max(np.abs(split - full)) <= 1e-10
         for m in range(1, n):
             # reflection maps momentum q to -q and commutes with every term
             assert np.max(np.abs(levels[m] - levels[n - m])) <= 1e-10
@@ -326,6 +341,48 @@ def test_real_sectors_have_real_blocks(n):
             vals[keep] * np.exp(2j * np.pi * m / n * shifts[keep]),
         )
         assert np.max(np.abs(block.toarray() - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_orbit_tables_match_a_brute_force(n):
+    # each state's rotations T^-r s, r = 0..n-1, listed one by one
+    orb = spectra._Orbits.of(n)
+    mask = (1 << n) - 1
+    minima = set()
+    for s in range(1 << n):
+        rotations = [((s << r) | (s >> (n - r))) & mask for r in range(n)]
+        rep = int(orb.reps[orb.index[s]])
+        assert rep == min(rotations)
+        assert rotations[orb.shift[s]] == rep  # s = T^shift[s] rep
+        assert orb.period[orb.index[s]] == len(set(rotations))
+        minima.add(rep)
+    assert orb.reps.tolist() == sorted(minima)
+
+
+def test_orbit_and_hop_tables_are_narrow():
+    orb = spectra._Orbits.of(8)
+    assert orb.index.dtype == np.int32
+    assert orb.shift.dtype == np.int8
+    cols, rows, _, _ = spectra._hops(build_hamiltonian(HamiltonianSpec(8)), orb)
+    assert cols.dtype == rows.dtype == np.int32
+    # built in place, the traced peak at N = 16 is 1.0 MB; int64 tables with
+    # a new array per rotation took 3.8 MB
+    tracemalloc.start()
+    try:
+        spectra._Orbits.of(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_levels_own_their_vectors():
+    # a held level keeps its own column, not its sector's block of vectors;
+    # dense halves at N = 8, Lanczos halves at N = 14, whole sectors for h0
+    for spec in (HamiltonianSpec(8), HamiltonianSpec(14), HamiltonianSpec(8, terms=("h0",))):
+        _, levels = lowest_eigs(build_hamiltonian(spec), k=8)
+        assert any(level.mirrored for level in levels)
+        assert all(level.vec.base is None for level in levels)
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -372,7 +429,7 @@ def test_real_basis_is_unitary_and_fixed_by_the_antiunitary(n):
         d = int(np.count_nonzero(inside))
         halves = []
         for sigma, most in ((None, 2), (1, 4), (-1, 4)):
-            U = spectra._sector_basis(partners, gamma, inside, m, n, sigma).toarray()
+            U = spectra._sector_basis(partners, gamma, inside, m, n, sigma)[0].toarray()
             assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))) <= 1e-12
             assert np.max(np.sum(U != 0, axis=0)) <= most
             for col in U.T:
@@ -439,8 +496,9 @@ def test_every_half_level_has_its_charge(spec):
     for m in range(n // 2 + 1):
         inside, block = spectra._momentum_block(orb, hops, m)
         for half, sigma in enumerate((1, -1)):
-            U = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
-            _, v = spectra._sector_lowest(block, U, m, half, min(4, U.shape[1]), None)
+            basis = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
+            want = min(4, basis[0].shape[1])
+            _, v = spectra._sector_lowest(block, basis, m, half, want, None)
             for col in v.T:
                 psi = lift(orb, inside, m, col)
                 assert abs(symmetry_charge(psi, n) - sigma) <= 1e-12
@@ -531,7 +589,7 @@ def test_chiral_term_on_lanczos_matches_full_space_oracle(n, rng):
     orb = spectra._Orbits.of(n)
     partners, gamma = spectra._partners(orb), spectra._gamma_partners(orb)
     sizes = [
-        spectra._sector_basis(partners, gamma, (m * orb.period) % n == 0, m, n, sigma).shape[1]
+        spectra._sector_basis(partners, gamma, (m * orb.period) % n == 0, m, n, sigma)[0].shape[1]
         for m in range(n // 2 + 1)
         for sigma in (1, -1)
     ]
