@@ -6,12 +6,15 @@ groups are classified through the integer bar complex. For k >= 1,
 H^k(G, U(1)) = H^(k+1)(G, Z), which is exactly the torsion of the cokernel
 of the integer coboundary d_k. Its exponent divides |G|, so each p-primary
 part is read off a local Smith form of d_k computed in numpy int64 modulo a
-power of p. A phase k-cocycle is lifted to [0, 1); the coboundary of the
-lift (the Bockstein) is a degree-(k+1) integer cocycle, which the recorded
-row operations project onto the invariant-factor coordinates. Measured
-phases need not be rational: their float Bockstein is rounded to integers.
-Every alternating face sum, exact, float or integer, goes through one
-vectorised face index.
+power of p. The rational complex is exact, so rank d_k is known beforehand:
+the elimination stops at that many pivots and checks that nothing is left.
+A phase k-cocycle is lifted to [0, 1); the coboundary of the lift (the
+Bockstein) is a degree-(k+1) integer cocycle, which the recorded row
+operations, replayed on first use, project onto the invariant-factor
+coordinates; a caller that reads only the factors never replays them.
+Measured phases need not be rational: their float Bockstein is rounded to
+integers. Every alternating face sum, exact, float or integer, goes through
+one vectorised face index.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -213,63 +216,78 @@ def _coboundary_matrix(group: FiniteGroup, k: int) -> np.ndarray:
     return d
 
 
-def _local_smith(d: np.ndarray, p: int, m: int) -> list[tuple]:
+def _local_smith(d: np.ndarray, p: int, m: int, rank: int) -> list[tuple]:
     """Smith elimination of d over Z/p^m, taking an entry of least p-valuation
     as each pivot. Returns one record per pivot, in elimination order:
     (row, col, valuation, unit inverse scaling the row, rows cleared and
     their multipliers, cols cleared and their multipliers). Entries stay
     below p^m, so the int64 products are exact for any matrix within the
-    default MatrixCap."""
+    default MatrixCap.
+
+    d has `rank` pivots over Z/p^m when p^m divides none of its nonzero
+    invariant factors, so the scan stops at the rank-th pivot and then
+    checks that nothing is left: fewer pivots, or entries left over after
+    the last one, are an InvariantViolation."""
     q = p ** m
     a = d % q
     steps = []
     for t in range(m):
+        if len(steps) == rank:
+            break
         pt, pt1 = p ** t, p ** (t + 1)
-        # a row without an entry of valuation t never gains one at this level
-        for i in np.flatnonzero((a % pt1).any(axis=1)):
-            hits = np.flatnonzero(a[i] % pt1)
+        # a row without an entry of valuation t never gains one at this level;
+        # nonzero()[0] on 1-D arrays skips np.flatnonzero's wrappers, which
+        # took about 15% of the time of these small eliminations
+        for i in (a % pt1).any(axis=1).nonzero()[0]:
+            row = a[i]  # a view: the pivot row is scaled and cleared in place
+            hits = (row % pt1).nonzero()[0]
             if not hits.size:
                 continue
             col = hits[0]
-            uinv = pow(int(a[i, col]) // pt, -1, q)
-            a[i] = a[i] * uinv % q
+            uinv = pow(int(row[col]) // pt, -1, q)
+            row *= uinv
+            row %= q
             mult = a[:, col] // pt
             mult[i] = 0
-            rows = np.flatnonzero(mult)
-            span = np.flatnonzero(a[i])
-            block = np.ix_(rows, span)
-            a[block] = (a[block] - np.outer(mult[rows], a[i, span])) % q
+            rows = mult.nonzero()[0]
+            mult = mult[rows]
+            span = row.nonzero()[0]
+            block = a[rows[:, None], span]
+            block -= mult[:, None] * row[span]
+            block %= q
+            a[rows[:, None], span] = block
             # the column operations clearing row i change only row i
-            cmult = a[i] // pt
+            cmult = row // pt
             cmult[col] = 0
-            cols = np.flatnonzero(cmult)
-            a[i] = 0
-            steps.append((i, col, t, uinv, rows, mult[rows], cols, cmult[cols]))
+            cols = cmult.nonzero()[0]
+            row[:] = 0
+            steps.append((i, col, t, uinv, rows, mult, cols, cmult[cols]))
+            if len(steps) == rank:
+                break
+    leftover = a.any()
+    if len(steps) != rank or leftover:
+        raise InvariantViolation(
+            f"mod {p}^{m} elimination of a rank-{rank} coboundary found "
+            f"{len(steps)} pivots of valuations {sorted({s[2] for s in steps})}"
+            f"{' and entries left over' if leftover else ''}, not {rank}"
+        )
     return steps
 
 
-def _torsion_transforms(d: np.ndarray, p: int, e: int, rank: int) -> list[tuple]:
-    """p-primary part of the torsion of coker d, where p^e annihilates it.
+def _torsion_transforms(shape: tuple[int, int], p: int, e: int, steps: list[tuple]) -> list[tuple]:
+    """p-primary part of the torsion of coker d, where p^e annihilates it,
+    from the steps of d's elimination modulo p^(2e); d has `shape`.
 
     Returns (p^v, row of the left transform mod p^v, column of the right
     transform) per factor Z/p^v, with v ascending. The row maps an integer
     cocycle to its coordinate; the column divided by p^v is a phase cochain
-    whose Bockstein has that coordinate 1 and the others 0. Elimination runs
-    modulo p^(2e): pivots have valuation at most e, and the e extra digits
-    keep the generator coordinates exact.
+    whose Bockstein has that coordinate 1 and the others 0. The e digits
+    past the largest valuation keep the generator coordinates exact.
     """
     q = p ** (2 * e)
-    steps = _local_smith(d, p, 2 * e)
-    vals = [s[2] for s in steps]
-    if len(steps) != rank or max(vals, default=0) > e:
-        raise InvariantViolation(
-            f"mod {p}^{2 * e} elimination of a rank-{rank} coboundary found "
-            f"{len(steps)} pivots of valuations {sorted(set(vals))}, "
-            f"not {rank} of valuation <= {e}"
-        )
     torsion = [s for s in steps if s[2] > 0]  # valuations ascend with the steps
-    left = np.zeros((len(torsion), d.shape[0]), dtype=np.int64)
-    right = np.zeros((d.shape[1], len(torsion)), dtype=np.int64)
+    left = np.zeros((len(torsion), shape[0]), dtype=np.int64)
+    right = np.zeros((shape[1], len(torsion)), dtype=np.int64)
     for j, (i, col, *_) in enumerate(torsion):
         left[j, i] = 1
         right[col, j] = 1
@@ -284,14 +302,52 @@ def _torsion_transforms(d: np.ndarray, p: int, e: int, rank: int) -> list[tuple]
 
 @dataclass(frozen=True, eq=False)
 class CohomologyGroup:
-    """Invariant-factor presentation of H^degree(G, U(1)) with the rows that
-    project an integer Bockstein onto class coordinates."""
+    """Invariant-factor presentation of H^degree(G, U(1)).
+
+    The factors come from one local Smith elimination of d_degree per prime,
+    kept as (p, e, steps) in `_eliminations`. The rows that project an
+    integer Bockstein onto class coordinates (`_class_rows`) and the
+    generator cochains are replayed from those steps on first use, once per
+    group; a caller that reads only the factors never pays for them."""
 
     group: FiniteGroup
     degree: int
     invariant_factors: tuple[int, ...]
-    generators: tuple[PhaseCochain, ...]
-    _class_rows: np.ndarray = field(repr=False)
+    _eliminations: tuple[tuple, ...] = field(repr=False)
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The class rows and the generators' numerators over their factors,
+        by replaying each prime's steps and assembling the primes by CRT."""
+        n, k = self.group.order, self.degree
+        shape = (n ** (k + 1), n ** k)  # of d_k
+        parts = [_torsion_transforms(shape, p, e, s) for p, e, s in self._eliminations]
+        # the j-th largest factor collects the j-th largest power of every prime
+        nfac = len(self.invariant_factors)
+        rows, nums = [], []
+        for j, s in zip(range(-nfac, 0), self.invariant_factors):
+            row = np.zeros(shape[0], dtype=np.int64)
+            num = np.zeros(shape[1], dtype=np.int64)
+            for pv, left, right in (fs[j] for fs in parts if len(fs) >= -j):
+                rest = s // pv
+                row += rest * pow(rest, -1, pv) * left  # CRT idempotent
+                num += rest * right
+            rows.append(row % s)
+            nums.append(num % s)
+        return np.array(rows, dtype=np.int64).reshape(nfac, shape[0]), tuple(nums)
+
+    @property
+    def _class_rows(self) -> np.ndarray:
+        return self._classes[0]
+
+    @cached_property
+    def generators(self) -> tuple[PhaseCochain, ...]:
+        """One exact cocycle per invariant factor, of class coordinates 1 there
+        and 0 elsewhere."""
+        return tuple(
+            PhaseCochain(self.group, self.degree, tuple(Fraction(int(x), s) for x in num))
+            for s, num in zip(self.invariant_factors, self._classes[1])
+        )
 
     @property
     def is_trivial(self) -> bool:
@@ -339,28 +395,30 @@ def _cohomology_cached(group: FiniteGroup, degree: int) -> CohomologyGroup:
     d = _coboundary_matrix(group, k)
     # the rational complex is exact above degree 0, which fixes rank d_k
     rank = sum((-1) ** (k - i) * n ** i for i in range(1, k + 1))
-    parts = [_torsion_transforms(d, p, e, rank) for p, e in _factorize(n).items()]
+    elims, powers = [], []
+    for p, e in _factorize(n).items():
+        # modulo p^(2e): pivots have valuation at most e, and the e extra
+        # digits keep the generator coordinates exact
+        steps = _local_smith(d, p, 2 * e, rank)
+        vals = [s[2] for s in steps]  # ascending with the steps
+        if max(vals, default=0) > e:
+            raise InvariantViolation(
+                f"mod {p}^{2 * e} elimination of a rank-{rank} coboundary found "
+                f"{len(steps)} pivots of valuations {sorted(set(vals))}, "
+                f"not {rank} of valuation <= {e}"
+            )
+        elims.append((p, e, steps))
+        powers.append([p ** v for v in vals if v > 0])
     # the j-th largest factor collects the j-th largest power of every prime
-    nfac = max(map(len, parts), default=0)
-    factors, rows, gens = [], [], []
-    for j in range(-nfac, 0):
-        picks = [fs[j] for fs in parts if len(fs) >= -j]
-        s = math.prod(pv for pv, _, _ in picks)
-        row = np.zeros(d.shape[0], dtype=np.int64)
-        num = np.zeros(d.shape[1], dtype=np.int64)
-        for pv, left, right in picks:
-            rest = s // pv
-            row += rest * pow(rest, -1, pv) * left  # CRT idempotent
-            num += rest * right
-        factors.append(s)
-        rows.append(row % s)
-        gens.append(PhaseCochain(group, k, tuple(Fraction(int(x), s) for x in num % s)))
+    nfac = max(map(len, powers), default=0)
+    factors = tuple(
+        math.prod(pvs[j] for pvs in powers if len(pvs) >= -j) for j in range(-nfac, 0)
+    )
     return CohomologyGroup(
         group=group,
         degree=degree,
-        invariant_factors=tuple(factors),
-        generators=tuple(gens),
-        _class_rows=np.array(rows, dtype=np.int64).reshape(nfac, d.shape[0]),
+        invariant_factors=factors,
+        _eliminations=tuple(elims),
     )
 
 

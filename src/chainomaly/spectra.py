@@ -299,15 +299,16 @@ def _commutes_with_gamma(H: SparseOperator) -> bool:
 
 def _sector_basis(
     partners, gamma, inside: np.ndarray, m: int, n: int, sigma
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """(U, lead, weight): the unitary U from the real coordinates of the
+) -> tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix]:
+    """(U, lead, left): the unitary U from the real coordinates of the
     Gamma = sigma half of sector m to its momentum coordinates, so that
     U^+ B U is real for every block B that commutes with A and Gamma; sigma
     None takes the whole sector. Every column is A-fixed and has at most
     four entries. lead[j] is the first state of Gamma column j, where the
-    column's coefficient c_j is real, and weight[j] = 1 / c_j^2 is 1 for a
-    lone state and 2 for a pair; `_real_block` reads the block there. For
-    sigma None every state leads its own column with weight 1.
+    column's coefficient c_j is real, and left holds the rows of U at the
+    leads, row j scaled by weight[j] = 1 / c_j^2, which is 1 for a lone
+    state and 2 for a pair; `_real_block` reads the block there. For sigma
+    None every state leads its own column with weight 1, so left is U.
 
     The half is spanned by the Gamma columns |r> when r_G = r and g_r = sigma,
     and (|r> + sigma g_r |r_G>)/sqrt(2) for each pair r < r_G, where
@@ -360,14 +361,22 @@ def _sector_basis(
     first = np.where(fixed, np.sqrt(w), np.where(lower, h, h * wo))
     second = np.where(lower, 1j * h, -1j * h * wo)
     two = ~fixed[c]
-    U = sp.csr_matrix(
-        (
-            np.concatenate([first[c] * coef[member], (second[c] * coef[member])[two]]),
-            (np.concatenate([member, member[two]]), np.concatenate([u[c], u[c][two] + 1])),
-        ),
-        shape=(d, len(lead)),
-    )
-    return U, lead, np.where(lone[lead], 1.0, 2.0)
+    data = np.concatenate([first[c] * coef[member], (second[c] * coef[member])[two]])
+    urow = np.concatenate([member, member[two]])
+    ucol = np.concatenate([u[c], u[c][two] + 1])
+    U = sp.csr_matrix((data, (urow, ucol)), shape=(d, len(lead)))
+    # row j of U at the leads holds first_j c_j at u_j, then, unless column j
+    # is A-fixed, second_j c_j at u_j + 1; each is scaled by weight[j]
+    weight = np.where(lone[lead], 1.0, 2.0)
+    indptr = np.concatenate([[0], np.cumsum(2 - fixed)])
+    at, wide = indptr[:-1], np.flatnonzero(~fixed)
+    indices = np.empty(indptr[-1], dtype=u.dtype)
+    indices[at], indices[at[wide] + 1] = u, u[wide] + 1
+    values = np.empty(indptr[-1], dtype=complex)
+    values[at] = first * coef[lead] * weight
+    values[at[wide] + 1] = (second * coef[lead] * weight)[wide]
+    left = sp.csr_matrix((values, indices, indptr), shape=(len(lead), len(lead)))
+    return U, lead, left
 
 
 def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -391,8 +400,9 @@ def _momentum_block(orb: _Orbits, hops, m: int) -> tuple[np.ndarray, sp.csr_matr
 
 def _real_block(block, basis, m: int) -> sp.csr_matrix:
     """R = U^+ block U as a real CSR matrix with sorted indices, read at the
-    lead rows: for `basis` = (U, lead, weight), R = U_L^+ (weight B_L) U,
-    where U_L and B_L are the rows of U and of the block at the lead states.
+    lead rows: for `basis` = (U, lead, left), R = left^+ B_L U, where left
+    is weight U_L, and U_L and B_L are the rows of U and of the block at the
+    lead states.
     This is exact because block U = U R, and U_L, the A-fixed combinations
     of the Gamma columns at their real lead coefficients, is block diagonal
     with 1 x 1 and 2 x 2 blocks up to the order of its rows and columns, so
@@ -401,9 +411,7 @@ def _real_block(block, basis, m: int) -> sp.csr_matrix:
     rounding residue of at most 1e-14 times the block's scale; it is
     dropped, and ARPACK runs faster on sorted indices, which the product
     does not leave."""
-    U, lead, weight = basis
-    left = U[lead]  # a copy, scaled in place
-    left.data *= np.repeat(weight, np.diff(left.indptr))
+    U, lead, left = basis
     real = left.conj().T.tocsr() @ (block[lead] @ U)
     scale = max(1.0, np.abs(block.data).max(initial=0.0))
     imag = np.abs(real.data.imag).max(initial=0.0)

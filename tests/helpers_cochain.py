@@ -1,7 +1,8 @@
 """Cochains from Python functions, the exact coboundary, the zero and cocycle tests,
-cochain and class-coordinate arithmetic, group relabelling, and the class of a
-phase cocycle summed in Fractions, for building test inputs and checking
-results in `chainomaly.grpcoh`'s terms. Used only by the tests."""
+cochain and class-coordinate arithmetic, group relabelling, the class of a
+phase cocycle summed in Fractions, and a reference local Smith elimination,
+for building test inputs and checking results in `chainomaly.grpcoh`'s terms.
+Used only by the tests."""
 
 from __future__ import annotations
 
@@ -84,3 +85,41 @@ def relabeled(group: FiniteGroup, perm: tuple[int, ...]) -> FiniteGroup:
     return FiniteGroup(
         tuple(tuple(perm[group.mul(inv[a], inv[b])] for b in range(n)) for a in range(n))
     )
+
+
+def local_smith_reference(d: np.ndarray, p: int, m: int) -> list[tuple]:
+    """Smith elimination of d over Z/p^m, taking an entry of least p-valuation
+    as each pivot. Returns one record per pivot, in elimination order:
+    (row, col, valuation, unit inverse scaling the row, rows cleared and
+    their multipliers, cols cleared and their multipliers). Entries stay
+    below p^m, so the int64 products are exact for any matrix within the
+    default MatrixCap.
+
+    The oracle for `grpcoh._local_smith`, which stops at the known rank and
+    updates in place: this one scans every row at every level."""
+    q = p ** m
+    a = d % q
+    steps = []
+    for t in range(m):
+        pt, pt1 = p ** t, p ** (t + 1)
+        # a row without an entry of valuation t never gains one at this level
+        for i in np.flatnonzero((a % pt1).any(axis=1)):
+            hits = np.flatnonzero(a[i] % pt1)
+            if not hits.size:
+                continue
+            col = hits[0]
+            uinv = pow(int(a[i, col]) // pt, -1, q)
+            a[i] = a[i] * uinv % q
+            mult = a[:, col] // pt
+            mult[i] = 0
+            rows = np.flatnonzero(mult)
+            span = np.flatnonzero(a[i])
+            block = np.ix_(rows, span)
+            a[block] = (a[block] - np.outer(mult[rows], a[i, span])) % q
+            # the column operations clearing row i change only row i
+            cmult = a[i] // pt
+            cmult[col] = 0
+            cols = np.flatnonzero(cmult)
+            a[i] = 0
+            steps.append((i, col, t, uinv, rows, mult[rows], cols, cmult[cols]))
+    return steps

@@ -1,12 +1,16 @@
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainomaly import anomaly as anm
+from chainomaly import cli, grpcoh
 from chainomaly.errors import (
     InvariantViolation,
     MatrixCap,
@@ -16,10 +20,13 @@ from chainomaly.errors import (
 )
 from chainomaly.grpcoh import (
     ClassCoords,
+    CohomologyGroup,
     FiniteGroup,
     PhaseCochain,
     _coboundary_matrix,
+    _cohomology_cached,
     _face_sums,
+    _local_smith,
     bockstein_class,
     class_of,
     cohomology,
@@ -36,6 +43,7 @@ from helpers_cochain import (
     coords_neg,
     is_cocycle,
     is_zero,
+    local_smith_reference,
     relabeled,
 )
 
@@ -302,6 +310,126 @@ def test_relabeling_invariance():
         h1 = cohomology(group, 3).invariant_factors
         h2 = cohomology(relabeled(group, perm), 3).invariant_factors
         assert h1 == h2
+
+
+# -- the local Smith elimination and its deferred replay ---------------------------------
+
+def _benchmark_oracles():
+    """clibench's oracles, whose multiplication tables label the groups as
+    the benchmark's configs do."""
+    path = Path(__file__).resolve().parent.parent / "clibench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("clibench_oracles", path)
+    orc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(orc)
+    return orc
+
+
+_ORC = _benchmark_oracles()
+S3_BENCH, D8_BENCH, Q8_BENCH = (
+    FiniteGroup(tuple(map(tuple, table()))) for table in (_ORC.s3_table, _ORC.d8_table, _ORC.q8_table)
+)
+Z3Z3 = FiniteGroup.direct_product(Z3, Z3)
+
+# every (group, degree) of the benchmark's cohomology workload, then the
+# degree-2 groups the anomaly workloads add to them
+ELIMINATED = [
+    (Z2, 3), (Z3, 3), (Z4, 3), (FiniteGroup.cyclic(5), 3), (Z2Z2, 3),
+    (Z3Z3, 2), (Z2_CUBED, 2), (FiniteGroup.direct_product(Z2, Z4), 2), (Z2Z3, 2),
+    (FiniteGroup.cyclic(8), 2), (S3_BENCH, 3), (S3_BENCH, 2), (D8_BENCH, 2), (Q8_BENCH, 2),
+    (Z2, 2), (Z2Z2, 2),
+]
+
+
+def assert_same_elimination(group, degree):
+    """Each prime's elimination records the reference's steps, every field
+    equal; the class rows and generators replayed from them equal those
+    replayed from the reference's steps, kill every coboundary and hit the
+    standard basis."""
+    H = _cohomology_cached.__wrapped__(group, degree)  # not shared with other tests
+    d = _coboundary_matrix(group, degree)
+    reference = []
+    for p, e, steps in H._eliminations:
+        want = local_smith_reference(d, p, 2 * e)
+        assert len(steps) == len(want)
+        for got, step in zip(steps, want):
+            assert all(np.array_equal(x, y) for x, y in zip(got, step))
+        reference.append((p, e, want))
+    R = CohomologyGroup(group, degree, H.invariant_factors, tuple(reference))
+    assert np.array_equal(H._class_rows, R._class_rows)
+    assert H.generators == R.generators
+    factors = np.array(H.invariant_factors, dtype=np.int64).reshape(-1, 1)
+    assert not (H._class_rows @ d % factors).any()
+    for gen, want in zip(H.generators, basis(H)):
+        assert class_of(gen, H).residues == want
+
+
+@pytest.mark.parametrize("group,degree", ELIMINATED)
+def test_elimination_matches_the_reference(group, degree):
+    assert_same_elimination(group, degree)
+
+
+@pytest.mark.parametrize("group", [Z6, S3, D8, Q8], ids=["Z6", "S3", "D8", "Q8"])
+@pytest.mark.parametrize("degree", [2, 3])
+@settings(max_examples=3)
+@given(data=st.data())
+def test_elimination_matches_the_reference_under_relabelling(group, degree, data):
+    perm = (0, *data.draw(st.permutations(range(1, group.order))))
+    assert_same_elimination(relabeled(group, perm), degree)
+
+
+def test_elimination_checks_the_rank():
+    # d_3 of Z2 x Z2 has rank 4^3 - 4^2 + 4 = 52 over Z/2^4: told one less,
+    # the elimination stops with entries left over; told one more, it runs
+    # out of pivots
+    d = _coboundary_matrix(Z2Z2, 3)
+    assert len(_local_smith(d, 2, 4, 52)) == 52
+    with pytest.raises(InvariantViolation, match=r"rank-51 coboundary found 51 pivots .* and entries left over"):
+        _local_smith(d, 2, 4, 51)
+    with pytest.raises(InvariantViolation, match=r"rank-53 coboundary found 52 pivots of valuations \[0, 1\], not 53"):
+        _local_smith(d, 2, 4, 53)
+
+
+def _count_replays(monkeypatch) -> list:
+    """The primes of every replay of elimination steps, as they run."""
+    real = grpcoh._torsion_transforms
+    calls = []
+
+    def spy(shape, p, e, steps):
+        calls.append(p)
+        return real(shape, p, e, steps)
+
+    monkeypatch.setattr(grpcoh, "_torsion_transforms", spy)
+    return calls
+
+
+def test_cohomology_mode_never_replays(tmp_path, monkeypatch):
+    _cohomology_cached.cache_clear()
+    calls = _count_replays(monkeypatch)
+    table = "[" + ", ".join(str(list(row)) for row in S3_BENCH.table) + "]"
+    cfg = tmp_path / "h3_s3.yaml"
+    cfg.write_text(f"mode: cohomology\ngroup: {{kind: table, table: {table}}}\ndegree: 3\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    H = cohomology(S3_BENCH, 3)
+    assert H.invariant_factors == (6,)
+    assert calls == []
+    assert "_classes" not in vars(H) and "generators" not in vars(H)
+
+
+def test_anomaly_class_replays_once_per_group(monkeypatch):
+    _cohomology_cached.cache_clear()
+    calls = _count_replays(monkeypatch)
+    for _ in range(2):
+        assert anm.anomaly_class(anm.levin_gu_action()).coords.residues == (1,)
+    assert calls == [2]
+
+
+def test_generators_are_built_by_the_first_representative():
+    H = _cohomology_cached.__wrapped__(Z2Z2, 3)
+    om = cochain_from_function(Z2Z2, 3, lambda g, h, k: Fraction((g % 2) * (h // 2) * (k // 2), 2))
+    coords = class_of(om, H)
+    assert "_classes" in vars(H) and "generators" not in vars(H)
+    assert class_of(H.representative(coords), H) == coords
+    assert "generators" in vars(H)
 
 
 # -- class projection ---------------------------------------------------------------

@@ -299,16 +299,19 @@ def test_momentum_sectors_partition_the_spectrum(n, j, a):
                 # the Gamma = sigma half (the whole sector for None), real in
                 # its A-fixed basis
                 basis = spectra._sector_basis(partners, gamma, inside, m, n, sigma)
-                U, lead, weight = basis
+                U, lead, left = basis
                 real = (U.conj().T @ block @ U).toarray()
                 assert np.max(np.abs(real.imag)) <= 1e-12
-                # the same block, read at the lead rows only
+                # the same block, read at the lead rows only, where the
+                # weighted rows invert U's
+                eye = np.eye(U.shape[1])
+                assert np.max(np.abs((left.conj().T @ U[lead]).toarray() - eye), initial=0.0) <= 1e-12
                 lean = spectra._real_block(block, basis, m).toarray()
                 assert np.max(np.abs(lean - real.real), initial=0.0) <= 1e-12
                 if sigma is None:
-                    # every state is its own Gamma column
+                    # every state is its own Gamma column, of weight 1
                     assert np.array_equal(lead, np.arange(block.shape[0]))
-                    assert (weight == 1).all()
+                    assert np.array_equal(left.toarray(), U.toarray())
                 halves[sigma].append(np.linalg.eigvalsh(real.real))
         union = np.sort(np.concatenate(list(levels.values())))
         assert np.max(np.abs(union - full)) <= 1e-10
