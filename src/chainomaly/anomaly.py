@@ -166,11 +166,21 @@ class ProjectiveRep:
 
 
 def _phase_rows(cochain: PhaseCochain):
-    """(tuple, report row) for every argument tuple, in lexicographic order."""
+    """The report row of every argument tuple, in lexicographic order."""
     G = cochain.group
     for t in itertools.product(range(G.order), repeat=cochain.degree):
         v = cochain.at(*t)
-        yield t, {"args": [G.name(g) for g in t], "phase": f"{v.numerator}/{v.denominator}"}
+        yield {"args": [G.name(g) for g in t], "phase": f"{v.numerator}/{v.denominator}"}
+
+
+def _verdict_line(verdict: str, kind: str = "") -> str:
+    """The summary's last line; `kind` qualifies an anomalous verdict."""
+    if verdict != "Anomalous":
+        return f"verdict: {verdict}"
+    return (
+        f"verdict: Anomalous{kind}; no symmetric gapped ground state is "
+        "possible for any invariant finite-range Hamiltonian"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,20 +197,23 @@ class ClassifiedCocycle:
 
 @dataclass(eq=False)
 class AnomalyReport:
+    """The class of a finite-group action's degree-3 cocycle. `omega` is the
+    printed cochain and `snap_errors` its phases' snap errors in row order,
+    as in ClassifiedCocycle (None when `omega` is the class representative)."""
+
     group: FiniteGroup
     omega: PhaseCochain
     cohomology: CohomologyGroup
     coords: ClassCoords
     verdict: str
     diagnostics: dict
-    omega_diagnostics: dict[tuple[int, ...], dict]
+    snap_errors: tuple[float, ...] | None
 
     def as_json_dict(self) -> dict:
         G = self.group
-        omega_rows = []
-        for t, row in _phase_rows(self.omega):
-            err = self.omega_diagnostics[t].get("snap_error")
-            omega_rows.append(row if err is None else {**row, "snap_error": float(err)})
+        omega_rows = list(_phase_rows(self.omega))
+        for row, err in zip(omega_rows, self.snap_errors or ()):
+            row["snap_error"] = float(err)
         return {
             "gnvw": {G.name(g): {} for g in G.elements()},
             "stacked": False,
@@ -212,20 +225,13 @@ class AnomalyReport:
         }
 
     def summary_text(self) -> str:
-        lines = [
+        return "\n".join([
             f"group order: {self.group.order}",
             "stacked: False",
             f"H^3 = {self.cohomology.pretty()}",
             f"class: {list(self.coords.residues)}",
-        ]
-        if self.verdict == "Anomalous":
-            lines.append(
-                "verdict: Anomalous; no symmetric gapped ground state is "
-                "possible for any invariant finite-range Hamiltonian"
-            )
-        else:
-            lines.append("verdict: NonAnomalous")
-        return "\n".join(lines)
+            _verdict_line(self.verdict),
+        ])
 
 
 @dataclass(eq=False)
@@ -243,8 +249,8 @@ class MixedAnomalyReport:
     def as_json_dict(self) -> dict:
         return {
             "stacked": True,
-            "slant": [row for _, row in _phase_rows(self.slant)],
-            "projective": [row for _, row in _phase_rows(self.projective)],
+            "slant": list(_phase_rows(self.slant)),
+            "projective": list(_phase_rows(self.projective)),
             "invariant_factors": list(self.cohomology.invariant_factors),
             "slant_class": list(self.slant_class.residues),
             "projective_class": list(self.projective_class.residues),
@@ -254,22 +260,14 @@ class MixedAnomalyReport:
         }
 
     def summary_text(self) -> str:
-        lines = [
+        return "\n".join([
             f"on-site group order: {self.group0.order}",
             f"H^2 = {self.cohomology.pretty()}",
             f"slant class: {list(self.slant_class.residues)}",
             f"projective class: {list(self.projective_class.residues)}",
             f"classes equal: {self.classes_equal}",
-        ]
-        if self.verdict == "Anomalous":
-            lines.append(
-                "verdict: Anomalous (mixed anomaly); no symmetric gapped "
-                "ground state is possible for any invariant finite-range "
-                "Hamiltonian"
-            )
-        else:
-            lines.append("verdict: NonAnomalous")
-        return "\n".join(lines)
+            _verdict_line(self.verdict, " (mixed anomaly)"),
+        ])
 
 
 # -- action verification and restriction ---------------------------------------
@@ -492,30 +490,43 @@ def _classify(H: CohomologyGroup, turns, what: str) -> ClassifiedCocycle:
     return ClassifiedCocycle(cochain, coords, tuple(err for _, err in snaps))
 
 
-def omega_from_vtable(
-    group: FiniteGroup, vtable: VTable
-) -> tuple[ClassifiedCocycle, dict[tuple[int, ...], dict]]:
+def omega_from_vtable(group: FiniteGroup, vtable: VTable) -> ClassifiedCocycle:
     """Evaluate the associator of the V table on every tuple and classify it.
-    Returns the classified cocycle and, per tuple, its scalar residual and
-    (when the phases snap) its snap error."""
-    tuples = list(itertools.product(range(group.order), repeat=3))
-    turns = [vtable.omega(*t) for t in tuples]
-    diagnostics = {t: {"scalar_residual": vtable.scalar_residuals[t]} for t in tuples}
-    om = _classify(cohomology(group, 3), turns, "omega")
-    for diag, err in zip(diagnostics.values(), om.snap_errors or ()):
-        diag["snap_error"] = err
-    return om, diagnostics
+    Each tuple's scalar residual stays in `vtable.scalar_residuals`, and the
+    snap errors, when the phases snap, are in the classified cocycle."""
+    turns = [vtable.omega(*t) for t in itertools.product(range(group.order), repeat=3)]
+    return _classify(cohomology(group, 3), turns, "omega")
 
 
-def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, dict, VTable]:
+def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, VTable]:
     """Restrict the (index-1) action to the right half-chain and evaluate
     the degree-3 phase cocycle, extracting each V(g, h) when the associator
-    first needs it. Returns what omega_from_vtable returns, and the V table."""
+    first needs it. Returns the classified cocycle and the V table."""
     G = spec.group
     beta = {g: restrict_right(balance_shifts(spec.expr(g))) for g in G.elements()}
     vtable = VTable(beta, G.mul, G.name)
-    om, diagnostics = omega_from_vtable(G, vtable)
-    return om, diagnostics, vtable
+    return omega_from_vtable(G, vtable), vtable
+
+
+def _verdict_and_diagnostics(
+    table: VTable, printed: dict[str, ClassifiedCocycle]
+) -> tuple[str, dict]:
+    """The verdict and the diagnostics both pipelines report, once the first
+    cocycle of `printed` (row key -> cocycle) has been classified from the
+    associators of `table`: the largest scalar and V residuals in the table,
+    the first cocycle's largest snap error when its phases snapped, and the
+    keys of the printed rows that hold a class representative instead."""
+    main = next(iter(printed.values()))
+    diagnostics = {
+        "max_scalar_residual": max(table.scalar_residuals.values(), default=0.0),
+        "max_v_residual": max(table.residuals.values(), default=0.0),
+    }
+    if main.snap_errors is not None:
+        diagnostics["max_snap_error"] = max(main.snap_errors)
+    unsnapped = [key for key, c in printed.items() if c.snap_errors is None]
+    if unsnapped:
+        diagnostics["representative_rows"] = unsnapped
+    return "NonAnomalous" if main.coords.is_trivial else "Anomalous", diagnostics
 
 
 def anomaly_class(spec: ActionSpec) -> AnomalyReport:
@@ -524,23 +535,13 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
     report is never stacked and lists an empty set of prime exponents for
     every element."""
     residual = verify_action(spec)
-    om, omega_diagnostics, vtable = omega_cocycle(spec)
-    verdict = "NonAnomalous" if om.coords.is_trivial else "Anomalous"
-    diagnostics = {
-        "homomorphism_residual": residual,
-        "max_v_residual": max(vtable.residuals.values(), default=0.0),
-        "max_scalar_residual": max(
-            (d["scalar_residual"] for d in omega_diagnostics.values()), default=0.0
-        ),
-        "v_windows": {
-            f"{spec.group.name(g)},{spec.group.name(h)}": _site_span(spec.sites, slots)
-            for (g, h), (slots, _) in sorted(vtable.entries.items())
-        },
+    om, vtable = omega_cocycle(spec)
+    verdict, diagnostics = _verdict_and_diagnostics(vtable, {"omega": om})
+    diagnostics["homomorphism_residual"] = residual
+    diagnostics["v_windows"] = {
+        f"{spec.group.name(g)},{spec.group.name(h)}": _site_span(spec.sites, slots)
+        for (g, h), (slots, _) in sorted(vtable.entries.items())
     }
-    if om.snap_errors is None:
-        diagnostics["representative_rows"] = ["omega"]
-    else:
-        diagnostics["max_snap_error"] = max(om.snap_errors)
     return AnomalyReport(
         group=spec.group,
         omega=om.cochain,
@@ -548,7 +549,7 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
         coords=om.coords,
         verdict=verdict,
         diagnostics=diagnostics,
-        omega_diagnostics=omega_diagnostics,
+        snap_errors=om.snap_errors,
     )
 
 
@@ -613,28 +614,18 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     table = VTable(beta, mulz, namez)
     H2 = cohomology(G0, 2)
     slant = _classify(H2, slant_z(table.omega, G0), "slant")
-    equal = slant.coords.residues == rho.coords.residues
-    verdict = "NonAnomalous" if slant.coords.is_trivial else "Anomalous"
-    diag = {
-        "max_scalar_residual": max(table.scalar_residuals.values(), default=0.0),
-        "max_v_residual": max(table.residuals.values(), default=0.0),
-        "v_count": len(table.entries),
-    }
-    if slant.snap_errors is not None:
-        diag["max_snap_error"] = max(slant.snap_errors)
-    unsnapped = [key for key, c in (("slant", slant), ("projective", rho)) if c.snap_errors is None]
-    if unsnapped:
-        diag["representative_rows"] = unsnapped
+    verdict, diagnostics = _verdict_and_diagnostics(table, {"slant": slant, "projective": rho})
+    diagnostics["v_count"] = len(table.entries)
     return MixedAnomalyReport(
         group0=G0,
         slant=slant.cochain,
         slant_class=slant.coords,
         projective=rho.cochain,
         projective_class=rho.coords,
-        classes_equal=equal,
+        classes_equal=slant.coords.residues == rho.coords.residues,
         cohomology=H2,
         verdict=verdict,
-        diagnostics=diag,
+        diagnostics=diagnostics,
     )
 
 

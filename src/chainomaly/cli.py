@@ -398,18 +398,11 @@ def run(cfg: RunConfig) -> RunResult:
             summary="\n".join(summary_lines),
             csv_text=spectra.rows_to_csv(rows),
         )
-    # anomaly mode
-    if cfg.lsm_rep is not None:
-        rep_report = anm.lsm_pipeline(cfg.lsm_rep)
-        return RunResult(
-            report={"mode": "anomaly", "preset": "lsm", **rep_report.as_json_dict()},
-            summary=rep_report.summary_text(),
-        )
-    report = anm.anomaly_class(cfg.action)
-    return RunResult(
-        report={"mode": "anomaly", **report.as_json_dict()},
-        summary=report.summary_text(),
-    )
+    # anomaly mode; an lsm report also names its preset
+    lsm = cfg.lsm_rep is not None
+    out = anm.lsm_pipeline(cfg.lsm_rep) if lsm else anm.anomaly_class(cfg.action)
+    head = {"mode": "anomaly", "preset": "lsm"} if lsm else {"mode": "anomaly"}
+    return RunResult(report={**head, **out.as_json_dict()}, summary=out.summary_text())
 
 
 def _output_paths(cfg: RunConfig, out_dir: str | None) -> dict[str, Path]:

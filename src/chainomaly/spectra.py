@@ -308,7 +308,7 @@ def _sector_basis(
     column's coefficient c_j is real, and left holds the rows of U at the
     leads, row j scaled by weight[j] = 1 / c_j^2, which is 1 for a lone
     state and 2 for a pair; `_real_block` reads the block there. For sigma
-    None every state leads its own column with weight 1, so left is U.
+    None every state leads its own column with weight 1, so left equals U.
 
     The half is spanned by the Gamma columns |r> when r_G = r and g_r = sigma,
     and (|r> + sigma g_r |r_G>)/sqrt(2) for each pair r < r_G, where
@@ -365,17 +365,8 @@ def _sector_basis(
     urow = np.concatenate([member, member[two]])
     ucol = np.concatenate([u[c], u[c][two] + 1])
     U = sp.csr_matrix((data, (urow, ucol)), shape=(d, len(lead)))
-    # row j of U at the leads holds first_j c_j at u_j, then, unless column j
-    # is A-fixed, second_j c_j at u_j + 1; each is scaled by weight[j]
-    weight = np.where(lone[lead], 1.0, 2.0)
-    indptr = np.concatenate([[0], np.cumsum(2 - fixed)])
-    at, wide = indptr[:-1], np.flatnonzero(~fixed)
-    indices = np.empty(indptr[-1], dtype=u.dtype)
-    indices[at], indices[at[wide] + 1] = u, u[wide] + 1
-    values = np.empty(indptr[-1], dtype=complex)
-    values[at] = first * coef[lead] * weight
-    values[at[wide] + 1] = (second * coef[lead] * weight)[wide]
-    left = sp.csr_matrix((values, indices, indptr), shape=(len(lead), len(lead)))
+    left = U[lead]  # a copy; its weights 1 and 2 scale it exactly
+    left.data *= np.repeat(np.where(lone[lead], 1.0, 2.0), np.diff(left.indptr))
     return U, lead, left
 
 

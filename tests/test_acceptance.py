@@ -52,14 +52,12 @@ def test_criterion_1_levin_gu_pipeline():
     with criterion(1, "flip-entangle preset: V, omega, class, verdict", 10.0):
         report = anm.anomaly_class(anm.levin_gu_action())
         # obstruction unitary at the cut is the Pauli Z up to gauge
-        _, _, vt = anm.omega_cocycle(anm.levin_gu_action())
+        _, vt = anm.omega_cocycle(anm.levin_gu_action())
         slots, v11 = vt.gate(1, 1)
         assert slots == (0,)
         assert np.allclose(v11, opwin.PAULI_Z, atol=1e-9)
         assert report.omega.at(1, 1, 1) == Fraction(1, 2)
-        assert max(
-            d["snap_error"] for d in report.omega_diagnostics.values()
-        ) < 1e-8
+        assert max(report.snap_errors) < 1e-8
         assert report.cohomology.invariant_factors == (2,)
         assert report.coords.residues == (1,)
         assert report.verdict == "Anomalous"
@@ -165,7 +163,7 @@ def test_criterion_6_cocycle_robustness(rng):
     with criterion(6, "pentagon exact; restriction and gauge independence", 120.0):
         act = anm.levin_gu_action()
         G = act.group
-        omc, _, vt = anm.omega_cocycle(act)
+        omc, vt = anm.omega_cocycle(act)
         om = omc.cochain
         # post-snap cocycle identity on every quadruple, exact arithmetic
         d_om = coboundary(om)
@@ -191,7 +189,7 @@ def test_criterion_6_cocycle_robustness(rng):
                     u12_dag = (U[g12][0], U[g12][1].conj().T)
                     right = image(beta[g12], slot_product(s2, U[g2], u12_dag))
                     vt_t.entries[(g1, g2)] = slot_product(s2, left, vt.gate(g1, g2), right)
-            om_t, _ = anm.omega_from_vtable(G, vt_t)
+            om_t = anm.omega_from_vtable(G, vt_t)
             assert om_t.cochain.values == om.values
         # >= 10 random rephasings: exact coboundary shift, class unchanged
         H = cohomology(G, 3)
@@ -203,7 +201,7 @@ def test_criterion_6_cocycle_robustness(rng):
             vt2 = anm.VTable(beta, G.mul, G.name)
             for (g, h), (slots, mat) in vt.entries.items():
                 vt2.entries[(g, h)] = (slots, np.exp(2j * np.pi * float(theta.at(g, h))) * mat)
-            om2 = anm.omega_from_vtable(G, vt2)[0].cochain
+            om2 = anm.omega_from_vtable(G, vt2).cochain
             assert cochain_sub(om2, om).values == coboundary(cochain_neg(theta)).values
             assert class_of(om2, H).residues == base_class.residues
 

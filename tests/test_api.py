@@ -1,6 +1,7 @@
 """The package's public surface: what `chainomaly/__init__.py` re-exports
-resolves, and no public function or method in `src/chainomaly` is kept for
-the tests alone. Test-only code belongs in the `tests/helpers_*.py` modules.
+resolves, and no function or method in `src/chainomaly`, public or private
+(dunder methods aside), is kept for the tests alone. Test-only code belongs
+in the `tests/helpers_*.py` modules.
 
 The reference scan works on names: a function counts as used when its name
 appears as a variable, an attribute or an imported name in the program's
@@ -26,16 +27,16 @@ def _reexports() -> list[str]:
     return [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
 
 
-def _public_defs():
-    """(module file, qualified name, def node) for every public top-level
-    function and every public method of a top-level class."""
+def _defs():
+    """(module file, qualified name, def node) for every top-level function
+    and every method of a top-level class, dunder methods excepted."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
                 yield path, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                         yield path, f"{node.name}.{item.name}", item
 
 
@@ -91,13 +92,27 @@ def test_every_reexport_resolves():
     assert [n for n in names if not hasattr(package, n)] == []
 
 
-def test_every_public_function_has_a_caller_in_the_program():
+def _without_caller(private: bool) -> list[str]:
+    """The public or the private functions and methods that nothing in the
+    program uses outside their own definition."""
     refs = _references()
     assert any(path.name == "cli.py" for path, _ in refs["gap_scan"])  # the scan sees callers
     unused = []
-    for path, qualname, node in _public_defs():
+    for path, qualname, node in _defs():
+        if node.name.startswith("_") != private:
+            continue
         own = range(node.lineno, node.end_lineno + 1)
         uses = [r for r in refs.get(node.name, []) if not (r[0] == path and r[1] in own)]
         if not uses:
             unused.append(f"{path.stem}.{qualname}")
+    return unused
+
+
+def test_every_public_function_has_a_caller_in_the_program():
+    unused = _without_caller(private=False)
+    assert unused == [], f"only the tests use these; move them to a tests/helpers_*.py: {unused}"
+
+
+def test_every_private_function_has_a_caller_in_the_program():
+    unused = _without_caller(private=True)
     assert unused == [], f"only the tests use these; move them to a tests/helpers_*.py: {unused}"
