@@ -103,6 +103,7 @@ from .qca import (
     _run_batch,
     _site_span,
     _slot_dims,
+    _validated,
 )
 
 # A local operator (slots, matrix): the matrix acts on the listed tensor
@@ -312,7 +313,7 @@ def restrict_right(expr: QcaExpr) -> QcaExpr:
             raise ShiftsPresent("restriction needs a layer-only expression")
         new_min = 0 if step.min_site is None else max(0, step.min_site)
         steps.append(replace(step, min_site=new_min))
-    return QcaExpr(expr.sites, tuple(steps))
+    return _validated(expr.sites, tuple(steps))
 
 
 # -- implementing-unitary extraction -------------------------------------------
@@ -586,7 +587,7 @@ def _lsm_with_onsite(rep: ProjectiveRep, g: int, translation: QcaExpr) -> QcaExp
     if g == 0:
         return translation
     tmpl = GateTemplate(0, 1, rep.matrices[g], registers=((0, 0),))
-    return QcaExpr(translation.sites, (BlockLayer(1, (tmpl,)),) + translation.steps)
+    return compose(translation, QcaExpr(translation.sites, (BlockLayer(1, (tmpl,)),)))
 
 
 def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:

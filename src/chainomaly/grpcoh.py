@@ -216,22 +216,23 @@ def _coboundary_matrix(group: FiniteGroup, k: int) -> np.ndarray:
     return d
 
 
-def _local_smith(d: np.ndarray, p: int, m: int, rank: int) -> list[tuple]:
-    """Smith elimination of d over Z/p^m, taking an entry of least p-valuation
-    as each pivot. Returns one record per pivot, in elimination order:
-    (row, col, valuation, unit inverse scaling the row, rows cleared and
-    their multipliers, cols cleared and their multipliers). Entries stay
-    below p^m, so the int64 products are exact for any matrix within the
-    default MatrixCap.
+def _local_smith(d: np.ndarray, p: int, e: int, rank: int) -> list[tuple]:
+    """Smith elimination of d over Z/p^(2e), p^e annihilating the p-part of
+    the torsion of coker d, taking an entry of least p-valuation as each
+    pivot. Returns one record per pivot, in elimination order: (row, col,
+    valuation, unit inverse scaling the row, rows cleared and their
+    multipliers, cols cleared and their multipliers). Entries stay below
+    p^(2e), so the int64 products are exact within the default MatrixCap.
 
-    d has `rank` pivots over Z/p^m when p^m divides none of its nonzero
-    invariant factors, so the scan stops at the rank-th pivot and then
-    checks that nothing is left: fewer pivots, or entries left over after
-    the last one, are an InvariantViolation."""
-    q = p ** m
+    Pivots have valuation at most e, so only valuations 0 .. e are scanned,
+    and the scan stops at the rank-th pivot; the e digits above valuation e
+    keep the generator coordinates exact. Then it checks that nothing is
+    left: fewer pivots, or entries left over (as a pivot of valuation above
+    e leaves), are an InvariantViolation."""
+    q = p ** (2 * e)
     a = d % q
     steps = []
-    for t in range(m):
+    for t in range(e + 1):
         if len(steps) == rank:
             break
         pt, pt1 = p ** t, p ** (t + 1)
@@ -267,9 +268,10 @@ def _local_smith(d: np.ndarray, p: int, m: int, rank: int) -> list[tuple]:
     leftover = a.any()
     if len(steps) != rank or leftover:
         raise InvariantViolation(
-            f"mod {p}^{m} elimination of a rank-{rank} coboundary found "
+            f"mod {p}^{2 * e} elimination of a rank-{rank} coboundary found "
             f"{len(steps)} pivots of valuations {sorted({s[2] for s in steps})}"
-            f"{' and entries left over' if leftover else ''}, not {rank}"
+            f"{' and entries left over' if leftover else ''}, "
+            f"not {rank} of valuation <= {e}"
         )
     return steps
 
@@ -397,18 +399,9 @@ def _cohomology_cached(group: FiniteGroup, degree: int) -> CohomologyGroup:
     rank = sum((-1) ** (k - i) * n ** i for i in range(1, k + 1))
     elims, powers = [], []
     for p, e in _factorize(n).items():
-        # modulo p^(2e): pivots have valuation at most e, and the e extra
-        # digits keep the generator coordinates exact
-        steps = _local_smith(d, p, 2 * e, rank)
-        vals = [s[2] for s in steps]  # ascending with the steps
-        if max(vals, default=0) > e:
-            raise InvariantViolation(
-                f"mod {p}^{2 * e} elimination of a rank-{rank} coboundary found "
-                f"{len(steps)} pivots of valuations {sorted(set(vals))}, "
-                f"not {rank} of valuation <= {e}"
-            )
+        steps = _local_smith(d, p, e, rank)
         elims.append((p, e, steps))
-        powers.append([p ** v for v in vals if v > 0])
+        powers.append([p ** s[2] for s in steps if s[2] > 0])
     # the j-th largest factor collects the j-th largest power of every prime
     nfac = max(map(len, powers), default=0)
     factors = tuple(

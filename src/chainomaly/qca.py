@@ -11,21 +11,22 @@ Hilbert-Schmidt overlaps across a cut. Runs of sites are `range`s.
 An operator is a pair (slots, matrix): each (site, register) pair is one
 tensor slot, numbered site * nregisters + register, and the matrix acts on
 the listed slots in ascending order (identity elsewhere). The slot engine
-`_run_batch` maps a batch of such matrices through an expression. A shift,
-and a gate whose matrix is exactly the swap of two equal-dimension slots,
-only relabel slots: the factors are reordered and no entry changes. Every
-other gate is conjugated on the union of its slots and the batch's, by an
-embedding its template keeps per union shape, and then the gate's slots on
-which the batch acts as identity are trimmed. So swap
-circuits (balanced shifts) cost no matrix products, and the
-matrices stay small however deep the circuit. An operator is the identity on
-a slot exactly when, cut into blocks by that slot's index, its off-diagonal
-blocks vanish and its diagonal blocks agree. Two automorphisms are compared
-on one probe batch per site (`site_probe`): the column units |i><0| of each
-register, tensored with the identity on the site's other registers, which
-generate the site's algebra; `register_distances` reads the largest distance
-per register. The overlap index sums over all matrix units, an orthonormal
-basis.
+`_run_batch` maps a batch of such matrices, given on its minimal support (no
+slot on which the whole batch is the identity), through an expression. A
+shift, and a gate whose matrix is exactly the swap of two equal-dimension
+slots, only relabel slots: the factors are reordered and no entry changes.
+Every other gate is conjugated on the union of its slots and the batch's, by
+an embedding its template keeps per union shape, and then the gate's slots
+on which the batch acts as identity are trimmed, the only slots ever
+trimmed, so the output stays minimal. So swap circuits (balanced shifts)
+cost no matrix products, and the matrices stay small however deep the
+circuit. An operator is the identity on a slot exactly when, cut into blocks
+by that slot's index, its off-diagonal blocks vanish and its diagonal blocks
+agree. Two automorphisms are compared on one probe batch per site
+(`site_probe`): the column units |i><0| of each register, tensored with the
+identity on the site's other registers, which generate the site's algebra;
+`register_distances` reads the largest distance per register. The overlap
+index sums over all matrix units, an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -261,7 +262,10 @@ def identity_expr(sites: SiteSpec) -> QcaExpr:
 
 
 def _validated(sites: SiteSpec, steps: tuple[Step, ...]) -> QcaExpr:
-    """A QcaExpr of steps that already passed validation against `sites`."""
+    """A QcaExpr of steps that already passed validation against `sites`:
+    gates unitary, of their slots' shape, in range and disjoint, shifts in
+    range. Composing, dropping, truncating, inverting and shift-conjugating
+    valid steps keep these."""
     out = object.__new__(QcaExpr)
     object.__setattr__(out, "sites", sites)
     object.__setattr__(out, "steps", steps)
@@ -336,7 +340,7 @@ def invert(e: QcaExpr) -> QcaExpr:
                     ),
                 )
             )
-    return QcaExpr(e.sites, tuple(steps))
+    return _validated(e.sites, tuple(steps))
 
 
 def radius(e: QcaExpr) -> int:
@@ -455,9 +459,10 @@ def _relabel_batch(sites, slots, mats, rename: dict[int, int]):
 
 
 def _run_batch(expr: QcaExpr, slots, mats):
+    """`expr` applied to a batch on its minimal support (module docstring):
+    only each conjugated gate's slots are trimmed, never the input's."""
     sites = expr.sites
     R = sites.nregisters
-    slots, mats = _trim_batch(sites, slots, mats, slots)
     for step in expr.steps:
         if isinstance(step, ShiftPrimitive):
             n = step.displacement * R
@@ -685,7 +690,7 @@ def balance_shifts(expr: QcaExpr) -> QcaExpr:
         raise UnpairableShifts(
             f"{unpaired} unit shifts have no equal-dimension partner"
         )
-    out = QcaExpr(sites, tuple(steps))
+    out = _validated(sites, tuple(steps))
     _verify_same_action(expr, out)
     return out
 

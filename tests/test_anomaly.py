@@ -956,6 +956,22 @@ def test_lsm_stacked_expr_balances_the_whole_action():
             assert expr_to_data(lsm_stacked_expr(rep, g, n)) == expr_to_data(whole)
 
 
+@pytest.mark.parametrize(
+    "make_rep",
+    [anm.pauli_projective_rep, lambda: clock_shift_rep(3)],
+    ids=["pauli", "clock_shift3"],
+)
+def test_lsm_stacked_exprs_are_valid(make_rep):
+    # composed and restricted without validating again; validating them
+    # here must pass
+    rep = make_rep()
+    for g in rep.group.elements():
+        for n in (0, 1, 2):
+            stacked = lsm_stacked_expr(rep, g, n)
+            for out in (stacked, anm.restrict_right(stacked)):
+                QcaExpr(out.sites, out.steps)
+
+
 def test_lsm_balances_each_translation_once(monkeypatch):
     calls = []
 

@@ -382,11 +382,18 @@ def test_elimination_checks_the_rank():
     # the elimination stops with entries left over; told one more, it runs
     # out of pivots
     d = _coboundary_matrix(Z2Z2, 3)
-    assert len(_local_smith(d, 2, 4, 52)) == 52
+    assert len(_local_smith(d, 2, 2, 52)) == 52
     with pytest.raises(InvariantViolation, match=r"rank-51 coboundary found 51 pivots .* and entries left over"):
-        _local_smith(d, 2, 4, 51)
+        _local_smith(d, 2, 2, 51)
     with pytest.raises(InvariantViolation, match=r"rank-53 coboundary found 52 pivots of valuations \[0, 1\], not 53"):
-        _local_smith(d, 2, 4, 53)
+        _local_smith(d, 2, 2, 53)
+
+
+def test_elimination_refuses_a_pivot_above_the_valuation_bound():
+    # modulo 2^4 the entry 8 has valuation 3, above e = 2: it is never taken
+    # as a pivot and is left over
+    with pytest.raises(InvariantViolation, match=r"found 0 pivots .* left over, not 1 of valuation <= 2"):
+        _local_smith(np.array([[8]]), 2, 2, 1)
 
 
 def _count_replays(monkeypatch) -> list:

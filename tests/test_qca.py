@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from chainomaly import _tensors as tz
 from chainomaly import cli, qca
-from chainomaly.anomaly import levin_gu_action
+from chainomaly.anomaly import levin_gu_action, restrict_right
 from chainomaly.errors import (
     InvariantViolation,
     NonZeroIndex,
@@ -535,21 +535,62 @@ def _random_layer(rng, sites: SiteSpec) -> BlockLayer:
     return BlockLayer(span + int(rng.integers(0, 2)), (tmpl,))
 
 
+def _random_shift_pair_circuit(rng, sites: SiteSpec) -> QcaExpr:
+    """One to three `_random_layer`s and one opposite pair of unit shifts,
+    each placed anywhere among the layers."""
+    R = sites.nregisters
+    steps = [_random_layer(rng, sites) for _ in range(int(rng.integers(1, 4)))]
+    for reg, sign in ((int(rng.integers(0, R)), 1), (int(rng.integers(0, R)), -1)):
+        steps.insert(int(rng.integers(0, len(steps) + 1)), ShiftPrimitive(reg, sign))
+    return QcaExpr(sites, tuple(steps))
+
+
 @given(seed=st.integers(0, 10 ** 6), registers=st.sampled_from([(2, 2), (2, 2, 2)]))
 def test_balance_shift_pair_among_random_layers(seed, registers):
-    # one opposite pair of unit shifts, each placed anywhere among the layers
     rng = np.random.default_rng(seed)
     sites = SiteSpec(registers)
-    steps = [_random_layer(rng, sites) for _ in range(int(rng.integers(1, 4)))]
-    for reg, sign in ((int(rng.integers(0, len(registers))), 1),
-                      (int(rng.integers(0, len(registers))), -1)):
-        steps.insert(int(rng.integers(0, len(steps) + 1)), ShiftPrimitive(reg, sign))
-    e = QcaExpr(sites, tuple(steps))
+    e = _random_shift_pair_circuit(rng, sites)
     out = balance_shifts(e)
     assert not out.has_shifts
     units = qca.column_units(sites.dim)
     for j in range(-3, 4):
         assert action_distance(e, out, range(j, j + 1), units) <= 1e-9
+
+
+@given(seed=st.integers(0, 10 ** 6), registers=st.sampled_from([(2, 2), (2, 2, 2)]))
+def test_derived_circuits_are_valid(seed, registers):
+    # truncation, inversion and shift conjugation build their circuits
+    # without validating them again; validating them here must pass
+    e = _random_shift_pair_circuit(np.random.default_rng(seed), SiteSpec(registers))
+    balanced = balance_shifts(e)
+    for out in (invert(e), balanced, invert(balanced), restrict_right(balanced)):
+        QcaExpr(out.sites, out.steps)
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 10 ** 6), registers=st.sampled_from([(2, 2), (2, 2, 2)]))
+def test_batches_come_on_their_minimal_support(seed, registers):
+    # the slot engine trims only a conjugated gate's slots, so every batch
+    # the program builds must carry no identity slot, and neither may its
+    # images; under a circuit followed by its inverse only the gates' trims
+    # undo the spread
+    rng = np.random.default_rng(seed)
+    sites = SiteSpec(registers)
+    e = _random_shift_pair_circuit(rng, sites)
+    R = sites.nregisters
+    chosen = rng.choice(2 * R, size=int(rng.integers(1, 3)), replace=False)
+    active = tuple(sorted(int(s) for s in chosen))
+    window = qca._slots_of_window(sites, range(0, 1))
+    batches = [qca.site_probe(sites, j) for j in range(-2, 3)] + [
+        (active, qca.column_units(math.prod(qca._slot_dims(sites, active)))),
+        (window, math.sqrt(sites.dim) * matrix_unit_batch(sites.dim)),
+    ]
+    for slots, mats in batches:
+        images = [qca._run_batch(x, slots, mats) for x in (e, compose(invert(e), e))]
+        for batch in [(slots, mats)] + images:
+            got_slots, got = qca._trim_batch(sites, *batch, batch[0])
+            assert got_slots == tuple(batch[0])
+            assert np.array_equal(got, batch[1])
 
 
 # -- serialization -----------------------------------------------------------------------
