@@ -317,7 +317,6 @@ def parse_config(text: str) -> RunConfig:
     preset = _field(action, "preset", "action", _as_str, None)
     if form == "lsm":
         cfg.lsm_rep = _field(action, "rep", "action", _rep, None) or anm.PRESET_REPS["pauli"]()
-        cfg.group = cfg.lsm_rep.group
         return cfg
     if preset in anm.PRESET_ACTIONS:
         cfg.action = anm.PRESET_ACTIONS[preset]()
@@ -325,7 +324,6 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(f"action.preset: unknown preset {preset!r}")
     else:
         cfg.action = _action(raw, action)
-    cfg.group = cfg.action.group
     return cfg
 
 

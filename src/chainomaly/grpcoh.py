@@ -129,10 +129,6 @@ def _tuple_index(t: tuple[int, ...], n: int) -> int:
     return i
 
 
-def _all_tuples(n: int, k: int):
-    return itertools.product(range(n), repeat=k)
-
-
 def _face_index(group: FiniteGroup, m: int) -> np.ndarray:
     """Flat index of every face of every m-tuple, as an (m + 1, n^m) array:
     row i holds d_i t (inhomogeneous bar convention), and columns and
@@ -477,5 +473,5 @@ def slant_z(omega_eval, group0: FiniteGroup) -> list:
     w, e = omega_eval, 0
     return [
         w((e, 1), (g, 0), (gp, 0)) + w((g, 0), (gp, 0), (e, 1)) - w((g, 0), (e, 1), (gp, 0))
-        for g, gp in _all_tuples(group0.order, 2)
+        for g, gp in itertools.product(group0.elements(), repeat=2)
     ]

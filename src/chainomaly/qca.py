@@ -16,13 +16,13 @@ slot on which the whole batch is the identity), through an expression. A
 shift, and a gate whose matrix is exactly the swap of two equal-dimension
 slots, only relabel slots: the factors are reordered and no entry changes.
 Every other gate is conjugated on the union of its slots and the batch's, by
-an embedding its template keeps per union shape, and then the gate's slots
-on which the batch acts as identity are trimmed, the only slots ever
-trimmed, so the output stays minimal. So swap circuits (balanced shifts)
-cost no matrix products, and the matrices stay small however deep the
-circuit. An operator is the identity on a slot exactly when, cut into blocks
-by that slot's index, its off-diagonal blocks vanish and its diagonal blocks
-agree. Two automorphisms are compared on one probe batch per site
+an embedding its template keeps per union shape, and in the same step
+(`_conj_gate_batch`) the gate's slots on which the batch acts as identity are
+trimmed, the only slots ever trimmed, so the output stays minimal. So swap
+circuits (balanced shifts) cost no matrix products, and the matrices stay
+small however deep the circuit. An operator is the identity on a slot
+exactly when, cut into blocks by that slot's index, its off-diagonal blocks
+vanish and its diagonal blocks agree. Two automorphisms are compared on one probe batch per site
 (`site_probe`): the column units |i><0| of each register, tensored with the
 identity on the site's other registers, which generate the site's algebra;
 `register_distances` reads the largest distance per register. The overlap
@@ -415,36 +415,26 @@ def _reduce_if_identity(mats: np.ndarray, a: int, d: int, c: int, thr: float):
     return reduced.reshape(B, a * c, a * c)
 
 
-def _trim_batch(sites, slots, mats, candidates):
-    """Drop each candidate slot on which the whole batch acts as identity,
-    within TOL_ALGEBRA times the largest entry (at least 1), highest slot
-    first."""
-    slots = list(slots)
-    scale = None
-    for s in sorted(set(candidates), reverse=True):
-        if s not in slots:
-            continue
-        if scale is None:
-            scale = max(1.0, float(np.abs(mats).max()) if mats.size else 1.0)
-        dims = _slot_dims(sites, slots)
-        idx = slots.index(s)
+def _conj_gate_batch(sites, slots, mats, gslots, gate: GateTemplate):
+    """Conjugate the batch by the template `gate` placed on `gslots` (in its
+    slots_at order), on the union of their slots, then drop each gate slot on
+    which the whole batch acts as identity, within TOL_ALGEBRA times the
+    largest entry (at least 1), highest slot first."""
+    union, dims = _union(sites, (slots, gslots))
+    union = list(union)
+    mats = tz.embed_factors_batch(mats, dims, [union.index(s) for s in slots])
+    G, G_dag = gate.embedded(tuple(dims), tuple(union.index(s) for s in gslots))
+    mats = G @ mats @ G_dag
+    scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
+    for s in sorted(gslots, reverse=True):
+        idx = union.index(s)
         a, c = math.prod(dims[:idx]), math.prod(dims[idx + 1:])
         reduced = _reduce_if_identity(mats, a, dims[idx], c, TOL_ALGEBRA * scale)
         if reduced is not None:
-            mats, scale = reduced, None
-            slots.pop(idx)
-    return tuple(slots), mats
-
-
-def _conj_gate_batch(sites, slots, mats, gslots, gate: GateTemplate):
-    """Conjugate the batch by the template `gate` placed on `gslots` (in its
-    slots_at order), on the union of their slots, then trim the gate's
-    slots."""
-    union, dims = _union(sites, (slots, gslots))
-    if tuple(slots) != union:
-        mats = tz.embed_factors_batch(mats, dims, [union.index(s) for s in slots])
-    G, G_dag = gate.embedded(tuple(dims), tuple(union.index(s) for s in gslots))
-    return _trim_batch(sites, union, G @ mats @ G_dag, gslots)
+            mats = reduced
+            scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
+            del union[idx], dims[idx]
+    return tuple(union), mats
 
 
 def _relabel_batch(sites, slots, mats, rename: dict[int, int]):
@@ -507,8 +497,7 @@ def _on_union(sites: SiteSpec, parts) -> tuple[tuple[int, ...], list[np.ndarray]
     refusing a union whose dimension exceeds the cap."""
     union, dims = _union(sites, (slots for slots, _ in parts))
     return union, [
-        mats if tuple(slots) == union
-        else tz.embed_factors_batch(mats, dims, [union.index(s) for s in slots])
+        tz.embed_factors_batch(mats, dims, [union.index(s) for s in slots])
         for slots, mats in parts
     ]
 

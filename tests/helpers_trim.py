@@ -1,5 +1,6 @@
 """Factor triviality by partial trace and re-embedding, kept as an independent
-oracle for the slot engine's one-pass test in `chainomaly.qca._trim_batch`.
+oracle for the slot engine's one-pass test of a gate's slots in
+`chainomaly.qca._conj_gate_batch`.
 
 A batch acts as identity on a factor exactly when it equals its normalised
 partial trace over that factor tensored with the identity there. Used only
@@ -7,6 +8,8 @@ by the tests as an oracle, with `embed_factors`, the one-matrix form of the
 embedding."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +20,14 @@ from chainomaly import qca
 def embed_factors(mat: np.ndarray, dims_all, positions) -> np.ndarray:
     """tz.embed_factors_batch for a single matrix."""
     return tz.embed_factors_batch(mat[None], dims_all, positions)[0]
+
+
+def conj_identity(sites, slots, mats, gslots):
+    """`qca._conj_gate_batch` by the identity gate on `gslots`. Conjugating
+    by the identity is exact, so this is the engine's trim of those slots
+    alone; every slot of `gslots` must be in `slots`."""
+    eye = np.eye(math.prod(qca._slot_dims(sites, gslots)))
+    return qca._conj_gate_batch(sites, slots, mats, gslots, qca.GateTemplate(0, 1, eye))
 
 
 def factor_is_trivial_batch(mats: np.ndarray, dims, idx, tol) -> bool:

@@ -62,7 +62,7 @@ output:
 def test_parse_minimal_preset():
     cfg = cli.parse_config(LEVIN_GU)
     assert cfg.mode == "anomaly"
-    assert cfg.action is not None and cfg.group.order == 2
+    assert cfg.action is not None and cfg.action.group.order == 2
 
 
 def test_parse_rejects_bad_yaml():

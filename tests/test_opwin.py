@@ -13,7 +13,7 @@ from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec
 
 from conftest import on_union, random_unitary, slot_distance, slot_product
 from helpers_serialize import matrix_to_pairs
-from helpers_trim import embed_factors
+from helpers_trim import conj_identity, embed_factors
 
 S2 = SiteSpec((2,))
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -186,10 +186,10 @@ def test_distance_across_windows():
 
 def test_trim_drops_identity_sites():
     z = embed_factors(PAULI_Z, [2, 2, 2], [1])
-    slots, t = qca._trim_batch(S2, (0, 1, 2), z[None], (0, 1, 2))
+    slots, t = conj_identity(S2, (0, 1, 2), z[None], (0, 1, 2))
     assert slots == (1,)
     assert np.allclose(t[0], PAULI_Z)
-    slots, tc = qca._trim_batch(S2, (0, 1), 3.0 * np.eye(4)[None], (0, 1))
+    slots, tc = conj_identity(S2, (0, 1), 3.0 * np.eye(4)[None], (0, 1))
     assert slots == () and tc[0, 0, 0] == 3.0
 
 
