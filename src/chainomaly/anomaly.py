@@ -273,20 +273,46 @@ class MixedAnomalyReport:
 
 # -- action verification and restriction ---------------------------------------
 
+def _generating_set(G: FiniteGroup) -> list[int]:
+    """Elements in order, each taken when the subgroup the earlier ones
+    generate does not contain it."""
+    gens, span = [], {0}
+    for g in G.elements():
+        if g not in span:
+            gens.append(g)
+            todo = list(span)
+            while todo:  # close span under right multiplication by gens
+                x = todo.pop()
+                for y in (G.mul(x, s) for s in gens):
+                    if y not in span:
+                        span.add(y)
+                        todo.append(y)
+    return gens
+
+
 def verify_action(spec: ActionSpec) -> float:
-    """Check map(identity) = id and map(g) map(h) = map(gh) on the probe
-    batch of every probe site, the column units of each register of the site
+    """Check map(identity) = id and map(s) map(h) = map(sh) for s in a
+    generating set S (_generating_set) and every h, on the probe batch of
+    every probe site, the column units of each register of the site
     (qca.site_probe), which generate its algebra; return the largest
     residual. The probe sites are one period of the layers and, with a
     truncated layer, the zone around its bounds (qca._probe_sites): they
     decide the whole chain. Each element's image of a site's batch is
-    computed once; map(g) map(h) is map(g) run on the image under h. A
-    failure names the site and register where its residual is largest."""
+    computed once; map(s) map(h) is map(s) run on the image under h. A
+    failure names the site and register where its residual is largest.
+
+    The pairs (s, h) decide every pair: each g is a positive word in S, and
+    for g = s g' with g' one letter shorter, map(g) map(h) = map(s) map(g')
+    map(h) = map(s) map(g'h) = map(gh) by induction on the word length.
+    Each step adds at most two checked residuals, of (s, g') and (s, g'h),
+    the maps being isometries; so an unchecked pair's residual is at most
+    2L - 1 times the checked maximum, L being g's word length."""
     G = spec.group
     sites = spec.sites
-    # per check, None for the identity element and (g, h) for a pair: the
+    # per check, None for the identity element and (s, h) for a pair: the
     # largest residual and the first site and register that reach it
-    worst = dict.fromkeys([None, *itertools.product(G.elements(), repeat=2)], (0.0, 0, 0))
+    pairs = itertools.product(_generating_set(G), G.elements())
+    worst = dict.fromkeys([None, *pairs], (0.0, 0, 0))
     for j in _probe_sites(spec.exprs):
         probe = site_probe(sites, j)
         image = [_run_batch(e, *probe) for e in spec.exprs]

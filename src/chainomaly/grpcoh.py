@@ -5,9 +5,10 @@ and coboundary identities are checked with exact arithmetic. Cohomology
 groups are classified through the integer bar complex. For k >= 1,
 H^k(G, U(1)) = H^(k+1)(G, Z), which is exactly the torsion of the cokernel
 of the integer coboundary d_k. Its exponent divides |G|, so each p-primary
-part is read off a local Smith form of d_k computed in numpy int64 modulo a
-power of p. The rational complex is exact, so rank d_k is known beforehand:
-the elimination stops at that many pivots and checks that nothing is left.
+part is read off a local Smith form of d_k computed in numpy int32 over an
+int8 coboundary, modulo a power of p. The rational complex is exact, so
+rank d_k is known beforehand: the elimination stops at that many pivots and
+checks that nothing is left.
 A phase k-cocycle is lifted to [0, 1); the coboundary of the lift (the
 Bockstein) is a degree-(k+1) integer cocycle, which the recorded row
 operations, replayed on first use, project onto the invariant-factor
@@ -203,10 +204,11 @@ def snap_fraction(turns: float, den_cap: int) -> tuple[Fraction, float]:
 
 def _coboundary_matrix(group: FiniteGroup, k: int) -> np.ndarray:
     """Integer matrix of d: C^k(Z) -> C^(k+1)(Z), rows and columns indexed
-    like _tuple_index."""
+    like _tuple_index. Each entry is a signed count of at most k + 2 faces,
+    so it is held in int8."""
     faces = _face_index(group, k + 1)
     rows = np.arange(faces.shape[1])
-    d = np.zeros((faces.shape[1], group.order ** k), dtype=np.int64)
+    d = np.zeros((faces.shape[1], group.order ** k), dtype=np.int8)
     for i, face in enumerate(faces):
         np.add.at(d, (rows, face), (-1) ** i)
     return d
@@ -217,8 +219,11 @@ def _local_smith(d: np.ndarray, p: int, e: int, rank: int) -> list[tuple]:
     the torsion of coker d, taking an entry of least p-valuation as each
     pivot. Returns one record per pivot, in elimination order: (row, col,
     valuation, unit inverse scaling the row, rows cleared and their
-    multipliers, cols cleared and their multipliers). Entries stay below
-    p^(2e), so the int64 products are exact within the default MatrixCap.
+    multipliers, cols cleared and their multipliers). The working matrix is
+    int32, reduced in place: entries stay below q = p^(2e), so every product
+    of a multiplier or unit inverse with an entry stays below q^2. MATRIX_CAP
+    (|G|^(k+2) <= 16^5 with k >= 1) admits |G| <= 101, so q <= 101^2 = 10201
+    and q^2 < 2^31: the int32 products are exact for every input it admits.
 
     Pivots have valuation at most e, so only valuations 0 .. e are scanned,
     and the scan stops at the rank-th pivot; the e digits above valuation e
@@ -226,16 +231,18 @@ def _local_smith(d: np.ndarray, p: int, e: int, rank: int) -> list[tuple]:
     left: fewer pivots, or entries left over (as a pivot of valuation above
     e leaves), are an InvariantViolation."""
     q = p ** (2 * e)
-    a = d % q
+    a = d.astype(np.int32)
+    a %= q
     steps = []
     for t in range(e + 1):
         if len(steps) == rank:
             break
         pt, pt1 = p ** t, p ** (t + 1)
-        # a row without an entry of valuation t never gains one at this level;
-        # nonzero()[0] on 1-D arrays skips np.flatnonzero's wrappers, which
-        # took about 15% of the time of these small eliminations
-        for i in (a % pt1).any(axis=1).nonzero()[0]:
+        # a row without an entry of valuation t never gains one at this level,
+        # and the hits test skips a nonzero row that has none; nonzero()[0] on
+        # 1-D arrays skips np.flatnonzero's wrappers, which took about 15% of
+        # the time of these small eliminations
+        for i in a.any(axis=1).nonzero()[0]:
             row = a[i]  # a view: the pivot row is scaled and cleared in place
             hits = (row % pt1).nonzero()[0]
             if not hits.size:

@@ -98,7 +98,7 @@ def local_smith_reference(d: np.ndarray, p: int, m: int) -> list[tuple]:
     The oracle for `grpcoh._local_smith`, which stops at the known rank and
     updates in place: this one scans every row at every level."""
     q = p ** m
-    a = d % q
+    a = d.astype(np.int64) % q
     steps = []
     for t in range(m):
         pt, pt1 = p ** t, p ** (t + 1)

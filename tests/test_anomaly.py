@@ -157,6 +157,16 @@ def test_verify_matches_pairwise_reference(make):
     assert anm.verify_action(spec) == naive_homomorphism_residual(spec)
 
 
+def test_verify_refuses_a_map_wrong_off_the_generators():
+    # K4 is generated by the flip and gamma; mapping gamma * flip to gamma
+    # breaks only an element outside that set, and the pair (flip, gamma),
+    # whose product it is, is refused
+    act = k4_action()
+    broken = anm.ActionSpec(act.group, act.sites, (*act.exprs[:3], act.expr(2)))
+    with pytest.raises(NotAHomomorphism, match=r"^pair \(\(0,1\), \(1,0\)\) violates"):
+        anm.verify_action(broken)
+
+
 def test_verify_rejects_broken_identity():
     act = anm.levin_gu_action()
     x_layer = QcaExpr(S2, (BlockLayer(1, (GateTemplate(0, 1, PAULI_X),)),))
