@@ -2,20 +2,24 @@
 
 Phases are exact rationals in [0,1) representing exp(2*pi*i*q), so cocycle
 and coboundary identities are checked with exact arithmetic. Cohomology
-groups are classified through the integer bar complex. For k >= 1,
-H^k(G, U(1)) = H^(k+1)(G, Z), which is exactly the torsion of the cokernel
-of the integer coboundary d_k. Its exponent divides |G|, so each p-primary
-part is read off a local Smith form of d_k computed in numpy int32 over an
-int8 coboundary, modulo a power of p. The rational complex is exact, so
-rank d_k is known beforehand: the elimination stops at that many pivots and
-checks that nothing is left.
+groups are classified through the normalized integer bar complex: the
+cochains that vanish on every tuple with an identity entry, which have the
+same cohomology as the full complex (Brown, Cohomology of Groups, I.5 and
+III.1). For k >= 1, H^k(G, U(1)) = H^(k+1)(G, Z), which is exactly the
+torsion of the cokernel of the normalized integer coboundary d_k, a
+(|G| - 1)^(k+1) x (|G| - 1)^k matrix. Its exponent divides |G|, so each
+p-primary part is read off a local Smith form of d_k computed in numpy
+int32 over an int8 coboundary, modulo a power of p. The rational complex is
+exact, so rank d_k = sum_(i=1..k) (-1)^(k-i) (|G| - 1)^i is known
+beforehand: the elimination stops at that many pivots and checks that
+nothing is left.
 A phase k-cocycle is lifted to [0, 1); the coboundary of the lift (the
-Bockstein) is a degree-(k+1) integer cocycle, which the recorded row
-operations, replayed on first use, project onto the invariant-factor
-coordinates; a caller that reads only the factors never replays them.
-Measured phases need not be rational: their float Bockstein is rounded to
-integers. Every alternating face sum, exact, float or integer, goes through
-one vectorised face index.
+Bockstein) is a degree-(k+1) integer cocycle. It is normalized by explicit
+coboundary shifts, and then the recorded row operations, replayed on first
+use, project it onto the invariant-factor coordinates; a caller that reads
+only the factors never replays them. Measured phases need not be rational:
+their float Bockstein is rounded to integers. Every alternating face sum,
+exact, float or integer, goes through one vectorised face index.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ from .opwin import TOL_PHASE
 from .qca import _factorize
 
 MATRIX_CAP = 16 ** 5  # bound on |G|^(n+2)
+# numpy's limit on array dimensions bounds the degree where MATRIX_CAP does
+# not, for the trivial group: bockstein_class reads the faces of
+# (k + 2)-tuples, whose index np.indices builds with k + 3 dimensions
+_NDIM_MAX = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+DEGREE_CAP = _NDIM_MAX - 3
 
 
 @dataclass(frozen=True)
@@ -130,19 +139,31 @@ def _tuple_index(t: tuple[int, ...], n: int) -> int:
     return i
 
 
+def _faces(group: FiniteGroup, t: np.ndarray):
+    """The faces d_0 t .. d_m t (inhomogeneous bar convention) of the
+    m-tuples in the columns of t, one (m - 1, columns) array of elements
+    each."""
+    table = np.array(group.table)
+    m = len(t)
+    yield t[1:]
+    for i in range(1, m):
+        yield np.concatenate([t[: i - 1], table[t[i - 1], t[i]][None], t[i + 1:]])
+    yield t[:-1]
+
+
 def _face_index(group: FiniteGroup, m: int) -> np.ndarray:
     """Flat index of every face of every m-tuple, as an (m + 1, n^m) array:
-    row i holds d_i t (inhomogeneous bar convention), and columns and
-    entries are indexed like _tuple_index."""
+    row i holds d_i t, and columns and entries are indexed like
+    _tuple_index."""
     n = group.order
-    table = np.array(group.table)
-    t = np.indices((n,) * m).reshape(m, -1)
     place = n ** np.arange(m - 2, -1, -1)  # place values of an (m-1)-tuple
-    faces = [t[1:]]
-    for i in range(1, m):
-        faces.append(np.concatenate([t[: i - 1], table[t[i - 1], t[i]][None], t[i + 1:]]))
-    faces.append(t[:-1])
-    return np.stack([place @ f for f in faces])
+    return np.stack([place @ f for f in _faces(group, np.indices((n,) * m).reshape(m, -1))])
+
+
+def _identity_free(n: int, m: int) -> np.ndarray:
+    """The m-tuples with no identity entry, as the columns of an
+    (m, (n - 1)^m) array, in _tuple_index order."""
+    return np.indices((n - 1,) * m).reshape(m, -1) + 1
 
 
 def _face_sums(group: FiniteGroup, degree: int, values) -> np.ndarray:
@@ -203,25 +224,33 @@ def snap_fraction(turns: float, den_cap: int) -> tuple[Fraction, float]:
 # -- modular integer linear algebra ------------------------------------------
 
 def _coboundary_matrix(group: FiniteGroup, k: int) -> np.ndarray:
-    """Integer matrix of d: C^k(Z) -> C^(k+1)(Z), rows and columns indexed
-    like _tuple_index. Each entry is a signed count of at most k + 2 faces,
-    so it is held in int8."""
-    faces = _face_index(group, k + 1)
-    rows = np.arange(faces.shape[1])
-    d = np.zeros((faces.shape[1], group.order ** k), dtype=np.int8)
-    for i, face in enumerate(faces):
-        np.add.at(d, (rows, face), (-1) ** i)
+    """Integer matrix of d: N^k(Z) -> N^(k+1)(Z) on normalized cochains,
+    those that vanish on every tuple with an identity entry. Rows and
+    columns are the identity-free tuples in _tuple_index order, so the
+    matrix is (|G| - 1)^(k+1) x (|G| - 1)^k. A face that holds the identity
+    is a degenerate column, where a normalized cochain is 0, and is
+    dropped. Each entry is a signed count of at most k + 2 faces, so it is
+    held in int8."""
+    n = group.order
+    d = np.zeros(((n - 1) ** (k + 1), (n - 1) ** k), dtype=np.int8)
+    rows = np.arange(d.shape[0])
+    place = (n - 1) ** np.arange(k - 1, -1, -1)
+    for i, face in enumerate(_faces(group, _identity_free(n, k + 1))):
+        keep = face.all(axis=0)
+        np.add.at(d, (rows[keep], place @ (face[:, keep] - 1)), (-1) ** i)
     return d
 
 
 def _local_smith(d: np.ndarray, p: int, e: int, rank: int) -> list[tuple]:
     """Smith elimination of d over Z/p^(2e), p^e annihilating the p-part of
     the torsion of coker d, taking an entry of least p-valuation as each
-    pivot. Returns one record per pivot, in elimination order: (row, col,
-    valuation, unit inverse scaling the row, rows cleared and their
-    multipliers, cols cleared and their multipliers). The working matrix is
-    int32, reduced in place: entries stay below q = p^(2e), so every product
-    of a multiplier or unit inverse with an entry stays below q^2. MATRIX_CAP
+    pivot. Here d is the normalized coboundary of _coboundary_matrix, whose
+    cokernel has the same torsion as the full bar coboundary's. Returns one
+    record per pivot, in elimination order: (row, col, valuation, unit
+    inverse scaling the row, rows cleared and their multipliers, cols
+    cleared and their multipliers). The working matrix is int32, reduced in
+    place: entries stay below q = p^(2e), so every product of a multiplier
+    or unit inverse with an entry stays below q^2. MATRIX_CAP
     (|G|^(k+2) <= 16^5 with k >= 1) admits |G| <= 101, so q <= 101^2 = 10201
     and q^2 < 2^31: the int32 products are exact for every input it admits.
 
@@ -305,15 +334,42 @@ def _torsion_transforms(shape: tuple[int, int], p: int, e: int, steps: list[tupl
     ]
 
 
+def _class_transforms(shape: tuple[int, int], eliminations, factors: tuple[int, ...]) -> tuple:
+    """The class rows and the generators' numerators over their factors, on
+    the tuples of a coboundary matrix of `shape`, by replaying each prime's
+    (p, e, steps) and assembling the primes by CRT."""
+    parts = [_torsion_transforms(shape, p, e, s) for p, e, s in eliminations]
+    # the j-th largest factor collects the j-th largest power of every prime
+    rows, nums = [], []
+    for j, s in zip(range(-len(factors), 0), factors):
+        row = np.zeros(shape[0], dtype=np.int64)
+        num = np.zeros(shape[1], dtype=np.int64)
+        for pv, left, right in (fs[j] for fs in parts if len(fs) >= -j):
+            rest = s // pv
+            row += rest * pow(rest, -1, pv) * left  # CRT idempotent
+            num += rest * right
+        rows.append(row % s)
+        nums.append(num % s)
+    nfac = len(factors)
+    return (
+        np.array(rows, dtype=np.int64).reshape(nfac, shape[0]),
+        np.array(nums, dtype=np.int64).reshape(nfac, shape[1]),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CohomologyGroup:
     """Invariant-factor presentation of H^degree(G, U(1)).
 
-    The factors come from one local Smith elimination of d_degree per prime,
-    kept as (p, e, steps) in `_eliminations`. The rows that project an
+    The factors come from one local Smith elimination per prime of the
+    normalized coboundary d_degree (_coboundary_matrix), kept as
+    (p, e, steps) in `_eliminations`. The rows that project a normalized
     integer Bockstein onto class coordinates (`_class_rows`) and the
     generator cochains are replayed from those steps on first use, once per
-    group; a caller that reads only the factors never pays for them."""
+    group, and scattered onto every tuple with zeros on the tuples that hold
+    the identity; a caller that reads only the factors never pays for them.
+    Class rows kill only normalized coboundaries, so `class_of` and
+    `bockstein_class` normalize a Bockstein before they project it."""
 
     group: FiniteGroup
     degree: int
@@ -321,25 +377,19 @@ class CohomologyGroup:
     _eliminations: tuple[tuple, ...] = field(repr=False)
 
     @cached_property
-    def _classes(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The class rows and the generators' numerators over their factors,
-        by replaying each prime's steps and assembling the primes by CRT."""
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class rows and the generators' numerators, one row per
+        factor, on every tuple."""
         n, k = self.group.order, self.degree
-        shape = (n ** (k + 1), n ** k)  # of d_k
-        parts = [_torsion_transforms(shape, p, e, s) for p, e, s in self._eliminations]
-        # the j-th largest factor collects the j-th largest power of every prime
-        nfac = len(self.invariant_factors)
-        rows, nums = [], []
-        for j, s in zip(range(-nfac, 0), self.invariant_factors):
-            row = np.zeros(shape[0], dtype=np.int64)
-            num = np.zeros(shape[1], dtype=np.int64)
-            for pv, left, right in (fs[j] for fs in parts if len(fs) >= -j):
-                rest = s // pv
-                row += rest * pow(rest, -1, pv) * left  # CRT idempotent
-                num += rest * right
-            rows.append(row % s)
-            nums.append(num % s)
-        return np.array(rows, dtype=np.int64).reshape(nfac, shape[0]), tuple(nums)
+        parts = _class_transforms(
+            ((n - 1) ** (k + 1), (n - 1) ** k), self._eliminations, self.invariant_factors
+        )
+        out = []
+        for m, part in zip((k + 1, k), parts):
+            full = np.zeros((len(part), n ** m), dtype=np.int64)
+            full[:, n ** np.arange(m - 1, -1, -1) @ _identity_free(n, m)] = part
+            out.append(full)
+        return tuple(out)
 
     @property
     def _class_rows(self) -> np.ndarray:
@@ -396,10 +446,11 @@ class ClassCoords:
 def _cohomology_cached(group: FiniteGroup, degree: int) -> CohomologyGroup:
     n = group.order
     k = degree
-    # H^k(G, U(1)) = H^(k+1)(G, Z) = torsion of coker d_k, one p-part per prime
+    # H^k(G, U(1)) = H^(k+1)(G, Z) = torsion of coker d_k, one p-part per
+    # prime, read off the normalized complex, which has the same cohomology
     d = _coboundary_matrix(group, k)
     # the rational complex is exact above degree 0, which fixes rank d_k
-    rank = sum((-1) ** (k - i) * n ** i for i in range(1, k + 1))
+    rank = sum((-1) ** (k - i) * (n - 1) ** i for i in range(1, k + 1))
     elims, powers = [], []
     for p, e in _factorize(n).items():
         steps = _local_smith(d, p, e, rank)
@@ -422,11 +473,36 @@ def cohomology(group: FiniteGroup, degree: int) -> CohomologyGroup:
     """H^degree(G, U(1)) as invariant factors plus classification data."""
     if degree < 1:
         raise ValidationError("degree must be >= 1")
+    if degree > DEGREE_CAP:
+        raise MatrixCap(
+            f"degree {degree} exceeds cap {DEGREE_CAP}: reading a class of degree k "
+            f"indexes the faces of (k + 2)-tuples in a (k + 3)-dimensional array, "
+            f"and numpy holds at most {_NDIM_MAX} dimensions"
+        )
     if group.order ** (degree + 2) > MATRIX_CAP:
         raise MatrixCap(
             f"|G|^(degree+2) = {group.order ** (degree + 2)} exceeds cap {MATRIX_CAP}"
         )
     return _cohomology_cached(group, degree)
+
+
+def _normalize(group: FiniteGroup, m: int, c: np.ndarray) -> np.ndarray:
+    """The normalized integer m-cocycle in the class of the int64 cocycle
+    c: for j = 0 .. m - 1, c -= (-1)^j d(s_j c), where
+    (s_j c)(t_1..t_(m-1)) = c(t_1..t_j, e, t_(j+1)..t_(m-1)). The result
+    vanishes on every tuple with an identity entry, where the class rows are
+    0, and differs from c by a coboundary. Each step grows the largest entry
+    at most (m + 2)-fold, and a class row then sums c.size products with
+    entries below |G|: where that could pass int64, the steps run on Python
+    ints; otherwise c is overwritten."""
+    bound = (m + 2) ** m * int(np.abs(c).max(initial=0)) * c.size * group.order
+    if bound >= 2 ** 63:
+        c = c.astype(object)
+    cube = c.reshape((group.order,) * m)  # a view: each step reads the last
+    for j in range(m):
+        ds = _face_sums(group, m - 1, cube.take(0, axis=j).ravel())
+        c -= ds if j % 2 == 0 else -ds
+    return c
 
 
 def class_of(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
@@ -442,7 +518,7 @@ def class_of(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
     sums = _face_sums(f.group, f.degree, np.array(nums, dtype=np.int64 if exact else object))
     if (sums % den).any():
         raise NotACocycle("input is not a cocycle")
-    c = (sums // den).astype(np.int64)
+    c = _normalize(f.group, f.degree + 1, (sums // den).astype(np.int64))
     return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
 
 
@@ -464,6 +540,7 @@ def bockstein_class(turns, H: CohomologyGroup, what: str = "cochain") -> ClassCo
     c = c.astype(np.int64)
     if _face_sums(G, k + 1, c).any():
         raise InvariantViolation(f"the rounded Bockstein of the {what} is not a cocycle")
+    c = _normalize(G, k + 1, c)
     return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
 
 

@@ -1,12 +1,15 @@
 """Cochains from Python functions, the exact coboundary, the zero and cocycle tests,
 cochain and class-coordinate arithmetic, group relabelling, the class of a
-phase cocycle summed in Fractions, and a reference local Smith elimination,
-for building test inputs and checking results in `chainomaly.grpcoh`'s terms.
-Used only by the tests."""
+phase cocycle summed in Fractions, a reference local Smith elimination, and
+the full (unnormalized) bar complex with its classes, for building test
+inputs and checking results in `chainomaly.grpcoh`'s terms. Used only by the
+tests."""
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +19,11 @@ from chainomaly.grpcoh import (
     CohomologyGroup,
     FiniteGroup,
     PhaseCochain,
+    _class_transforms,
+    _face_index,
     _face_sums,
+    _factorize,
+    _normalize,
 )
 
 MAX_DEGREE = 3
@@ -34,13 +41,20 @@ def coboundary(f: PhaseCochain) -> PhaseCochain:
     return PhaseCochain(f.group, f.degree + 1, tuple(sums))
 
 
-def class_of_by_fractions(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
-    """`grpcoh.class_of` with its integer Bockstein summed as exact Fractions
-    in an object array, an oracle for the integer face sums."""
+def bockstein_by_fractions(f: PhaseCochain) -> np.ndarray:
+    """The integer Bockstein of a phase cocycle, summed as exact Fractions
+    in an object array."""
     sums = _face_sums(f.group, f.degree, np.array(f.values, dtype=object))
     if any(s.denominator != 1 for s in sums):
         raise NotACocycle("input is not a cocycle")
-    c = np.array([s.numerator for s in sums], dtype=np.int64)
+    return np.array([s.numerator for s in sums], dtype=np.int64)
+
+
+def class_of_by_fractions(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
+    """`grpcoh.class_of` with its integer Bockstein summed as exact
+    Fractions, an oracle for the integer face sums; it is normalized as
+    `class_of` normalizes it."""
+    c = _normalize(f.group, f.degree + 1, bockstein_by_fractions(f))
     return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
 
 
@@ -123,3 +137,48 @@ def local_smith_reference(d: np.ndarray, p: int, m: int) -> list[tuple]:
             a[i] = 0
             steps.append((i, col, t, uinv, rows, mult[rows], cols, cmult[cols]))
     return steps
+
+
+def full_coboundary_matrix(group: FiniteGroup, k: int) -> np.ndarray:
+    """Integer matrix of the full bar coboundary d: C^k(Z) -> C^(k+1)(Z),
+    rows and columns indexed like `grpcoh._tuple_index`, identity entries
+    included."""
+    faces = _face_index(group, k + 1)
+    rows = np.arange(faces.shape[1])
+    d = np.zeros((faces.shape[1], group.order ** k), dtype=np.int64)
+    for i, face in enumerate(faces):
+        np.add.at(d, (rows, face), (-1) ** i)
+    return d
+
+
+@dataclass(frozen=True)
+class FullComplex:
+    """H^degree(G, U(1)) read off the full bar coboundary: the invariant
+    factors, and the class rows and generator numerators over every tuple.
+    Its class rows kill every coboundary, so it reads a Bockstein as it is."""
+
+    invariant_factors: tuple[int, ...]
+    rows: np.ndarray
+    nums: np.ndarray
+
+    def class_of(self, f: PhaseCochain) -> ClassCoords:
+        c = bockstein_by_fractions(f)
+        return ClassCoords(tuple(int(w) for w in self.rows @ c), self.invariant_factors)
+
+
+def full_complex(group: FiniteGroup, degree: int) -> FullComplex:
+    """The full-complex oracle for `grpcoh.cohomology`: the reference
+    elimination of the full d_degree per prime, with the class rows and
+    generators replayed from its steps."""
+    n, d = group.order, full_coboundary_matrix(group, degree)
+    elims, powers = [], []
+    for p, e in _factorize(n).items():
+        steps = local_smith_reference(d, p, 2 * e)
+        elims.append((p, e, steps))
+        powers.append([p ** s[2] for s in steps if s[2] > 0])
+    nfac = max(map(len, powers), default=0)
+    factors = tuple(
+        math.prod(pvs[j] for pvs in powers if len(pvs) >= -j) for j in range(-nfac, 0)
+    )
+    rows, nums = _class_transforms(d.shape, elims, factors)
+    return FullComplex(factors, rows, nums)

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 import yaml
 
-from chainomaly import cli, spectra
+from chainomaly import cli, grpcoh, spectra
 from chainomaly.errors import IoError, ParseError, ValidationError
 
 from helpers_serialize import expr_to_data, matrix_to_pairs
@@ -771,3 +771,20 @@ def test_type_iii_anomaly_of_z2_cubed(tmp_path, capsys):
     # the restriction to <g> is 2 (omega(g, 1, g) + omega(g, g, g)) mod 2
     restricted = [2 * (omega[g, 0, g] + omega[g, g, g]) % 2 for g in range(1, 8)]
     assert restricted == [0, 0, 0, 0, 0, 0, 1]
+
+
+def test_cohomology_degree_past_the_face_index_exits_2(tmp_path, capsys):
+    # the trivial group passes MATRIX_CAP at every degree; a degree whose
+    # face index numpy cannot hold is refused by name, and the largest
+    # admitted degree still answers
+    cfg_path = tmp_path / "c.yaml"
+    text = "mode: cohomology\ngroup: {{kind: cyclic, n: 1}}\ndegree: {}\noutput: {{json: r.json}}\n"
+    cfg_path.write_text(text.format(64))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: degree 64 exceeds cap {grpcoh.DEGREE_CAP}: ")
+    assert not (tmp_path / "r.json").exists()
+    cfg_path.write_text(text.format(grpcoh.DEGREE_CAP))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert (report["degree"], report["pretty"]) == (grpcoh.DEGREE_CAP, "trivial")
+    assert f"H^{grpcoh.DEGREE_CAP} = trivial\n" in capsys.readouterr().out

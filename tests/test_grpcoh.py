@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import math
@@ -28,6 +29,8 @@ from chainomaly.grpcoh import (
     _cohomology_cached,
     _face_sums,
     _local_smith,
+    _normalize,
+    _tuple_index,
     bockstein_class,
     class_of,
     cohomology,
@@ -42,6 +45,8 @@ from helpers_cochain import (
     cochain_from_function,
     coords_add,
     coords_neg,
+    full_coboundary_matrix,
+    full_complex,
     is_cocycle,
     is_zero,
     local_smith_reference,
@@ -171,12 +176,19 @@ def faces(group, t):
     return out
 
 
+def identity_free(group, m):
+    """The m-tuples with no identity entry, in table order."""
+    return list(itertools.product(range(1, group.order), repeat=m))
+
+
 @pytest.mark.parametrize("group", [Z3, Z2Z2, S3])
 @pytest.mark.parametrize("degree", [1, 2])
 @given(seed=st.integers(0, 10 ** 6))
 def test_coboundary_matrix_matches_face_sums(group, degree, seed):
-    # the matrix of d_k and the vectorised face sums, on integers, floats and
-    # exact fractions, against face sums written out tuple by tuple
+    # the matrices of d_k, full and normalized, and the vectorised face sums,
+    # on integers, floats and exact fractions, against face sums written out
+    # tuple by tuple; the normalized matrix acts on a cochain that vanishes
+    # on every tuple with an identity entry, and gives its identity-free rows
     rng = np.random.default_rng(seed)
     f = random_cochain(group, degree, rng)
     want = [
@@ -184,8 +196,15 @@ def test_coboundary_matrix_matches_face_sums(group, degree, seed):
         for t in itertools.product(range(group.order), repeat=degree + 1)
     ]
     nums = np.array([int(v * 8) for v in f.values])
-    assert (_coboundary_matrix(group, degree) @ nums).tolist() == [int(s * 8) for s in want]
+    assert (full_coboundary_matrix(group, degree) @ nums).tolist() == [int(s * 8) for s in want]
     assert _face_sums(group, degree, nums).tolist() == [int(s * 8) for s in want]
+    g = cochain_from_function(group, degree, lambda *t: 0 if 0 in t else f.at(*t))
+    want_normalized = [
+        int(8 * sum((-1) ** i * g.at(*face) for i, face in enumerate(faces(group, t))))
+        for t in identity_free(group, degree + 1)
+    ]
+    free = np.array([int(8 * g.at(*t)) for t in identity_free(group, degree)])
+    assert (_coboundary_matrix(group, degree) @ free).tolist() == want_normalized
     exact = _face_sums(group, degree, np.array(f.values, dtype=object))
     assert list(exact) == want
     floats = _face_sums(group, degree, np.array([float(v) for v in f.values]))
@@ -303,6 +322,19 @@ def test_matrix_cap():
         cohomology(FiniteGroup.cyclic(20), 3)
 
 
+def test_the_largest_admitted_degree_reads_a_class():
+    # the trivial group passes MATRIX_CAP at every degree; at DEGREE_CAP
+    # bockstein_class still builds its face index, of the most dimensions
+    # numpy holds, and one degree more is refused by name
+    trivial, k = FiniteGroup.cyclic(1), grpcoh.DEGREE_CAP
+    H = cohomology(trivial, k)
+    assert H.is_trivial
+    assert class_of(PhaseCochain.zero(trivial, k), H).residues == ()
+    assert bockstein_class([0.0], H).residues == ()
+    with pytest.raises(MatrixCap, match=f"degree {k + 1} exceeds cap {k}: "):
+        cohomology(trivial, k + 1)
+
+
 def test_relabeling_invariance():
     for group, perm in [(Z4, (0, 3, 2, 1)), (Z2Z2, (0, 2, 3, 1))]:
         h1 = cohomology(group, 2).invariant_factors
@@ -342,10 +374,11 @@ ELIMINATED = [
 
 
 def assert_same_elimination(group, degree):
-    """Each prime's elimination records the reference's steps, every field
-    equal; the class rows and generators replayed from them equal those
-    replayed from the reference's steps, kill every coboundary and hit the
-    standard basis."""
+    """Each prime's elimination of the normalized d_degree records the
+    reference's steps, every field equal; the class rows and generators
+    replayed from them equal those replayed from the reference's steps,
+    vanish on every tuple with an identity entry, kill every normalized
+    coboundary and hit the standard basis."""
     H = _cohomology_cached.__wrapped__(group, degree)  # not shared with other tests
     d = _coboundary_matrix(group, degree)
     reference = []
@@ -358,15 +391,21 @@ def assert_same_elimination(group, degree):
     R = CohomologyGroup(group, degree, H.invariant_factors, tuple(reference))
     assert np.array_equal(H._class_rows, R._class_rows)
     assert H.generators == R.generators
+    n = group.order
+    free = [_tuple_index(t, n) for t in identity_free(group, degree + 1)]
     factors = np.array(H.invariant_factors, dtype=np.int64).reshape(-1, 1)
-    assert not (H._class_rows @ d % factors).any()
+    assert not (H._class_rows[:, free] @ d % factors).any()
+    assert not np.delete(H._class_rows, free, axis=1).any()
     for gen, want in zip(H.generators, basis(H)):
+        assert all(gen.at(*t) == 0 for t in itertools.product(range(n), repeat=degree) if 0 in t)
         assert class_of(gen, H).residues == want
 
 
 @pytest.mark.parametrize("group,degree", ELIMINATED)
 def test_elimination_matches_the_reference(group, degree):
     assert_same_elimination(group, degree)
+    # the normalized complex has the full bar complex's cohomology
+    assert cohomology(group, degree).invariant_factors == full_complex(group, degree).invariant_factors
 
 
 @pytest.mark.parametrize("group", [Z6, S3, D8, Q8], ids=["Z6", "S3", "D8", "Q8"])
@@ -379,15 +418,16 @@ def test_elimination_matches_the_reference_under_relabelling(group, degree, data
 
 
 def test_elimination_checks_the_rank():
-    # d_3 of Z2 x Z2 has rank 4^3 - 4^2 + 4 = 52 over Z/2^4: told one less,
-    # the elimination stops with entries left over; told one more, it runs
-    # out of pivots
+    # the normalized d_3 of Z2 x Z2 has rank 3^3 - 3^2 + 3 = 21 over Z/2^4:
+    # told one less, the elimination stops with entries left over; told one
+    # more, it runs out of pivots
     d = _coboundary_matrix(Z2Z2, 3)
-    assert len(_local_smith(d, 2, 2, 52)) == 52
-    with pytest.raises(InvariantViolation, match=r"rank-51 coboundary found 51 pivots .* and entries left over"):
-        _local_smith(d, 2, 2, 51)
-    with pytest.raises(InvariantViolation, match=r"rank-53 coboundary found 52 pivots of valuations \[0, 1\], not 53"):
-        _local_smith(d, 2, 2, 53)
+    assert d.shape == (81, 27)
+    assert len(_local_smith(d, 2, 2, 21)) == 21
+    with pytest.raises(InvariantViolation, match=r"rank-20 coboundary found 20 pivots .* and entries left over"):
+        _local_smith(d, 2, 2, 20)
+    with pytest.raises(InvariantViolation, match=r"rank-22 coboundary found 21 pivots of valuations \[0, 1\], not 22"):
+        _local_smith(d, 2, 2, 22)
 
 
 def test_elimination_refuses_a_pivot_above_the_valuation_bound():
@@ -398,12 +438,11 @@ def test_elimination_refuses_a_pivot_above_the_valuation_bound():
 
 
 def test_elimination_is_narrow():
-    # an int8 coboundary and an int32 working matrix reduced in place: the
-    # traced peak for d_3 of Z2^3 (4096 x 512 entries) is 13.8 MiB; an int64
-    # coboundary, residue copy and candidate scan took 52.7 MiB
+    # an int8 coboundary and an int32 working matrix reduced in place, under
+    # 8 bytes per entry of the normalized d_3 of Z2^3 (2401 x 343 entries)
     d = _coboundary_matrix(Z2_CUBED, 3)
-    assert d.dtype == np.int8
-    steps = _local_smith(d, 2, 1, 8 ** 3 - 8 ** 2 + 8)
+    assert d.dtype == np.int8 and d.shape == (7 ** 4, 7 ** 3)
+    steps = _local_smith(d, 2, 1, 7 ** 3 - 7 ** 2 + 7)
     assert all(s[5].dtype == s[7].dtype == np.int32 for s in steps)
     tracemalloc.start()
     try:
@@ -427,10 +466,13 @@ def test_every_admitted_coboundary_fits_the_narrow_dtypes():
             k += 1
         assert all(p ** (4 * e) < 2 ** 31 for p, e in grpcoh._factorize(n).items())
         n += 1
-    # the trivial group's d_k is the alternating sum of k + 2 ones
+    # the trivial group's full d_k is the alternating sum of k + 2 ones, and
+    # its normalized d_k is empty at every degree that DEGREE_CAP admits
     trivial = FiniteGroup.cyclic(1)
     for k in range(1, 60):
-        assert _coboundary_matrix(trivial, k).tolist() == [[k % 2]]
+        assert full_coboundary_matrix(trivial, k).tolist() == [[k % 2]]
+    for k in range(1, grpcoh.DEGREE_CAP + 1):
+        assert _coboundary_matrix(trivial, k).shape == (0, 0)
 
 
 def _count_replays(monkeypatch) -> list:
@@ -576,6 +618,72 @@ def test_class_of_sums_past_int64():
         class_of(bad, H)
 
 
+Z5 = FiniteGroup.cyclic(5)
+
+
+@functools.cache
+def _class_data(group, degree):
+    """The invariant factors, class rows and generator numerators of
+    H^degree, without keeping the eliminations in the shared cache."""
+    H = _cohomology_cached.__wrapped__(group, degree)
+    return H.invariant_factors, *H._classes
+
+
+@pytest.mark.parametrize("group", [Z2, Z3, Z4, Z5, Z2Z2, S3], ids=["Z2", "Z3", "Z4", "Z5", "K4", "S3"])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@settings(max_examples=5)
+@given(seed=st.integers(0, 10 ** 6))
+def test_normalize_keeps_the_class(group, degree, seed):
+    # a random integer (degree + 1)-cocycle: the Bockstein of a class
+    # representative plus the coboundary of a random integer cochain. Its
+    # normalization vanishes on every tuple with an identity entry, is still
+    # a cocycle, and the class rows read the representative's coordinates
+    factors, rows, nums = _class_data(group, degree)
+    rng = np.random.default_rng(seed)
+    n, m = group.order, degree + 1
+    coords = [int(rng.integers(0, f)) for f in factors]
+    c = _face_sums(group, degree, rng.integers(-3, 4, size=n ** degree))
+    for r, s, num in zip(coords, factors, nums):
+        c += r * (_face_sums(group, degree, num) // s)
+    got = _normalize(group, m, c.copy())
+    assert not _face_sums(group, m, got).any()
+    t = np.indices((n,) * m).reshape(m, -1)
+    assert not got[(t == 0).any(axis=0)].any()
+    assert [int(x) % s for x, s in zip(rows @ got, factors)] == coords
+
+
+@functools.cache
+def _full(group, degree):
+    return full_complex(group, degree)
+
+
+# every (group, degree) whose class a bundled config, a benchmark operation
+# or a pinned test prints: Z2 and K4 in degree 3, K4 and Z3 x Z3 in degree 2,
+# Z2^3 in degree 3, and the Z3, Z4 and Z5 edge actions
+PRINTED = [
+    (Z2, 3), (Z2Z2, 3), (Z2Z2, 2), (Z3Z3, 2), (Z2_CUBED, 3), (Z3, 3), (Z4, 3), (Z5, 3),
+]
+
+
+@pytest.mark.parametrize("group,degree", PRINTED)
+@settings(max_examples=5)
+@given(seed=st.integers(0, 10 ** 6))
+def test_class_coordinates_match_the_full_complex(group, degree, seed):
+    # the normalized complex reads every class as the full bar complex does:
+    # on its own generators, on the full complex's and on a random cocycle
+    H, F = cohomology(group, degree), _full(group, degree)
+    assert H.invariant_factors == F.invariant_factors
+    for gen, want in zip(H.generators, basis(H)):
+        assert class_of(gen, H).residues == F.class_of(gen).residues == want
+    for num, s, want in zip(F.nums, F.invariant_factors, basis(H)):
+        gen = PhaseCochain(group, degree, tuple(Fraction(int(x), s) for x in num))
+        assert class_of(gen, H).residues == F.class_of(gen).residues == want
+    rng = np.random.default_rng(seed)
+    coords = ClassCoords(tuple(int(rng.integers(0, f)) for f in H.invariant_factors), H.invariant_factors)
+    f = H.representative(coords) + coboundary(random_cochain(group, degree - 1, rng, den=12))
+    assert class_of(f, H) == F.class_of(f) == coords
+
+
 def test_class_coords_arithmetic():
     c = ClassCoords((1,), (2,))
     assert coords_add(c, c).is_trivial
@@ -597,7 +705,7 @@ def test_bockstein_class_ignores_real_coboundaries(group, degree, seed):
     rep = H.representative(coords)
     assert class_of(rep, H) == coords
     mu = rng.uniform(-3.0, 3.0, size=group.order ** (degree - 1))
-    turns = np.array([float(v) for v in rep.values]) + _coboundary_matrix(group, degree - 1) @ mu
+    turns = np.array([float(v) for v in rep.values]) + full_coboundary_matrix(group, degree - 1) @ mu
     assert bockstein_class(turns, H) == coords
 
 
