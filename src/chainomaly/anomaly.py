@@ -200,9 +200,9 @@ class ClassifiedCocycle:
 class AnomalyReport:
     """The class of a finite-group action's degree-3 cocycle. `omega` is the
     printed cochain and `snap_errors` its phases' snap errors in row order,
-    as in ClassifiedCocycle (None when `omega` is the class representative)."""
+    as in ClassifiedCocycle (None when `omega` is the class representative).
+    The acting group is `cohomology.group`."""
 
-    group: FiniteGroup
     omega: PhaseCochain
     cohomology: CohomologyGroup
     coords: ClassCoords
@@ -211,7 +211,7 @@ class AnomalyReport:
     snap_errors: tuple[float, ...] | None
 
     def as_json_dict(self) -> dict:
-        G = self.group
+        G = self.cohomology.group
         omega_rows = list(_phase_rows(self.omega))
         for row, err in zip(omega_rows, self.snap_errors or ()):
             row["snap_error"] = float(err)
@@ -227,7 +227,7 @@ class AnomalyReport:
 
     def summary_text(self) -> str:
         return "\n".join([
-            f"group order: {self.group.order}",
+            f"group order: {self.cohomology.group.order}",
             "stacked: False",
             f"H^3 = {self.cohomology.pretty()}",
             f"class: {list(self.coords.residues)}",
@@ -237,7 +237,9 @@ class AnomalyReport:
 
 @dataclass(eq=False)
 class MixedAnomalyReport:
-    group0: FiniteGroup
+    """The slant class against translation and the projective class, both in
+    `cohomology`, the H^2 of the on-site group `cohomology.group`."""
+
     slant: PhaseCochain
     slant_class: ClassCoords
     projective: PhaseCochain
@@ -262,7 +264,7 @@ class MixedAnomalyReport:
 
     def summary_text(self) -> str:
         return "\n".join([
-            f"on-site group order: {self.group0.order}",
+            f"on-site group order: {self.cohomology.group.order}",
             f"H^2 = {self.cohomology.pretty()}",
             f"slant class: {list(self.slant_class.residues)}",
             f"projective class: {list(self.projective_class.residues)}",
@@ -570,7 +572,6 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
         for (g, h), (slots, _) in sorted(vtable.entries.items())
     }
     return AnomalyReport(
-        group=spec.group,
         omega=om.cochain,
         cohomology=cohomology(spec.group, 3),
         coords=om.coords,
@@ -598,24 +599,6 @@ def projective_cocycle(rep: ProjectiveRep) -> ClassifiedCocycle:
     return _classify(cohomology(G, 2), turns, "multiplier")
 
 
-def _lsm_translation(m: int, n: int) -> QcaExpr:
-    """Translation by n on the doubled chain of two m-dimensional registers
-    (the copy shifted by -n), realized as a swap circuit."""
-    sites2 = SiteSpec((m, m))
-    if n == 0:
-        return identity_expr(sites2)
-    shift = QcaExpr(sites2, (ShiftPrimitive(0, n), ShiftPrimitive(1, -n)))
-    return balance_shifts(shift)
-
-
-def _lsm_with_onsite(rep: ProjectiveRep, g: int, translation: QcaExpr) -> QcaExpr:
-    """The on-site layer of rep(g) on the first register, then `translation`."""
-    if g == 0:
-        return translation
-    tmpl = GateTemplate(0, 1, rep.matrices[g], registers=((0, 0),))
-    return compose(translation, QcaExpr(translation.sites, (BlockLayer(1, (tmpl,)),)))
-
-
 def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     """Mixed anomaly of (projective on-site) x (translation): the slant of
     the degree-3 cocycle against the translation generator, compared with the
@@ -624,12 +607,21 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     before any V is extracted."""
     G0 = rep.group
     rho = projective_cocycle(rep)
+    # the doubled chain: translation by 1 shifts the second copy by -1, and
+    # is realized as a swap circuit; rep(g) acts on the first register by
+    # one layer, built unvalidated because ProjectiveRep checked its matrix
+    sites = SiteSpec((rep.dimension,) * 2)
+    identity = identity_expr(sites)
+    shift = balance_shifts(QcaExpr(sites, (ShiftPrimitive(0, 1), ShiftPrimitive(1, -1))))
+    onsite = [identity] + [
+        _validated(sites, (BlockLayer(1, (GateTemplate(0, 1, m, registers=((0, 0),)),)),))
+        for m in rep.matrices[1:]
+    ]
     # the slant reads elements (g, 0) and (g, 1) only, products included
-    translations = [_lsm_translation(rep.dimension, n) for n in (0, 1)]
     beta: dict[tuple[int, int], QcaExpr] = {
-        (g, n): restrict_right(_lsm_with_onsite(rep, g, t))
+        (g, n): restrict_right(compose(t, onsite[g]))
         for g in G0.elements()
-        for n, t in enumerate(translations)
+        for n, t in enumerate((identity, shift))
     }
 
     def mulz(a, b):
@@ -644,7 +636,6 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     verdict, diagnostics = _verdict_and_diagnostics(table, {"slant": slant, "projective": rho})
     diagnostics["v_count"] = len(table.entries)
     return MixedAnomalyReport(
-        group0=G0,
         slant=slant.cochain,
         slant_class=slant.coords,
         projective=rho.cochain,

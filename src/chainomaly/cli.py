@@ -48,6 +48,16 @@ _ACTION_KEYS = {
     "preset": ("preset",),
     "custom": ("site", "map"),
 }
+# the top-level keys each form reads besides `mode` and `output`: a spectra
+# grid, a cohomology group, and the forms of action above
+_FORM_KEYS = {
+    "spectra": ("spectra",),
+    "cohomology": ("group", "degree"),
+    "gnvw": ("action",),
+    "lsm": ("action",),
+    "preset": ("action",),
+    "custom": ("group", "action"),
+}
 # the keys besides `kind` that each kind of group and step may hold
 _GROUP_KEYS = {"cyclic": ("n",), "product": ("factors",), "table": ("table",)}
 _STEP_KEYS = {
@@ -283,6 +293,12 @@ def parse_config(text: str) -> RunConfig:
     mode = raw.get("mode")
     if mode not in MODES:
         raise ValidationError(f"mode: expected one of {MODES}, got {mode!r}")
+    # an anomaly-mode action's form, and so the keys it holds, is read off its preset
+    action = raw.get("action")
+    preset = action.get("preset") if isinstance(action, dict) else None
+    form = "custom" if preset is None else "lsm" if preset == "lsm" else "preset"
+    form = form if mode == "anomaly" else mode
+    _mapping(raw, "", ("mode", *_FORM_KEYS[form], "output"))
     # only spectra mode has a table to write as CSV
     keys = _OUTPUT_KEYS if mode == "spectra" else ("json", "summary")
     out = _mapping(raw.get("output"), "output", keys)
@@ -302,11 +318,6 @@ def parse_config(text: str) -> RunConfig:
         cfg.degree = _field(raw, "degree", "", functools.partial(_as_int, lo=1), 3)
         return cfg
 
-    # the keys an action may hold depend on its form, read off its preset
-    action = raw.get("action")
-    preset = action.get("preset") if isinstance(action, dict) else None
-    form = "custom" if preset is None else "lsm" if preset == "lsm" else "preset"
-    form = "gnvw" if mode == "gnvw" else form
     action = _field(raw, "action", "", functools.partial(_mapping, keys=_ACTION_KEYS[form]))
     if form == "gnvw":
         sites = _field(action, "site", "action", _sites)
@@ -365,14 +376,14 @@ def run(cfg: RunConfig) -> RunResult:
         return RunResult(report=report, summary=f"index = {qca.index_text(sym)} (numeric agrees)")
     if cfg.mode == "spectra":
         rows = spectra.gap_scan(cfg.spectra_grid, k=cfg.spectra_k)
-        trends = spectra.witness_trends(cfg.spectra_grid, rows)
+        trends = spectra.witness_trends(rows)
         report = {
             "mode": "spectra",
             "rows": [
                 {
-                    "N": r.n_sites,
-                    "J": r.j_coupling,
-                    "a": r.a_coupling,
+                    "N": r.spec.n_sites,
+                    "J": r.spec.j_coupling,
+                    "a": r.spec.a_coupling,
                     "energies": [_finite(e) for e in r.energies],
                     "gap": _finite(r.gap),
                     "gap2": _finite(r.gap2),
@@ -385,7 +396,7 @@ def run(cfg: RunConfig) -> RunResult:
         }
         summary_lines = [spectra.CSV_HEADER]
         summary_lines += [
-            f"N={r.n_sites} J={r.j_coupling:g} a={r.a_coupling:g} "
+            f"N={r.spec.n_sites} J={r.spec.j_coupling:g} a={r.spec.a_coupling:g} "
             f"gap={r.gap:.6g} gap2={r.gap2:.6g}"
             + (f" error={r.error}" if r.error else "")
             for r in rows

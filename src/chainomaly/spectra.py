@@ -529,13 +529,14 @@ def lowest_eigs(H: SparseOperator, k: int = 6) -> tuple[np.ndarray, list[Level]]
 
 @dataclass(frozen=True)
 class SpectrumRow:
-    n_sites: int
-    j_coupling: float
-    a_coupling: float
-    energies: tuple[float, ...]
-    gap: float
-    gap2: float
-    charge: complex
+    """The lowest levels of `spec`; a refused row holds only its `error`,
+    with no energies and NaN gaps and charge."""
+
+    spec: HamiltonianSpec
+    energies: tuple[float, ...] = ()
+    gap: float = float("nan")
+    gap2: float = float("nan")
+    charge: complex = complex(float("nan"), float("nan"))
     error: str | None = None
 
 
@@ -543,9 +544,7 @@ def spectrum_row(spec: HamiltonianSpec, k: int = 6) -> SpectrumRow:
     H = build_hamiltonian(spec)
     vals, levels = lowest_eigs(H, k=k)
     return SpectrumRow(
-        n_sites=spec.n_sites,
-        j_coupling=spec.j_coupling,
-        a_coupling=spec.a_coupling,
+        spec,
         energies=tuple(float(v) for v in vals),
         gap=float(vals[1] - vals[0]),
         gap2=float(vals[2] - vals[0]) if len(vals) > 2 else float("nan"),
@@ -561,18 +560,7 @@ def gap_scan(grid, k: int = 6) -> list[SpectrumRow]:
         try:
             rows.append(spectrum_row(spec, k))
         except PipelineError as exc:  # per-row refusals are data
-            rows.append(
-                SpectrumRow(
-                    n_sites=spec.n_sites,
-                    j_coupling=spec.j_coupling,
-                    a_coupling=spec.a_coupling,
-                    energies=(),
-                    gap=float("nan"),
-                    gap2=float("nan"),
-                    charge=complex("nan"),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            rows.append(SpectrumRow(spec, error=f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -591,9 +579,9 @@ def rows_to_csv(rows) -> str:
         lines.append(
             ",".join(
                 [
-                    str(r.n_sites),
-                    fmt(r.j_coupling),
-                    fmt(r.a_coupling),
+                    str(r.spec.n_sites),
+                    fmt(r.spec.j_coupling),
+                    fmt(r.spec.a_coupling),
                     fmt(e[0]),
                     fmt(e[1]),
                     fmt(e[2]),
@@ -614,19 +602,20 @@ def default_grid() -> list[HamiltonianSpec]:
     return grid
 
 
-def witness_trends(grid, rows) -> dict[tuple, str]:
+def witness_trends(rows) -> dict[tuple, str]:
     """Classify each symmetric (terms, J, a) family across sizes: "gapless"
     when N*gap stays within a 15 percent band, "ssb" when the gap collapses
     below 1e-2 with the second gap above 0.1, otherwise "other"."""
     families: dict[tuple, list[SpectrumRow]] = {}
-    for spec, row in zip(grid, rows):
+    for row in rows:
+        spec = row.spec
         if row.error is not None or not spec.is_symmetric:
             continue
         key = (spec.terms, spec.j_coupling, spec.a_coupling)
         families.setdefault(key, []).append(row)
     out = {}
     for key, members in families.items():
-        ngaps = [m.n_sites * m.gap for m in members]
+        ngaps = [m.spec.n_sites * m.gap for m in members]
         if all(m.gap < 1e-2 and m.gap2 > 0.1 for m in members):
             out[key] = "ssb"
         elif len(members) >= 2 and max(ngaps) <= min(ngaps) * 1.15:

@@ -68,8 +68,30 @@ S2 = SiteSpec((2,))
 
 def lsm_stacked_expr(rep: anm.ProjectiveRep, g: int, n: int) -> QcaExpr:
     """Action of (g, n) on the doubled chain: the on-site projective layer on
-    the first register, with translation realized as n swap-circuit rounds."""
-    return anm._lsm_with_onsite(rep, g, anm._lsm_translation(rep.dimension, n))
+    the first register, then translation by n (the second copy shifted by -n)
+    balanced into a swap circuit."""
+    sites2 = SiteSpec((rep.dimension,) * 2)
+    out = identity_expr(sites2)
+    if n:
+        out = qca.balance_shifts(QcaExpr(sites2, (ShiftPrimitive(0, n), ShiftPrimitive(1, -n))))
+    if g:
+        layer = BlockLayer(1, (GateTemplate(0, 1, rep.matrices[g], registers=((0, 0),)),))
+        out = qca.compose(out, QcaExpr(sites2, (layer,)))
+    return out
+
+
+def lsm_pipeline_beta(monkeypatch, rep: anm.ProjectiveRep) -> dict:
+    """The restricted circuits lsm_pipeline builds, captured off its VTable."""
+    tables, real = [], anm.VTable
+
+    def spy(beta, *args):
+        tables.append(real(beta, *args))
+        return tables[-1]
+
+    monkeypatch.setattr(anm, "VTable", spy)
+    anm.lsm_pipeline(rep)
+    (table,) = tables
+    return table.beta
 
 
 # -- verify_action -----------------------------------------------------------------
@@ -971,15 +993,30 @@ def test_lsm_stacked_expr_balances_the_whole_action():
     [anm.pauli_projective_rep, lambda: clock_shift_rep(3)],
     ids=["pauli", "clock_shift3"],
 )
-def test_lsm_stacked_exprs_are_valid(make_rep):
-    # composed and restricted without validating again; validating them
-    # here must pass
+def test_lsm_stacked_exprs_are_valid(monkeypatch, make_rep):
+    # lsm_pipeline composes and restricts its circuits without validating
+    # them; validating them here must pass, and each equals the reference
     rep = make_rep()
+    beta = lsm_pipeline_beta(monkeypatch, rep)
+    assert sorted(beta) == [(g, n) for g in rep.group.elements() for n in (0, 1)]
+    for (g, n), out in beta.items():
+        QcaExpr(out.sites, out.steps)
+        assert expr_to_data(out) == expr_to_data(anm.restrict_right(lsm_stacked_expr(rep, g, n)))
     for g in rep.group.elements():
         for n in (0, 1, 2):
             stacked = lsm_stacked_expr(rep, g, n)
             for out in (stacked, anm.restrict_right(stacked)):
                 QcaExpr(out.sites, out.steps)
+
+
+def test_lsm_translations_share_each_onsite_layer(monkeypatch):
+    # (g, 0) and (g, 1) hold the one gate template built for rep(g)
+    rep = clock_shift_rep(3)
+    beta = lsm_pipeline_beta(monkeypatch, rep)
+    for g in rep.group.elements()[1:]:
+        (t0,), (t1,) = (beta[g, n].steps[0].templates for n in (0, 1))
+        assert t0 is t1
+        assert np.array_equal(t0.unitary, rep.matrices[g])
 
 
 def test_lsm_balances_each_translation_once(monkeypatch):

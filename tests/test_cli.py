@@ -200,7 +200,7 @@ def test_spectra_report_is_strict_json(tmp_path):
     rows = json.loads((tmp_path / "r.json").read_text(), parse_constant=_no_constant)["rows"]
     assert rows[0]["gap"] > 0 and rows[0]["gap2"] is None
     assert rows[1]["error"].startswith("SizeCap")
-    assert (rows[1]["gap"], rows[1]["gap2"], rows[1]["charge"]) == (None, None, [None, 0.0])
+    assert (rows[1]["gap"], rows[1]["gap2"], rows[1]["charge"]) == (None, None, [None, None])
     assert "gap2=nan" in (tmp_path / "s.txt").read_text()
     assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[7] == "nan"
 
@@ -502,6 +502,11 @@ def one_layer(head="period: 1", gate=GATE):
         # spectrum_row reads the second level, and lowest_eigs gives at most 8
         ("mode: spectra\nspectra: {k: 1, grid: [{N: 4, terms: [h0]}]}\n", "spectra.k"),
         ("mode: spectra\nspectra: {k: 9, grid: [{N: 4, terms: [h0]}]}\n", "spectra.k"),
+        # each form accepts only the top-level keys it reads
+        ("mode: anomaly\ngroup: {kind: cyclic, n: 5}\naction: {preset: levin-gu-z2}\n", "group"),
+        ("mode: spectra\ndegree: 7\n", "degree"),
+        (LEVIN_GU + "spectra: {k: 3}\n", "spectra"),
+        ("mode: cohomology\ngroup: {kind: cyclic, n: 2}\naction: {preset: onsite}\n", "action"),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):

@@ -146,6 +146,17 @@ def test_gap_scan_records_failures():
     assert rows[1].error is not None and "SizeCap" in rows[1].error
 
 
+@pytest.mark.parametrize("spec", [HamiltonianSpec(6, terms=("h0",)), HamiltonianSpec(24)],
+                         ids=["solved", "refused"])
+def test_gap_scan_rows_hold_their_spec(spec):
+    row = gap_scan([spec], k=3)[0]
+    assert row.spec is spec
+    if row.error is not None:
+        # a refused row holds no level: its gaps and both parts of its charge are NaN
+        assert row.energies == ()
+        assert all(np.isnan(x) for x in (row.gap, row.gap2, row.charge.real, row.charge.imag))
+
+
 def test_gap_scan_propagates_bugs(monkeypatch):
     # only a PipelineError becomes row data; a programming error or a broken
     # internal guarantee fails loudly
@@ -162,14 +173,14 @@ def test_gap_scan_propagates_bugs(monkeypatch):
 def test_gap_scan_default_grid_trends():
     grid = default_grid()
     rows = gap_scan(grid, k=6)
-    trends = witness_trends(grid, rows)
+    trends = witness_trends(rows)
     assert trends[(("h0", "h1"), 0.0, 0.0)] == "gapless"
     assert trends[(("h0", "h1", "hj"), 4.0, 0.0)] == "ssb"
     # the non-symmetric control is excluded from the witness but stays gapped
-    control = [r for s, r in zip(grid, rows) if s.terms == ("h0",)]
+    control = [r for r in rows if r.spec.terms == ("h0",)]
     assert all(abs(r.gap - 2.0) <= 1e-9 for r in control)
-    symmetric = [r for s, r in zip(grid, rows) if s.terms == ("h0", "h1")]
-    ngaps = [r.n_sites * r.gap for r in symmetric]
+    symmetric = [r for r in rows if r.spec.terms == ("h0", "h1")]
+    ngaps = [r.spec.n_sites * r.gap for r in symmetric]
     assert max(ngaps) <= min(ngaps) * 1.15
 
 
@@ -178,7 +189,7 @@ def test_coupling_without_its_term_joins_the_family():
     # so it must not split the witness family
     assert HamiltonianSpec(10, j_coupling=4.0, a_coupling=0.3) == HamiltonianSpec(10)
     grid = [HamiltonianSpec(8), HamiltonianSpec(10, j_coupling=4.0), HamiltonianSpec(12)]
-    trends = witness_trends(grid, gap_scan(grid, k=3))
+    trends = witness_trends(gap_scan(grid, k=3))
     assert trends == {(("h0", "h1"), 0.0, 0.0): "gapless"}
 
 
