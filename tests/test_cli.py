@@ -15,6 +15,7 @@ import yaml
 from chainomaly import cli, grpcoh, spectra
 from chainomaly.errors import IoError, ParseError, ValidationError
 
+from helpers_golden import GOLDEN, exact_fields, golden
 from helpers_serialize import expr_to_data, matrix_to_pairs
 
 LEVIN_GU = """
@@ -659,27 +660,45 @@ def test_custom_circuit_config_matches_preset():
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.slow
-def test_benchmark_configs_run(tmp_path):
+BENCHMARK_WORKLOADS = ("classify", "translation", "cohomology", "spectra")
+
+
+@pytest.fixture(scope="module")
+def benchmark_runs(tmp_path_factory):
     """Every seed-1 config of every benchmark workload, as the benchmark
-    writes it, runs through the CLI front door with exit 0, so a change
-    that breaks the benchmark's inputs fails here."""
-    configs = []
-    for workload in ("classify", "translation", "cohomology", "spectra"):
+    writes it, run through the CLI front door: "workload/stem" -> (exit
+    code, JSON report or None)."""
+    tmp = tmp_path_factory.mktemp("benchmark")
+    runs = {}
+    for workload in BENCHMARK_WORKLOADS:
         subprocess.run(
             [sys.executable, str(ROOT / "clibench" / "run.py"), "--workload", workload,
-             "--seed", "1", "--dump-configs", str(tmp_path / workload)],
+             "--seed", "1", "--dump-configs", str(tmp / workload)],
             check=True, capture_output=True, cwd=ROOT, timeout=120,
         )
-        written = sorted((tmp_path / workload).glob("*.yaml"))
+        written = sorted((tmp / workload).glob("*.yaml"))
         assert written, workload
-        configs += written
-    codes = {}
-    for cfg in configs:
-        out = tmp_path / "out" / cfg.parent.name / cfg.stem
-        out.mkdir(parents=True)
-        codes[f"{cfg.parent.name}/{cfg.name}"] = cli.main(["run", str(cfg), "--out", str(out)])
-    assert {name: code for name, code in codes.items() if code} == {}
+        for cfg in written:
+            out = tmp / "out" / workload / cfg.stem
+            out.mkdir(parents=True)
+            code = cli.main(["run", str(cfg), "--out", str(out)])
+            report = out / yaml.safe_load(cfg.read_text())["output"]["json"]
+            runs[f"{workload}/{cfg.stem}"] = (
+                code, json.loads(report.read_text()) if report.exists() else None
+            )
+    return runs
+
+
+@pytest.mark.slow
+def test_benchmark_configs_run(benchmark_runs):
+    """Every benchmark config exits 0, and its report's exact fields match
+    its golden file, tests/golden/<workload>/<stem>.json, so a change that
+    breaks the benchmark's inputs or moves an exact answer fails here."""
+    assert {name: code for name, (code, _) in benchmark_runs.items() if code} == {}
+    files = sorted(f"{w}/{p.stem}" for w in BENCHMARK_WORKLOADS for p in (GOLDEN / w).glob("*.json"))
+    assert files == sorted(benchmark_runs)
+    moved = [name for name, (_, report) in benchmark_runs.items() if exact_fields(report) != golden(name)]
+    assert moved == []
 
 
 def test_lsm_with_a_non_projective_rep_exits_2_naming_the_pair(tmp_path, capsys):
@@ -776,6 +795,7 @@ def test_type_iii_anomaly_of_z2_cubed(tmp_path, capsys):
     # the restriction to <g> is 2 (omega(g, 1, g) + omega(g, g, g)) mod 2
     restricted = [2 * (omega[g, 0, g] + omega[g, g, g]) % 2 for g in range(1, 8)]
     assert restricted == [0, 0, 0, 0, 0, 0, 1]
+    assert exact_fields(report) == golden("cases/type_iii_z2_cubed")
 
 
 def test_cohomology_degree_past_the_face_index_exits_2(tmp_path, capsys):

@@ -12,25 +12,13 @@ import pytest
 import yaml
 
 from chainomaly import cli
+from helpers_golden import GOLDEN, exact_fields, golden
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = sorted(
     p for p in (ROOT / "configs").glob("*.yaml")
     if yaml.safe_load(p.read_text())["mode"] != "spectra"
 )
-
-
-def exact_fields(report):
-    """The report without its diagnostics block and without any float."""
-    if isinstance(report, dict):
-        return {
-            k: exact_fields(v) for k, v in report.items()
-            if k != "diagnostics" and not isinstance(v, float)
-        }
-    if isinstance(report, list):
-        return [exact_fields(v) for v in report]
-    return report
 
 
 def test_every_non_spectra_config_has_a_golden_report():
@@ -43,4 +31,4 @@ def test_report_exact_fields_match_the_golden_file(config, tmp_path):
     assert cli.main(["run", str(config), "--out", str(tmp_path)]) == 0
     name = yaml.safe_load(config.read_text())["output"]["json"]
     got = exact_fields(json.loads((tmp_path / name).read_text()))
-    assert got == json.loads((GOLDEN / f"{config.stem}.json").read_text())
+    assert got == golden(config.stem)
