@@ -18,7 +18,6 @@ from .grpcoh import (
     CohomologyGroup,
     FiniteGroup,
     PhaseCochain,
-    class_of,
     cohomology,
     slant_z,
 )

@@ -37,9 +37,9 @@ For a projective on-site representation combined with translation, the
 chain is stacked with a copy that the translation shifts oppositely, and the
 mixed anomaly is computed lazily on the translation-slant argument set and
 reduced to a degree-2 class on the on-site group, to compare with the class
-of the projective multiplier. Reports print each cocycle exactly, as its
-phases snapped to rationals or, when one does not snap, as its class
-representative. Caps and tolerances are module constants.
+of the projective multiplier. Each class is read off the rounded Bockstein
+of the measured float turns, and reports print its exact representative,
+which no gauge moves. Caps and tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -53,14 +53,11 @@ import numpy as np
 
 from . import _tensors as tz
 from .errors import (
-    CocycleViolation,
-    NotACocycle,
     NotAHomomorphism,
     NotInner,
     NotProjective,
     NotScalar,
     ShiftsPresent,
-    SnapFailure,
     ValidationError,
     WindowCapExceeded,
 )
@@ -70,10 +67,8 @@ from .grpcoh import (
     FiniteGroup,
     PhaseCochain,
     bockstein_class,
-    class_of,
     cohomology,
     slant_z,
-    snap_fraction,
 )
 from .opwin import (
     PAULI_X,
@@ -109,11 +104,6 @@ from .qca import (
 # A local operator (slots, matrix): the matrix acts on the listed tensor
 # slots in ascending order, as in the slot engine of `qca`.
 SlotOperator = tuple[tuple[int, ...], np.ndarray]
-
-
-def default_den_cap(group_order: int) -> int:
-    """Largest denominator a reported phase snaps to."""
-    return group_order * group_order * 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,41 +174,27 @@ def _verdict_line(verdict: str, kind: str = "") -> str:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ClassifiedCocycle:
-    """A phase cocycle's class, from the rounded Bockstein of its float turns,
-    and the exact cochain a report prints: the measured phases snapped to
-    rationals (`snap_errors` holds their errors), or the class representative
-    from the generators when some phase does not snap (`snap_errors` None)."""
-
-    cochain: PhaseCochain
-    coords: ClassCoords
-    snap_errors: tuple[float, ...] | None
-
-
 @dataclass(eq=False)
 class AnomalyReport:
-    """The class of a finite-group action's degree-3 cocycle. `omega` is the
-    printed cochain and `snap_errors` its phases' snap errors in row order,
-    as in ClassifiedCocycle (None when `omega` is the class representative).
-    The acting group is `cohomology.group`."""
+    """The class of a finite-group action's degree-3 cocycle in `cohomology`,
+    whose group is the acting group."""
 
-    omega: PhaseCochain
     cohomology: CohomologyGroup
     coords: ClassCoords
     verdict: str
     diagnostics: dict
-    snap_errors: tuple[float, ...] | None
+
+    @property
+    def omega(self) -> PhaseCochain:
+        """The printed cocycle: the representative of the class."""
+        return self.cohomology.representative(self.coords)
 
     def as_json_dict(self) -> dict:
         G = self.cohomology.group
-        omega_rows = list(_phase_rows(self.omega))
-        for row, err in zip(omega_rows, self.snap_errors or ()):
-            row["snap_error"] = float(err)
         return {
             "gnvw": {G.name(g): {} for g in G.elements()},
             "stacked": False,
-            "omega": omega_rows,
+            "omega": list(_phase_rows(self.omega)),
             "invariant_factors": list(self.cohomology.invariant_factors),
             "class": list(self.coords.residues),
             "verdict": self.verdict,
@@ -238,16 +214,26 @@ class AnomalyReport:
 @dataclass(eq=False)
 class MixedAnomalyReport:
     """The slant class against translation and the projective class, both in
-    `cohomology`, the H^2 of the on-site group `cohomology.group`."""
+    `cohomology`, the H^2 of the on-site group `cohomology.group`. Each
+    printed cocycle is the representative of its class."""
 
-    slant: PhaseCochain
     slant_class: ClassCoords
-    projective: PhaseCochain
     projective_class: ClassCoords
-    classes_equal: bool
     cohomology: CohomologyGroup
     verdict: str
     diagnostics: dict
+
+    @property
+    def slant(self) -> PhaseCochain:
+        return self.cohomology.representative(self.slant_class)
+
+    @property
+    def projective(self) -> PhaseCochain:
+        return self.cohomology.representative(self.projective_class)
+
+    @property
+    def classes_equal(self) -> bool:
+        return self.slant_class == self.projective_class
 
     def as_json_dict(self) -> dict:
         return {
@@ -497,40 +483,17 @@ def _scalar_phase(M: np.ndarray, scalar_tol: float) -> tuple[complex, float]:
     return lam / abs(lam), resid
 
 
-def _classify(H: CohomologyGroup, turns, what: str) -> ClassifiedCocycle:
-    """Classify float turns, one per tuple: snap them to the cochain, whose
-    exact class must equal the rounded one."""
-    coords = bockstein_class(turns, H, what)
-    den = default_den_cap(H.group.order)
-    try:
-        snaps = [snap_fraction(x, den) for x in turns]
-    except SnapFailure:
-        return ClassifiedCocycle(H.representative(coords), coords, None)
-    cochain = PhaseCochain(H.group, H.degree, tuple(f for f, _ in snaps))
-    try:
-        exact = class_of(cochain, H)
-    except NotACocycle:
-        exact = None
-    if exact != coords:
-        raise CocycleViolation(
-            f"snapped {what} is not a cocycle of class {list(coords.residues)}, "
-            "the class of its rounded Bockstein"
-        )
-    return ClassifiedCocycle(cochain, coords, tuple(err for _, err in snaps))
+def omega_from_vtable(group: FiniteGroup, vtable: VTable) -> list[float]:
+    """The associator of the V table on every tuple, in _tuple_index order,
+    as float turns. Each tuple's scalar residual stays in
+    `vtable.scalar_residuals`."""
+    return [vtable.omega(*t) for t in itertools.product(range(group.order), repeat=3)]
 
 
-def omega_from_vtable(group: FiniteGroup, vtable: VTable) -> ClassifiedCocycle:
-    """Evaluate the associator of the V table on every tuple and classify it.
-    Each tuple's scalar residual stays in `vtable.scalar_residuals`, and the
-    snap errors, when the phases snap, are in the classified cocycle."""
-    turns = [vtable.omega(*t) for t in itertools.product(range(group.order), repeat=3)]
-    return _classify(cohomology(group, 3), turns, "omega")
-
-
-def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, VTable]:
+def omega_cocycle(spec: ActionSpec) -> tuple[list[float], VTable]:
     """Restrict the (index-1) action to the right half-chain and evaluate
     the degree-3 phase cocycle, extracting each V(g, h) when the associator
-    first needs it. Returns the classified cocycle and the V table."""
+    first needs it. Returns the float turns and the V table."""
     G = spec.group
     beta = {g: restrict_right(balance_shifts(spec.expr(g))) for g in G.elements()}
     vtable = VTable(beta, G.mul, G.name)
@@ -538,24 +501,18 @@ def omega_cocycle(spec: ActionSpec) -> tuple[ClassifiedCocycle, VTable]:
 
 
 def _verdict_and_diagnostics(
-    table: VTable, printed: dict[str, ClassifiedCocycle]
+    table: VTable, coords: ClassCoords, rounding_error: float
 ) -> tuple[str, dict]:
-    """The verdict and the diagnostics both pipelines report, once the first
-    cocycle of `printed` (row key -> cocycle) has been classified from the
-    associators of `table`: the largest scalar and V residuals in the table,
-    the first cocycle's largest snap error when its phases snapped, and the
-    keys of the printed rows that hold a class representative instead."""
-    main = next(iter(printed.values()))
+    """The verdict and the diagnostics both pipelines report, once the class
+    `coords` has been read off the associators of `table` by a Bockstein
+    that was `rounding_error` from the integers: the largest scalar and V
+    residuals in the table, and that rounding error."""
     diagnostics = {
         "max_scalar_residual": max(table.scalar_residuals.values(), default=0.0),
         "max_v_residual": max(table.residuals.values(), default=0.0),
+        "max_rounding_error": rounding_error,
     }
-    if main.snap_errors is not None:
-        diagnostics["max_snap_error"] = max(main.snap_errors)
-    unsnapped = [key for key, c in printed.items() if c.snap_errors is None]
-    if unsnapped:
-        diagnostics["representative_rows"] = unsnapped
-    return "NonAnomalous" if main.coords.is_trivial else "Anomalous", diagnostics
+    return "NonAnomalous" if coords.is_trivial else "Anomalous", diagnostics
 
 
 def anomaly_class(spec: ActionSpec) -> AnomalyReport:
@@ -564,27 +521,23 @@ def anomaly_class(spec: ActionSpec) -> AnomalyReport:
     report is never stacked and lists an empty set of prime exponents for
     every element."""
     residual = verify_action(spec)
-    om, vtable = omega_cocycle(spec)
-    verdict, diagnostics = _verdict_and_diagnostics(vtable, {"omega": om})
+    turns, vtable = omega_cocycle(spec)
+    H = cohomology(spec.group, 3)
+    coords, rounding_error = bockstein_class(turns, H, "omega")
+    verdict, diagnostics = _verdict_and_diagnostics(vtable, coords, rounding_error)
     diagnostics["homomorphism_residual"] = residual
     diagnostics["v_windows"] = {
         f"{spec.group.name(g)},{spec.group.name(h)}": _site_span(spec.sites, slots)
         for (g, h), (slots, _) in sorted(vtable.entries.items())
     }
-    return AnomalyReport(
-        omega=om.cochain,
-        cohomology=cohomology(spec.group, 3),
-        coords=om.coords,
-        verdict=verdict,
-        diagnostics=diagnostics,
-        snap_errors=om.snap_errors,
-    )
+    return AnomalyReport(cohomology=H, coords=coords, verdict=verdict, diagnostics=diagnostics)
 
 
 # -- projective representations and the mixed anomaly ---------------------------
 
-def projective_cocycle(rep: ProjectiveRep) -> ClassifiedCocycle:
-    """The multiplier phases, rep(gh) = rho(g,h) rep(g) rep(h), classified."""
+def projective_cocycle(rep: ProjectiveRep) -> list[float]:
+    """The multiplier phases rho(g, h), with rep(gh) = rho(g,h) rep(g)
+    rep(h), in _tuple_index order, as float turns."""
     G = rep.group
     turns = []
     for g, h in itertools.product(range(G.order), repeat=2):
@@ -596,7 +549,7 @@ def projective_cocycle(rep: ProjectiveRep) -> ClassifiedCocycle:
                 f"matrices at ({G.name(g)}, {G.name(h)}) are not projective: {exc}"
             ) from exc
         turns.append(float(np.angle(lam)) / (2 * math.pi))
-    return _classify(cohomology(G, 2), turns, "multiplier")
+    return turns
 
 
 def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
@@ -606,7 +559,8 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
     matrices that are not projective raise NotProjective naming the pair
     before any V is extracted."""
     G0 = rep.group
-    rho = projective_cocycle(rep)
+    H2 = cohomology(G0, 2)
+    rho, _ = bockstein_class(projective_cocycle(rep), H2, "multiplier")
     # the doubled chain: translation by 1 shifts the second copy by -1, and
     # is realized as a swap circuit; rep(g) acts on the first register by
     # one layer, built unvalidated because ProjectiveRep checked its matrix
@@ -631,16 +585,12 @@ def lsm_pipeline(rep: ProjectiveRep) -> MixedAnomalyReport:
         return f"({G0.name(a[0])}, {a[1]})"
 
     table = VTable(beta, mulz, namez)
-    H2 = cohomology(G0, 2)
-    slant = _classify(H2, slant_z(table.omega, G0), "slant")
-    verdict, diagnostics = _verdict_and_diagnostics(table, {"slant": slant, "projective": rho})
+    slant, rounding_error = bockstein_class(slant_z(table.omega, G0), H2, "slant")
+    verdict, diagnostics = _verdict_and_diagnostics(table, slant, rounding_error)
     diagnostics["v_count"] = len(table.entries)
     return MixedAnomalyReport(
-        slant=slant.cochain,
-        slant_class=slant.coords,
-        projective=rho.cochain,
-        projective_class=rho.coords,
-        classes_equal=slant.coords.residues == rho.coords.residues,
+        slant_class=slant,
+        projective_class=rho,
         cohomology=H2,
         verdict=verdict,
         diagnostics=diagnostics,

@@ -415,7 +415,8 @@ def run(cfg: RunConfig) -> RunResult:
 
 
 def _output_paths(cfg: RunConfig, out_dir: str | None) -> dict[str, Path]:
-    """Where each requested file goes; raises if its directory is missing."""
+    """Where each requested file goes; raises if its directory is missing
+    or if two keys resolve to one file, which the later write overwrites."""
     base = Path(out_dir) if out_dir else Path(".")
     paths = {}
     for key in _OUTPUT_KEYS:
@@ -424,6 +425,9 @@ def _output_paths(cfg: RunConfig, out_dir: str | None) -> dict[str, Path]:
             path = Path(name) if Path(name).is_absolute() else base / name
             if not path.parent.exists():
                 raise IoError(f"output directory does not exist: {path.parent}")
+            same = [k for k, p in paths.items() if p.resolve() == path.resolve()]
+            if same:
+                raise ValidationError(f"output: {same[0]} and {key} both write {path}")
             paths[key] = path
     return paths
 

@@ -71,10 +71,6 @@ class NotScalar(PipelineError):
     pass
 
 
-class SnapFailure(PipelineError):
-    pass
-
-
 class NotProjective(PipelineError):
     pass
 
@@ -95,10 +91,6 @@ class IoError(PipelineError):
 
 class InvariantViolation(ChainomalyError):
     exit_code = 3
-
-
-class CocycleViolation(InvariantViolation):
-    pass
 
 
 class IndexMismatch(InvariantViolation):

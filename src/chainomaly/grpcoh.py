@@ -1,7 +1,6 @@
 """Exact finite group cohomology with circle-group coefficients.
 
-Phases are exact rationals in [0,1) representing exp(2*pi*i*q), so cocycle
-and coboundary identities are checked with exact arithmetic. Cohomology
+Exact phases are rationals in [0,1) representing exp(2*pi*i*q). Cohomology
 groups are classified through the normalized integer bar complex: the
 cochains that vanish on every tuple with an identity entry, which have the
 same cohomology as the full complex (Brown, Cohomology of Groups, I.5 and
@@ -13,13 +12,13 @@ int32 over an int8 coboundary, modulo a power of p. The rational complex is
 exact, so rank d_k = sum_(i=1..k) (-1)^(k-i) (|G| - 1)^i is known
 beforehand: the elimination stops at that many pivots and checks that
 nothing is left.
-A phase k-cocycle is lifted to [0, 1); the coboundary of the lift (the
-Bockstein) is a degree-(k+1) integer cocycle. It is normalized by explicit
+A measured phase k-cocycle, in float turns that need not be rational, is
+lifted to [0, 1); the coboundary of the lift (the Bockstein), rounded to
+integers, is a degree-(k+1) integer cocycle. It is normalized by explicit
 coboundary shifts, and then the recorded row operations, replayed on first
 use, project it onto the invariant-factor coordinates; a caller that reads
-only the factors never replays them. Measured phases need not be rational:
-their float Bockstein is rounded to integers. Every alternating face sum,
-exact, float or integer, goes through one vectorised face index.
+only the factors never replays them. Every alternating face sum, float or
+integer, goes through one vectorised face index.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .errors import (
     InvariantViolation,
     MatrixCap,
     NotACocycle,
-    SnapFailure,
     ValidationError,
 )
 from .opwin import TOL_PHASE
@@ -128,10 +126,6 @@ class FiniteGroup:
         return cls(table, names)
 
 
-def _frac_mod1(q: Fraction) -> Fraction:
-    return q - (q.numerator // q.denominator)
-
-
 def _tuple_index(t: tuple[int, ...], n: int) -> int:
     i = 0
     for g in t:
@@ -186,7 +180,7 @@ class PhaseCochain:
         n = self.group.order
         if len(self.values) != n ** self.degree:
             raise ValidationError("cochain table has the wrong size")
-        vals = tuple(_frac_mod1(Fraction(v)) for v in self.values)
+        vals = tuple(Fraction(v) % 1 for v in self.values)
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -204,21 +198,6 @@ class PhaseCochain:
             self.degree,
             tuple(a + b for a, b in zip(self.values, other.values)),
         )
-
-
-def snap_fraction(turns: float, den_cap: int) -> tuple[Fraction, float]:
-    """Snap a phase given in turns (angle / 2 pi) to an exact rational with
-    denominator at most den_cap, within TOL_PHASE. Returns (fraction in
-    [0,1), snap error)."""
-    x = float(turns) % 1.0
-    q = Fraction(x).limit_denominator(den_cap)
-    qn = _frac_mod1(q)
-    err = min(abs(x - float(qn)), abs(x - float(qn) - 1.0), abs(x - float(qn) + 1.0))
-    if err > TOL_PHASE:
-        raise SnapFailure(
-            f"no rational with denominator <= {den_cap} within {TOL_PHASE} of {x}"
-        )
-    return qn, err
 
 
 # -- modular integer linear algebra ------------------------------------------
@@ -368,8 +347,8 @@ class CohomologyGroup:
     generator cochains are replayed from those steps on first use, once per
     group, and scattered onto every tuple with zeros on the tuples that hold
     the identity; a caller that reads only the factors never pays for them.
-    Class rows kill only normalized coboundaries, so `class_of` and
-    `bockstein_class` normalize a Bockstein before they project it."""
+    Class rows kill only normalized coboundaries, so `bockstein_class`
+    normalizes a Bockstein before it projects it."""
 
     group: FiniteGroup
     degree: int
@@ -505,27 +484,12 @@ def _normalize(group: FiniteGroup, m: int, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def class_of(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
-    """Exact class coordinates of a phase cocycle."""
-    if f.group != H.group or f.degree != H.degree:
-        raise ValidationError("cochain does not match the cohomology group")
-    # integer Bockstein: coboundary of the rational lift, as integer face sums
-    # over the common denominator, each of at most degree + 2 terms below it;
-    # Python ints where those sums could overflow int64
-    den = math.lcm(*(v.denominator for v in f.values))
-    nums = [v.numerator * (den // v.denominator) for v in f.values]
-    exact = den * (f.degree + 2) < 2 ** 63
-    sums = _face_sums(f.group, f.degree, np.array(nums, dtype=np.int64 if exact else object))
-    if (sums % den).any():
-        raise NotACocycle("input is not a cocycle")
-    c = _normalize(f.group, f.degree + 1, (sums // den).astype(np.int64))
-    return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
-
-
-def bockstein_class(turns, H: CohomologyGroup, what: str = "cochain") -> ClassCoords:
+def bockstein_class(turns, H: CohomologyGroup, what: str = "cochain") -> tuple[ClassCoords, float]:
     """Class of a phase cocycle given as float turns (angle over 2 pi), one per
-    tuple: the coboundary of the lift to [0, 1), rounded to the integer
-    Bockstein, is blind to real coboundaries. `what` names it in errors."""
+    tuple, and the largest distance of its float Bockstein from the
+    integers: the coboundary of the lift to [0, 1), rounded to the integer
+    Bockstein, is blind to real coboundaries. A distance above TOL_PHASE is
+    refused. `what` names the cocycle in errors."""
     G, k = H.group, H.degree
     b = _face_sums(G, k, np.asarray(turns, dtype=float) % 1.0)
     c = np.rint(b)
@@ -541,7 +505,8 @@ def bockstein_class(turns, H: CohomologyGroup, what: str = "cochain") -> ClassCo
     if _face_sums(G, k + 1, c).any():
         raise InvariantViolation(f"the rounded Bockstein of the {what} is not a cocycle")
     c = _normalize(G, k + 1, c)
-    return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
+    coords = ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
+    return coords, float(err[worst])
 
 
 def slant_z(omega_eval, group0: FiniteGroup) -> list:

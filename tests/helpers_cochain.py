@@ -1,6 +1,7 @@
 """Cochains from Python functions, the exact coboundary, the zero and cocycle tests,
-cochain and class-coordinate arithmetic, group relabelling, the class of a
-phase cocycle summed in Fractions, a reference local Smith elimination, and
+cochain and class-coordinate arithmetic, group relabelling, the distance
+of measured float turns from an exact cochain, the exact class of a phase
+cocycle summed in Fractions, a reference local Smith elimination, and
 the full (unnormalized) bar complex with its classes, for building test
 inputs and checking results in `chainomaly.grpcoh`'s terms. Used only by the
 tests."""
@@ -51,9 +52,9 @@ def bockstein_by_fractions(f: PhaseCochain) -> np.ndarray:
 
 
 def class_of_by_fractions(f: PhaseCochain, H: CohomologyGroup) -> ClassCoords:
-    """`grpcoh.class_of` with its integer Bockstein summed as exact
-    Fractions, an oracle for the integer face sums; it is normalized as
-    `class_of` normalizes it."""
+    """Exact class coordinates of a phase cocycle: its integer Bockstein,
+    summed as exact Fractions, normalized as `grpcoh.bockstein_class`
+    normalizes a rounded one and projected by H's class rows."""
     c = _normalize(f.group, f.degree + 1, bockstein_by_fractions(f))
     return ClassCoords(tuple(int(w) for w in H._class_rows @ c), H.invariant_factors)
 
@@ -62,6 +63,15 @@ def cochain_from_function(group: FiniteGroup, degree: int, fn) -> PhaseCochain:
     """The cochain with value fn(*t) at every degree-tuple t, in table order."""
     tuples = itertools.product(range(group.order), repeat=degree)
     return PhaseCochain(group, degree, tuple(fn(*t) for t in tuples))
+
+
+def max_turn_distance(turns, f: PhaseCochain) -> float:
+    """The largest circular distance of measured float turns, one per tuple
+    in table order, from the exact phases of f."""
+    if len(turns) != len(f.values):
+        raise ValueError("turns and cochain differ in length")
+    dist = [(x - float(q)) % 1.0 for x, q in zip(turns, f.values)]
+    return max(min(d, 1.0 - d) for d in dist)
 
 
 def is_zero(f: PhaseCochain) -> bool:

@@ -12,7 +12,7 @@ from chainomaly import anomaly as anm
 from chainomaly.grpcoh import (
     FiniteGroup,
     _cohomology_cached,
-    class_of,
+    bockstein_class,
     cohomology,
 )
 from chainomaly.opwin import SiteSpec
@@ -27,7 +27,13 @@ from chainomaly.qca import (
 )
 
 from conftest import image, random_unitary, single_gate_expr, slot_product
-from helpers_cochain import coboundary, cochain_from_function, cochain_neg, cochain_sub, is_zero
+from helpers_cochain import (
+    coboundary,
+    cochain_from_function,
+    cochain_neg,
+    is_zero,
+    max_turn_distance,
+)
 from helpers_free_fermion import free_fermion_levels
 from helpers_ring import full_matrix, lift_levels
 from helpers_support_algebra import support_dims
@@ -52,12 +58,14 @@ def test_criterion_1_levin_gu_pipeline():
     with criterion(1, "flip-entangle preset: V, omega, class, verdict", 10.0):
         report = anm.anomaly_class(anm.levin_gu_action())
         # obstruction unitary at the cut is the Pauli Z up to gauge
-        _, vt = anm.omega_cocycle(anm.levin_gu_action())
+        turns, vt = anm.omega_cocycle(anm.levin_gu_action())
         slots, v11 = vt.gate(1, 1)
         assert slots == (0,)
         assert np.allclose(v11, opwin.PAULI_Z, atol=1e-9)
+        # the measured phases: a half turn at (-1, -1, -1) and 0 elsewhere
+        om = cochain_from_function(report.cohomology.group, 3, lambda a, b, c: Fraction(a * b * c, 2))
+        assert max_turn_distance(turns, om) <= 1e-9
         assert report.omega.at(1, 1, 1) == Fraction(1, 2)
-        assert max(report.snap_errors) < 1e-8
         assert report.cohomology.invariant_factors == (2,)
         assert report.coords.residues == (1,)
         assert report.verdict == "Anomalous"
@@ -73,8 +81,8 @@ def test_criterion_2_onsite_control():
 def test_criterion_3_lsm_mixed_anomaly():
     with criterion(3, "translation x projective rep: slant class = multiplier class", 60.0):
         out = anm.lsm_pipeline(anm.pauli_projective_rep())
-        rho_class = class_of(
-            anm.projective_cocycle(anm.pauli_projective_rep()).cochain,
+        rho_class, _ = bockstein_class(
+            anm.projective_cocycle(anm.pauli_projective_rep()),
             cohomology(anm.pauli_projective_rep().group, 2),
         )
         assert out.slant_class.residues == rho_class.residues
@@ -101,8 +109,8 @@ def test_criterion_4_cohomology_kernel():
         assert h2.invariant_factors == (2,)
         assert time.monotonic() - t0 < 5.0
         # cross-check by the projective Pauli pair
-        rho = anm.projective_cocycle(anm.pauli_projective_rep()).cochain
-        assert class_of(rho, h2).residues == (1,)
+        rho = anm.projective_cocycle(anm.pauli_projective_rep())
+        assert bockstein_class(rho, h2)[0].residues == (1,)
 
 
 def _random_index_expr(rng, d: int) -> QcaExpr:
@@ -163,9 +171,11 @@ def test_criterion_6_cocycle_robustness(rng):
     with criterion(6, "pentagon exact; restriction and gauge independence", 120.0):
         act = anm.levin_gu_action()
         G = act.group
-        omc, vt = anm.omega_cocycle(act)
-        om = omc.cochain
-        # post-snap cocycle identity on every quadruple, exact arithmetic
+        turns, vt = anm.omega_cocycle(act)
+        # the measured phases are within 1e-9 of the exact Levin-Gu cocycle,
+        # whose cocycle identity holds on every quadruple in exact arithmetic
+        om = cochain_from_function(G, 3, lambda a, b, c: Fraction(a * b * c, 2))
+        assert max_turn_distance(turns, om) <= 1e-9
         d_om = coboundary(om)
         assert all(v == 0 for v in d_om.values)
         beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
@@ -189,11 +199,10 @@ def test_criterion_6_cocycle_robustness(rng):
                     u12_dag = (U[g12][0], U[g12][1].conj().T)
                     right = image(beta[g12], slot_product(s2, U[g2], u12_dag))
                     vt_t.entries[(g1, g2)] = slot_product(s2, left, vt.gate(g1, g2), right)
-            om_t = anm.omega_from_vtable(G, vt_t)
-            assert om_t.cochain.values == om.values
+            assert max_turn_distance(anm.omega_from_vtable(G, vt_t), om) <= 1e-9
         # >= 10 random rephasings: exact coboundary shift, class unchanged
         H = cohomology(G, 3)
-        base_class = class_of(om, H)
+        base_class, _ = bockstein_class(turns, H)
         for _ in range(10):
             theta = cochain_from_function(
                 G, 2, lambda g, h: Fraction(int(rng.integers(0, 12)), 12)
@@ -201,9 +210,10 @@ def test_criterion_6_cocycle_robustness(rng):
             vt2 = anm.VTable(beta, G.mul, G.name)
             for (g, h), (slots, mat) in vt.entries.items():
                 vt2.entries[(g, h)] = (slots, np.exp(2j * np.pi * float(theta.at(g, h))) * mat)
-            om2 = anm.omega_from_vtable(G, vt2).cochain
-            assert cochain_sub(om2, om).values == coboundary(cochain_neg(theta)).values
-            assert class_of(om2, H).residues == base_class.residues
+            turns2 = anm.omega_from_vtable(G, vt2)
+            diff = [b - a for a, b in zip(turns, turns2)]
+            assert max_turn_distance(diff, coboundary(cochain_neg(theta))) <= 1e-9
+            assert bockstein_class(turns2, H)[0].residues == base_class.residues
 
 
 def test_criterion_7_spectral_witness():

@@ -25,7 +25,7 @@ from chainomaly.errors import (
 from chainomaly.grpcoh import (
     FiniteGroup,
     PhaseCochain,
-    class_of,
+    bockstein_class,
     cohomology,
 )
 from chainomaly.opwin import PAULI_X, PAULI_Z, SiteSpec
@@ -51,13 +51,14 @@ from conftest import (
     slot_product,
 )
 from helpers_cochain import (
+    class_of_by_fractions,
     coboundary,
     cochain_from_function,
     cochain_neg,
-    cochain_sub,
     coords_add,
     is_cocycle,
     is_zero,
+    max_turn_distance,
 )
 from helpers_edge import edge_action
 from helpers_reps import clock_shift_rep
@@ -722,28 +723,32 @@ def test_vtable_invariant_levin_gu():
 
 # -- the degree-3 cocycle -------------------------------------------------------------------
 
+def levin_gu_omega(G: FiniteGroup) -> PhaseCochain:
+    """The Levin-Gu cocycle the extraction measures: a half turn at
+    (-1, -1, -1) and 0 elsewhere."""
+    return cochain_from_function(G, 3, lambda a, b, c: Fraction(a * b * c, 2))
+
+
 def test_omega_levin_gu_values():
     # hand-composed expectation: V(-1,-1) = Z0, other V = 1, and the restricted
     # automorphism flips the sign of Z0, so the only nonzero value is
     # Z0 * 1 * 1 * (-Z0)^{-1} = -1, a half turn at (-1,-1,-1)
     act = anm.levin_gu_action()
-    om, _ = anm.omega_cocycle(act)
-    for t in itertools.product(range(2), repeat=3):
-        expect = Fraction(1, 2) if t == (1, 1, 1) else Fraction(0)
-        assert om.cochain.at(*t) == expect
-    assert max(om.snap_errors) < 1e-8
+    turns, _ = anm.omega_cocycle(act)
+    assert max_turn_distance(turns, levin_gu_omega(act.group)) <= 1e-9
 
 
 def test_omega_onsite_trivial():
-    om, _ = anm.omega_cocycle(anm.onsite_flip_action())
-    assert is_zero(om.cochain)
+    act = anm.onsite_flip_action()
+    turns, _ = anm.omega_cocycle(act)
+    assert max_turn_distance(turns, PhaseCochain.zero(act.group, 3)) <= 1e-9
 
 
 def test_omega_rephasing_shifts_by_coboundary(rng):
     act = anm.levin_gu_action()
     G = act.group
-    omc, vt = anm.omega_cocycle(act)
-    om = omc.cochain
+    turns, vt = anm.omega_cocycle(act)
+    H = cohomology(G, 3)
     for _ in range(3):
         theta = cochain_from_function(
             G, 2, lambda g, h: Fraction(int(rng.integers(0, 8)), 8)
@@ -752,12 +757,11 @@ def test_omega_rephasing_shifts_by_coboundary(rng):
         for (g, h), (slots, mat) in vt.entries.items():
             phase = np.exp(2j * np.pi * float(theta.at(g, h)))
             vt2.entries[(g, h)] = (slots, phase * mat)
-        om2 = anm.omega_from_vtable(G, vt2).cochain
-        diff = cochain_sub(om2, om)
+        turns2 = anm.omega_from_vtable(G, vt2)
+        diff = [b - a for a, b in zip(turns, turns2)]
         # with the alternating-sum orientation the shift is d(-theta)
-        assert diff.values == coboundary(cochain_neg(theta)).values
-        H = cohomology(G, 3)
-        assert class_of(om2, H).residues == class_of(om, H).residues
+        assert max_turn_distance(diff, coboundary(cochain_neg(theta))) <= 1e-9
+        assert bockstein_class(turns2, H)[0] == bockstein_class(turns, H)[0]
 
 
 def test_omega_beta_independence_exact(rng):
@@ -766,7 +770,8 @@ def test_omega_beta_independence_exact(rng):
     # cocycle value for value
     act = anm.levin_gu_action()
     G = act.group
-    om0, vt0 = anm.omega_cocycle(act)
+    turns0, vt0 = anm.omega_cocycle(act)
+    assert max_turn_distance(turns0, levin_gu_omega(G)) <= 1e-9
     beta = {g: anm.restrict_right(act.expr(g)) for g in G.elements()}
     for _ in range(3):
         U = {}
@@ -786,8 +791,8 @@ def test_omega_beta_independence_exact(rng):
                 u12_dag = (U[g12][0], U[g12][1].conj().T)
                 right = image(beta[g12], slot_product(S2, U[g2], u12_dag))
                 vt_t.entries[(g1, g2)] = slot_product(S2, left, vt0.gate(g1, g2), right)
-        om_t = anm.omega_from_vtable(G, vt_t)
-        assert om_t.cochain.values == om0.cochain.values
+        turns_t = anm.omega_from_vtable(G, vt_t)
+        assert max_turn_distance(turns_t, levin_gu_omega(G)) <= 1e-9
 
 
 def test_non_scalar_associator_names_the_tuple():
@@ -802,9 +807,12 @@ def test_non_scalar_associator_names_the_tuple():
 
 
 def test_omega_pentagon_exact():
-    om, _ = anm.omega_cocycle(anm.levin_gu_action())
-    assert is_cocycle(om.cochain)
-    assert is_zero(coboundary(om.cochain))
+    act = anm.levin_gu_action()
+    turns, _ = anm.omega_cocycle(act)
+    om = levin_gu_omega(act.group)
+    assert max_turn_distance(turns, om) <= 1e-9
+    assert is_cocycle(om)
+    assert is_zero(coboundary(om))
 
 
 # -- full pipeline --------------------------------------------------------------------------
@@ -846,6 +854,16 @@ def test_report_json_schema():
     assert d["class"] == [1]
     row = next(r for r in d["omega"] if r["args"] == ["-1", "-1", "-1"])
     assert row["phase"] == "1/2"
+    # every row is a phase of the class representative, with no error beside it
+    assert all(set(r) == {"args", "phase"} for r in d["omega"])
+    assert rep.omega == rep.cohomology.representative(rep.coords)
+    assert set(d["diagnostics"]) == {
+        "max_scalar_residual",
+        "max_v_residual",
+        "max_rounding_error",
+        "homomorphism_residual",
+        "v_windows",
+    }
 
 
 def _lift_levin_gu_with_trivial_factor() -> anm.ActionSpec:
@@ -868,26 +886,29 @@ def test_stacking_with_trivial_factor_preserves_class():
 
 def test_pauli_multiplier_values():
     rep = anm.pauli_projective_rep()
-    rho = anm.projective_cocycle(rep).cochain
+    rho = anm.projective_cocycle(rep)
     G = rep.group
-    # labels: (a, b) -> a*2 + b; direct 2x2 products pin the phases
+    # labels: (a, b) -> a*2 + b; X^a1 Z^b1 X^a2 Z^b2 = (-1)^(b1 a2) X^(a1+a2)
+    # Z^(b1+b2) pins every phase
+    closed = cochain_from_function(G, 2, lambda g, h: Fraction((g % 2) * (h // 2), 2))
+    assert max_turn_distance(rho, closed) <= 1e-9
     xa, zb = 2, 1  # (1,0) and (0,1)
-    assert rho.at(xa, zb) == 0
-    assert rho.at(zb, xa) == Fraction(1, 2)
-    assert is_cocycle(rho)
+    assert closed.at(xa, zb) == 0
+    assert closed.at(zb, xa) == Fraction(1, 2)
+    assert is_cocycle(closed)
 
 
 def test_linear_rep_trivial_multiplier():
-    rho = anm.projective_cocycle(anm.linear_flip_rep()).cochain
-    assert is_zero(rho)
+    rep = anm.linear_flip_rep()
+    rho = anm.projective_cocycle(rep)
+    assert max_turn_distance(rho, PhaseCochain.zero(rep.group, 2)) <= 1e-9
 
 
 def test_pauli_multiplier_class_nonzero():
     rep = anm.pauli_projective_rep()
-    rho = anm.projective_cocycle(rep).cochain
     H = cohomology(rep.group, 2)
     assert H.invariant_factors == (2,)
-    assert class_of(rho, H).residues == (1,)
+    assert bockstein_class(anm.projective_cocycle(rep), H)[0].residues == (1,)
 
 
 def test_not_projective_detected():
@@ -909,31 +930,6 @@ def test_lsm_refuses_a_non_projective_rep_by_name():
     # refused before any V is extracted, not by the extraction cap
     with pytest.raises(NotProjective, match=r"^matrices at \(\(0,1\), \(1,0\)\) are not projective"):
         anm.lsm_pipeline(non_projective_rep())
-
-
-def test_unsnapped_phases_keep_their_class(monkeypatch):
-    # omega(-1,-1,-1) = 1/2 and rho(X, Z) = 1/2 have no denominator-1
-    # rational: the class still comes from the rounded Bockstein, and the
-    # report prints the class representative built from the generators
-    monkeypatch.setattr(anm, "default_den_cap", lambda order: 1)
-    rep = anm.anomaly_class(anm.levin_gu_action())
-    assert rep.coords.residues == (1,)
-    assert rep.omega.values == rep.cohomology.representative(rep.coords).values
-    d = rep.as_json_dict()
-    assert d["diagnostics"]["representative_rows"] == ["omega"]
-    assert "max_snap_error" not in d["diagnostics"]
-    assert all(set(row) == {"args", "phase"} for row in d["omega"])
-    rho = anm.projective_cocycle(anm.pauli_projective_rep())
-    assert rho.snap_errors is None
-    assert rho.coords.residues == (1,)
-    assert class_of(rho.cochain, cohomology(rho.cochain.group, 2)) == rho.coords
-
-
-def test_snapped_rows_carry_no_representative_key():
-    d = anm.anomaly_class(anm.levin_gu_action()).as_json_dict()
-    assert "representative_rows" not in d["diagnostics"]
-    assert all(set(row) == {"args", "phase", "snap_error"} for row in d["omega"])
-    assert "representative_rows" not in anm.lsm_pipeline(anm.linear_flip_rep()).diagnostics
 
 
 # -- the mixed anomaly --------------------------------------------------------------------------
@@ -1132,7 +1128,7 @@ def test_lsm_su3_clock_shift_counts_boxes_mod_3():
 
 def test_conjugated_action_same_class(rng):
     # conjugating the whole action by a local unitary near the cut leaves the
-    # class (and here even the snapped cocycle) unchanged
+    # class, and so the printed cocycle, unchanged
     act = anm.levin_gu_action()
     wexpr = single_gate_expr(S2, (0, 1), random_unitary(4, rng))
     conj = compose(wexpr, compose(act.expr(1), invert(wexpr)))
@@ -1185,9 +1181,9 @@ def test_k4_action_functorial_restrictions():
             Z2, 3, lambda a, b, c: rep.omega.at(stride * a, stride * b, stride * c)
         )
 
-    assert class_of(restriction(2), H3).residues == (1,)  # flip-entangle subgroup
-    assert class_of(restriction(1), H3).residues == (0,)  # bare flip subgroup
-    assert class_of(restriction(3), H3).residues == (0,)  # pure entangler subgroup
+    assert class_of_by_fractions(restriction(2), H3).residues == (1,)  # flip-entangle subgroup
+    assert class_of_by_fractions(restriction(1), H3).residues == (0,)  # bare flip subgroup
+    assert class_of_by_fractions(restriction(3), H3).residues == (0,)  # pure entangler subgroup
 
 
 def test_inner_action_not_anomalous(rng):
@@ -1247,7 +1243,7 @@ def test_k4_conjugated_by_ginibre_unitary_keeps_its_class(tmp_path, seed):
     assert report["verdict"] == "Anomalous"
     # the printed rows are an exact cocycle of the printed class
     rows = PhaseCochain(K4, 3, tuple(Fraction(r["phase"]) for r in report["omega"]))
-    assert class_of(rows, cohomology(K4, 3)).residues == (0, 1, 0)
+    assert class_of_by_fractions(rows, cohomology(K4, 3)).residues == (0, 1, 0)
 
 
 def _rephased(rep: anm.ProjectiveRep, phases) -> anm.ProjectiveRep:
@@ -1266,18 +1262,19 @@ def test_rephased_pauli_rep_slant_equals_multiplier_class():
     assert out.slant_class.residues == (1,)
     assert out.projective_class.residues == (1,)
     assert out.classes_equal
-    assert out.diagnostics["representative_rows"] == ["projective"]
+    # the printed rows are those of the unrephased representation
+    assert out.projective == anm.lsm_pipeline(anm.pauli_projective_rep()).projective
 
 
 @functools.lru_cache(maxsize=1)
 def _k4_omega():
     """K4 acting by identity, flip, flip-entangle and the bare entangler: its
-    restrictions, its classified cocycle and its V table."""
+    restrictions, the class of its cocycle and its V table."""
     gamma = anm.levin_gu_action().expr(1)
     flip = anm.onsite_flip_action().expr(1)
     act = anm.ActionSpec(K4, S2, (identity_expr(S2), flip, gamma, compose(gamma, flip)))
-    om, vt = anm.omega_cocycle(act)
-    return vt.beta, om, vt
+    turns, vt = anm.omega_cocycle(act)
+    return vt.beta, bockstein_class(turns, cohomology(K4, 3))[0], vt
 
 
 @settings(max_examples=10)
@@ -1290,9 +1287,9 @@ def test_real_phases_on_v_leave_the_class(seed):
     vt2 = anm.VTable(beta, K4.mul, K4.name)
     for key, (slots, mat) in vt.entries.items():
         vt2.entries[key] = (slots, np.exp(2j * np.pi * rng.uniform()) * mat)
-    om = anm.omega_from_vtable(K4, vt2)
-    assert om.coords == base.coords
-    assert om.coords.residues == (0, 1, 0)
+    coords, _ = bockstein_class(anm.omega_from_vtable(K4, vt2), cohomology(K4, 3))
+    assert coords == base
+    assert coords.residues == (0, 1, 0)
 
 
 @pytest.mark.parametrize("make_rep", [anm.pauli_projective_rep, lambda: clock_shift_rep(3)])
@@ -1301,11 +1298,12 @@ def test_real_phases_on_rep_matrices_leave_the_class(make_rep, seed):
     # the multiplier moves by a real coboundary; the oracle is the class of
     # the unrotated representation
     rep = make_rep()
-    base = anm.projective_cocycle(rep)
+    H = cohomology(rep.group, 2)
+    base, _ = bockstein_class(anm.projective_cocycle(rep), H)
     phases = np.random.default_rng(seed).uniform(size=rep.group.order - 1)
-    moved = anm.projective_cocycle(_rephased(rep, phases))
-    assert moved.coords == base.coords
-    assert not moved.coords.is_trivial
+    moved, _ = bockstein_class(anm.projective_cocycle(_rephased(rep, phases)), H)
+    assert moved == base
+    assert not moved.is_trivial
 
 
 # -- fewer gate conjugations in V extraction --------------------------------------------------
@@ -1431,7 +1429,7 @@ def test_edge_action_of_type_i_cocycle_round_trips(n, k, sign):
         G, 3, lambda a, b, c: Fraction(sign * k * a * (b + c - (b + c) % n), n * n)
     )
     report = anm.anomaly_class(edge_action(G, omega))
-    assert report.coords == class_of(omega, cohomology(G, 3))
+    assert report.coords == class_of_by_fractions(omega, cohomology(G, 3))
 
 
 @pytest.mark.parametrize("i", range(3))

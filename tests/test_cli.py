@@ -508,6 +508,8 @@ def one_layer(head="period: 1", gate=GATE):
         ("mode: spectra\ndegree: 7\n", "degree"),
         (LEVIN_GU + "spectra: {k: 3}\n", "spectra"),
         ("mode: cohomology\ngroup: {kind: cyclic, n: 2}\naction: {preset: onsite}\n", "action"),
+        # two output keys that resolve to one file
+        (LEVIN_GU + "output: {json: same.txt, summary: ./same.txt}\n", "output"),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, text, path):
@@ -699,6 +701,25 @@ def test_benchmark_configs_run(benchmark_runs):
     assert files == sorted(benchmark_runs)
     moved = [name for name, (_, report) in benchmark_runs.items() if exact_fields(report) != golden(name)]
     assert moved == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "group",
+    [
+        ["translation/lsm_pauli", "translation/lsm_pauli_rotated", "translation/lsm_pauli_rephased"],
+        ["classify/k4", "classify/k4_conj_onsite", "classify/k4_conj_twosite",
+         "classify/k4_conj_onsite_rng3"],
+    ],
+    ids=["pauli", "k4"],
+)
+def test_gauges_of_one_action_print_one_report(benchmark_runs, group):
+    # the same rep rotated or rephased, and the same K4 action conjugated by
+    # local unitaries: one class, so the same exact fields and the same
+    # diagnostics keys in every gauge
+    reports = [benchmark_runs[name][1] for name in group]
+    assert all(exact_fields(r) == exact_fields(reports[0]) for r in reports)
+    assert all(set(r["diagnostics"]) == set(reports[0]["diagnostics"]) for r in reports)
 
 
 def test_lsm_with_a_non_projective_rep_exits_2_naming_the_pair(tmp_path, capsys):

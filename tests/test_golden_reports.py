@@ -1,6 +1,6 @@
 """The exact fields of every bundled non-spectra config's report, against
 JSON checked in under tests/golden/: verdict, class, invariant factors,
-phase rows, representative rows and index. Float diagnostics are left out.
+phase rows and index. Diagnostics and floats are left out.
 A change that moves one of these fields, such as a new basis in the Smith
 elimination, fails here; it must name the moved fields and update the file
 by hand."""
