@@ -699,7 +699,7 @@ def test_benchmark_configs_run(benchmark_runs):
     assert {name: code for name, (code, _) in benchmark_runs.items() if code} == {}
     files = sorted(f"{w}/{p.stem}" for w in BENCHMARK_WORKLOADS for p in (GOLDEN / w).glob("*.json"))
     assert files == sorted(benchmark_runs)
-    moved = [name for name, (_, report) in benchmark_runs.items() if exact_fields(report) != golden(name)]
+    moved = [name for name, (_, rep) in benchmark_runs.items() if exact_fields(rep) != golden(name)]
     assert moved == []
 
 

@@ -542,7 +542,8 @@ def test_class_of_additive(seed):
     )
     assert is_cocycle(g)
     total = class_of_by_fractions(f + g, H)
-    assert total.residues == coords_add(class_of_by_fractions(f, H), class_of_by_fractions(g, H)).residues
+    parts = coords_add(class_of_by_fractions(f, H), class_of_by_fractions(g, H))
+    assert total.residues == parts.residues
 
 
 Z5 = FiniteGroup.cyclic(5)
