@@ -938,6 +938,26 @@ def test_lsm_pauli_slant_equals_multiplier_class():
     assert out.classes_equal
     assert not out.slant_class.is_trivial
     assert out.verdict == "Anomalous"
+
+
+def test_lsm_report_prints_the_class_representatives():
+    # the slant and the multiplier are measured as float turns and only their
+    # classes are kept: every printed row is a phase of a class
+    # representative, with no error beside it, and the one rounding error is
+    # that of the slant's Bockstein
+    out = anm.lsm_pipeline(anm.pauli_projective_rep())
+    H = out.cohomology
+    assert out.slant == out.projective == H.representative(out.slant_class)
+    assert class_of_by_fractions(out.slant, H) == out.slant_class
+    d = out.as_json_dict()
+    assert all(set(r) == {"args", "phase"} for r in d["slant"] + d["projective"])
+    assert set(d["diagnostics"]) == {
+        "max_scalar_residual",
+        "max_v_residual",
+        "max_rounding_error",
+        "v_count",
+    }
+    assert 0.0 <= d["diagnostics"]["max_rounding_error"] <= 1e-9
     assert out.cohomology.invariant_factors == (2,)
 
 

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -635,6 +636,73 @@ def test_bockstein_class_ignores_real_coboundaries(group, degree, seed):
     mu = rng.uniform(-3.0, 3.0, size=group.order ** (degree - 1))
     turns = np.array([float(v) for v in rep.values]) + full_coboundary_matrix(group, degree - 1) @ mu
     assert bockstein_class(turns, H)[0] == coords
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotACocycle:
+        return "not a cocycle"
+
+
+# primes just below 2^31 and 2^37: denominators whose lcm is above 2^63
+BIG_PRIMES = (2 ** 31 - 1, 2 ** 37 - 25)
+
+
+def _turns(f: PhaseCochain) -> list[float]:
+    """The phases of f as float turns, each reduced mod 1 while exact."""
+    return [float(v % 1) for v in f.values]
+
+
+@pytest.mark.parametrize("group,degree", [(Z2, 3), (Z2Z2, 2), (Z2Z2, 3), (Z6, 2), (S3, 3)])
+@given(
+    seed=st.integers(0, 10 ** 6),
+    den=st.sampled_from([2, 12, 2 ** 61 - 1, BIG_PRIMES]),
+    cocycle=st.booleans(),
+)
+def test_bockstein_class_matches_the_fraction_sums(group, degree, seed, den, cocycle):
+    # cocycles: a random class representative plus the coboundary of a
+    # cochain whose values have denominator `den` (or, for a pair, one of the
+    # two, so that the lcm is their product); otherwise a random cochain of
+    # denominator 2 or 12, whose Bockstein, where it is not an integer, is
+    # at least 1/12 from one
+    rng = np.random.default_rng(seed)
+    H = cohomology(group, degree)
+    n = group.order
+    if cocycle:
+        dens = den if isinstance(den, tuple) else (den,)
+        coords = ClassCoords(
+            tuple(int(rng.integers(0, f)) for f in H.invariant_factors), H.invariant_factors
+        )
+        psi = PhaseCochain(group, degree - 1, tuple(
+            Fraction(int(rng.integers(0, 2 ** 62)), int(rng.choice(dens)))
+            for _ in range(n ** (degree - 1))
+        ))
+        f = H.representative(coords) + coboundary(psi)
+    else:
+        small = den if den in (2, 12) else 12
+        f = PhaseCochain(group, degree, tuple(
+            Fraction(int(rng.integers(0, 2 ** 62)), small) for _ in range(n ** degree)
+        ))
+    want = _outcome(class_of_by_fractions, f, H)
+    got = _outcome(lambda t, H: bockstein_class(t, H)[0], _turns(f), H)
+    assert got == want
+    if cocycle:
+        assert got == coords
+
+
+def test_bockstein_class_reads_phases_past_int64():
+    # values of denominators 2^31 - 1 and 2^37 - 25 put the common
+    # denominator above 2^63 - 1; the coboundary of such a cochain still
+    # has class zero, read off its float turns within 1e-9
+    H = cohomology(Z2Z2, 2)
+    psi = PhaseCochain(Z2Z2, 1, (0, Fraction(5, BIG_PRIMES[0]), Fraction(7, BIG_PRIMES[1]), 0))
+    f = coboundary(psi)
+    assert math.lcm(*(v.denominator for v in f.values)) > 2 ** 63
+    assert class_of_by_fractions(f, H).is_trivial
+    coords, rounding_error = bockstein_class(_turns(f), H)
+    assert coords.is_trivial
+    assert rounding_error <= 1e-9
 
 
 def test_bockstein_residual_names_the_worst_tuple():
